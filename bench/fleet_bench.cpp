@@ -1,21 +1,17 @@
 /**
  * @file
- * Fleet-scale throughput harness: the SoA chain shards + batched slot
- * kernel running city-sized deployments (100k+ chains, 1M+ total
- * nodes) — the scale the object-per-node layout could not stream.
+ * Fleet-scale throughput harness: the SoA chain shards + income hoist
+ * running city-sized deployments (100k+ chains, 1M+ total nodes) —
+ * the scale the object-per-node layout could not stream.
  *
  * Four sections:
  *  - fleet throughput: build and run the full fleet, reporting
  *    slots_per_sec (chain-slots executed per wall-clock second) and
- *    bytes_per_node (resident SoA shard bytes / total nodes), with the
- *    batched slot kernel on vs off and the reports asserted identical;
+ *    bytes_per_node (resident SoA shard bytes / total nodes);
  *  - thread sweep: the same fleet at --threads 1/2/4 must produce
  *    bit-identical reports (chain-order shard merge discipline);
  *  - snapshot resume: a mid-horizon checkpoint must resume onto the
  *    uninterrupted run's exact report on the SoA layout;
- *  - batched StepMachine: IntermittentExecution::runBatch over scaled
- *    views of one shared stream vs per-trace run(), results asserted
- *    identical, wall-clock compared;
  *  - distributed sharding: the same fleet slice through the
  *    multi-process coordinator/worker runtime (src/dist/) at
  *    --workers 2 and 4, reports asserted bit-identical to the
@@ -28,25 +24,20 @@
  *   --smoke      small run for CI plus schema validation of the JSON
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 #include "dist/coordinator.hh"
-#include "energy/power_trace.hh"
-#include "energy/trace_cache.hh"
 #include "fog/fog_system.hh"
-#include "hw/processor.hh"
-#include "node/intermittent.hh"
 #include "sim/logging.hh"
 #include "sim/report_io.hh"
-#include "sim/rng.hh"
 #include "snapshot/snapshot.hh"
 
 using namespace neofog;
@@ -65,7 +56,7 @@ seconds(const std::chrono::steady_clock::time_point &start)
 /**
  * The fleet scenario: the fig-13 deployment shape (dependent rainy-day
  * income — every node a scaled view of one shared stream, the case the
- * batched slot kernel hoists) at city width.
+ * income hoist shares) at city width.
  */
 ScenarioConfig
 fleetScenario(std::size_t chains, std::size_t nodes_per_chain,
@@ -192,80 +183,35 @@ main(int argc, char **argv)
     sink.add("total_nodes", static_cast<double>(total_nodes));
     sink.add("slots", static_cast<double>(slots));
 
-    // ---- Section 1: fleet throughput, kernel ladder ----------------
-    // Three rungs share one fleet shape: the per-node beginSlot loop
-    // (the reference), the batched hoist with scalar banking
-    // (--no-simd-kernel), and the full vectorized shard kernel.  The
-    // per-node reference is run exactly once and its report reused for
-    // every parity assertion below — re-running it per section doubled
-    // the --smoke wall-clock for no extra coverage.
+    // ---- Section 1: fleet throughput --------------------------------
     header("Fleet throughput: " + std::to_string(chains) + " chains x " +
            std::to_string(nodes_per_chain) + " nodes, " +
            std::to_string(slots) + " slots");
     ScenarioConfig cfg = fleetScenario(chains, nodes_per_chain, slots);
 
-    SystemReport scalar;
-    ScenarioConfig scalar_cfg = cfg;
-    scalar_cfg.batchSlotKernel = false;
-    const TimedRun scalar_t = runTimed(scalar_cfg, scalar);
-
-    SystemReport nosimd;
-    ScenarioConfig nosimd_cfg = cfg;
-    nosimd_cfg.simdKernel = false;
-    const TimedRun nosimd_t = runTimed(nosimd_cfg, nosimd);
-
-    SystemReport batched;
+    SystemReport fleet;
     std::size_t shard_bytes = 0;
-    const TimedRun batched_t = runTimed(cfg, batched, &shard_bytes);
+    const TimedRun fleet_t = runTimed(cfg, fleet, &shard_bytes);
 
-    if (!(batched == scalar)) {
-        err("fleet_bench: batched slot kernel diverged from the "
-            "per-node path\n");
-        return 1;
-    }
-    if (!(nosimd == scalar)) {
-        err("fleet_bench: scalar-banking fallback diverged from the "
-            "per-node path\n");
-        return 1;
-    }
-
-    const double slots_per_sec = chain_slots / batched_t.runSecs;
+    const double slots_per_sec = chain_slots / fleet_t.runSecs;
     const double bytes_per_node =
         static_cast<double>(shard_bytes) /
         static_cast<double>(total_nodes);
-    Table t1({24, 12, 12, 14, 10});
-    t1.row({"Configuration", "Build s", "Run s", "Slots/s", "Speedup"});
-    t1.separator();
-    t1.row({"per-node beginSlot", fmt(scalar_t.buildSecs, 2),
-            fmt(scalar_t.runSecs, 2),
-            fmt(chain_slots / scalar_t.runSecs, 0), "1.00x"});
-    t1.row({"batch, scalar banking", fmt(nosimd_t.buildSecs, 2),
-            fmt(nosimd_t.runSecs, 2),
-            fmt(chain_slots / nosimd_t.runSecs, 0),
-            fmt(scalar_t.runSecs / nosimd_t.runSecs, 2) + "x"});
-    t1.row({"vectorized shard kernel", fmt(batched_t.buildSecs, 2),
-            fmt(batched_t.runSecs, 2), fmt(slots_per_sec, 0),
-            fmt(scalar_t.runSecs / batched_t.runSecs, 2) + "x"});
+    out("  build %.2f s, run %.2f s, %.0f chain-slots/s\n",
+        fleet_t.buildSecs, fleet_t.runSecs, slots_per_sec);
     out("\nresident shard bytes/node: %.1f (%zu nodes, %.1f MiB "
         "total)\n",
         bytes_per_node, total_nodes,
         static_cast<double>(shard_bytes) / (1024.0 * 1024.0));
     sink.add("slots_per_sec", slots_per_sec);
-    sink.add("scalar_slots_per_sec", chain_slots / scalar_t.runSecs);
-    sink.add("batch_kernel_speedup",
-             scalar_t.runSecs / batched_t.runSecs);
-    sink.add("simd_kernel_speedup",
-             nosimd_t.runSecs / batched_t.runSecs);
-    sink.add("build_secs", batched_t.buildSecs);
+    sink.add("build_secs", fleet_t.buildSecs);
     sink.add("bytes_per_node", bytes_per_node);
-    sink.add("reports_match_scalar", 1.0);
-    sink.add("simd_matches_scalar", 1.0);
 
     // ---- Section 2: thread-sweep bit-identity ----------------------
     header("Thread sweep: chain-order shard merge bit-identity");
     {
         bool consistent = true;
-        double best_secs = batched_t.runSecs;
+        double best_secs = fleet_t.runSecs;
         double four_thread_secs = 0.0;
         for (unsigned threads : {2u, 4u}) {
             ScenarioConfig swept = cfg;
@@ -275,10 +221,10 @@ main(int argc, char **argv)
             best_secs = std::min(best_secs, t_t.runSecs);
             if (threads == 4)
                 four_thread_secs = t_t.runSecs;
-            if (!(r == batched))
+            if (!(r == fleet))
                 consistent = false;
             out("  --threads %u: %.2f s, bit-identical: %s\n", threads,
-                t_t.runSecs, r == batched ? "yes" : "NO");
+                t_t.runSecs, r == fleet ? "yes" : "NO");
         }
         // Amdahl-style scaling quality: (4-thread throughput over
         // 1-thread throughput) / 4.  1.0 = perfect scaling; the
@@ -286,7 +232,7 @@ main(int argc, char **argv)
         // watches it so locality regressions show up at the PR that
         // caused them.
         const double efficiency_4t =
-            batched_t.runSecs / (4.0 * four_thread_secs);
+            fleet_t.runSecs / (4.0 * four_thread_secs);
         out("  parallel efficiency at 4 threads: %.2f\n",
             efficiency_4t);
         sink.add("reports_consistent", consistent ? 1.0 : 0.0);
@@ -352,74 +298,7 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- Section 4: batched StepMachine ----------------------------
-    header("Batched StepMachine: runBatch vs per-trace run");
-    {
-        const Tick horizon = smoke ? 10 * kMin : kHour;
-        const std::size_t machines = smoke ? 64 : 256;
-        // The production fleet shape: one shared rain stream behind a
-        // prefix table (see FogSystem), scaled per node.
-        const auto base = std::make_shared<CumulativeTrace>(
-            traces::makeRainUnitStream(7, horizon + kMin),
-            horizon + kMin);
-        Rng rng(99);
-        std::vector<std::unique_ptr<ScaledTrace>> owned;
-        std::vector<const PowerTrace *> traces;
-        owned.reserve(machines);
-        traces.reserve(machines);
-        for (std::size_t i = 0; i < machines; ++i) {
-            owned.push_back(std::make_unique<ScaledTrace>(
-                0.0026 * rng.uniform(0.5, 1.5), base));
-            traces.push_back(owned.back().get());
-        }
-
-        const NvProcessor nvp{NvProcessor::fiosConfig()};
-        IntermittentExecution::Config ff_cfg;
-        ff_cfg.frontend = FrontEnd::makeFios().config();
-
-        auto start = std::chrono::steady_clock::now();
-        std::vector<IntermittentExecution::Result> loop_results;
-        loop_results.reserve(machines);
-        for (const PowerTrace *trace : traces)
-            loop_results.push_back(
-                IntermittentExecution::run(nvp, *trace, horizon, ff_cfg));
-        const double loop_secs = seconds(start);
-
-        start = std::chrono::steady_clock::now();
-        const auto batch_results = IntermittentExecution::runBatch(
-            nvp, traces, horizon, ff_cfg);
-        const double batch_secs = seconds(start);
-
-        bool identical = batch_results.size() == loop_results.size();
-        for (std::size_t i = 0; identical && i < machines; ++i) {
-            const auto &a = loop_results[i];
-            const auto &b = batch_results[i];
-            identical = a.instructionsCompleted ==
-                            b.instructionsCompleted &&
-                        a.instructionsWasted == b.instructionsWasted &&
-                        a.powerCycles == b.powerCycles &&
-                        a.activeTime == b.activeTime &&
-                        a.overheadTime == b.overheadTime &&
-                        a.harvested == b.harvested &&
-                        a.spent == b.spent;
-        }
-        out("  %zu machines, %s horizon: loop %.3f s, batch %.3f s "
-            "(%.2fx), identical: %s\n",
-            machines, smoke ? "10 min" : "1 h", loop_secs, batch_secs,
-            loop_secs / std::max(batch_secs, 1e-9),
-            identical ? "yes" : "NO");
-        sink.add("runbatch_loop_secs", loop_secs);
-        sink.add("runbatch_batch_secs", batch_secs);
-        sink.add("runbatch_speedup",
-                 loop_secs / std::max(batch_secs, 1e-9));
-        sink.add("runbatch_identical", identical ? 1.0 : 0.0);
-        if (!identical) {
-            err("fleet_bench: runBatch diverged from per-trace run\n");
-            return 1;
-        }
-    }
-
-    // ---- Section 5: distributed sharding ---------------------------
+    // ---- Section 4: distributed sharding ---------------------------
     header("Distributed sharding: --workers vs in-process, bit-identity");
     {
         // The same slice shape Section 3 snapshots: multi-process

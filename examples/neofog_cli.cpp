@@ -94,17 +94,6 @@ usage(const char *argv0)
         "integration)\n"
         "  --cache-grid-s N          energy-cache grid seconds "
         "(default 1)\n"
-        "  --no-batch-kernel         per-node slot stepping instead "
-        "of the\n"
-        "                            batched SoA slot kernel (results "
-        "are\n"
-        "                            identical either way)\n"
-        "  --no-simd-kernel          scalar slot banking instead of "
-        "the\n"
-        "                            vectorized lane-per-node shard "
-        "kernel\n"
-        "                            (results are identical either "
-        "way)\n"
         "  --pin-threads             pin chain-loop workers to CPUs "
         "so\n"
         "                            first-touch shard pages stay "
@@ -306,10 +295,6 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(std::atoll(next().c_str()));
         } else if (arg == "--no-energy-cache") {
             cfg.energyCache.enabled = false;
-        } else if (arg == "--no-batch-kernel") {
-            cfg.batchSlotKernel = false;
-        } else if (arg == "--no-simd-kernel") {
-            cfg.simdKernel = false;
         } else if (arg == "--pin-threads") {
             cfg.pinThreads = true;
         } else if (arg == "--cache-grid-s") {
@@ -361,13 +346,12 @@ main(int argc, char **argv)
         } else {
             // A resumed run rebuilds its scenario from the snapshot's
             // own config section; only the host-local knobs (threads,
-            // the checkpoint schedule, the kernel/pinning selection)
-            // carry over from the command line.
+            // the checkpoint schedule, thread pinning) carry over
+            // from the command line.
             std::unique_ptr<FogSystem> system = resume_path.empty()
                 ? std::make_unique<FogSystem>(cfg)
                 : FogSystem::resume(resume_path, cfg.threads,
-                                    cfg.snapshot, cfg.simdKernel,
-                                    cfg.pinThreads);
+                                    cfg.snapshot, cfg.pinThreads);
             cfg = system->config();
             report = system->run();
 

@@ -314,7 +314,4 @@ ClusterBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
     }
 }
 
-// makeBalancer (the deprecated factory shim) lives with the registry
-// in policy_registry.cc.
-
 } // namespace neofog

@@ -219,16 +219,6 @@ class ClusterBalancer : public LoadBalancer
     Config _cfg;
 };
 
-/**
- * @deprecated Thin shim over PolicyRegistry::instance().make() so
- * out-of-tree callers of the old stringly factory keep compiling.
- * New code should use the registry (balance/policy_registry.hh),
- * which also documents the spec grammar (`policy:key=val,...`) this
- * shim now accepts.  Unknown names fail with a did-you-mean
- * suggestion listing the registered policies.
- */
-std::unique_ptr<LoadBalancer> makeBalancer(const std::string &policy);
-
 } // namespace neofog
 
 #endif // NEOFOG_BALANCE_BALANCER_HH

@@ -397,13 +397,4 @@ PolicyRegistry::describe(std::ostream &os) const
     }
 }
 
-std::unique_ptr<LoadBalancer>
-makeBalancer(const std::string &policy)
-{
-    // Deprecated shim (see balancer.hh): out-of-tree callers of the
-    // old stringly factory land on the registry, spec grammar and
-    // diagnostics included.
-    return PolicyRegistry::instance().make(policy);
-}
-
 } // namespace neofog

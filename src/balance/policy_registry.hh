@@ -2,8 +2,7 @@
  * @file
  * PolicyRegistry: the self-describing factory for offloading policies.
  *
- * Replaces the stringly-typed makeBalancer(name) factory.  Each
- * policy registers once with a name, a one-line description, its
+ * Each policy registers once with a name, a one-line description, its
  * ParamSpec table, and a build function from resolved parameters; the
  * registry then:
  *

@@ -399,8 +399,6 @@ resumeDistributed(const ScenarioConfig &host, const DistOptions &opt)
         fatal("snapshot ", latest, " has no config section");
     ScenarioConfig cfg = deserializeScenarioBlob(config->data);
     cfg.threads = host.threads;
-    cfg.batchSlotKernel = host.batchSlotKernel;
-    cfg.simdKernel = host.simdKernel;
     cfg.pinThreads = host.pinThreads;
 
     // The partition layout is baked into the worker directories; the

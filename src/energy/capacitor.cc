@@ -7,7 +7,7 @@
 namespace neofog {
 
 SuperCapacitor::SuperCapacitor(const Config &cfg)
-    : _cfg(cfg), _stored(cfg.initial)
+    : _cfg(cfg), _stored(cfg.initial.joules())
 {
     if (_cfg.capacity.joules() <= 0.0)
         fatal("super-capacitor capacity must be positive");
@@ -20,62 +20,32 @@ SuperCapacitor::SuperCapacitor(const Config &cfg)
 Energy
 SuperCapacitor::charge(Energy amount)
 {
-    NEOFOG_ASSERT(amount.joules() >= -1e-15, "charging negative energy");
-    amount = amount.clampedNonNegative();
-    const Energy room = _cfg.capacity - _stored;
-    const Energy accepted = std::min(amount, room);
-    const Energy rejected = amount - accepted;
-    _stored += accepted;
-    _chargedTotal += accepted;
-    _overflowTotal += rejected;
-    return accepted;
+    return view().charge(amount);
 }
 
 bool
 SuperCapacitor::tryDischarge(Energy amount)
 {
-    NEOFOG_ASSERT(amount.joules() >= -1e-15, "discharging negative energy");
-    amount = amount.clampedNonNegative();
-    if (_stored < amount)
-        return false;
-    _stored -= amount;
-    _dischargedTotal += amount;
-    return true;
+    return view().tryDischarge(amount);
 }
 
 Energy
 SuperCapacitor::drain(Energy amount)
 {
-    NEOFOG_ASSERT(amount.joules() >= -1e-15, "draining negative energy");
-    amount = amount.clampedNonNegative();
-    const Energy removed = std::min(amount, _stored);
-    _stored -= removed;
-    _dischargedTotal += removed;
-    return removed;
+    return view().drain(amount);
 }
 
 void
 SuperCapacitor::leak(Tick duration)
 {
-    NEOFOG_ASSERT(duration >= 0, "negative leak duration");
-    const Energy loss = std::min(_cfg.leakage * duration, _stored);
-    _stored -= loss;
-    _leakedTotal += loss;
+    view().leak(duration);
 }
 
 void
 SuperCapacitor::setStored(Energy e)
 {
-    if (e.joules() < 0.0 || e > _cfg.capacity)
-        fatal("setStored outside [0, capacity]");
-    _stored = e;
+    view().setStored(e);
 }
-
-// CapacitorView mutators: SuperCapacitor's arithmetic on raw joule
-// cells.  Each statement mirrors the class method above — std::min
-// argument order included — because the scalar banking path runs
-// through these while the batched slot kernel replicates them
-// column-wise (shard_kernel.cc), and the two must stay bit-identical.
 
 Energy
 CapacitorView::charge(Energy amount)

@@ -20,8 +20,14 @@
 
 namespace neofog {
 
+class CapacitorView;
+
 /**
  * A leaky, bounded energy store.
+ *
+ * The state is five plain joule cells; every mutator runs through a
+ * CapacitorView over them, so a standalone capacitor and a NodeShard
+ * row execute the one copy of the arithmetic.
  */
 class SuperCapacitor
 {
@@ -49,14 +55,14 @@ class SuperCapacitor
     explicit SuperCapacitor(const Config &cfg);
 
     /** Currently stored energy. */
-    Energy stored() const { return _stored; }
+    Energy stored() const { return Energy::fromJoules(_stored); }
 
     /** Capacity limit. */
     Energy capacity() const { return _cfg.capacity; }
 
     /** Stored energy as a fraction of capacity, in [0,1]. */
     double fillFraction() const
-    { return _stored.joules() / _cfg.capacity.joules(); }
+    { return _stored / _cfg.capacity.joules(); }
 
     /**
      * Add energy; amounts beyond capacity are rejected and counted.
@@ -81,62 +87,50 @@ class SuperCapacitor
     void leak(Tick duration);
 
     /** Whether at least @p amount is available. */
-    bool has(Energy amount) const { return _stored >= amount; }
+    bool has(Energy amount) const { return _stored >= amount.joules(); }
 
     /** Set stored energy directly (testing / scenario setup). */
     void setStored(Energy e);
 
     /** Cumulative energy rejected because the capacitor was full. */
-    Energy overflowTotal() const { return _overflowTotal; }
+    Energy overflowTotal() const
+    { return Energy::fromJoules(_overflowTotal); }
 
     /** Cumulative energy lost to self-leakage. */
-    Energy leakedTotal() const { return _leakedTotal; }
+    Energy leakedTotal() const { return Energy::fromJoules(_leakedTotal); }
 
     /** Cumulative energy accepted by charge(). */
-    Energy chargedTotal() const { return _chargedTotal; }
+    Energy chargedTotal() const
+    { return Energy::fromJoules(_chargedTotal); }
 
     /** Cumulative energy removed by discharge/drain. */
-    Energy dischargedTotal() const { return _dischargedTotal; }
+    Energy dischargedTotal() const
+    { return Energy::fromJoules(_dischargedTotal); }
 
-    /** Snapshot support: stored level plus lifetime accounting. */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("stored", _stored);
-        ar.io("overflow_total", _overflowTotal);
-        ar.io("leaked_total", _leakedTotal);
-        ar.io("charged_total", _chargedTotal);
-        ar.io("discharged_total", _dischargedTotal);
-    }
+    /** View over this capacitor's own cells. */
+    CapacitorView view();
 
   private:
-    Config _cfg; // neofog-lint: allow(snapshot): construction-time configuration, rebuilt from the scenario on resume (only the stored level and lifetime accounting mutate)
-    Energy _stored;
-    Energy _overflowTotal;
-    Energy _leakedTotal;
-    Energy _chargedTotal;
-    Energy _dischargedTotal;
+    Config _cfg;
+    double _stored;
+    double _chargedTotal = 0.0;
+    double _overflowTotal = 0.0;
+    double _leakedTotal = 0.0;
+    double _dischargedTotal = 0.0;
 };
 
 /**
- * Row view over a shard's main-capacitor state columns.
+ * The capacitor arithmetic over five joule cells.
  *
- * A NodeShard (node_soa.hh) stores the kernel-hot capacitor state as
- * contiguous double columns (joules) rather than embedded
- * SuperCapacitor objects, so the batched slot kernel can advance the
- * columns in place without gathering whole objects.  CapacitorView is
- * the scalar-side facade over one row of those columns: the same
- * public API as SuperCapacitor, with every mutator replicating the
- * class's arithmetic statement for statement (same std::min argument
- * order, same clamp) — the scalar banking path runs through views
- * while ShardSlotKernel advances the identical columns lane-parallel,
- * and the bit-identity contract (tests/test_shard_kernel.cpp) holds
- * only if both sides execute the same floating-point program.
+ * A NodeShard (node_soa.hh) stores each node's capacitor state as
+ * contiguous double columns, and SuperCapacitor holds the same five
+ * cells as members; CapacitorView binds one set of them to a config
+ * and runs charge / discharge / drain / leak on it.  This is the only
+ * copy of that floating-point program, so a shard row and a
+ * standalone capacitor fed the same inputs end on the same bits.
  *
  * Views are cheap value types: five cell pointers plus the config.
- * The config reference must outlive the view (it lives in the owning
- * Node's Config).
+ * The config and the cells must outlive the view.
  */
 class CapacitorView
 {
@@ -204,7 +198,7 @@ class CapacitorView
     Energy dischargedTotal() const
     { return Energy::fromJoules(*_dischargedTotal); }
 
-    /** Snapshot support: SuperCapacitor's exact wire keys and types. */
+    /** Snapshot support: stored level plus lifetime accounting. */
     template <class Archive>
     void
     serialize(Archive &ar)
@@ -217,7 +211,7 @@ class CapacitorView
     }
 
   private:
-    /** Archive one cell under SuperCapacitor's Energy wire type. */
+    /** Archive one joule cell under the Energy wire type. */
     template <class Archive>
     static void
     ioJoules(Archive &ar, std::string_view key, double &cell)
@@ -234,6 +228,13 @@ class CapacitorView
     double *_leakedTotal;
     double *_dischargedTotal;
 };
+
+inline CapacitorView
+SuperCapacitor::view()
+{
+    return {_cfg, _stored, _chargedTotal, _overflowTotal, _leakedTotal,
+            _dischargedTotal};
+}
 
 } // namespace neofog
 

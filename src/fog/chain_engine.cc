@@ -47,28 +47,12 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     _windowMemo.reserve(4);
     _balancerIsNoop = _balancer->name() == "none";
 
-    // What the batched slot kernel can hoist: identical constant
-    // levels, or per-node scalings of the scenario's shared stream.
+    // What the income hoist can share: identical constant levels, or
+    // per-node scalings of the scenario's shared stream.
     if (_cfg.traceKind == TraceKind::Constant)
         _hoist = IncomeHoist::Constant;
     else if (_cfg.traceKind == TraceKind::RainLow && _sharedTrace)
         _hoist = IncomeHoist::SharedScaled;
-
-#if !defined(NEOFOG_NO_SIMD_KERNEL)
-    // Vectorized slot kernel: every node of a chain shares the same
-    // template-derived banking constants (only id / rtc.interval vary,
-    // and neither feeds the banking arithmetic), so one parameter set
-    // serves the whole shard.  Scalar fallback: leave _kernel null.
-    if (_hoist != IncomeHoist::None && _cfg.simdKernel &&
-        !_nodes.empty()) {
-        _kernel = std::make_unique<ShardSlotKernel>(
-            ShardSlotKernelParams::fromConfigs(
-                _cfg.nodeTemplate.cap, _cfg.nodeTemplate.rtc,
-                _nodes.front()->frontend().config(),
-                _cfg.mode == OperatingMode::FiosNvMote));
-        _kernelLanes.reserve(_groups.size());
-    }
-#endif
 
     // Each logical slot schedules exactly one clone, so a physical
     // node records ~horizon/slotInterval/mux energy points; pre-size
@@ -158,7 +142,7 @@ ChainEngine::runSlot(std::int64_t slot_index)
     for (const CloneGroup &g : _groups)
         scheduled.push_back(_nodes[g.memberForSlot(slot_index)].get());
 
-    if (_cfg.batchSlotKernel && _hoist != IncomeHoist::None) {
+    if (_hoist != IncomeHoist::None) {
         beginSlotBatch(scheduled, t);
     } else {
         for (Node *n : scheduled)
@@ -235,28 +219,6 @@ ChainEngine::beginSlotBatch(const std::vector<Node *> &scheduled, Tick t)
                            .scale();
         return u;
     };
-
-    if (_kernel) {
-        // Vectorized path: feed the kernel the same income integrals
-        // the scalar calls below would receive, then run the scalar
-        // rollover tail per node (see Node::rolloverSlotState).
-        _kernelLanes.clear();
-        for (Node *n : scheduled) {
-            ShardSlotKernel::Lane lane;
-            lane.row = n->shardRow();
-            const Tick last = n->lastAccrualTime();
-            if (t > last) {
-                lane.gapTicks = t - last;
-                lane.gapJoules = nodeIncome(*n, last, t).joules();
-            }
-            lane.slotJoules = nodeIncome(*n, t, slot_end).joules();
-            _kernelLanes.push_back(lane);
-        }
-        _kernel->run(_soa, _kernelLanes, t, _cfg.slotInterval);
-        for (Node *n : scheduled)
-            n->rolloverSlotState();
-        return;
-    }
 
     for (Node *n : scheduled) {
         Energy gap = Energy::zero();

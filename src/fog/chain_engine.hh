@@ -26,7 +26,6 @@
 #include "fog/system_report.hh"
 #include "net/loss.hh"
 #include "node/node.hh"
-#include "node/shard_kernel.hh"
 #include "sim/metrics.hh"
 #include "virt/nvd4q.hh"
 
@@ -136,9 +135,9 @@ class ChainEngine
     std::unique_ptr<PowerTrace> makeTrace();
 
     /**
-     * What the batched slot kernel can hoist out of the per-node
-     * beginSlot loop, decided once at construction from the trace
-     * shape (see beginSlotBatch).
+     * What the income hoist can lift out of the per-node beginSlot
+     * loop, decided once at construction from the trace shape (see
+     * beginSlotBatch).
      */
     enum class IncomeHoist
     {
@@ -155,7 +154,8 @@ class ChainEngine
      * node — Constant hoisting reuses the same pure integral every
      * node would compute, SharedScaled multiplies the shared base
      * integral by the node's scale exactly as ScaledTrace::integrate
-     * does.  Only called when _hoist != None and cfg.batchSlotKernel.
+     * does.  Called exactly when _hoist != None; every other chain
+     * steps each node through beginSlot.
      */
     void beginSlotBatch(const std::vector<Node *> &scheduled, Tick t);
 
@@ -204,8 +204,8 @@ class ChainEngine
      */
     std::shared_ptr<const PowerTrace> _sharedTrace;
 
-    /** Hoist the batched slot kernel can apply (set at construction). */
-    IncomeHoist _hoist = IncomeHoist::None; // neofog-lint: allow(snapshot): construction-time kernel selection (pure function of the trace shape)
+    /** Hoist this chain's trace shape allows (set at construction). */
+    IncomeHoist _hoist = IncomeHoist::None; // neofog-lint: allow(snapshot): construction-time path selection (pure function of the trace shape)
 
     /**
      * SoA state of every node in this chain (see node_soa.hh).  Must
@@ -230,7 +230,7 @@ class ChainEngine
     std::vector<LbNodeState> _lbStates; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
     LbOutcome _lbOutcome; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
 
-    /** One accrual window the batched slot kernel integrated. */
+    /** One accrual window the income hoist integrated. */
     struct IncomeWindow
     {
         Tick from;
@@ -239,15 +239,6 @@ class ChainEngine
     };
     /** Windows integrated this slot (scratch for beginSlotBatch). */
     std::vector<IncomeWindow> _windowMemo; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one beginSlotBatch; reconstructed empty on resume
-
-    /**
-     * Vectorized slot kernel (null when disabled — scalar fallback;
-     * see ScenarioConfig::simdKernel).  Bit-identical to the per-node
-     * path, so it carries no archived state of its own.
-     */
-    std::unique_ptr<ShardSlotKernel> _kernel; // neofog-lint: allow(snapshot): construction-time kernel selection plus per-slot scratch columns; no simulation state
-    /** Per-slot kernel input scratch (rows + income integrals). */
-    std::vector<ShardSlotKernel::Lane> _kernelLanes; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one beginSlotBatch; reconstructed empty on resume
 
     SystemReport _shard;
     ChainProbe _probe;

@@ -266,7 +266,7 @@ FogSystem::saveSnapshot(std::int64_t slot)
 std::unique_ptr<FogSystem>
 FogSystem::resume(const std::string &path, unsigned threads,
                   ScenarioConfig::SnapshotConfig snap_cfg,
-                  bool simd_kernel, bool pin_threads)
+                  bool pin_threads)
 {
     const std::string file = snapshot::resolveSnapshotPath(path);
     const snapshot::Snapshot snap = snapshot::readSnapshot(file);
@@ -277,7 +277,6 @@ FogSystem::resume(const std::string &path, unsigned threads,
     ScenarioConfig cfg = deserializeScenarioBlob(config->data);
     cfg.threads = threads;
     cfg.snapshot = std::move(snap_cfg);
-    cfg.simdKernel = simd_kernel;
     cfg.pinThreads = pin_threads;
 
     if (snap.chains != cfg.chains)
@@ -342,8 +341,6 @@ FogSystem::resumePartition(const std::string &path,
 
     cfg.threads = host.threads;
     cfg.snapshot = host.snapshot;
-    cfg.batchSlotKernel = host.batchSlotKernel;
-    cfg.simdKernel = host.simdKernel;
     cfg.pinThreads = host.pinThreads;
 
     if (snap.chains != cfg.chains)

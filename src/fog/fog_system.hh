@@ -57,9 +57,9 @@ class FogSystem
      * Reconstruct a system from a snapshot (see src/snapshot/): @p path
      * names either a snapshot file or a directory, which resolves to
      * its newest fully valid snapshot.  The scenario is rebuilt from
-     * the snapshot's own config section; @p threads, @p snap,
-     * @p simd_kernel, and @p pin_threads replace the host-local knobs
-     * (none influences results).  run() on the returned system
+     * the snapshot's own config section; @p threads, @p snap, and
+     * @p pin_threads replace the host-local knobs (none influences
+     * results).  run() on the returned system
      * continues at the snapshot's slot and produces a report
      * bit-identical to the uninterrupted run.  Fatal on any
      * corruption or config mismatch — a resume applies completely or
@@ -68,7 +68,7 @@ class FogSystem
     static std::unique_ptr<FogSystem>
     resume(const std::string &path, unsigned threads = 1,
            ScenarioConfig::SnapshotConfig snap = {},
-           bool simd_kernel = true, bool pin_threads = false);
+           bool pin_threads = false);
 
     /**
      * Partition resume: reconstruct the chain range [chain_lo,
@@ -76,10 +76,9 @@ class FogSystem
      * cover exactly that range; see the partition constructor and the
      * distributed worker loop).  The scenario is rebuilt from the
      * snapshot's config section; @p host supplies the host-local
-     * knobs (threads, snapshot, batchSlotKernel, simdKernel,
-     * pinThreads — none influences results) and must otherwise match
-     * the archived scenario fingerprint.  Fatal on any corruption,
-     * range, or config mismatch.
+     * knobs (threads, snapshot, pinThreads — none influences results)
+     * and must otherwise match the archived scenario fingerprint.
+     * Fatal on any corruption, range, or config mismatch.
      */
     static std::unique_ptr<FogSystem>
     resumePartition(const std::string &path, const ScenarioConfig &host,

@@ -158,34 +158,6 @@ struct ScenarioConfig
     unsigned threads = 1;
 
     /**
-     * Batched slot kernel: when a chain's node traces share structure
-     * (one constant level, or per-node scalings of one shared stream),
-     * ChainEngine hoists the per-slot trace integration out of the
-     * per-node loop and feeds every node the shared closed-form
-     * integral (see DESIGN.md, "Memory layout: chain shards and the
-     * batched slot kernel").  The hoisted arithmetic is bit-identical
-     * to the per-node path, so — like `threads` — this is host-local
-     * operational configuration: excluded from the scenario
-     * fingerprint, changeable on resume, never affects results.
-     */
-    bool batchSlotKernel = true;
-
-    /**
-     * Vectorized (lane-per-node) slot kernel: when the batched slot
-     * kernel is active, ChainEngine runs the slot-boundary banking
-     * arithmetic through ShardSlotKernel's contiguous column loops
-     * instead of per-node calls (see DESIGN.md, "Vectorization &
-     * memory placement").  Each node's own floating-point op order is
-     * unchanged — vectorization happens *across* independent nodes —
-     * so the result is bit-identical to the scalar path and this is,
-     * like `threads`/`batchSlotKernel`, host-local operational
-     * configuration: excluded from the scenario fingerprint,
-     * changeable on resume, never affects results.  Ignored by
-     * NEOFOG_SIMD=OFF builds (which compile the dispatch out).
-     */
-    bool simdKernel = true;
-
-    /**
      * Pin each worker thread of the chain loop to one CPU (Linux
      * only; a no-op elsewhere).  Combined with the chunked static
      * chain partition and first-touch shard construction, pinning

@@ -16,17 +16,8 @@ Rtc::Rtc(const Config &cfg)
 void
 Rtc::advance(Tick duration, Energy income)
 {
-    NEOFOG_ASSERT(duration >= 0, "negative RTC advance");
-    _cap.charge(income);
-    _cap.leak(duration);
-    const Energy need = _cfg.draw * duration;
-    if (!_cap.tryDischarge(need)) {
-        _cap.drain(need);
-        if (_synchronized) {
-            _synchronized = false;
-            ++_desyncs;
-        }
-    }
+    RtcView(_cfg, _cap.view(), _synchronized, _desyncs)
+        .advance(duration, income);
 }
 
 Tick
@@ -53,9 +44,6 @@ Rtc::nextWake(Tick now, int phase_offset, int interval_multiplier) const
                             interval_multiplier);
 }
 
-// RtcView::advance replicates Rtc::advance above on the shard's
-// column cells; see the CapacitorView notes in capacitor.cc for the
-// bit-identity requirement.
 void
 RtcView::advance(Tick duration, Energy income)
 {
@@ -65,9 +53,9 @@ RtcView::advance(Tick duration, Energy income)
     const Energy need = _cfg->draw * duration;
     if (!_cap.tryDischarge(need)) {
         _cap.drain(need);
-        if (*_sync != 0.0) {
-            *_sync = 0.0;
-            *_desyncs += 1.0;
+        if (*_sync != 0) {
+            *_sync = 0;
+            ++*_desyncs;
         }
     }
 }

@@ -18,6 +18,8 @@
 #ifndef NEOFOG_HW_RTC_HH
 #define NEOFOG_HW_RTC_HH
 
+#include <cstdint>
+
 #include "energy/capacitor.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
@@ -35,6 +37,8 @@ Tick alignedWakeAfter(Tick interval, Tick now, int phase_offset,
 
 /**
  * RTC model: slot bookkeeping plus its dedicated super-capacitor.
+ * advance() runs through an RtcView over the members, the one copy of
+ * the keep-alive arithmetic that NodeShard rows use too.
  */
 class Rtc
 {
@@ -75,7 +79,7 @@ class Rtc
     explicit Rtc(const Config &cfg);
 
     /** Whether the RTC still tracks network time. */
-    bool synchronized() const { return _synchronized; }
+    bool synchronized() const { return _synchronized != 0; }
 
     /** The slot interval. */
     Tick interval() const { return _cfg.interval; }
@@ -97,7 +101,7 @@ class Rtc
                   int interval_multiplier = 1) const;
 
     /** Record a successful resynchronization. */
-    void resynchronize() { _synchronized = true; }
+    void resynchronize() { _synchronized = 1; }
 
     /** Dedicated capacitor (for inspection / tests). */
     const SuperCapacitor &cap() const { return _cap; }
@@ -107,45 +111,32 @@ class Rtc
 
     const Config &config() const { return _cfg; }
 
-    /** Snapshot support: the dedicated cap and sync bookkeeping. */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("cap", _cap);
-        ar.io("synchronized", _synchronized);
-        ar.io("desyncs", _desyncs);
-    }
-
   private:
-    Config _cfg; // neofog-lint: allow(snapshot): construction-time configuration, rebuilt from the scenario on resume
+    Config _cfg;
     SuperCapacitor _cap;
-    bool _synchronized = true;
+    std::uint8_t _synchronized = 1;
     std::uint64_t _desyncs = 0;
 };
 
 /**
- * Row view over a shard's RTC state columns.
+ * The RTC keep-alive arithmetic over one set of cells.
  *
- * Mirrors Rtc's public API over one NodeShard row (node_soa.hh): the
- * dedicated cap is a CapacitorView over the rtc* columns, and the
- * sync flag / desync count live in double cells (1.0/0.0 and an exact
- * small integer — lossless in a double, and it keeps every kernel
- * column homogeneous).  advance() replicates Rtc::advance statement
- * for statement; the batched slot kernel runs the same program
- * column-wise, so all three paths stay bit-identical.
+ * Mirrors Rtc's public API over a dedicated-cap CapacitorView plus a
+ * sync flag byte and a desync counter — an Rtc's own members or one
+ * NodeShard row (node_soa.hh).  advance() here is the only copy of
+ * the program.
  */
 class RtcView
 {
   public:
-    RtcView(const Rtc::Config &cfg, CapacitorView cap, double &sync,
-            double &desyncs)
+    RtcView(const Rtc::Config &cfg, CapacitorView cap,
+            std::uint8_t &sync, std::uint64_t &desyncs)
         : _cfg(&cfg), _cap(cap), _sync(&sync), _desyncs(&desyncs)
     {
     }
 
     /** Whether the RTC still tracks network time. */
-    bool synchronized() const { return *_sync != 0.0; }
+    bool synchronized() const { return *_sync != 0; }
 
     /** The slot interval. */
     Tick interval() const { return _cfg->interval; }
@@ -168,36 +159,34 @@ class RtcView
     }
 
     /** Record a successful resynchronization. */
-    void resynchronize() { *_sync = 1.0; }
+    void resynchronize() { *_sync = 1; }
 
     /** Dedicated capacitor (for inspection / tests). */
     CapacitorView cap() const { return _cap; }
 
     /** Times the RTC lost synchronization. */
-    std::uint64_t desyncCount() const
-    { return static_cast<std::uint64_t>(*_desyncs); }
+    std::uint64_t desyncCount() const { return *_desyncs; }
 
     const Rtc::Config &config() const { return *_cfg; }
 
-    /** Snapshot support: Rtc's exact wire keys and types. */
+    /** Snapshot support: dedicated cap and sync bookkeeping. */
     template <class Archive>
     void
     serialize(Archive &ar)
     {
         ar.io("cap", _cap);
-        bool sync = *_sync != 0.0;
+        // The cell is a flag byte; the wire keeps the bool encoding.
+        bool sync = *_sync != 0;
         ar.io("synchronized", sync);
-        *_sync = sync ? 1.0 : 0.0;
-        auto desyncs = static_cast<std::uint64_t>(*_desyncs);
-        ar.io("desyncs", desyncs);
-        *_desyncs = static_cast<double>(desyncs);
+        *_sync = sync ? 1 : 0;
+        ar.io("desyncs", *_desyncs);
     }
 
   private:
     const Rtc::Config *_cfg;
     CapacitorView _cap;
-    double *_sync;
-    double *_desyncs;
+    std::uint8_t *_sync;
+    std::uint64_t *_desyncs;
 };
 
 } // namespace neofog

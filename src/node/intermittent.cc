@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -363,117 +361,6 @@ IntermittentExecution::run(const Processor &cpu, const PowerTrace &trace,
                            Tick horizon)
 {
     return run(cpu, trace, horizon, Config{});
-}
-
-std::vector<IntermittentExecution::Result>
-IntermittentExecution::runBatch(
-    const Processor &cpu, const std::vector<const PowerTrace *> &traces,
-    Tick horizon, const Config &cfg)
-{
-    return runBatch(cpu, traces, horizon, cfg, nullptr);
-}
-
-std::vector<IntermittentExecution::Result>
-IntermittentExecution::runBatch(
-    const Processor &cpu, const std::vector<const PowerTrace *> &traces,
-    Tick horizon, const Config &cfg, ThreadPool *pool)
-{
-    if (cfg.offThreshold >= cfg.onThreshold)
-        fatal("intermittent execution thresholds reversed");
-    if (cfg.step <= 0)
-        fatal("intermittent execution step must be positive");
-
-    for (const PowerTrace *trace : traces)
-        if (!trace)
-            fatal("runBatch needs a trace per machine");
-
-    // The hoisted segment walk: enumerate the shared constant-level
-    // boundaries once, by querying the first trace at each boundary in
-    // turn.  The list is tiny (one entry per trace segment inside the
-    // horizon) and stays cache-hot across the whole batch; each
-    // machine then answers constantLevelUntil() with a monotonically
-    // advancing cursor instead of a per-query segment search.
-    //
-    // A cursor answer is exact — bit-identical to asking the trace —
-    // because constantLevelUntil(t) is the same value for every t
-    // inside one constant-level segment, and the walk's boundaries are
-    // precisely those segments' ends.  A trace that violates that
-    // shape (e.g. a sloped span answering "not constant here") makes
-    // the walk stall; we then drop the hoist and query the traces
-    // directly, which is always correct.
-    std::vector<std::pair<Tick, Tick>> segs; // (start, until)
-    bool hoisted = traces.size() > 1 && cfg.fastForward;
-    if (hoisted) {
-        const PowerTrace &first = *traces.front();
-        Tick t = 0;
-        while (t < horizon) {
-            const Tick until = first.constantLevelUntil(t);
-            if (until <= t) {
-                hoisted = false;
-                segs.clear();
-                break;
-            }
-            segs.push_back({t, until});
-            if (until >= horizon)
-                break;
-            t = until;
-        }
-    }
-
-    // Machines are mutually independent: each owns its StepMachine
-    // state and a private cursor into the read-only `segs` list, and
-    // writes only its own result slot — so the batch distributes over
-    // the pool's chunked partition with bit-identical results.
-    std::vector<Result> out(traces.size());
-    parallelForChunked(pool, traces.size(), [&](std::size_t m) {
-        const PowerTrace *trace = traces[m];
-        NEOFOG_ASSERT(trace == traces.front() ||
-                          trace->constantLevelUntil(0) ==
-                              traces.front()->constantLevelUntil(0),
-                      "runBatch traces must share segmentation");
-        StepMachine machine(cpu, *trace, cfg);
-
-        if (!cfg.fastForward) {
-            for (Tick t = 0; t < horizon; t += cfg.step)
-                machine.stepOnce(t, horizon);
-            out[m] = machine.finish();
-            return;
-        }
-
-        std::size_t cursor = 0;
-        Tick t = 0;
-        while (t < horizon) {
-            if (t + cfg.step <= horizon) {
-                Tick seg_until;
-                if (hoisted) {
-                    while (cursor < segs.size() &&
-                           t >= segs[cursor].second)
-                        ++cursor;
-                    NEOFOG_ASSERT(cursor < segs.size() &&
-                                      t >= segs[cursor].first,
-                                  "hoisted segment walk out of sync");
-                    seg_until = segs[cursor].second;
-                } else {
-                    seg_until = trace->constantLevelUntil(t);
-                }
-                const Tick seg_end = std::min<Tick>(seg_until, horizon);
-                const std::int64_t avail =
-                    seg_end > t ? (seg_end - t) / cfg.step : 0;
-                if (avail >= 2) {
-                    const std::int64_t n =
-                        machine.tryFastForward(t, avail);
-                    if (n > 0) {
-                        t += n * cfg.step;
-                        continue;
-                    }
-                }
-            }
-            machine.stepOnce(t, horizon);
-            t += cfg.step;
-        }
-        out[m] = machine.finish();
-    });
-    return out;
 }
 
 double

@@ -23,13 +23,11 @@
 #define NEOFOG_NODE_INTERMITTENT_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "energy/capacitor.hh"
 #include "energy/frontend.hh"
 #include "energy/power_trace.hh"
 #include "hw/processor.hh"
-#include "sim/thread_pool.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
 
@@ -119,47 +117,6 @@ class IntermittentExecution
     /** run() with the default configuration. */
     static Result run(const Processor &cpu, const PowerTrace &trace,
                       Tick horizon);
-
-    /**
-     * Batched run(): one machine per entry of @p traces, all driven by
-     * @p cpu over the same horizon, with the constant-income segment
-     * walk hoisted out of the per-machine loop.  All traces must share
-     * constant-level *segmentation* — ScaledTrace views of one shared
-     * base, repeated pointers to one trace, or constant traces (the
-     * levels may differ; only the boundary grid must agree).  That is
-     * exactly the shape a chain shard produces, where every node scales
-     * one shared ambient stream.  The shared segment walk is hoisted
-     * out of the per-machine loop: the boundary list is enumerated
-     * once from the first trace, and each machine answers its
-     * constantLevelUntil() queries with a monotonically advancing
-     * cursor over that (cache-hot) list instead of a per-query
-     * segment search.
-     *
-     * Results are bit-identical to calling run() per trace: a cursor
-     * answer is exactly the value the machine's own lookup would
-     * return (constantLevelUntil is constant within a segment), and
-     * every other operation is the unmodified per-machine sequence.
-     * Traces that are not piecewise-constant inside the horizon drop
-     * the hoist and are queried directly.
-     */
-    static std::vector<Result>
-    runBatch(const Processor &cpu,
-             const std::vector<const PowerTrace *> &traces, Tick horizon,
-             const Config &cfg);
-
-    /**
-     * runBatch() distributed over @p pool (null or size 1 = serial).
-     * Machines are mutually independent — each one owns its state and
-     * a private cursor into the read-only shared boundary list — and
-     * results land by machine index, so the output is bit-identical
-     * to the serial form for any thread count.  The chunked partition
-     * keeps machine m's step loop on the same pool thread across
-     * calls (see ThreadPool::parallelForChunked).
-     */
-    static std::vector<Result>
-    runBatch(const Processor &cpu,
-             const std::vector<const PowerTrace *> &traces, Tick horizon,
-             const Config &cfg, ThreadPool *pool);
 
     /**
      * Convenience: the NVP/VP forward-progress ratio on one trace —

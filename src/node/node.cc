@@ -252,15 +252,6 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     s.awake[_row] = 0;
     s.rfInitializedThisSlot[_row] = 0;
 
-    rolloverSlotState();
-}
-
-void
-Node::rolloverSlotState()
-{
-    NodeShard &s = *_shard;
-    NodeStats &st = s.stats[_row];
-
     // Age the pending queue; packages past the freshness deadline are
     // stale and discarded.  (The window is allocated at construction,
     // sized from the freshness deadline — the slot loop never grows

@@ -29,12 +29,12 @@
  * including load balancing and virtualization.
  *
  * Node is a thin facade over one NodeShard row (see node_soa.hh and
- * DESIGN.md, "Memory layout: chain shards and the batched slot
- * kernel"): every mutable field lives in the shard's contiguous
- * arrays, the facade keeps only construction-derived objects (config,
- * trace, processor, front end, cost constants) plus the shard/row
- * binding.  A standalone Node (tests, single-node experiments) owns a
- * private one-row shard; chain nodes share their ChainEngine's shard.
+ * DESIGN.md, "Memory layout: chain shards and the income hoist"):
+ * every mutable field lives in the shard's contiguous arrays, the
+ * facade keeps only construction-derived objects (config, trace,
+ * processor, front end, cost constants) plus the shard/row binding.
+ * A standalone Node (tests, single-node experiments) owns a private
+ * one-row shard; chain nodes share their ChainEngine's shard.
  */
 
 #ifndef NEOFOG_NODE_NODE_HH
@@ -219,8 +219,8 @@ class Node
 
     /**
      * beginSlot with the trace integrals supplied by the caller: the
-     * batched slot kernel (ChainEngine) hoists the per-window trace
-     * walk out of the per-node loop and feeds every node of a chain
+     * income hoist (ChainEngine::beginSlotBatch) integrates each
+     * accrual window once per chain and feeds every node of the chain
      * the shared closed-form integral.  @p gap_ambient must equal
      * trace().integrate(lastAccrualTime(), slot_start) (ignored when
      * there is no gap) and @p slot_ambient must equal
@@ -230,16 +230,6 @@ class Node
      */
     void beginSlotWithIncome(Tick slot_start, Tick slot_length,
                              Energy gap_ambient, Energy slot_ambient);
-
-    /**
-     * The non-arithmetic tail of the slot boundary: age the pending
-     * queue (discarding stale packages) and power-cycle the volatile
-     * peripherals.  beginSlotWithIncome calls this itself; the
-     * vectorized shard kernel (ShardSlotKernel) runs the banking
-     * arithmetic column-wise and then calls this per node, so the
-     * two paths stay bit-identical.
-     */
-    void rolloverSlotState();
 
     /** End of the window income has been integrated up to. */
     Tick lastAccrualTime() const { return _shard->lastAccrual[_row]; }
@@ -413,9 +403,6 @@ class Node
     /** The harvesting front end (mode-derived efficiencies). */
     const FrontEnd &frontend() const { return _frontend; }
 
-    /** This node's row in its shard (see ShardSlotKernel::Lane). */
-    std::uint32_t shardRow() const { return _row; }
-
     /**
      * Snapshot support (see src/snapshot/): archives every field that
      * mutates after construction — all of it lives in this node's
@@ -433,7 +420,7 @@ class Node
         NodeShard &s = *_shard;
         ar.io("rng", _rng);
         // The capacitor/RTC columns archive through their row views,
-        // which keep SuperCapacitor's / Rtc's wire keys and types.
+        // which keep the original Energy / bool / u64 wire types.
         CapacitorView cap_view = capView();
         ar.io("cap", cap_view);
         RtcView rtc_view = rtcView();
@@ -498,8 +485,8 @@ class Node
     // Row views: _shard is a plain pointer member, so these stay
     // usable from const facade methods — the memo fields below keep
     // their pre-refactor `mutable` semantics that way.  The energy
-    // state lives in the shard's double columns; the views bind one
-    // row of them to this node's configs.
+    // state lives in the shard's columns; the views bind one row of
+    // them to this node's configs.
     CapacitorView
     capView() const
     {

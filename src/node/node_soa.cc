@@ -64,8 +64,8 @@ NodeShard::addRow(const SuperCapacitor::Config &cap_cfg,
     rtcOverflowJ.push_back(0.0);
     rtcLeakedJ.push_back(0.0);
     rtcDischargedJ.push_back(0.0);
-    rtcSync.push_back(1.0);
-    rtcDesyncs.push_back(0.0);
+    rtcSync.push_back(1);
+    rtcDesyncs.push_back(0);
     directBudgetJ.push_back(0.0);
     sensor.emplace_back(spec);
     buffer.emplace_back(buffer_cfg);
@@ -103,8 +103,8 @@ NodeShard::residentBytes() const
     bytes += rtcOverflowJ.capacity() * sizeof(double);
     bytes += rtcLeakedJ.capacity() * sizeof(double);
     bytes += rtcDischargedJ.capacity() * sizeof(double);
-    bytes += rtcSync.capacity() * sizeof(double);
-    bytes += rtcDesyncs.capacity() * sizeof(double);
+    bytes += rtcSync.capacity();
+    bytes += rtcDesyncs.capacity() * sizeof(std::uint64_t);
     bytes += directBudgetJ.capacity() * sizeof(double);
     bytes += sensor.capacity() * sizeof(Sensor);
     bytes += buffer.capacity() * sizeof(NvBuffer);

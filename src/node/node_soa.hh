@@ -23,14 +23,11 @@
  *     stats[]                                          cold counters
  *
  * The capacitor / RTC / direct-budget state that the slot-boundary
- * banking touches every slot is stored as *plain double columns*
- * (joules), not as embedded SuperCapacitor/Rtc objects: the batched
- * slot kernel (ShardSlotKernel) advances those columns in place with
- * SIMD lanes, and the scalar path reads and writes the very same
- * cells through CapacitorView/RtcView facades — one authoritative
- * copy, no gather/scatter of fat objects on either path.  The RTC
- * sync flag and desync count are doubles too (1.0/0.0 and an exact
- * small integer) so every kernel column is homogeneous.
+ * banking touches every slot is stored as plain columns (joules, plus
+ * the RTC's sync flag byte and desync count), not as embedded
+ * SuperCapacitor/Rtc objects: the banking reads and writes one row of
+ * those cells through CapacitorView/RtcView, the same arithmetic a
+ * standalone SuperCapacitor/Rtc runs on its own members.
  *
  * Rows are append-only: addRow() returns the new row index, and
  * reserveRows() pre-sizes every array so construction of a whole chain
@@ -169,8 +166,8 @@ class NodeShard
     std::vector<double> rtcOverflowJ;
     std::vector<double> rtcLeakedJ;
     std::vector<double> rtcDischargedJ;
-    std::vector<double> rtcSync;    ///< 1.0 synchronized, 0.0 not
-    std::vector<double> rtcDesyncs; ///< desync count (exact integer)
+    std::vector<std::uint8_t> rtcSync;     ///< 1 synchronized, 0 not
+    std::vector<std::uint64_t> rtcDesyncs; ///< times sync was lost
     std::vector<double> directBudgetJ; ///< FIOS direct-channel budget
 
     // ---- component rows --------------------------------------------

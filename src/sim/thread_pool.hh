@@ -73,8 +73,8 @@ class ThreadPool
      * chunk→thread mapping is what makes first-touch placement work:
      * when the objects behind the indices were also *constructed*
      * under parallelForChunked, every later sweep touches memory the
-     * same thread faulted in (see DESIGN.md, "Vectorization & memory
-     * placement").  Same blocking/exception contract as parallelFor.
+     * same thread faulted in (see DESIGN.md, "Memory placement").
+     * Same blocking/exception contract as parallelFor.
      */
     void parallelForChunked(std::size_t count,
                             const std::function<void(std::size_t)> &body);

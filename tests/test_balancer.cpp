@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "balance/balancer.hh"
+#include "balance/policy_registry.hh"
 #include "sim/logging.hh"
 
 namespace neofog {
@@ -239,11 +240,12 @@ TEST(ClusterBalancer, RejectsBadConfig)
 
 TEST(MakeBalancer, FactoryNames)
 {
-    EXPECT_EQ(makeBalancer("none")->name(), "none");
-    EXPECT_EQ(makeBalancer("tree")->name(), "baseline-tree");
-    EXPECT_EQ(makeBalancer("cluster")->name(), "cluster-head");
-    EXPECT_EQ(makeBalancer("distributed")->name(), "neofog-distributed");
-    EXPECT_THROW(makeBalancer("bogus"), FatalError);
+    const PolicyRegistry &reg = PolicyRegistry::instance();
+    EXPECT_EQ(reg.make("none")->name(), "none");
+    EXPECT_EQ(reg.make("tree")->name(), "baseline-tree");
+    EXPECT_EQ(reg.make("cluster")->name(), "cluster-head");
+    EXPECT_EQ(reg.make("distributed")->name(), "neofog-distributed");
+    EXPECT_THROW(reg.make("bogus"), FatalError);
 }
 
 } // namespace

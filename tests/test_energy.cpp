@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "energy/capacitor.hh"
 #include "energy/frontend.hh"
 #include "energy/power_trace.hh"
 #include "sim/logging.hh"
+#include "snapshot/archive.hh"
 
 namespace neofog {
 namespace {
@@ -281,6 +283,72 @@ TEST(SuperCapacitor, SetStoredValidated)
     cap.setStored(7.0_mJ);
     EXPECT_DOUBLE_EQ(cap.stored().millijoules(), 7.0);
     EXPECT_THROW(cap.setStored(11.0_mJ), FatalError);
+}
+
+// SuperCapacitor runs every mutator through a CapacitorView over its
+// own cells: work done through view() must show on the object, and
+// work done on the object must show through the view.
+TEST(SuperCapacitor, ViewSharesTheObjectCells)
+{
+    SuperCapacitor cap({10.0_mJ, 2.0_mJ, Power::fromMicrowatts(100.0)});
+    CapacitorView view = cap.view();
+
+    EXPECT_DOUBLE_EQ(view.charge(9.0_mJ).millijoules(), 8.0);
+    EXPECT_DOUBLE_EQ(cap.stored().millijoules(), 10.0);
+    EXPECT_DOUBLE_EQ(cap.chargedTotal().millijoules(), 8.0);
+    EXPECT_DOUBLE_EQ(cap.overflowTotal().millijoules(), 1.0);
+
+    EXPECT_TRUE(cap.tryDischarge(4.0_mJ));
+    EXPECT_DOUBLE_EQ(view.stored().millijoules(), 6.0);
+    EXPECT_DOUBLE_EQ(view.dischargedTotal().millijoules(), 4.0);
+
+    cap.leak(10 * kSec); // 1 mJ at 100 uW
+    EXPECT_DOUBLE_EQ(view.leakedTotal().millijoules(), 1.0);
+    EXPECT_DOUBLE_EQ(view.drain(7.0_mJ).millijoules(), 5.0);
+    EXPECT_DOUBLE_EQ(cap.stored().joules(), 0.0);
+    EXPECT_DOUBLE_EQ(cap.dischargedTotal().millijoules(), 9.0);
+
+    view.setStored(3.0_mJ);
+    EXPECT_DOUBLE_EQ(cap.stored().millijoules(), 3.0);
+    EXPECT_THROW(view.setStored(11.0_mJ), FatalError);
+}
+
+// The view keeps its cells as raw joules but must archive them as the
+// five Energy records snapshot files carry, in the same order, so files
+// written before and after the cells became plain doubles agree byte
+// for byte; loading must restore every cell exactly.
+TEST(CapacitorView, ArchiveKeepsEnergyWireEncoding)
+{
+    const SuperCapacitor::Config cfg{10.0_mJ, 0.0_mJ, Power::zero()};
+    // View order: stored, charged, overflow, leaked, discharged.
+    double cells[5] = {0.1 + 0.2, 1.0 / 3.0, 0.0, 5e-324, 0.007};
+    CapacitorView view(cfg, cells[0], cells[1], cells[2], cells[3],
+                       cells[4]);
+    snapshot::OutArchive from_view;
+    from_view.io("cap", view);
+    const std::string blob = from_view.take();
+
+    snapshot::OutArchive wire;
+    wire.pushScope("cap");
+    const char *keys[] = {"stored", "overflow_total", "leaked_total",
+                          "charged_total", "discharged_total"};
+    const int cell_of_key[] = {0, 2, 3, 1, 4};
+    for (int k = 0; k < 5; ++k) {
+        Energy e = Energy::fromJoules(cells[cell_of_key[k]]);
+        wire.io(keys[k], e);
+    }
+    EXPECT_EQ(blob, wire.take());
+
+    double back[5] = {-1.0, -1.0, -1.0, -1.0, -1.0};
+    CapacitorView loaded(cfg, back[0], back[1], back[2], back[3],
+                         back[4]);
+    snapshot::InArchive in{std::string_view(blob)};
+    in.io("cap", loaded);
+    EXPECT_TRUE(in.atEnd());
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(snapshot::doubleBits(back[i]),
+                  snapshot::doubleBits(cells[i]))
+            << "cell " << i;
 }
 
 TEST(FrontEnd, NosRoundTripLossy)

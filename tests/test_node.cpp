@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "energy/power_trace.hh"
+#include "energy/trace_cache.hh"
+#include "hw/rf.hh"
 #include "node/node.hh"
 #include "sim/logging.hh"
+#include "snapshot/archive.hh"
 
 namespace neofog {
 namespace {
@@ -305,6 +312,307 @@ TEST(Node, GapAccrualForMultiplexedClones)
     // budget + two gap slots), roughly 3 x 5mW x 12s x 0.56 = 100 mJ,
     // capped by capacity.
     EXPECT_GT(gained, 50.0);
+}
+
+/** A node's full snapshot walk, as bytes. */
+std::string
+archiveBytes(Node &node)
+{
+    snapshot::OutArchive ar;
+    ar.io("node", node);
+    return ar.take();
+}
+
+// The income hoist (ChainEngine::beginSlotBatch) integrates each
+// accrual window once per chain and feeds every node the shared
+// integral (x the node's scale) through beginSlotWithIncome.  On both
+// hoistable trace shapes — a ScaledTrace over a cached rain stream and
+// a constant level — a node fed that way must end every slot on the
+// same bytes as a twin integrating its own trace in beginSlot, across
+// multiplexed gaps and with slot work spending from the capacitor.
+TEST(Node, IncomeHoistMatchesPerNodeIntegration)
+{
+    const Tick horizon = 3 * kHour;
+    const Tick span = horizon + 4 * kSlot;
+    const auto rain = std::make_shared<CumulativeTrace>(
+        traces::makeRainUnitStream(11, span), span);
+    const ConstantTrace level(2.2_mW);
+    const double scale = 0.0022 * 1.3;
+
+    struct Shape
+    {
+        const char *name;
+        std::function<std::unique_ptr<PowerTrace>()> trace;
+        std::function<Energy(Tick, Tick)> hoisted;
+    };
+    const Shape shapes[] = {
+        {"scaled rain",
+         [&] { return std::make_unique<ScaledTrace>(scale, rain); },
+         [&](Tick from, Tick to) {
+             return rain->integrate(from, to) * scale;
+         }},
+        {"constant",
+         [&] { return std::make_unique<ConstantTrace>(2.2_mW); },
+         [&](Tick from, Tick to) { return level.integrate(from, to); }},
+    };
+
+    for (const Shape &shape : shapes) {
+        for (const OperatingMode mode :
+             {OperatingMode::NosVp, OperatingMode::NosNvp,
+              OperatingMode::FiosNvMote}) {
+            const Node::Config cfg = baseConfig(mode);
+            Node stepped(cfg, shape.trace(), Rng(7));
+            Node hoisted(cfg, shape.trace(), Rng(7));
+            std::minstd_rand gaps(20260808);
+            const std::string what = std::string(shape.name) + ", " +
+                                     operatingModeName(mode);
+
+            Tick t = 0;
+            for (int slot = 0; t + kSlot <= horizon; ++slot) {
+                stepped.beginSlot(t, kSlot);
+                Energy gap = Energy::zero();
+                const Tick last = hoisted.lastAccrualTime();
+                if (t > last)
+                    gap = shape.hoisted(last, t);
+                hoisted.beginSlotWithIncome(t, kSlot, gap,
+                                            shape.hoisted(t, t + kSlot));
+                for (Node *n : {&stepped, &hoisted}) {
+                    if (n->tryWake()) {
+                        n->samplePackage();
+                        n->executeTasks(1);
+                    }
+                }
+                ASSERT_EQ(archiveBytes(stepped), archiveBytes(hoisted))
+                    << what << ", slot " << slot;
+                // Multiplexed clones sleep through 0-2 slots between
+                // turns, so gap windows of several lengths accrue.
+                t += kSlot * static_cast<Tick>(1 + gaps() % 3);
+            }
+        }
+    }
+}
+
+// Chain nodes share one shard; each facade must read and write only
+// its own row, so stepping one node leaves its neighbour's bytes as
+// they were.
+TEST(Node, FacadesBindTheirOwnShardRow)
+{
+    const Node::Config cfg = baseConfig(OperatingMode::FiosNvMote);
+    NodeShard shard;
+    shard.reserveRows(2, 1);
+    Node a(cfg, std::make_unique<ConstantTrace>(3.0_mW), Rng(1), shard);
+    Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(2), shard);
+    ASSERT_EQ(shard.rows(), 2u);
+
+    const std::string b_before = archiveBytes(b);
+    a.capacitor().drain(100.0_mJ);
+    EXPECT_DOUBLE_EQ(shard.capStoredJ[0], 0.025);
+    EXPECT_DOUBLE_EQ(shard.capStoredJ[1], 0.125);
+    a.rtc().advance(kHour, Energy::zero());
+    EXPECT_LT(shard.rtcStoredJ[0], shard.rtcStoredJ[1]);
+    a.beginSlot(0, kSlot);
+    if (a.tryWake())
+        a.samplePackage();
+    EXPECT_EQ(archiveBytes(b), b_before);
+
+    b.beginSlot(0, kSlot);
+    EXPECT_DOUBLE_EQ(b.capacitor().stored().joules(), shard.capStoredJ[1]);
+    EXPECT_EQ(b.rtc().desyncCount(), shard.rtcDesyncs[1]);
+    EXPECT_EQ(b.lastAccrualTime(), shard.lastAccrual[1]);
+}
+
+// A node whose RTC lost sync must archive the cleared flag and the
+// desync count and load them into a fresh twin, which then steps on
+// the same bytes as the original.
+TEST(Node, SnapshotRestoresDesyncedRtc)
+{
+    Node::Config cfg = baseConfig(OperatingMode::NosNvp);
+    cfg.cap.initial = Energy::zero();
+    cfg.rtc.cap.initial = Energy::fromMicrojoules(50.0);
+    cfg.rtc.cap.capacity = Energy::fromMillijoules(1.0);
+    const auto make = [&] {
+        return Node(cfg, std::make_unique<ConstantTrace>(Power::zero()),
+                    Rng(9));
+    };
+    Node node = make();
+    Tick t = 0;
+    for (; node.rtc().synchronized() && t < kHour; t += kSlot)
+        node.beginSlot(t, kSlot);
+    ASSERT_EQ(node.rtc().desyncCount(), 1u);
+
+    const std::string blob = archiveBytes(node);
+    Node twin = make();
+    snapshot::InArchive in{std::string_view(blob)};
+    in.io("node", twin);
+    EXPECT_TRUE(in.atEnd());
+    EXPECT_FALSE(twin.rtc().synchronized());
+    EXPECT_EQ(twin.rtc().desyncCount(), 1u);
+    EXPECT_EQ(archiveBytes(twin), blob);
+
+    for (int i = 0; i < 3; ++i, t += kSlot) {
+        node.beginSlot(t, kSlot);
+        twin.beginSlot(t, kSlot);
+        EXPECT_EQ(archiveBytes(twin), archiveBytes(node)) << "slot " << i;
+    }
+}
+
+/** Append a row with a plain radio to @p shard. */
+std::uint32_t
+addPlainRow(NodeShard &shard, const SuperCapacitor::Config &cap,
+            const Rtc::Config &rtc, std::size_t pending_depth = 1)
+{
+    return shard.addRow(cap, rtc, sensors::tmp101(), NvBuffer::Config{},
+                        pending_depth, std::make_unique<SoftwareRf>());
+}
+
+// A new row starts from the configs' initial charges with clean
+// accounting, a synchronized RTC and its own pending-age window.
+TEST(NodeShard, AddRowSeedsFreshEnergyCells)
+{
+    const SuperCapacitor::Config cap{250.0_mJ, 7.0_mJ,
+                                     Power::fromMicrowatts(15.0)};
+    Rtc::Config rtc;
+    rtc.cap.initial = 30.0_mJ;
+    NodeShard shard;
+    shard.reserveRows(2, 3);
+    EXPECT_EQ(addPlainRow(shard, cap, rtc, 3), 0u);
+    EXPECT_EQ(addPlainRow(shard, cap, rtc, 2), 1u);
+    ASSERT_EQ(shard.rows(), 2u);
+
+    for (std::size_t r = 0; r < 2; ++r) {
+        EXPECT_EQ(shard.capStoredJ[r], cap.initial.joules());
+        EXPECT_EQ(shard.rtcStoredJ[r], rtc.cap.initial.joules());
+        for (const std::vector<double> *zero :
+             {&shard.capChargedJ, &shard.capOverflowJ, &shard.capLeakedJ,
+              &shard.capDischargedJ, &shard.rtcChargedJ,
+              &shard.rtcOverflowJ, &shard.rtcLeakedJ,
+              &shard.rtcDischargedJ, &shard.directBudgetJ})
+            EXPECT_EQ((*zero)[r], 0.0);
+        EXPECT_EQ(shard.rtcSync[r], 1u);
+        EXPECT_EQ(shard.rtcDesyncs[r], 0u);
+    }
+    EXPECT_EQ(shard.pendingOffset[1], 3u);
+    EXPECT_EQ(shard.pendingDepth[1], 2u);
+    EXPECT_EQ(shard.pendingAge.size(), 5u);
+}
+
+// addRow validates both energy configs before it appends anything, so
+// a rejected row leaves the shard as it was.
+TEST(NodeShard, AddRowRejectsBadEnergyConfigs)
+{
+    NodeShard shard;
+    const SuperCapacitor::Config good_cap{};
+    const Rtc::Config good_rtc{};
+
+    SuperCapacitor::Config overfull = good_cap;
+    overfull.initial = overfull.capacity + 1.0_mJ;
+    EXPECT_THROW(addPlainRow(shard, overfull, good_rtc), FatalError);
+
+    Rtc::Config no_interval = good_rtc;
+    no_interval.interval = 0;
+    EXPECT_THROW(addPlainRow(shard, good_cap, no_interval), FatalError);
+
+    Rtc::Config bad_rtc_cap = good_rtc;
+    bad_rtc_cap.cap.capacity = Energy::zero();
+    EXPECT_THROW(addPlainRow(shard, good_cap, bad_rtc_cap), FatalError);
+
+    EXPECT_EQ(shard.rows(), 0u);
+    EXPECT_TRUE(shard.capStoredJ.empty());
+    EXPECT_TRUE(shard.rtcSync.empty());
+    EXPECT_EQ(addPlainRow(shard, good_cap, good_rtc), 0u);
+}
+
+/** Bit patterns of a capacitor's five cells, in view order. */
+template <class Capacitor>
+std::vector<std::uint64_t>
+capBits(const Capacitor &cap)
+{
+    return {snapshot::doubleBits(cap.stored().joules()),
+            snapshot::doubleBits(cap.chargedTotal().joules()),
+            snapshot::doubleBits(cap.overflowTotal().joules()),
+            snapshot::doubleBits(cap.leakedTotal().joules()),
+            snapshot::doubleBits(cap.dischargedTotal().joules())};
+}
+
+// A shard row's capacitor columns and a standalone SuperCapacitor fed
+// the same random charge / discharge / drain / leak sequence must
+// return the same amounts and end every step on the same bits.
+TEST(NodeShard, CapacitorRowMatchesSuperCapacitor)
+{
+    const SuperCapacitor::Config cfg{40.0_mJ, 13.0_mJ,
+                                     Power::fromMicrowatts(15.0)};
+    NodeShard shard;
+    const std::uint32_t r = addPlainRow(shard, cfg, Rtc::Config{});
+    CapacitorView row(cfg, shard.capStoredJ[r], shard.capChargedJ[r],
+                      shard.capOverflowJ[r], shard.capLeakedJ[r],
+                      shard.capDischargedJ[r]);
+    SuperCapacitor cap(cfg);
+
+    Rng rng(20260817);
+    for (int step = 0; step < 2000; ++step) {
+        const Energy amount =
+            Energy::fromMillijoules(rng.uniform(0.0, 12.0));
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            EXPECT_EQ(row.charge(amount).joules(),
+                      cap.charge(amount).joules());
+            break;
+          case 1:
+            EXPECT_EQ(row.tryDischarge(amount), cap.tryDischarge(amount));
+            break;
+          case 2:
+            EXPECT_EQ(row.drain(amount).joules(),
+                      cap.drain(amount).joules());
+            break;
+          default: {
+            const Tick d = rng.uniformInt(0, 600) * kSec;
+            row.leak(d);
+            cap.leak(d);
+          }
+        }
+        ASSERT_EQ(capBits(row), capBits(cap)) << "step " << step;
+    }
+}
+
+// Likewise for the RTC keep-alive: a shard row's RTC cells and a
+// standalone Rtc advanced through the same starving and recovering
+// income must agree on the flag, the count and every cap cell.
+TEST(NodeShard, RtcRowMatchesRtc)
+{
+    Rtc::Config cfg;
+    cfg.cap.initial = Energy::fromMicrojoules(200.0);
+    cfg.cap.capacity = Energy::fromMillijoules(1.0);
+    NodeShard shard;
+    const std::uint32_t r =
+        addPlainRow(shard, SuperCapacitor::Config{}, cfg);
+    RtcView row(cfg,
+                CapacitorView(cfg.cap, shard.rtcStoredJ[r],
+                              shard.rtcChargedJ[r], shard.rtcOverflowJ[r],
+                              shard.rtcLeakedJ[r],
+                              shard.rtcDischargedJ[r]),
+                shard.rtcSync[r], shard.rtcDesyncs[r]);
+    Rtc rtc(cfg);
+
+    Rng rng(20260818);
+    for (int step = 0; step < 2000; ++step) {
+        const Tick d = rng.uniformInt(0, 120) * kSec;
+        // Mostly less than the 1 uW draw plus leakage, so the cap
+        // empties and refills over and over.
+        const Energy income = rng.chance(0.3)
+            ? Energy::zero()
+            : Energy::fromMicrojoules(rng.uniform(0.0, 200.0));
+        row.advance(d, income);
+        rtc.advance(d, income);
+        if (!rtc.synchronized() && rng.chance(0.5)) {
+            row.resynchronize();
+            rtc.resynchronize();
+        }
+        ASSERT_EQ(row.synchronized(), rtc.synchronized()) << step;
+        ASSERT_EQ(row.desyncCount(), rtc.desyncCount()) << step;
+        ASSERT_EQ(capBits(row.cap()), capBits(rtc.cap())) << step;
+    }
+    EXPECT_GT(rtc.desyncCount(), 10u);
+    EXPECT_EQ(shard.rtcDesyncs[r], rtc.desyncCount());
 }
 
 TEST(Node, PackageTxCostLowerForNvrf)

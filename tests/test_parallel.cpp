@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -159,6 +160,72 @@ TEST(ParallelDeterminism, MultiplexedRelayScenarioIdentical)
         return cfg;
     };
     EXPECT_EQ(FogSystem(mk(1)).run(), FogSystem(mk(4)).run());
+}
+
+// Constant income takes the hoist's other arm (one integral of the
+// shared level for every node) and keeps the FIOS direct channel busy.
+TEST(ParallelDeterminism, ConstantTraceScenarioIdentical)
+{
+    auto mk = [](unsigned threads) {
+        ScenarioConfig cfg;
+        cfg.chains = 3;
+        cfg.nodesPerChain = 8;
+        cfg.multiplexing = 2;
+        cfg.mode = OperatingMode::FiosNvMote;
+        cfg.traceKind = TraceKind::Constant;
+        cfg.meanIncome = Power::fromMilliwatts(2.2);
+        cfg.balancerPolicy = "distributed";
+        cfg.horizon = kHour;
+        cfg.seed = 5;
+        cfg.threads = threads;
+        return cfg;
+    };
+    const SystemReport serial = FogSystem(mk(1)).run();
+    for (const unsigned threads : {2u, 4u})
+        EXPECT_EQ(FogSystem(mk(threads)).run(), serial)
+            << "report diverged at threads=" << threads;
+}
+
+// Randomized scenario sweep: whatever the trace family (hoisted or
+// stepped per node), mode, balancer, multiplexing, rotation, and
+// relay/real-time knobs, four threads must reproduce the serial
+// report bit for bit.
+TEST(ParallelDeterminism, RandomScenariosIdenticalAcrossThreadCounts)
+{
+    std::minstd_rand pick(20260808);
+    const TraceKind kinds[] = {TraceKind::ForestIndependent,
+                               TraceKind::BridgeDependent,
+                               TraceKind::RainLow, TraceKind::Constant};
+    const OperatingMode modes[] = {OperatingMode::NosVp,
+                                   OperatingMode::NosNvp,
+                                   OperatingMode::FiosNvMote};
+    const char *balancers[] = {"none", "tree", "distributed",
+                               "cluster"};
+
+    for (int round = 0; round < 6; ++round) {
+        ScenarioConfig cfg;
+        cfg.traceKind = kinds[pick() % 4];
+        cfg.mode = modes[pick() % 3];
+        cfg.balancerPolicy = balancers[pick() % 4];
+        cfg.chains = 1 + pick() % 3;
+        cfg.nodesPerChain = 4 + pick() % 7;
+        cfg.multiplexing = 1 + pick() % 3;
+        cfg.hopByHopRelay = pick() % 2 == 0;
+        cfg.realTimeRequestChance = pick() % 2 == 0 ? 0.0 : 0.01;
+        cfg.membershipUpdateInterval =
+            pick() % 2 == 0 ? 0 : 10 * kMin;
+        cfg.horizon = (20 + static_cast<Tick>(pick() % 20)) * kMin;
+        cfg.seed = 1 + pick() % 1000;
+
+        cfg.threads = 1;
+        const SystemReport serial = FogSystem(cfg).run();
+        cfg.threads = 4;
+        EXPECT_EQ(FogSystem(cfg).run(), serial)
+            << "round " << round << ", trace "
+            << traceKindName(cfg.traceKind) << ", mode "
+            << operatingModeName(cfg.mode) << ", balancer "
+            << cfg.balancerPolicy;
+    }
 }
 
 TEST(ParallelDeterminism, RunSeedsSerialVsParallelIdentical)

@@ -3,7 +3,7 @@
  * Tests for the balancer-spec grammar and the PolicyRegistry:
  * parsing (valid/invalid/duplicate-key/type-mismatch), canonical
  * round-trips, did-you-mean diagnostics, and registry-based
- * construction including the deprecated makeBalancer shim.
+ * construction.
  */
 
 #include <gtest/gtest.h>
@@ -249,17 +249,6 @@ TEST(PolicyRegistry, DescribeCoversEveryPolicyAndParam)
                 << name << ":" << p.name;
         }
     }
-}
-
-TEST(MakeBalancerShim, ForwardsToRegistry)
-{
-    // The deprecated stringly factory keeps working, spec grammar
-    // included, so out-of-tree callers survive the redesign.
-    EXPECT_EQ(makeBalancer("none")->name(), "none");
-    EXPECT_EQ(makeBalancer("tree")->name(), "baseline-tree");
-    EXPECT_EQ(makeBalancer("cluster:cluster_size=3")->name(),
-              "cluster-head");
-    EXPECT_THROW(makeBalancer("bogus"), FatalError);
 }
 
 } // namespace

@@ -292,8 +292,6 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(TimeSeries), 24u);
     EXPECT_EQ(sizeof(RingSeries), 48u);
     EXPECT_EQ(sizeof(ProbeConfig), 24u);
-    EXPECT_EQ(sizeof(SuperCapacitor), 64u);
-    EXPECT_EQ(sizeof(Rtc), 144u);
     EXPECT_EQ(sizeof(NvBuffer), 56u);
     EXPECT_EQ(sizeof(Sensor), 80u);
     EXPECT_EQ(sizeof(SensorSpec), 72u);
@@ -454,11 +452,14 @@ TEST(ScenarioFingerprint, BlobRoundTripsAndHostKnobsAreExcluded)
     EXPECT_EQ(scenarioFingerprint(back), scenarioFingerprint(cfg));
 
     // Host-local knobs never enter the fingerprint: a resume may
-    // change thread count or checkpoint cadence freely.
+    // change thread count, thread pinning or checkpoint cadence
+    // freely.
     ScenarioConfig tweaked = cfg;
     tweaked.threads = 8;
+    tweaked.pinThreads = !cfg.pinThreads;
     tweaked.snapshot.everySlots = 5;
     tweaked.snapshot.dir = "/elsewhere";
+    EXPECT_EQ(serializeScenarioBlob(tweaked), blob);
     EXPECT_EQ(scenarioFingerprint(tweaked), scenarioFingerprint(cfg));
 
     // Result-relevant fields do.
@@ -639,6 +640,61 @@ TEST(Resume, BitIdentityAcrossSplitSlotsAndThreadCounts)
                 << "split " << split << ", threads " << threads;
         }
     }
+}
+
+/**
+ * Checkpoint @p cfg every 9 slots, then resume from slot 18 at one
+ * and four threads: both must land on the uninterrupted report.
+ */
+void
+expectMidRunResumeIdentical(const ScenarioConfig &cfg,
+                            const std::string &tag)
+{
+    const ScratchDir dir(tag);
+    const SystemReport reference = FogSystem(cfg).run();
+
+    ScenarioConfig snapping = cfg;
+    snapping.snapshot.everySlots = 9;
+    snapping.snapshot.dir = dir.path();
+    EXPECT_EQ(FogSystem(snapping).run(), reference);
+
+    const std::string path = dir.file(snapshot::snapshotFileName(18));
+    ASSERT_TRUE(fs::exists(path)) << path;
+    for (const unsigned threads : {1u, 4u}) {
+        auto resumed = FogSystem::resume(path, threads);
+        EXPECT_EQ(resumed->resumeSlot(), 18);
+        EXPECT_EQ(resumed->run(), reference)
+            << "resume diverged at threads=" << threads;
+    }
+}
+
+// The fig-13 scenario above takes the hoist's shared-stream arm; a
+// constant level takes its other arm, with the same resume contract.
+TEST(Resume, ConstantTraceStaysBitIdentical)
+{
+    ScenarioConfig cfg;
+    cfg.chains = 3;
+    cfg.nodesPerChain = 8;
+    cfg.multiplexing = 2;
+    cfg.mode = OperatingMode::FiosNvMote;
+    cfg.traceKind = TraceKind::Constant;
+    cfg.meanIncome = Power::fromMilliwatts(2.2);
+    cfg.balancerPolicy = "distributed";
+    cfg.horizon = kHour;
+    cfg.seed = 31;
+    expectMidRunResumeIdentical(cfg, "resume_constant");
+}
+
+// Independent forest traces are not hoisted: every node integrates its
+// own trace, whose cursor a resume rebuilds from the archived window.
+TEST(Resume, PerNodeTraceStaysBitIdentical)
+{
+    ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
+    cfg.chains = 3;
+    cfg.multiplexing = 2;
+    cfg.horizon = kHour;
+    cfg.seed = 41;
+    expectMidRunResumeIdentical(cfg, "resume_per_node");
 }
 
 // Resuming may itself snapshot; a second-generation resume must
