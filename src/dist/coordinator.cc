@@ -385,19 +385,21 @@ resumeDistributed(const ScenarioConfig &host, const DistOptions &opt)
     validateOptions(opt);
 
     // The archived scenario lives in every worker's checkpoints;
-    // worker 0 always exists and always owns a non-empty range.
-    const std::string latest =
-        snapshot::latestSnapshot(workerSnapshotDir(opt.snapshotDir, 0));
-    if (latest.empty())
-        fatal("no valid worker snapshot under ", opt.snapshotDir,
-              " — nothing to resume (expected ",
-              workerSnapshotDir(opt.snapshotDir, 0),
-              "/snap-*.nfsnap)");
-    const snapshot::Snapshot snap = snapshot::readSnapshot(latest);
-    const snapshot::Section *config = snap.find("config");
-    if (config == nullptr)
-        fatal("snapshot ", latest, " has no config section");
-    ScenarioConfig cfg = deserializeScenarioBlob(config->data);
+    // worker 0 always exists and always owns a non-empty range.  Only
+    // the scenario is kept: the snapshot is released before any fork.
+    ScenarioConfig cfg = [&] {
+        const auto latest = snapshot::readLatestSnapshot(
+            workerSnapshotDir(opt.snapshotDir, 0));
+        if (!latest)
+            fatal("no valid worker snapshot under ", opt.snapshotDir,
+                  " — nothing to resume (expected ",
+                  workerSnapshotDir(opt.snapshotDir, 0),
+                  "/snap-*.nfsnap)");
+        const snapshot::Section *config = latest->snap.find("config");
+        if (config == nullptr)
+            fatal("snapshot ", latest->path, " has no config section");
+        return deserializeScenarioBlob(config->data);
+    }();
     cfg.threads = host.threads;
     cfg.pinThreads = host.pinThreads;
 

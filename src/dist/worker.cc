@@ -25,10 +25,9 @@ buildPartition(const ScenarioConfig &cfg, const AssignMsg &assign)
     const auto lo = static_cast<std::size_t>(assign.chainLo);
     const auto hi = static_cast<std::size_t>(assign.chainHi);
     if (assign.resume) {
-        const std::string latest =
-            snapshot::latestSnapshot(assign.snapshotDir);
-        if (!latest.empty())
-            return FogSystem::resumePartition(latest, cfg, lo, hi);
+        if (const auto latest =
+                snapshot::readLatestSnapshot(assign.snapshotDir))
+            return FogSystem::resumePartition(*latest, cfg, lo, hi);
     }
     return std::make_unique<FogSystem>(cfg, lo, hi);
 }

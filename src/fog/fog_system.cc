@@ -268,8 +268,9 @@ FogSystem::resume(const std::string &path, unsigned threads,
                   ScenarioConfig::SnapshotConfig snap_cfg,
                   bool pin_threads)
 {
-    const std::string file = snapshot::resolveSnapshotPath(path);
-    const snapshot::Snapshot snap = snapshot::readSnapshot(file);
+    const snapshot::LoadedSnapshot loaded = snapshot::loadSnapshot(path);
+    const std::string &file = loaded.path;
+    const snapshot::Snapshot &snap = loaded.snap;
 
     const snapshot::Section *config = snap.find("config");
     if (config == nullptr)
@@ -321,8 +322,17 @@ FogSystem::resumePartition(const std::string &path,
                            const ScenarioConfig &host,
                            std::size_t chain_lo, std::size_t chain_hi)
 {
-    const std::string file = snapshot::resolveSnapshotPath(path);
-    const snapshot::Snapshot snap = snapshot::readSnapshot(file);
+    return resumePartition(snapshot::loadSnapshot(path), host, chain_lo,
+                           chain_hi);
+}
+
+std::unique_ptr<FogSystem>
+FogSystem::resumePartition(const snapshot::LoadedSnapshot &loaded,
+                           const ScenarioConfig &host,
+                           std::size_t chain_lo, std::size_t chain_hi)
+{
+    const std::string &file = loaded.path;
+    const snapshot::Snapshot &snap = loaded.snap;
 
     const snapshot::Section *config = snap.find("config");
     if (config == nullptr)

@@ -30,6 +30,7 @@
 #include "sim/report_io.hh"
 #include "sim/simulator.hh"
 #include "sim/thread_pool.hh"
+#include "snapshot/snapshot.hh"
 
 namespace neofog {
 
@@ -83,6 +84,16 @@ class FogSystem
     static std::unique_ptr<FogSystem>
     resumePartition(const std::string &path, const ScenarioConfig &host,
                     std::size_t chain_lo, std::size_t chain_hi);
+
+    /**
+     * Partition resume from a snapshot the caller already read and
+     * validated (see snapshot::readLatestSnapshot), so the file is
+     * not read twice; @p loaded.path names it in messages.
+     */
+    static std::unique_ptr<FogSystem>
+    resumePartition(const snapshot::LoadedSnapshot &loaded,
+                    const ScenarioConfig &host, std::size_t chain_lo,
+                    std::size_t chain_hi);
 
     /**
      * Write a full-state checkpoint into the configured snapshot

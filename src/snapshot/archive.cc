@@ -1,5 +1,6 @@
 #include "snapshot/archive.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 
@@ -21,6 +22,43 @@ std::string
 quoted(std::string_view s)
 {
     return "'" + std::string(s) + "'";
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/** One FNV-1a step: fold @p byte into @p h. */
+std::uint64_t
+fnvStep(std::uint64_t h, char byte)
+{
+    return (h ^ static_cast<unsigned char>(byte)) * kFnvPrime;
+}
+
+/** Fold every byte of @p bytes into @p h. */
+std::uint64_t
+fnvFold(std::uint64_t h, std::string_view bytes)
+{
+    for (const char c : bytes)
+        h = fnvStep(h, c);
+    return h;
+}
+
+/** Store the low @p N bytes of @p v at @p p, little-endian. */
+template <std::size_t N>
+void
+storeLe(char *p, std::uint64_t v)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+/** Grow @p out by @p n bytes and return where they start. */
+char *
+grow(std::string &out, std::size_t n)
+{
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    return out.data() + at;
 }
 
 } // namespace
@@ -63,33 +101,60 @@ fieldElementSize(FieldType type)
 std::uint64_t
 fnv1a(std::string_view bytes)
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
+    return fnvFold(kFnvOffset, bytes);
+}
+
+std::vector<std::uint64_t>
+fnv1aEach(std::span<const std::string_view> parts)
+{
+    std::vector<std::uint64_t> out(parts.size());
+    std::size_t i = 0;
+    for (; i + 4 <= parts.size(); i += 4) {
+        // The four chains run side by side over the bytes all four
+        // parts have; each part's remainder then finishes alone.
+        const std::string_view *p = &parts[i];
+        const std::size_t common = std::min(
+            {p[0].size(), p[1].size(), p[2].size(), p[3].size()});
+        std::uint64_t h0 = kFnvOffset, h1 = kFnvOffset;
+        std::uint64_t h2 = kFnvOffset, h3 = kFnvOffset;
+        for (std::size_t k = 0; k < common; ++k) {
+            h0 = fnvStep(h0, p[0][k]);
+            h1 = fnvStep(h1, p[1][k]);
+            h2 = fnvStep(h2, p[2][k]);
+            h3 = fnvStep(h3, p[3][k]);
+        }
+        out[i] = fnvFold(h0, p[0].substr(common));
+        out[i + 1] = fnvFold(h1, p[1].substr(common));
+        out[i + 2] = fnvFold(h2, p[2].substr(common));
+        out[i + 3] = fnvFold(h3, p[3].substr(common));
     }
-    return h;
+    for (; i < parts.size(); ++i)
+        out[i] = fnv1a(parts[i]);
+    return out;
 }
 
 void
 appendLe16(std::string &out, std::uint16_t v)
 {
-    out.push_back(static_cast<char>(v & 0xFF));
-    out.push_back(static_cast<char>((v >> 8) & 0xFF));
+    char bytes[2];
+    storeLe<2>(bytes, v);
+    out.append(bytes, 2);
 }
 
 void
 appendLe32(std::string &out, std::uint32_t v)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xFF));
+    char bytes[4];
+    storeLe<4>(bytes, v);
+    out.append(bytes, 4);
 }
 
 void
 appendLe64(std::string &out, std::uint64_t v)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xFF));
+    char bytes[8];
+    storeLe<8>(bytes, v);
+    out.append(bytes, 8);
 }
 
 std::uint16_t
@@ -257,11 +322,13 @@ ScopedArchive::path(std::string_view name) const
 void
 OutArchive::begin(std::string_view name, FieldType type)
 {
-    const std::string full = path(name);
-    if (full.size() > 0xFFFF)
-        fatal("snapshot field path too long: ", full);
-    appendLe16(_buf, static_cast<std::uint16_t>(full.size()));
-    _buf.append(full);
+    const std::string_view scope = prefix();
+    const std::size_t len = scope.size() + name.size();
+    if (len > 0xFFFF)
+        fatal("snapshot field path too long: ", path(name));
+    appendLe16(_buf, static_cast<std::uint16_t>(len));
+    _buf.append(scope);
+    _buf.append(name);
     _buf.push_back(static_cast<char>(type));
 }
 
@@ -344,8 +411,9 @@ OutArchive::io(std::string_view name, std::vector<bool> &v)
 {
     begin(name, FieldType::VecBool);
     appendLe64(_buf, v.size());
+    char *p = grow(_buf, v.size());
     for (const bool b : v)
-        _buf.push_back(b ? 1 : 0);
+        *p++ = b ? 1 : 0;
 }
 
 void
@@ -353,8 +421,11 @@ OutArchive::io(std::string_view name, std::vector<std::int32_t> &v)
 {
     begin(name, FieldType::VecI32);
     appendLe64(_buf, v.size());
-    for (const std::int32_t e : v)
-        appendLe32(_buf, static_cast<std::uint32_t>(e));
+    char *p = grow(_buf, 4 * v.size());
+    for (const std::int32_t e : v) {
+        storeLe<4>(p, static_cast<std::uint32_t>(e));
+        p += 4;
+    }
 }
 
 void
@@ -362,8 +433,11 @@ OutArchive::io(std::string_view name, std::vector<std::uint32_t> &v)
 {
     begin(name, FieldType::VecU32);
     appendLe64(_buf, v.size());
-    for (const std::uint32_t e : v)
-        appendLe32(_buf, e);
+    char *p = grow(_buf, 4 * v.size());
+    for (const std::uint32_t e : v) {
+        storeLe<4>(p, e);
+        p += 4;
+    }
 }
 
 void
@@ -371,8 +445,11 @@ OutArchive::io(std::string_view name, std::vector<std::uint64_t> &v)
 {
     begin(name, FieldType::VecU64);
     appendLe64(_buf, v.size());
-    for (const std::uint64_t e : v)
-        appendLe64(_buf, e);
+    char *p = grow(_buf, 8 * v.size());
+    for (const std::uint64_t e : v) {
+        storeLe<8>(p, e);
+        p += 8;
+    }
 }
 
 void
@@ -380,8 +457,11 @@ OutArchive::io(std::string_view name, std::vector<double> &v)
 {
     begin(name, FieldType::VecF64);
     appendLe64(_buf, v.size());
-    for (const double e : v)
-        appendLe64(_buf, doubleBits(e));
+    char *p = grow(_buf, 8 * v.size());
+    for (const double e : v) {
+        storeLe<8>(p, doubleBits(e));
+        p += 8;
+    }
 }
 
 void
@@ -390,9 +470,11 @@ OutArchive::io(std::string_view name,
 {
     begin(name, FieldType::VecPoint);
     appendLe64(_buf, v.size());
-    for (const TimeSeries::Point &p : v) {
-        appendLe64(_buf, static_cast<std::uint64_t>(p.when));
-        appendLe64(_buf, doubleBits(p.value));
+    char *p = grow(_buf, 16 * v.size());
+    for (const TimeSeries::Point &e : v) {
+        storeLe<8>(p, static_cast<std::uint64_t>(e.when));
+        storeLe<8>(p + 8, doubleBits(e.value));
+        p += 16;
     }
 }
 
@@ -401,17 +483,18 @@ OutArchive::io(std::string_view name,
 Record
 InArchive::expect(std::string_view name, FieldType type)
 {
-    const std::string full = path(name);
     Record rec;
     if (!_reader.next(rec))
-        fatal("snapshot stream ended while expecting field '", full,
-              "'");
-    if (rec.path != full)
+        fatal("snapshot stream ended while expecting field '",
+              path(name), "'");
+    const std::string_view scope = prefix();
+    if (rec.path.size() != scope.size() + name.size() ||
+        !rec.path.starts_with(scope) || !rec.path.ends_with(name))
         fatal("snapshot field mismatch: stream has '",
               std::string(rec.path), "' where the loader expects '",
-              full, "' (format/version skew?)");
+              path(name), "' (format/version skew?)");
     if (rec.type != type)
-        fatal("snapshot field '", full, "' has type ",
+        fatal("snapshot field '", path(name), "' has type ",
               fieldTypeName(rec.type), ", expected ",
               fieldTypeName(type));
     return rec;

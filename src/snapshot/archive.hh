@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,6 +70,14 @@ std::size_t fieldElementSize(FieldType type);
 
 /** FNV-1a 64-bit hash (section checksums, config fingerprint). */
 std::uint64_t fnv1a(std::string_view bytes);
+
+/**
+ * fnv1a() of each of @p parts, equal to it item by item.  Four parts
+ * hash per loop, so four independent multiply chains overlap instead
+ * of one chain paying the full multiply latency per byte.
+ */
+std::vector<std::uint64_t>
+fnv1aEach(std::span<const std::string_view> parts);
 
 // Little-endian primitives, shared with the file format and replay.
 void appendLe16(std::string &out, std::uint16_t v);
@@ -125,6 +134,9 @@ class ScopedArchive
     void popScope();
 
   protected:
+    /** The current scope prefix ("a.b." when nested, "" at top). */
+    std::string_view prefix() const { return _prefix; }
+    /** Full dotted path of @p name (for messages). */
     std::string path(std::string_view name) const;
 
   private:

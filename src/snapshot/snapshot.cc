@@ -1,9 +1,11 @@
 #include "snapshot/snapshot.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -38,6 +40,17 @@ parseHex64(const std::string &s, const std::string &what)
             static_cast<std::uint64_t>(
                 c <= '9' ? c - '0' : c - 'a' + 10);
     return v;
+}
+
+/** FNV-1a of every section payload, in section order. */
+std::vector<std::uint64_t>
+sectionHashes(const std::vector<Section> &sections)
+{
+    std::vector<std::string_view> payloads;
+    payloads.reserve(sections.size());
+    for (const Section &s : sections)
+        payloads.emplace_back(s.data);
+    return fnv1aEach(payloads);
 }
 
 /** Header field lookup that fails loudly when absent. */
@@ -77,6 +90,7 @@ writeSnapshot(const std::string &path, const Snapshot &snap)
     std::uint64_t config_hash = snap.configHash;
     if (const Section *cfg = snap.find("config"))
         config_hash = fnv1a(cfg->data);
+    const std::vector<std::uint64_t> hashes = sectionHashes(snap.sections);
 
     // Header JSON with per-section offsets (relative to header end).
     std::ostringstream header;
@@ -90,13 +104,14 @@ writeSnapshot(const std::string &path, const Snapshot &snap)
         w.key("chains").value(snap.chains);
         w.key("sections").beginArray();
         std::uint64_t offset = 0;
-        for (const Section &s : snap.sections) {
+        for (std::size_t i = 0; i < snap.sections.size(); ++i) {
+            const Section &s = snap.sections[i];
             w.beginObject();
             w.key("name").value(s.name);
             w.key("offset").value(offset);
             w.key("size").value(
                 static_cast<std::uint64_t>(s.data.size()));
-            w.key("hash").value(toHex64(fnv1a(s.data)));
+            w.key("hash").value(toHex64(hashes[i]));
             w.endObject();
             offset += s.data.size();
         }
@@ -146,9 +161,15 @@ readSnapshot(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         fatal("cannot open snapshot file: ", path);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string blob = buf.str();
+    std::error_code ec;
+    const std::uintmax_t file_bytes = fs::file_size(path, ec);
+    if (ec)
+        fatal("cannot read snapshot file ", path, ": ", ec.message());
+    // One sized read; a short one leaves the tail for the truncation
+    // checks below to reject.
+    std::string blob(file_bytes, '\0');
+    is.read(blob.data(), static_cast<std::streamsize>(file_bytes));
+    blob.resize(static_cast<std::size_t>(is.gcount()));
 
     if (blob.size() < 16)
         fatal("snapshot file ", path, " is truncated (", blob.size(),
@@ -202,6 +223,7 @@ readSnapshot(const std::string &path)
 
     const std::string_view body =
         std::string_view(blob).substr(16 + header_len);
+    std::vector<std::uint64_t> stored;
     for (const auto &sec : member(doc, "sections").items()) {
         const std::string &name = member(sec, "name").asString();
         const std::uint64_t offset = member(sec, "offset").asU64();
@@ -209,18 +231,19 @@ readSnapshot(const std::string &path)
         if (offset > body.size() || size > body.size() - offset)
             fatal("snapshot file ", path, " section '", name,
                   "' lies outside the file (truncated?)");
-        Section out;
-        out.name = name;
-        out.data.assign(body.substr(offset, size));
-        const std::uint64_t expect =
-            parseHex64(member(sec, "hash").asString(), "hash");
-        const std::uint64_t actual = fnv1a(out.data);
-        if (actual != expect)
-            fatal("snapshot file ", path, " section '", name,
-                  "' fails its checksum (stored ", toHex64(expect),
-                  ", computed ", toHex64(actual),
-                  ") — refusing a corrupt resume");
-        snap.sections.push_back(std::move(out));
+        snap.sections.push_back(
+            {name, std::string(body.substr(offset, size))});
+        stored.push_back(
+            parseHex64(member(sec, "hash").asString(), "hash"));
+    }
+    const std::vector<std::uint64_t> actual =
+        sectionHashes(snap.sections);
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        if (actual[i] != stored[i])
+            fatal("snapshot file ", path, " section '",
+                  snap.sections[i].name, "' fails its checksum (stored ",
+                  toHex64(stored[i]), ", computed ",
+                  toHex64(actual[i]), ") — refusing a corrupt resume");
     }
 
     if (const Section *cfg = snap.find("config")) {
@@ -232,41 +255,48 @@ readSnapshot(const std::string &path)
     return snap;
 }
 
-std::string
-latestSnapshot(const std::string &dir)
+std::optional<LoadedSnapshot>
+readLatestSnapshot(const std::string &dir)
 {
+    std::vector<std::pair<std::int64_t, std::string>> candidates;
     std::error_code ec;
-    std::int64_t best_slot = -1;
-    std::string best_path;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
         long long slot = 0;
         if (std::sscanf(name.c_str(), "snap-%lld.nfsnap", &slot) != 1
             || name != snapshotFileName(slot))
             continue;
-        if (slot <= best_slot)
-            continue;
-        try {
-            readSnapshot(entry.path().string());
-        } catch (const FatalError &) {
-            continue; // torn or corrupt candidate; keep scanning
-        }
-        best_slot = slot;
-        best_path = entry.path().string();
+        candidates.emplace_back(slot, entry.path().string());
     }
-    return best_path;
+    std::sort(candidates.begin(), candidates.end(), std::greater<>());
+    for (auto &[slot, path] : candidates) {
+        try {
+            Snapshot snap = readSnapshot(path);
+            return LoadedSnapshot{std::move(path), std::move(snap)};
+        } catch (const FatalError &) {
+            // Torn or corrupt candidate; fall back to the next newest.
+        }
+    }
+    return std::nullopt;
 }
 
 std::string
-resolveSnapshotPath(const std::string &path)
+latestSnapshot(const std::string &dir)
+{
+    const std::optional<LoadedSnapshot> latest = readLatestSnapshot(dir);
+    return latest ? latest->path : std::string();
+}
+
+LoadedSnapshot
+loadSnapshot(const std::string &path)
 {
     std::error_code ec;
     if (!fs::is_directory(path, ec))
-        return path;
-    const std::string latest = latestSnapshot(path);
-    if (latest.empty())
+        return {path, readSnapshot(path)};
+    std::optional<LoadedSnapshot> latest = readLatestSnapshot(path);
+    if (!latest)
         fatal("no valid snapshot found in directory ", path);
-    return latest;
+    return std::move(*latest);
 }
 
 } // namespace neofog::snapshot

@@ -34,6 +34,7 @@
 #define NEOFOG_SNAPSHOT_SNAPSHOT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,20 +87,35 @@ void writeSnapshot(const std::string &path, const Snapshot &snap);
  */
 Snapshot readSnapshot(const std::string &path);
 
+/** A validated snapshot and the file it was read from. */
+struct LoadedSnapshot
+{
+    std::string path;
+    Snapshot snap;
+};
+
 /**
- * Newest fully valid snapshot file in @p dir (highest slot whose file
- * passes readSnapshot), or "" when none qualifies.  Invalid or torn
+ * Newest fully valid snapshot in @p dir, read once: candidates are
+ * tried newest slot first, and the first one readSnapshot accepts is
+ * returned; std::nullopt when none qualifies.  Invalid or torn
  * candidates are skipped, so resuming "from the latest shard set"
- * survives a crash mid-checkpoint.
+ * survives a crash mid-checkpoint, and older files are never opened
+ * once a newer one validates.
+ */
+std::optional<LoadedSnapshot> readLatestSnapshot(const std::string &dir);
+
+/**
+ * Path of readLatestSnapshot(@p dir), or "" when no file in @p dir
+ * qualifies.
  */
 std::string latestSnapshot(const std::string &dir);
 
 /**
- * Resolve a user-supplied --resume argument: a file path is returned
- * as-is; a directory resolves to its latest valid snapshot.  Fatal
- * when a directory holds no valid snapshot.
+ * Read a user-supplied --resume argument: a file path is read as-is;
+ * a directory yields its newest valid snapshot.  Fatal when the file
+ * is corrupt or a directory holds no valid snapshot.
  */
-std::string resolveSnapshotPath(const std::string &path);
+LoadedSnapshot loadSnapshot(const std::string &path);
 
 } // namespace neofog::snapshot
 

@@ -252,6 +252,142 @@ TEST(Archive, LoadRejectsPathAndTypeMismatch)
         std::int32_t got = 0;
         EXPECT_THROW(in.io("alpha", got), FatalError);
     }
+    {
+        // Same leaf, different scope: the whole dotted path must
+        // match, and the message names both sides of the mismatch.
+        OutArchive scoped;
+        scoped.pushScope("chain0");
+        scoped.pushScope("node1");
+        scoped.io("alpha", v);
+        const std::string bytes = scoped.take();
+        InArchive in{std::string_view(bytes)};
+        in.pushScope("chain0");
+        in.pushScope("node2");
+        std::int32_t got = 0;
+        try {
+            in.io("alpha", got);
+            FAIL() << "expected a path mismatch";
+        } catch (const FatalError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find("'chain0.node1.alpha'"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("'chain0.node2.alpha'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(Archive, BatchChecksumMatchesFnv1a)
+{
+    // Published FNV-1a 64 test vectors.
+    EXPECT_EQ(snapshot::fnv1a(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(snapshot::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+
+    // Uneven lengths, empty and 1-byte parts included, so the
+    // four-lane body, its per-part remainders, and the trailing
+    // parts past the last group of four all run.
+    const std::size_t lengths[] = {0, 1, 37, 4096, 3, 1000, 1, 255, 0};
+    std::mt19937 gen(2024);
+    std::vector<std::string> parts;
+    for (const std::size_t n : lengths) {
+        std::string bytes(n, '\0');
+        for (char &c : bytes)
+            c = static_cast<char>(gen() & 0xFF);
+        parts.push_back(std::move(bytes));
+    }
+    for (std::size_t count = 0; count <= parts.size(); ++count) {
+        const std::vector<std::string_view> views(
+            parts.begin(),
+            parts.begin() + static_cast<std::ptrdiff_t>(count));
+        const std::vector<std::uint64_t> hashes =
+            snapshot::fnv1aEach(views);
+        ASSERT_EQ(hashes.size(), count);
+        for (std::size_t i = 0; i < count; ++i)
+            EXPECT_EQ(hashes[i], snapshot::fnv1a(views[i]))
+                << "count " << count << ", part " << i;
+    }
+}
+
+/** Every wire type once, with the edge values resume depends on. */
+struct AllTypes
+{
+    bool flag = true;
+    std::int32_t i32 = -123456;
+    std::uint16_t u16 = 65535;
+    std::uint32_t u32 = 0xDEADBEEFU;
+    std::int64_t i64 = -(1LL << 60);
+    std::uint64_t u64 = ~0ULL;
+    double nan = snapshot::doubleFromBits(0x7FF8000000000042ULL);
+    double negzero = -0.0;
+    std::string label = "chain0";
+    std::string empty;
+    std::vector<bool> bits = {true, false, true};
+    std::vector<std::int32_t> i32s = {-1, 2};
+    std::vector<std::uint32_t> u32s;
+    std::vector<std::uint64_t> u64s = {0, ~0ULL};
+    std::vector<double> f64s = {1.5, -0.0};
+    std::vector<TimeSeries::Point> points = {{10, 0.25}, {-3, -2.5}};
+    Inner inner = {42, 0.125};
+
+    template <class Archive>
+    void serialize(Archive &ar)
+    {
+        ar.io("flag", flag);
+        ar.io("i32", i32);
+        ar.io("u16", u16);
+        ar.io("u32", u32);
+        ar.io("i64", i64);
+        ar.io("u64", u64);
+        ar.io("nan", nan);
+        ar.io("negzero", negzero);
+        ar.io("label", label);
+        ar.io("empty", empty);
+        ar.io("bits", bits);
+        ar.io("i32s", i32s);
+        ar.io("u32s", u32s);
+        ar.io("u64s", u64s);
+        ar.io("f64s", f64s);
+        ar.io("points", points);
+        ar.io("inner", inner);
+    }
+};
+
+TEST(Archive, EncoderBytesArePinned)
+{
+    // neofog-snapshot-v1 record bytes are a compatibility contract:
+    // files written by any earlier build must still load.  Changing
+    // these constants needs a new schema tag and a migration test.
+    AllTypes all;
+    OutArchive out;
+    out.pushScope("chain0");
+    out.io("node1", all);
+    out.popScope();
+    const std::string blob = out.take();
+    EXPECT_EQ(blob.size(), 573u);
+    EXPECT_EQ(snapshot::fnv1a(blob), 0x5e8a87e08dd28056ULL);
+    // The first record, spelled out: u16 path length, path, type tag,
+    // payload.
+    EXPECT_EQ(blob.substr(0, 21),
+              std::string("\x11\x00"
+                          "chain0.node1.flag\x01\x01",
+                          21));
+
+    AllTypes back;
+    back.flag = false;
+    back.label.clear();
+    back.bits.clear();
+    back.points.clear();
+    InArchive in{std::string_view(blob)};
+    in.pushScope("chain0");
+    in.io("node1", back);
+    in.popScope();
+    EXPECT_TRUE(in.atEnd());
+    OutArchive again;
+    again.pushScope("chain0");
+    again.io("node1", back);
+    EXPECT_EQ(again.take(), blob);
 }
 
 TEST(Archive, RngStreamPositionRoundTrips)
@@ -331,6 +467,11 @@ TEST(SnapshotFile, WriteReadRoundTrip)
     EXPECT_EQ(path.substr(path.size() - 22), "snap-0000000042.nfsnap");
 
     snapshot::writeSnapshot(path, sampleSnapshot());
+    // The container bytes (header JSON, section table, payloads) are
+    // pinned like the record bytes in Archive.EncoderBytesArePinned.
+    const std::string file = slurp(path);
+    EXPECT_EQ(file.size(), 344u);
+    EXPECT_EQ(snapshot::fnv1a(file), 0x8f52f88ce26fceaaULL);
     const Snapshot back = snapshot::readSnapshot(path);
 
     EXPECT_EQ(back.slot, 42);
@@ -350,31 +491,70 @@ TEST(SnapshotFile, WriteReadRoundTrip)
 TEST(SnapshotFile, LatestSkipsCorruptAndResolvesDirectories)
 {
     const ScratchDir dir("latest");
-    const std::string older =
+    const std::string oldest =
         dir.file(snapshot::snapshotFileName(10));
-    const std::string newer =
+    const std::string middle =
         dir.file(snapshot::snapshotFileName(20));
+    const std::string newest =
+        dir.file(snapshot::snapshotFileName(30));
+    const std::pair<int, std::string> files[] = {
+        {10, oldest}, {20, middle}, {30, newest}};
     Snapshot snap = sampleSnapshot();
-    snap.slot = 10;
-    snapshot::writeSnapshot(older, snap);
-    snap.slot = 20;
-    snapshot::writeSnapshot(newer, snap);
+    for (const auto &[slot, path] : files) {
+        snap.slot = slot;
+        snap.sections[1].data = "alpha" + std::to_string(slot);
+        snapshot::writeSnapshot(path, snap);
+    }
+    const std::string pristine_middle = slurp(middle);
+    const auto corrupt = [](const std::string &path) {
+        std::string bytes = slurp(path);
+        bytes[bytes.size() - 1] ^= 0x01;
+        spit(path, bytes);
+    };
 
-    EXPECT_EQ(snapshot::latestSnapshot(dir.path()), newer);
-    EXPECT_EQ(snapshot::resolveSnapshotPath(dir.path()), newer);
-    // A file path passes through untouched.
-    EXPECT_EQ(snapshot::resolveSnapshotPath(older), older);
+    // The read-latest entry hands back exactly what readSnapshot of
+    // the chosen file yields.
+    const auto expectLatest = [&](const std::string &want) {
+        EXPECT_EQ(snapshot::latestSnapshot(dir.path()), want);
+        const auto latest = snapshot::readLatestSnapshot(dir.path());
+        ASSERT_TRUE(latest.has_value());
+        EXPECT_EQ(latest->path, want);
+        const Snapshot direct = snapshot::readSnapshot(want);
+        EXPECT_EQ(latest->snap.slot, direct.slot);
+        EXPECT_EQ(latest->snap.configHash, direct.configHash);
+        ASSERT_EQ(latest->snap.sections.size(), direct.sections.size());
+        for (std::size_t i = 0; i < direct.sections.size(); ++i) {
+            EXPECT_EQ(latest->snap.sections[i].name,
+                      direct.sections[i].name);
+            EXPECT_EQ(latest->snap.sections[i].data,
+                      direct.sections[i].data);
+        }
+        EXPECT_EQ(snapshot::loadSnapshot(dir.path()).path, want);
+    };
+
+    expectLatest(newest);
+    // A file path is read as named, never redirected.
+    EXPECT_EQ(snapshot::loadSnapshot(oldest).path, oldest);
+    EXPECT_EQ(snapshot::loadSnapshot(oldest).snap.slot, 10);
+
+    // A corrupt middle file does not hide the valid newest one.
+    corrupt(middle);
+    expectLatest(newest);
 
     // Corrupt the newest: resume-from-latest must fall back to the
     // newest VALID checkpoint, exactly the crash-mid-write case.
-    std::string bytes = slurp(newer);
-    bytes[bytes.size() - 1] ^= 0x01;
-    spit(newer, bytes);
-    EXPECT_EQ(snapshot::latestSnapshot(dir.path()), older);
+    spit(middle, pristine_middle);
+    corrupt(newest);
+    expectLatest(middle);
+
+    // Both newer files torn: back to the oldest.
+    corrupt(middle);
+    expectLatest(oldest);
 
     const ScratchDir empty("empty");
-    EXPECT_THROW(snapshot::resolveSnapshotPath(empty.path()),
-                 FatalError);
+    EXPECT_EQ(snapshot::latestSnapshot(empty.path()), "");
+    EXPECT_FALSE(snapshot::readLatestSnapshot(empty.path()).has_value());
+    EXPECT_THROW(snapshot::loadSnapshot(empty.path()), FatalError);
 }
 
 TEST(SnapshotFile, CorruptionIsRejectedLoudly)

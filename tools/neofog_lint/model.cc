@@ -430,7 +430,8 @@ walkDeclarations(const std::string &rel_path,
                     st.push_back({Scope::Ns, -1, false});
                     clearStmt();
                 } else if (t.find('(') != std::string::npos) {
-                    const Scope &top = st.back();
+                    // A copy: the push_back below may reallocate st.
+                    const Scope top = st.back();
                     const bool is_serialize =
                         top.kind == Scope::Cls &&
                         top.structIdx >= 0 &&
