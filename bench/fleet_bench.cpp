@@ -1,17 +1,17 @@
 /**
  * @file
- * Fleet-scale throughput harness: the SoA chain shards + income hoist
- * running city-sized deployments (100k+ chains, 1M+ total nodes) —
- * the scale the object-per-node layout could not stream.
+ * Fleet-scale throughput harness: the chain node shards + income
+ * hoist running city-sized deployments (100k+ chains, 1M+ total
+ * nodes).
  *
  * Four sections:
  *  - fleet throughput: build and run the full fleet, reporting
  *    slots_per_sec (chain-slots executed per wall-clock second) and
- *    bytes_per_node (resident SoA shard bytes / total nodes);
+ *    bytes_per_node (resident node-shard bytes / total nodes);
  *  - thread sweep: the same fleet at --threads 1/2/4 must produce
  *    bit-identical reports (chain-order shard merge discipline);
  *  - snapshot resume: a mid-horizon checkpoint must resume onto the
- *    uninterrupted run's exact report on the SoA layout;
+ *    uninterrupted run's exact report;
  *  - distributed sharding: the same fleet slice through the
  *    multi-process coordinator/worker runtime (src/dist/) at
  *    --workers 2 and 4, reports asserted bit-identical to the
@@ -76,7 +76,7 @@ fleetScenario(std::size_t chains, std::size_t nodes_per_chain,
     return cfg;
 }
 
-/** Total resident SoA bytes across every chain shard. */
+/** Total resident bytes across every chain's node shard. */
 std::size_t
 fleetShardBytes(const FogSystem &sys)
 {
@@ -239,13 +239,12 @@ main(int argc, char **argv)
         sink.add("best_threaded_slots_per_sec", chain_slots / best_secs);
         sink.add("parallel_efficiency_4t", efficiency_4t);
         if (!consistent) {
-            err("fleet_bench: thread sweep diverged on the SoA "
-                "layout\n");
+            err("fleet_bench: thread sweep diverged\n");
             return 1;
         }
     }
 
-    // ---- Section 3: snapshot resume on the SoA layout --------------
+    // ---- Section 3: snapshot resume ---------------------------------
     header("Snapshot resume: mid-horizon checkpoint, exact report");
     {
         namespace fs = std::filesystem;
@@ -292,8 +291,7 @@ main(int argc, char **argv)
             static_cast<long long>(split), resume_ok ? "yes" : "NO");
         sink.add("resume_bit_identical", resume_ok ? 1.0 : 0.0);
         if (!resume_ok) {
-            err("fleet_bench: snapshot resume diverged on the SoA "
-                "layout\n");
+            err("fleet_bench: snapshot resume diverged\n");
             return 1;
         }
     }

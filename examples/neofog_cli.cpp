@@ -15,11 +15,12 @@
  * --dump-energy exports one node's stored-energy series the same way.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -94,11 +95,6 @@ usage(const char *argv0)
         "integration)\n"
         "  --cache-grid-s N          energy-cache grid seconds "
         "(default 1)\n"
-        "  --pin-threads             pin chain-loop workers to CPUs "
-        "so\n"
-        "                            first-touch shard pages stay "
-        "local\n"
-        "                            (Linux; never affects results)\n"
         "  --dump-energy I           export node I's stored-energy "
         "series\n"
         "  --snapshot-every N        checkpoint every N slots "
@@ -169,6 +165,32 @@ parseTrace(const std::string &v, TraceKind &out)
     return true;
 }
 
+/** Largest value of T, the open upper end of most flag ranges. */
+template <class T>
+constexpr T kMax = std::numeric_limits<T>::max();
+
+/**
+ * The value of numeric flag @p flag: @p text parsed whole as a T in
+ * [@p lo, @p hi].  Anything else — trailing characters, a sign an
+ * unsigned T cannot take, overflow, NaN — exits 2 naming the flag.
+ */
+template <class T>
+T
+parseNumber(const std::string &flag, const std::string &text, T lo, T hi,
+            const char *want)
+{
+    T v{};
+    const char *first = text.data();
+    const char *last = first + text.size();
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc{} || ptr != last || !(v >= lo && v <= hi)) {
+        std::fprintf(stderr, "bad value '%s' for %s: want %s\n",
+                     text.c_str(), flag.c_str(), want);
+        std::exit(2);
+    }
+    return v;
+}
+
 /** One-line scenario summary used by the text format and JSON meta. */
 std::string
 scenarioLine(const ScenarioConfig &cfg)
@@ -220,6 +242,21 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A count of at least one.
+        const auto count = [&] {
+            return parseNumber<std::size_t>(arg, next(), 1,
+                                            kMax<std::size_t>,
+                                            "an integer >= 1");
+        };
+        // A positive duration in units of @p scale seconds, bounded
+        // far below the Tick (int64 microsecond) range.
+        const auto duration = [&](double scale) {
+            return ticksFromSeconds(
+                parseNumber<double>(
+                    arg, next(), std::numeric_limits<double>::denorm_min(),
+                    1e12 / scale, "a positive number") *
+                scale);
+        };
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -245,39 +282,40 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--income-mw") {
-            cfg.meanIncome =
-                Power::fromMilliwatts(std::atof(next().c_str()));
+            cfg.meanIncome = Power::fromMilliwatts(parseNumber<double>(
+                arg, next(), 0.0, kMax<double>, "a finite number >= 0"));
         } else if (arg == "--nodes" || arg == "--nodes-per-chain") {
-            cfg.nodesPerChain =
-                static_cast<std::size_t>(std::atoll(next().c_str()));
+            cfg.nodesPerChain = count();
         } else if (arg == "--chains") {
-            cfg.chains =
-                static_cast<std::size_t>(std::atoll(next().c_str()));
+            cfg.chains = count();
         } else if (arg == "--hours") {
-            cfg.horizon = ticksFromSeconds(
-                std::atof(next().c_str()) * 3600.0);
+            cfg.horizon = duration(3600.0);
         } else if (arg == "--slot-s") {
-            cfg.slotInterval =
-                ticksFromSeconds(std::atof(next().c_str()));
+            cfg.slotInterval = duration(1.0);
         } else if (arg == "--mux") {
-            cfg.multiplexing = std::atoi(next().c_str());
+            cfg.multiplexing = parseNumber<int>(
+                arg, next(), 1, kMax<int>, "an integer >= 1");
         } else if (arg == "--profile") {
-            cfg.profileIndex = std::atoi(next().c_str());
+            cfg.profileIndex =
+                parseNumber<int>(arg, next(), 0, 4, "an integer 0-4");
         } else if (arg == "--seed") {
-            cfg.seed =
-                static_cast<std::uint64_t>(std::atoll(next().c_str()));
+            cfg.seed = parseNumber<std::uint64_t>(
+                arg, next(), 0, kMax<std::uint64_t>,
+                "an unsigned 64-bit integer");
         } else if (arg == "--threads") {
-            cfg.threads =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            cfg.threads = parseNumber<unsigned>(
+                arg, next(), 0, kMax<unsigned>, "an integer >= 0");
         } else if (arg == "--workers") {
             use_workers = true;
-            workers = std::atoll(next().c_str());
+            workers = parseNumber<long long>(
+                arg, next(), 0, kMax<long long>, "an integer >= 0");
         } else if (arg == "--incidental") {
             cfg.nodeTemplate.enableIncidentalComputing = true;
         } else if (arg == "--relay") {
             cfg.hopByHopRelay = true;
         } else if (arg == "--rt-chance") {
-            cfg.realTimeRequestChance = std::atof(next().c_str());
+            cfg.realTimeRequestChance = parseNumber<double>(
+                arg, next(), 0.0, 1.0, "a probability in [0, 1]");
         } else if (arg == "--freq-scaling") {
             cfg.nodeTemplate.enableFrequencyScaling = true;
         } else if (arg == "--format") {
@@ -291,19 +329,18 @@ main(int argc, char **argv)
         } else if (arg == "--probes") {
             cfg.probes.enabled = true;
         } else if (arg == "--probe-cap") {
-            cfg.probes.capacity =
-                static_cast<std::size_t>(std::atoll(next().c_str()));
+            cfg.probes.capacity = count();
         } else if (arg == "--no-energy-cache") {
             cfg.energyCache.enabled = false;
-        } else if (arg == "--pin-threads") {
-            cfg.pinThreads = true;
         } else if (arg == "--cache-grid-s") {
-            cfg.energyCache.grid =
-                ticksFromSeconds(std::atof(next().c_str()));
+            cfg.energyCache.grid = duration(1.0);
         } else if (arg == "--dump-energy") {
-            dump_energy = std::atoi(next().c_str());
+            dump_energy = parseNumber<int>(arg, next(), 0, kMax<int>,
+                                           "an integer >= 0");
         } else if (arg == "--snapshot-every") {
-            cfg.snapshot.everySlots = std::atoll(next().c_str());
+            cfg.snapshot.everySlots = parseNumber<long long>(
+                arg, next(), 0, kMax<long long>,
+                "an integer >= 0 (0 = off)");
         } else if (arg == "--snapshot-dir") {
             cfg.snapshot.dir = next();
         } else if (arg == "--resume") {
@@ -346,12 +383,12 @@ main(int argc, char **argv)
         } else {
             // A resumed run rebuilds its scenario from the snapshot's
             // own config section; only the host-local knobs (threads,
-            // the checkpoint schedule, thread pinning) carry over
-            // from the command line.
+            // the checkpoint schedule) carry over from the command
+            // line.
             std::unique_ptr<FogSystem> system = resume_path.empty()
                 ? std::make_unique<FogSystem>(cfg)
                 : FogSystem::resume(resume_path, cfg.threads,
-                                    cfg.snapshot, cfg.pinThreads);
+                                    cfg.snapshot);
             cfg = system->config();
             report = system->run();
 

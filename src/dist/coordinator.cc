@@ -395,13 +395,9 @@ resumeDistributed(const ScenarioConfig &host, const DistOptions &opt)
                   " — nothing to resume (expected ",
                   workerSnapshotDir(opt.snapshotDir, 0),
                   "/snap-*.nfsnap)");
-        const snapshot::Section *config = latest->snap.find("config");
-        if (config == nullptr)
-            fatal("snapshot ", latest->path, " has no config section");
-        return deserializeScenarioBlob(config->data);
+        return archivedScenario(*latest);
     }();
     cfg.threads = host.threads;
-    cfg.pinThreads = host.pinThreads;
 
     // The partition layout is baked into the worker directories; the
     // run must resume at the same worker count it checkpointed at.

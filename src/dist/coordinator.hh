@@ -91,7 +91,7 @@ DistResult runDistributed(const ScenarioConfig &cfg,
  * count is rediscovered from the worker<k> subdirectories (and must
  * match opt.workersRequested unless that is 0), and each worker
  * continues from its own latest checkpoint.  @p host supplies the
- * host-local knobs (threads, pinThreads); everything else comes from
+ * host-local knobs (threads); everything else comes from
  * the archived scenario.
  */
 DistResult resumeDistributed(const ScenarioConfig &host,

@@ -26,7 +26,7 @@ namespace neofog::dist {
  * Serve the coordinator on @p fd until SHUTDOWN (returns 0), the
  * coordinator vanishes (returns 1), or a fatal protocol/simulation
  * error (returns 2).  @p cfg is the scenario the worker process was
- * launched with; host-local knobs (threads, pinThreads, ...) apply
+ * launched with; host-local knobs (threads, snapshot) apply
  * inside this worker.  The caller is a freshly forked child and must
  * `_Exit` with the returned code — never unwind into the parent's
  * atexit/destructor state.

@@ -6,15 +6,23 @@
 
 namespace neofog {
 
-SuperCapacitor::SuperCapacitor(const Config &cfg)
-    : _cfg(cfg), _stored(cfg.initial.joules())
+SuperCapacitor::State
+SuperCapacitor::initialState(const Config &cfg)
 {
-    if (_cfg.capacity.joules() <= 0.0)
+    if (cfg.capacity.joules() <= 0.0)
         fatal("super-capacitor capacity must be positive");
-    if (_cfg.initial > _cfg.capacity)
+    if (cfg.initial > cfg.capacity)
         fatal("super-capacitor initial charge exceeds capacity");
-    if (_cfg.initial.joules() < 0.0)
+    if (cfg.initial.joules() < 0.0)
         fatal("super-capacitor initial charge negative");
+    State state;
+    state.stored = cfg.initial;
+    return state;
+}
+
+SuperCapacitor::SuperCapacitor(const Config &cfg)
+    : _cfg(cfg), _state(initialState(cfg))
+{
 }
 
 Energy
@@ -51,13 +59,13 @@ Energy
 CapacitorView::charge(Energy amount)
 {
     NEOFOG_ASSERT(amount.joules() >= -1e-15, "charging negative energy");
-    const double amt = amount.clampedNonNegative().joules();
-    const double room = _cfg->capacity.joules() - *_stored;
-    const double accepted = std::min(amt, room);
-    *_stored += accepted;
-    *_chargedTotal += accepted;
-    *_overflowTotal += amt - accepted;
-    return Energy::fromJoules(accepted);
+    SuperCapacitor::State &s = *_state;
+    const Energy amt = amount.clampedNonNegative();
+    const Energy accepted = std::min(amt, _cfg->capacity - s.stored);
+    s.stored += accepted;
+    s.chargedTotal += accepted;
+    s.overflowTotal += amt - accepted;
+    return accepted;
 }
 
 bool
@@ -65,11 +73,12 @@ CapacitorView::tryDischarge(Energy amount)
 {
     NEOFOG_ASSERT(amount.joules() >= -1e-15,
                   "discharging negative energy");
-    const double amt = amount.clampedNonNegative().joules();
-    if (*_stored < amt)
+    SuperCapacitor::State &s = *_state;
+    const Energy amt = amount.clampedNonNegative();
+    if (s.stored < amt)
         return false;
-    *_stored -= amt;
-    *_dischargedTotal += amt;
+    s.stored -= amt;
+    s.dischargedTotal += amt;
     return true;
 }
 
@@ -77,21 +86,21 @@ Energy
 CapacitorView::drain(Energy amount)
 {
     NEOFOG_ASSERT(amount.joules() >= -1e-15, "draining negative energy");
-    const double amt = amount.clampedNonNegative().joules();
-    const double removed = std::min(amt, *_stored);
-    *_stored -= removed;
-    *_dischargedTotal += removed;
-    return Energy::fromJoules(removed);
+    SuperCapacitor::State &s = *_state;
+    const Energy removed = std::min(amount.clampedNonNegative(), s.stored);
+    s.stored -= removed;
+    s.dischargedTotal += removed;
+    return removed;
 }
 
 void
 CapacitorView::leak(Tick duration)
 {
     NEOFOG_ASSERT(duration >= 0, "negative leak duration");
-    const double loss =
-        std::min((_cfg->leakage * duration).joules(), *_stored);
-    *_stored -= loss;
-    *_leakedTotal += loss;
+    SuperCapacitor::State &s = *_state;
+    const Energy loss = std::min(_cfg->leakage * duration, s.stored);
+    s.stored -= loss;
+    s.leakedTotal += loss;
 }
 
 void
@@ -99,7 +108,7 @@ CapacitorView::setStored(Energy e)
 {
     if (e.joules() < 0.0 || e > _cfg->capacity)
         fatal("setStored outside [0, capacity]");
-    *_stored = e.joules();
+    _state->stored = e;
 }
 
 } // namespace neofog

@@ -13,8 +13,6 @@
 #ifndef NEOFOG_ENERGY_CAPACITOR_HH
 #define NEOFOG_ENERGY_CAPACITOR_HH
 
-#include <string_view>
-
 #include "sim/types.hh"
 #include "sim/units.hh"
 
@@ -25,9 +23,10 @@ class CapacitorView;
 /**
  * A leaky, bounded energy store.
  *
- * The state is five plain joule cells; every mutator runs through a
- * CapacitorView over them, so a standalone capacitor and a NodeShard
- * row execute the one copy of the arithmetic.
+ * The mutable part is one State of five energy cells; every mutator
+ * runs through a CapacitorView over it, so a standalone capacitor and
+ * a node's archived state (NodeState) execute the one copy of the
+ * arithmetic.
  */
 class SuperCapacitor
 {
@@ -52,17 +51,44 @@ class SuperCapacitor
         }
     };
 
+    /** Stored level plus lifetime accounting: what a snapshot keeps. */
+    struct State
+    {
+        Energy stored;
+        Energy chargedTotal;
+        Energy overflowTotal;
+        Energy leakedTotal;
+        Energy dischargedTotal;
+
+        /** Snapshot support (see src/snapshot/). */
+        template <class Archive>
+        void
+        serialize(Archive &ar)
+        {
+            ar.io("stored", stored);
+            ar.io("overflow_total", overflowTotal);
+            ar.io("leaked_total", leakedTotal);
+            ar.io("charged_total", chargedTotal);
+            ar.io("discharged_total", dischargedTotal);
+        }
+    };
+
+    /**
+     * The state a capacitor built from @p cfg starts in: charged to
+     * cfg.initial, clean accounting.  Fatal on an invalid config.
+     */
+    static State initialState(const Config &cfg);
+
     explicit SuperCapacitor(const Config &cfg);
 
     /** Currently stored energy. */
-    Energy stored() const { return Energy::fromJoules(_stored); }
+    Energy stored() const { return _state.stored; }
 
     /** Capacity limit. */
     Energy capacity() const { return _cfg.capacity; }
 
     /** Stored energy as a fraction of capacity, in [0,1]. */
-    double fillFraction() const
-    { return _stored / _cfg.capacity.joules(); }
+    double fillFraction() const { return _state.stored / _cfg.capacity; }
 
     /**
      * Add energy; amounts beyond capacity are rejected and counted.
@@ -87,72 +113,61 @@ class SuperCapacitor
     void leak(Tick duration);
 
     /** Whether at least @p amount is available. */
-    bool has(Energy amount) const { return _stored >= amount.joules(); }
+    bool has(Energy amount) const { return _state.stored >= amount; }
 
     /** Set stored energy directly (testing / scenario setup). */
     void setStored(Energy e);
 
     /** Cumulative energy rejected because the capacitor was full. */
-    Energy overflowTotal() const
-    { return Energy::fromJoules(_overflowTotal); }
+    Energy overflowTotal() const { return _state.overflowTotal; }
 
     /** Cumulative energy lost to self-leakage. */
-    Energy leakedTotal() const { return Energy::fromJoules(_leakedTotal); }
+    Energy leakedTotal() const { return _state.leakedTotal; }
 
     /** Cumulative energy accepted by charge(). */
-    Energy chargedTotal() const
-    { return Energy::fromJoules(_chargedTotal); }
+    Energy chargedTotal() const { return _state.chargedTotal; }
 
     /** Cumulative energy removed by discharge/drain. */
-    Energy dischargedTotal() const
-    { return Energy::fromJoules(_dischargedTotal); }
+    Energy dischargedTotal() const { return _state.dischargedTotal; }
 
-    /** View over this capacitor's own cells. */
+    /** View over this capacitor's own state. */
     CapacitorView view();
 
   private:
     Config _cfg;
-    double _stored;
-    double _chargedTotal = 0.0;
-    double _overflowTotal = 0.0;
-    double _leakedTotal = 0.0;
-    double _dischargedTotal = 0.0;
+    State _state;
 };
 
 /**
- * The capacitor arithmetic over five joule cells.
+ * The capacitor arithmetic over one SuperCapacitor::State.
  *
- * A NodeShard (node_soa.hh) stores each node's capacitor state as
- * contiguous double columns, and SuperCapacitor holds the same five
- * cells as members; CapacitorView binds one set of them to a config
- * and runs charge / discharge / drain / leak on it.  This is the only
- * copy of that floating-point program, so a shard row and a
+ * A standalone SuperCapacitor and every node's NodeState (see
+ * node/node_state.hh) hold a State; CapacitorView binds one of them to
+ * a config and runs charge / discharge / drain / leak on it.  This is
+ * the only copy of that floating-point program, so a node and a
  * standalone capacitor fed the same inputs end on the same bits.
  *
- * Views are cheap value types: five cell pointers plus the config.
- * The config and the cells must outlive the view.
+ * Views are cheap value types: a config pointer and a state pointer.
+ * Both must outlive the view.
  */
 class CapacitorView
 {
   public:
-    CapacitorView(const SuperCapacitor::Config &cfg, double &stored,
-                  double &charged_total, double &overflow_total,
-                  double &leaked_total, double &discharged_total)
-        : _cfg(&cfg), _stored(&stored), _chargedTotal(&charged_total),
-          _overflowTotal(&overflow_total), _leakedTotal(&leaked_total),
-          _dischargedTotal(&discharged_total)
+    CapacitorView(const SuperCapacitor::Config &cfg,
+                  SuperCapacitor::State &state)
+        : _cfg(&cfg), _state(&state)
     {
     }
 
     /** Currently stored energy. */
-    Energy stored() const { return Energy::fromJoules(*_stored); }
+    Energy stored() const { return _state->stored; }
 
     /** Capacity limit. */
     Energy capacity() const { return _cfg->capacity; }
 
     /** Stored energy as a fraction of capacity, in [0,1]. */
     double fillFraction() const
-    { return *_stored / _cfg->capacity.joules(); }
+    { return _state->stored / _cfg->capacity; }
 
     /**
      * Add energy; amounts beyond capacity are rejected and counted.
@@ -177,63 +192,32 @@ class CapacitorView
     void leak(Tick duration);
 
     /** Whether at least @p amount is available. */
-    bool has(Energy amount) const { return *_stored >= amount.joules(); }
+    bool has(Energy amount) const { return _state->stored >= amount; }
 
     /** Set stored energy directly (testing / scenario setup). */
     void setStored(Energy e);
 
     /** Cumulative energy rejected because the capacitor was full. */
-    Energy overflowTotal() const
-    { return Energy::fromJoules(*_overflowTotal); }
+    Energy overflowTotal() const { return _state->overflowTotal; }
 
     /** Cumulative energy lost to self-leakage. */
-    Energy leakedTotal() const
-    { return Energy::fromJoules(*_leakedTotal); }
+    Energy leakedTotal() const { return _state->leakedTotal; }
 
     /** Cumulative energy accepted by charge(). */
-    Energy chargedTotal() const
-    { return Energy::fromJoules(*_chargedTotal); }
+    Energy chargedTotal() const { return _state->chargedTotal; }
 
     /** Cumulative energy removed by discharge/drain. */
-    Energy dischargedTotal() const
-    { return Energy::fromJoules(*_dischargedTotal); }
-
-    /** Snapshot support: stored level plus lifetime accounting. */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ioJoules(ar, "stored", *_stored);
-        ioJoules(ar, "overflow_total", *_overflowTotal);
-        ioJoules(ar, "leaked_total", *_leakedTotal);
-        ioJoules(ar, "charged_total", *_chargedTotal);
-        ioJoules(ar, "discharged_total", *_dischargedTotal);
-    }
+    Energy dischargedTotal() const { return _state->dischargedTotal; }
 
   private:
-    /** Archive one joule cell under the Energy wire type. */
-    template <class Archive>
-    static void
-    ioJoules(Archive &ar, std::string_view key, double &cell)
-    {
-        Energy v = Energy::fromJoules(cell);
-        ar.io(key, v);
-        cell = v.joules();
-    }
-
     const SuperCapacitor::Config *_cfg;
-    double *_stored;
-    double *_chargedTotal;
-    double *_overflowTotal;
-    double *_leakedTotal;
-    double *_dischargedTotal;
+    SuperCapacitor::State *_state;
 };
 
 inline CapacitorView
 SuperCapacitor::view()
 {
-    return {_cfg, _stored, _chargedTotal, _overflowTotal, _leakedTotal,
-            _dischargedTotal};
+    return {_cfg, _state};
 }
 
 } // namespace neofog

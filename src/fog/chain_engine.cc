@@ -14,19 +14,18 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
                          std::size_t chain_index,
                          std::uint32_t first_node_id, Rng rng,
                          std::shared_ptr<const PowerTrace> shared_trace)
-    : _cfg(cfg), _chainIndex(chain_index), _rng(rng), _loss(cfg.loss),
+    : _cfg(cfg), _chainIndex(chain_index),
       _balancer(PolicyRegistry::instance().make(cfg.balancerPolicy)),
-      _sharedTrace(std::move(shared_trace))
+      _sharedTrace(std::move(shared_trace)),
+      _state(rng, cfg.loss)
 {
     const auto mux = static_cast<std::size_t>(_cfg.multiplexing);
     std::uint32_t next_id = first_node_id;
     _nodes.reserve(_cfg.nodesPerChain * mux);
     // All mutable node state lives in the chain's shard; size it for
     // the whole chain up front so node construction never reallocates
-    // (the facades keep raw row pointers into these arrays).
-    _soa.reserveRows(_cfg.nodesPerChain * mux,
-                     static_cast<std::size_t>(std::max(
-                         1, _cfg.nodeTemplate.packageDeadlineSlots)));
+    // (the facades keep pointers into it).
+    _state.nodes.reserve(_cfg.nodesPerChain * mux);
     for (std::size_t l = 0; l < _cfg.nodesPerChain; ++l) {
         std::vector<std::size_t> members;
         for (std::size_t m = 0; m < mux; ++m) {
@@ -36,14 +35,14 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
             ncfg.rtc.interval = _cfg.slotInterval;
             members.push_back(_nodes.size());
             _nodes.push_back(std::make_unique<Node>(
-                ncfg, makeTrace(), _rng.fork(), _soa));
+                ncfg, makeTrace(), _state.rng.fork(), _state.nodes));
         }
-        _groups.emplace_back(l, std::move(members));
+        _state.groups.emplace_back(l, std::move(members));
     }
-    _aliveLastSlot.assign(_cfg.nodesPerChain, true);
-    _scheduled.reserve(_groups.size());
-    _lbStates.reserve(_groups.size());
-    _lbOutcome.moves.reserve(_groups.size());
+    _state.aliveLastSlot.assign(_cfg.nodesPerChain, true);
+    _scheduled.reserve(_state.groups.size());
+    _lbStates.reserve(_state.groups.size());
+    _lbOutcome.moves.reserve(_state.groups.size());
     _windowMemo.reserve(4);
     _balancerIsNoop = _balancer->name() == "none";
 
@@ -63,10 +62,11 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
         n->stats().storedEnergyMj.reserve(slots / mux + 2);
 
     if (_cfg.probes.enabled) {
-        _probe.storedEnergyMj.reset(_cfg.probes.capacity);
-        _probe.yieldFrac.reset(_cfg.probes.capacity);
-        _probe.balancedTasks.reset(_cfg.probes.capacity);
-        _probe.depletionFailures.reset(_cfg.probes.capacity);
+        ChainProbe &probe = _state.probe;
+        probe.storedEnergyMj.reset(_cfg.probes.capacity);
+        probe.yieldFrac.reset(_cfg.probes.capacity);
+        probe.balancedTasks.reset(_cfg.probes.capacity);
+        probe.depletionFailures.reset(_cfg.probes.capacity);
     }
 }
 
@@ -76,22 +76,22 @@ ChainEngine::makeTrace()
     const Tick span = _cfg.horizon + 2 * _cfg.slotInterval;
     switch (_cfg.traceKind) {
       case TraceKind::ForestIndependent:
-        return traces::makeForestTrace(_rng, span, _cfg.meanIncome);
+        return traces::makeForestTrace(_state.rng, span, _cfg.meanIncome);
       case TraceKind::BridgeDependent:
-        return traces::makeBridgeTrace(_cfg.profileIndex, _rng, span,
+        return traces::makeBridgeTrace(_cfg.profileIndex, _state.rng, span,
                                        _cfg.meanIncome);
       case TraceKind::MountainSunny:
-        return traces::makeMountainTrace(_rng, span, _cfg.meanIncome);
+        return traces::makeMountainTrace(_state.rng, span, _cfg.meanIncome);
       case TraceKind::RainLow:
         // Dependent: all nodes share the deployment's spell schedule.
         // With the energy cache on, FogSystem built (and prefix-
         // summed) that stream once; each node only adds its gain.
         if (_sharedTrace) {
             return std::make_unique<ScaledTrace>(
-                _cfg.meanIncome.watts() * traces::rainNodeGain(_rng),
+                _cfg.meanIncome.watts() * traces::rainNodeGain(_state.rng),
                 _sharedTrace);
         }
-        return traces::makeRainTrace(_cfg.seed * 131 + 7, _rng, span,
+        return traces::makeRainTrace(_cfg.seed * 131 + 7, _state.rng, span,
                                      _cfg.meanIncome);
       case TraceKind::Constant:
         return std::make_unique<ConstantTrace>(_cfg.meanIncome);
@@ -118,10 +118,10 @@ ChainEngine::updateMembership(std::int64_t slot_index)
     const std::int64_t every =
         _cfg.membershipUpdateInterval / _cfg.slotInterval;
     if (every > 0 && slot_index % every == 0) {
-        for (CloneGroup &g : _groups) {
+        for (CloneGroup &g : _state.groups) {
             if (g.multiplier() > 1) {
                 g.rotateMembership();
-                ++_shard.membershipUpdates;
+                ++_state.report.membershipUpdates;
             }
         }
     }
@@ -139,7 +139,7 @@ ChainEngine::runSlot(std::int64_t slot_index)
     // the per-slot loop allocation-free.
     std::vector<Node *> &scheduled = _scheduled;
     scheduled.clear();
-    for (const CloneGroup &g : _groups)
+    for (const CloneGroup &g : _state.groups)
         scheduled.push_back(_nodes[g.memberForSlot(slot_index)].get());
 
     if (_hoist != IncomeHoist::None) {
@@ -250,14 +250,14 @@ ChainEngine::sampleProbe(std::int64_t slot_index, Tick now)
         static_cast<double>(_cfg.nodesPerChain) *
         static_cast<double>(_cfg.slotCount());
     const double delivered = static_cast<double>(
-        _shard.packagesToCloud + _shard.packagesInFog);
+        _state.report.packagesToCloud + _state.report.packagesInFog);
 
-    _probe.storedEnergyMj.push(now, stored_mj);
-    _probe.yieldFrac.push(
+    _state.probe.storedEnergyMj.push(now, stored_mj);
+    _state.probe.yieldFrac.push(
         now, chain_ideal > 0.0 ? delivered / chain_ideal : 0.0);
-    _probe.balancedTasks.push(
-        now, static_cast<double>(_shard.tasksBalancedAway));
-    _probe.depletionFailures.push(
+    _state.probe.balancedTasks.push(
+        now, static_cast<double>(_state.report.tasksBalancedAway));
+    _state.probe.depletionFailures.push(
         now, static_cast<double>(depletions));
 }
 
@@ -267,30 +267,30 @@ ChainEngine::maybeServeRealTimeRequest(
     std::size_t logical_idx)
 {
     if (_cfg.realTimeRequestChance <= 0.0 ||
-        !_rng.chance(_cfg.realTimeRequestChance))
+        !_state.rng.chance(_cfg.realTimeRequestChance))
         return;
     // The control node wants this node's current sample immediately:
     // raw, unbuffered, no fog processing (paper §5.1).
     const std::size_t raw = _cfg.nodeTemplate.rawPackageBytes;
     if (node.pendingPackages() == 0) {
-        ++_shard.rtRequestsMissed;
+        ++_state.report.rtRequestsMissed;
         return;
     }
-    const int attempts = _loss.deliver(_rng);
+    const int attempts = _state.loss.deliver(_state.rng);
     const int paid =
-        attempts == 0 ? _loss.config().maxRetries + 1 : attempts;
+        attempts == 0 ? _state.loss.config().maxRetries + 1 : attempts;
     if (!node.payTransmit(raw, paid) || attempts == 0) {
-        ++_shard.rtRequestsMissed;
+        ++_state.report.rtRequestsMissed;
         return;
     }
     if (!relayToSink(scheduled, logical_idx, raw)) {
-        ++_shard.rtRequestsMissed;
+        ++_state.report.rtRequestsMissed;
         return;
     }
     node.addPendingPackages(-1);
     node.stats().packagesToCloud.increment();
-    ++_shard.packagesToCloud;
-    ++_shard.rtRequestsServed;
+    ++_state.report.packagesToCloud;
+    ++_state.report.rtRequestsServed;
 }
 
 bool
@@ -311,14 +311,14 @@ ChainEngine::relayToSink(const std::vector<Node *> &scheduled,
             continue; // bypassed
         if (!relay->payReceive(payload_bytes) ||
             !relay->payTransmit(payload_bytes)) {
-            ++_shard.relayDrops;
+            ++_state.report.relayDrops;
             return false;
         }
-        if (!_loss.attempt(_rng)) {
-            ++_shard.relayDrops;
+        if (!_state.loss.attempt(_state.rng)) {
+            ++_state.report.relayDrops;
             return false;
         }
-        ++_shard.relayHops;
+        ++_state.report.relayHops;
     }
     return true;
 }
@@ -349,7 +349,7 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
 
     for (std::size_t l = 0; l < n; ++l) {
         const bool now = scheduled[l]->awake();
-        const bool before = _aliveLastSlot[l];
+        const bool before = _state.aliveLastSlot[l];
         if (before && !now) {
             // Newly dead: the upstream neighbour scans, the
             // downstream one confirms.
@@ -362,7 +362,7 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
                 right->payReceive(Mac::Config{}.orphanScanBytes);
                 right->payControlMessage(
                     Mac::Config{}.scanConfirmBytes);
-                ++_shard.orphanScans;
+                ++_state.report.orphanScans;
             }
         } else if (!before && now) {
             // Recovered: broadcast presence, neighbours re-associate.
@@ -376,9 +376,9 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
             }
             scheduled[l]->payReceive(
                 Mac::Config{}.devListEntryBytes);
-            ++_shard.rejoins;
+            ++_state.report.rejoins;
         }
-        _aliveLastSlot[l] = now;
+        _state.aliveLastSlot[l] = now;
     }
 }
 
@@ -422,14 +422,14 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
         n->payControlMessage(4);
     }
 
-    Rng lb_rng = _rng.fork();
+    Rng lb_rng = _state.rng.fork();
     // Engine-owned scratch outcome: balanceInto reuses the moves
     // capacity across slots instead of allocating a fresh vector.
     _balancer->balanceInto(states, lb_rng, _lbOutcome);
     const LbOutcome &outcome = _lbOutcome;
-    _shard.lbMessages +=
+    _state.report.lbMessages +=
         static_cast<std::uint64_t>(outcome.messagesExchanged);
-    _shard.lbFailedRegions +=
+    _state.report.lbFailedRegions +=
         static_cast<std::uint64_t>(outcome.failedRegions);
 
     const std::size_t raw = _cfg.nodeTemplate.rawPackageBytes;
@@ -444,13 +444,13 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
                 break;
             // Ship the raw package over the chain (virtual buffers,
             // loss applies per transfer).
-            const int attempts = _loss.deliver(_rng);
+            const int attempts = _state.loss.deliver(_state.rng);
             const int paid = attempts == 0
-                ? _loss.config().maxRetries + 1 : attempts;
+                ? _state.loss.config().maxRetries + 1 : attempts;
             if (!from->payTransmit(raw, paid))
                 break;
             if (attempts == 0) {
-                ++_shard.txLost;
+                ++_state.report.txLost;
                 from->stats().txFailures.increment();
                 from->addPendingPackages(-1);
                 continue; // raw data lost in transit
@@ -466,7 +466,7 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
                 static_cast<std::uint64_t>(shipped));
             to->stats().tasksReceived.increment(
                 static_cast<std::uint64_t>(shipped));
-            _shard.tasksBalancedAway +=
+            _state.report.tasksBalancedAway +=
                 static_cast<std::uint64_t>(shipped);
         }
     }
@@ -491,27 +491,27 @@ ChainEngine::executeAndTransmit(Node &node,
             break;
         if (node.executeTasks(1) == 0)
             break;
-        const int attempts = _loss.deliver(_rng);
+        const int attempts = _state.loss.deliver(_state.rng);
         const int paid = attempts == 0
-            ? _loss.config().maxRetries + 1 : attempts;
+            ? _state.loss.config().maxRetries + 1 : attempts;
         if (!node.payTransmit(result_bytes, paid)) {
             // Processed but unshippable this slot.
-            ++_shard.txAborted;
+            ++_state.report.txAborted;
             break;
         }
         if (attempts == 0) {
             node.stats().txFailures.increment();
-            ++_shard.txLost;
+            ++_state.report.txLost;
             continue;
         }
         if (!relayToSink(scheduled, logical_idx, result_bytes))
             continue;
         if (vp) {
             node.stats().packagesToCloud.increment();
-            ++_shard.packagesToCloud;
+            ++_state.report.packagesToCloud;
         } else {
             node.stats().packagesInFog.increment();
-            ++_shard.packagesInFog;
+            ++_state.report.packagesInFog;
         }
     }
 
@@ -522,21 +522,21 @@ ChainEngine::executeAndTransmit(Node &node,
            node.canCompleteIncidental()) {
         if (node.executeIncidentalTasks(1) == 0)
             break;
-        const int attempts = _loss.deliver(_rng);
+        const int attempts = _state.loss.deliver(_state.rng);
         const int paid = attempts == 0
-            ? _loss.config().maxRetries + 1 : attempts;
+            ? _state.loss.config().maxRetries + 1 : attempts;
         if (!node.payTransmit(result_bytes, paid)) {
-            ++_shard.txAborted;
+            ++_state.report.txAborted;
             break;
         }
         if (attempts == 0) {
             node.stats().txFailures.increment();
-            ++_shard.txLost;
+            ++_state.report.txLost;
             continue;
         }
         if (!relayToSink(scheduled, logical_idx, result_bytes))
             continue;
-        ++_shard.packagesIncidental;
+        ++_state.report.packagesIncidental;
     }
 
     // An NVP node with leftover transmit energy but no compute budget
@@ -547,16 +547,16 @@ ChainEngine::executeAndTransmit(Node &node,
     if (!vp && node.pendingPackages() > 0 &&
         node.classify() == EnergyClass::Extra &&
         !node.canCompleteOnePackage()) {
-        const int attempts = _loss.deliver(_rng);
+        const int attempts = _state.loss.deliver(_state.rng);
         const int paid = attempts == 0
-            ? _loss.config().maxRetries + 1 : attempts;
+            ? _state.loss.config().maxRetries + 1 : attempts;
         if (node.payTransmit(_cfg.nodeTemplate.rawPackageBytes, paid) &&
             attempts != 0 &&
             relayToSink(scheduled, logical_idx,
                         _cfg.nodeTemplate.rawPackageBytes)) {
             node.addPendingPackages(-1);
             node.stats().packagesToCloud.increment();
-            ++_shard.packagesToCloud;
+            ++_state.report.packagesToCloud;
         }
     }
 }
@@ -566,18 +566,18 @@ ChainEngine::finalizeShard()
 {
     for (const auto &node : _nodes) {
         const NodeStats &st = node->stats();
-        _shard.wakeups += st.wakeups.value();
-        _shard.depletionFailures += st.depletionFailures.value();
-        _shard.packagesSampled += st.packagesSampled.value();
-        _shard.rtcResyncs += st.rtcResyncs.value();
-        _shard.capOverflowMj +=
+        _state.report.wakeups += st.wakeups.value();
+        _state.report.depletionFailures += st.depletionFailures.value();
+        _state.report.packagesSampled += st.packagesSampled.value();
+        _state.report.rtcResyncs += st.rtcResyncs.value();
+        _state.report.capOverflowMj +=
             node->capacitor().overflowTotal().millijoules();
-        _shard.spentComputeMj += st.spentCompute.millijoules();
-        _shard.spentTxMj += st.spentTx.millijoules();
-        _shard.spentRxMj += st.spentRx.millijoules();
-        _shard.spentSampleMj += st.spentSample.millijoules();
-        _shard.spentWakeMj += st.spentWake.millijoules();
-        _shard.harvestedMj += st.harvestedTotal.millijoules();
+        _state.report.spentComputeMj += st.spentCompute.millijoules();
+        _state.report.spentTxMj += st.spentTx.millijoules();
+        _state.report.spentRxMj += st.spentRx.millijoules();
+        _state.report.spentSampleMj += st.spentSample.millijoules();
+        _state.report.spentWakeMj += st.spentWake.millijoules();
+        _state.report.harvestedMj += st.harvestedTotal.millijoules();
     }
 }
 

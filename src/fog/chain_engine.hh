@@ -9,7 +9,9 @@
  * slot — its physical nodes, NVD4Q clone groups, heal/relay/real-time
  * logic, a private Rng stream forked from the scenario seed in chain
  * order, private LossModel state, a private LoadBalancer, and a
- * SystemReport shard.  Because no two engines share mutable state,
+ * SystemReport shard.  What of that a snapshot keeps is one
+ * ChainState; the rest is rebuilt from the scenario or is per-slot
+ * scratch.  Because no two engines share mutable state,
  * FogSystem can run the engines of one slot on any number of threads
  * and still produce bit-identical results (see DESIGN.md, "Threading
  * and determinism model").
@@ -60,6 +62,47 @@ struct ChainProbe
 };
 
 /**
+ * Everything about one chain that mutates after construction — what a
+ * snapshot archives of it, in record order.
+ */
+struct ChainState
+{
+    /** A fresh chain: @p stream, clean loss accounting, no nodes yet. */
+    ChainState(Rng stream, const LossModel::Config &loss_cfg)
+        : rng(stream), loss(loss_cfg)
+    {
+    }
+
+    Rng rng;
+    LossModel loss;
+    /** Whether each logical position was alive last slot. */
+    std::vector<bool> aliveLastSlot;
+    /** NVD4Q clone groups, in logical-node order. */
+    std::vector<CloneGroup> groups;
+    /** The chain's report shard. */
+    SystemReport report;
+    ChainProbe probe;
+    /** Physical nodes' states, in id order. */
+    NodeShard nodes;
+
+    /** Snapshot support (see src/snapshot/). */
+    template <class Archive>
+    void
+    serialize(Archive &ar)
+    {
+        ar.io("rng", rng);
+        ar.io("loss", loss);
+        ar.io("alive_last_slot", aliveLastSlot);
+        for (std::size_t i = 0; i < groups.size(); ++i)
+            ar.io("group" + std::to_string(i), groups[i]);
+        ar.io("shard", report);
+        ar.io("probe", probe);
+        for (std::size_t i = 0; i < nodes.rows(); ++i)
+            ar.io("node" + std::to_string(i), nodes[i]);
+    }
+};
+
+/**
  * Simulator for one independent chain of an energy-harvesting WSN.
  */
 class ChainEngine
@@ -90,10 +133,10 @@ class ChainEngine
     void finalizeShard();
 
     /** This engine's report shard (valid after finalizeShard). */
-    const SystemReport &shard() const { return _shard; }
+    const SystemReport &shard() const { return _state.report; }
 
     /** This chain's probe series (empty unless cfg.probes.enabled). */
-    const ChainProbe &probe() const { return _probe; }
+    const ChainProbe &probe() const { return _state.probe; }
 
     std::size_t chainIndex() const { return _chainIndex; }
 
@@ -102,33 +145,22 @@ class ChainEngine
     { return _nodes; }
 
     /** NVD4Q clone groups, in logical-node order. */
-    const std::vector<CloneGroup> &groups() const { return _groups; }
+    const std::vector<CloneGroup> &groups() const
+    { return _state.groups; }
 
-    /** The chain's SoA state arrays (memory accounting, diagnostics). */
-    const NodeShard &soa() const { return _soa; }
+    /** The chain's node states (memory accounting, diagnostics). */
+    const NodeShard &soa() const { return _state.nodes; }
 
     const Node &node(std::size_t physical_idx) const;
 
     /**
-     * Snapshot support (see src/snapshot/): archives every field that
-     * mutates after construction.  The config reference, the balancer
-     * (stateless policy object), the shared trace, and the per-slot
-     * scratch vectors are reconstruction-derived and not archived.
+     * Everything a snapshot archives of this chain.  The config, the
+     * balancer, the shared trace, the Node facades and the per-slot
+     * scratch are rebuilt by constructing the engine, so a resume
+     * constructs it and then overwrites this.
      */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("rng", _rng);
-        ar.io("loss", _loss);
-        ar.io("alive_last_slot", _aliveLastSlot);
-        for (std::size_t i = 0; i < _groups.size(); ++i)
-            ar.io("group" + std::to_string(i), _groups[i]);
-        ar.io("shard", _shard);
-        ar.io("probe", _probe);
-        for (std::size_t i = 0; i < _nodes.size(); ++i)
-            ar.io("node" + std::to_string(i), *_nodes[i]);
-    }
+    ChainState &state() { return _state; }
+    const ChainState &state() const { return _state; }
 
   private:
     /** Build the trace for one physical node. */
@@ -191,12 +223,10 @@ class ChainEngine
     void sampleProbe(std::int64_t slot_index, Tick now);
 
     const ScenarioConfig &_cfg;
-    std::size_t _chainIndex; // neofog-lint: allow(snapshot): chain position is construction-derived from the scenario layout
-    Rng _rng;
-    LossModel _loss;
-    std::unique_ptr<LoadBalancer> _balancer; // neofog-lint: allow(snapshot): the balancer is re-built from the scenario policy spec on resume; stateful policies archive via LbState
+    std::size_t _chainIndex;
+    std::unique_ptr<LoadBalancer> _balancer;
     /** Cached `_balancer->name() == "none"` (checked every slot). */
-    bool _balancerIsNoop = false; // neofog-lint: allow(snapshot): cached predicate over the rebuilt balancer (recomputed at construction)
+    bool _balancerIsNoop = false;
 
     /**
      * Scenario-wide shared stream (see FogSystem::_sharedTrace); node
@@ -205,30 +235,25 @@ class ChainEngine
     std::shared_ptr<const PowerTrace> _sharedTrace;
 
     /** Hoist this chain's trace shape allows (set at construction). */
-    IncomeHoist _hoist = IncomeHoist::None; // neofog-lint: allow(snapshot): construction-time path selection (pure function of the trace shape)
+    IncomeHoist _hoist = IncomeHoist::None;
 
     /**
-     * SoA state of every node in this chain (see node_soa.hh).  Must
-     * be declared before _nodes: the Node facades point into these
-     * arrays and must be destroyed first.
+     * Must be declared before _nodes: the Node facades point into
+     * its node shard and must be destroyed first.
      */
-    NodeShard _soa; // neofog-lint: allow(snapshot): the SoA shard rows are archived through the Node facades (*_nodes[i] below walks every row)
+    ChainState _state;
 
     /** Physical nodes of this chain, in id order. */
     std::vector<std::unique_ptr<Node>> _nodes;
-    /** Clone groups (size nodesPerChain). */
-    std::vector<CloneGroup> _groups;
-    /** Whether each logical position was alive last slot. */
-    std::vector<bool> _aliveLastSlot;
 
     /**
      * Per-slot scratch, kept as members so the hot loop reuses their
      * capacity instead of reallocating every slot.  Valid only within
      * one runSlot/balance invocation.
      */
-    std::vector<Node *> _scheduled; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
-    std::vector<LbNodeState> _lbStates; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
-    LbOutcome _lbOutcome; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
+    std::vector<Node *> _scheduled;
+    std::vector<LbNodeState> _lbStates;
+    LbOutcome _lbOutcome;
 
     /** One accrual window the income hoist integrated. */
     struct IncomeWindow
@@ -238,10 +263,7 @@ class ChainEngine
         Energy unit; ///< shared-trace (or constant-level) integral
     };
     /** Windows integrated this slot (scratch for beginSlotBatch). */
-    std::vector<IncomeWindow> _windowMemo; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one beginSlotBatch; reconstructed empty on resume
-
-    SystemReport _shard;
-    ChainProbe _probe;
+    std::vector<IncomeWindow> _windowMemo;
 };
 
 } // namespace neofog

@@ -65,16 +65,15 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
         streams.push_back(root.fork());
 
     // The pool exists before the engines so construction itself can
-    // run under the *chunked* partition: chain c's shard arrays are
+    // run under the *chunked* partition: chain c's node states are
     // allocated and first-written by the same pool thread that will
     // sweep them every slot (slotTick below uses the same stable
-    // chunk→thread mapping), so with --pin-threads the OS places each
-    // shard's pages on the worker's own core/NUMA node (first-touch).
+    // chunk→thread mapping).
     const std::size_t owned = _chainHi - _chainLo;
     const unsigned threads = _cfg.threads == 0
         ? ThreadPool::hardwareThreads() : _cfg.threads;
     if (threads > 1 && owned > 1)
-        _pool = std::make_unique<ThreadPool>(threads, _cfg.pinThreads);
+        _pool = std::make_unique<ThreadPool>(threads);
 
     // Engine construction is chain-parallel for the same reason the
     // slot loop is: engine c writes only its own slot (distinct
@@ -230,23 +229,21 @@ FogSystem::saveSnapshot(std::int64_t slot)
         system.data = ar.take();
     }
 
-    // Chain shards serialize concurrently — each walk touches only its
-    // own engine's state, draws nothing from any RNG, and writes into
-    // its own buffer — then land in the snapshot in chain order, so
-    // the byte stream is identical for any thread count.  Sections are
-    // named by *global* chain index: a partition system (distributed
-    // worker) writes exactly its [chainLo, chainHi) slice, and the
-    // union of the workers' files covers the same sections a
-    // single-process snapshot holds.
+    // Chain states serialize concurrently — each walk touches only
+    // its own engine's state, draws nothing from any RNG, and writes
+    // into its own buffer — then land in the snapshot in chain order,
+    // so the byte stream is identical for any thread count.  Sections
+    // are named by *global* chain index: a partition system
+    // (distributed worker) writes exactly its [chainLo, chainHi)
+    // slice, and the union of the workers' files covers the same
+    // sections a single-process snapshot holds.
     std::vector<snapshot::Section> chain_sections(_engines.size());
     parallelForChunked(_pool.get(), _engines.size(),
                        [&](std::size_t i) {
         const std::string name =
             "chain" + std::to_string(_engines[i]->chainIndex());
         snapshot::OutArchive ar;
-        ar.pushScope(name);
-        _engines[i]->serialize(ar);
-        ar.popScope();
+        ar.io(name, _engines[i]->state());
         chain_sections[i].name = name;
         chain_sections[i].data = ar.take();
     });
@@ -265,56 +262,13 @@ FogSystem::saveSnapshot(std::int64_t slot)
 
 std::unique_ptr<FogSystem>
 FogSystem::resume(const std::string &path, unsigned threads,
-                  ScenarioConfig::SnapshotConfig snap_cfg,
-                  bool pin_threads)
+                  ScenarioConfig::SnapshotConfig snap_cfg)
 {
     const snapshot::LoadedSnapshot loaded = snapshot::loadSnapshot(path);
-    const std::string &file = loaded.path;
-    const snapshot::Snapshot &snap = loaded.snap;
-
-    const snapshot::Section *config = snap.find("config");
-    if (config == nullptr)
-        fatal("snapshot ", file, " has no config section");
-    ScenarioConfig cfg = deserializeScenarioBlob(config->data);
+    ScenarioConfig cfg = archivedScenario(loaded);
     cfg.threads = threads;
     cfg.snapshot = std::move(snap_cfg);
-    cfg.pinThreads = pin_threads;
-
-    if (snap.chains != cfg.chains)
-        fatal("snapshot ", file, " header claims ", snap.chains,
-              " chains but its config section has ", cfg.chains);
-    if (snap.slot < 0 || snap.slot > cfg.slotCount())
-        fatal("snapshot ", file, " slot ", snap.slot,
-              " lies outside the scenario horizon of ",
-              cfg.slotCount(), " slots");
-    if (snap.seed != cfg.seed)
-        fatal("snapshot ", file, " header seed ", snap.seed,
-              " does not match its config section seed ", cfg.seed);
-
-    // Reconstruct-then-overwrite: the constructor deterministically
-    // rebuilds traces, engines, and nodes exactly as the original run
-    // did (same seed, same fork order), and the archived state then
-    // replaces every mutable field.  Restoring is chain-parallel for
-    // the same reason serializing is; a corrupt section throws out of
-    // parallelFor and the half-built system is discarded whole.
-    auto system = std::make_unique<FogSystem>(cfg);
-    parallelForChunked(system->_pool.get(), system->_engines.size(),
-                       [&](std::size_t c) {
-        const std::string name = "chain" + std::to_string(c);
-        const snapshot::Section *sec = snap.find(name);
-        if (sec == nullptr)
-            fatal("snapshot ", file, " is missing section '", name,
-                  "'");
-        snapshot::InArchive ar(sec->data);
-        ar.pushScope(name);
-        system->_engines[c]->serialize(ar);
-        ar.popScope();
-        if (!ar.atEnd())
-            fatal("snapshot ", file, " section '", name,
-                  "' has trailing records (format/version skew?)");
-    });
-    system->_resumeSlot = snap.slot;
-    return system;
+    return restore(loaded, cfg, 0, cfg.chains);
 }
 
 std::unique_ptr<FogSystem>
@@ -331,13 +285,7 @@ FogSystem::resumePartition(const snapshot::LoadedSnapshot &loaded,
                            const ScenarioConfig &host,
                            std::size_t chain_lo, std::size_t chain_hi)
 {
-    const std::string &file = loaded.path;
-    const snapshot::Snapshot &snap = loaded.snap;
-
-    const snapshot::Section *config = snap.find("config");
-    if (config == nullptr)
-        fatal("snapshot ", file, " has no config section");
-    ScenarioConfig cfg = deserializeScenarioBlob(config->data);
+    ScenarioConfig cfg = archivedScenario(loaded);
 
     // The worker already validated its scenario against the
     // coordinator's fingerprint at HELLO time; cross-check the
@@ -345,14 +293,22 @@ FogSystem::resumePartition(const snapshot::LoadedSnapshot &loaded,
     // stale directory (earlier run, different scenario) is rejected
     // before any engine state is overwritten.
     if (scenarioFingerprint(cfg) != scenarioFingerprint(host))
-        fatal("partition snapshot ", file, " archives a different "
+        fatal("partition snapshot ", loaded.path, " archives a different "
               "scenario than this worker was assigned — stale "
               "snapshot directory?");
 
     cfg.threads = host.threads;
     cfg.snapshot = host.snapshot;
-    cfg.pinThreads = host.pinThreads;
+    return restore(loaded, cfg, chain_lo, chain_hi);
+}
 
+std::unique_ptr<FogSystem>
+FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
+                   const ScenarioConfig &cfg, std::size_t chain_lo,
+                   std::size_t chain_hi)
+{
+    const std::string &file = loaded.path;
+    const snapshot::Snapshot &snap = loaded.snap;
     if (snap.chains != cfg.chains)
         fatal("snapshot ", file, " header claims ", snap.chains,
               " chains but its config section has ", cfg.chains);
@@ -364,23 +320,25 @@ FogSystem::resumePartition(const snapshot::LoadedSnapshot &loaded,
         fatal("snapshot ", file, " header seed ", snap.seed,
               " does not match its config section seed ", cfg.seed);
 
-    // Reconstruct-then-overwrite over the partition slice, exactly as
-    // the full resume does over all chains.
-    auto system =
-        std::make_unique<FogSystem>(cfg, chain_lo, chain_hi);
+    // Reconstruct-then-overwrite: the constructor deterministically
+    // rebuilds traces, engines, and nodes exactly as the original run
+    // did (same seed, same fork order), and each chain's archived
+    // ChainState then replaces all of its mutable state.  Restoring
+    // is chain-parallel for the same reason serializing is; a corrupt
+    // section throws out of parallelFor and the half-built system is
+    // discarded whole.
+    auto system = std::make_unique<FogSystem>(cfg, chain_lo, chain_hi);
     parallelForChunked(system->_pool.get(), system->_engines.size(),
                        [&](std::size_t i) {
+        ChainEngine &engine = *system->_engines[i];
         const std::string name =
-            "chain" +
-            std::to_string(system->_engines[i]->chainIndex());
+            "chain" + std::to_string(engine.chainIndex());
         const snapshot::Section *sec = snap.find(name);
         if (sec == nullptr)
-            fatal("partition snapshot ", file, " is missing section '",
-                  name, "' — written by a different chain range?");
+            fatal("snapshot ", file, " is missing section '", name,
+                  "' (written for a different chain range?)");
         snapshot::InArchive ar(sec->data);
-        ar.pushScope(name);
-        system->_engines[i]->serialize(ar);
-        ar.popScope();
+        ar.io(name, engine.state());
         if (!ar.atEnd())
             fatal("snapshot ", file, " section '", name,
                   "' has trailing records (format/version skew?)");

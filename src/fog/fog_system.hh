@@ -58,18 +58,16 @@ class FogSystem
      * Reconstruct a system from a snapshot (see src/snapshot/): @p path
      * names either a snapshot file or a directory, which resolves to
      * its newest fully valid snapshot.  The scenario is rebuilt from
-     * the snapshot's own config section; @p threads, @p snap, and
-     * @p pin_threads replace the host-local knobs (none influences
-     * results).  run() on the returned system
-     * continues at the snapshot's slot and produces a report
-     * bit-identical to the uninterrupted run.  Fatal on any
-     * corruption or config mismatch — a resume applies completely or
-     * not at all.
+     * the snapshot's own config section; @p threads and @p snap
+     * replace the host-local knobs (neither influences results).
+     * run() on the returned system continues at the snapshot's slot
+     * and produces a report bit-identical to the uninterrupted run.
+     * Fatal on any corruption or config mismatch — a resume applies
+     * completely or not at all.
      */
     static std::unique_ptr<FogSystem>
     resume(const std::string &path, unsigned threads = 1,
-           ScenarioConfig::SnapshotConfig snap = {},
-           bool pin_threads = false);
+           ScenarioConfig::SnapshotConfig snap = {});
 
     /**
      * Partition resume: reconstruct the chain range [chain_lo,
@@ -77,8 +75,8 @@ class FogSystem
      * cover exactly that range; see the partition constructor and the
      * distributed worker loop).  The scenario is rebuilt from the
      * snapshot's config section; @p host supplies the host-local
-     * knobs (threads, snapshot, pinThreads — none influences results)
-     * and must otherwise match the archived scenario fingerprint.
+     * knobs (threads, snapshot — neither influences results) and must
+     * otherwise match the archived scenario fingerprint.
      * Fatal on any corruption, range, or config mismatch.
      */
     static std::unique_ptr<FogSystem>
@@ -190,6 +188,17 @@ class FogSystem
 
     /** The chain-parallel body of one slot (no scheduling). */
     void runOneSlot(std::int64_t slot_index);
+
+    /**
+     * The resume core shared by resume() and resumePartition(): check
+     * @p loaded's header against @p cfg, construct chains [chain_lo,
+     * chain_hi) of @p cfg, then overwrite each chain's ChainState from
+     * its section.
+     */
+    static std::unique_ptr<FogSystem>
+    restore(const snapshot::LoadedSnapshot &loaded,
+            const ScenarioConfig &cfg, std::size_t chain_lo,
+            std::size_t chain_hi);
 
     ScenarioConfig _cfg;
     Simulator _sim;

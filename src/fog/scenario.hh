@@ -157,16 +157,6 @@ struct ScenarioConfig
      */
     unsigned threads = 1;
 
-    /**
-     * Pin each worker thread of the chain loop to one CPU (Linux
-     * only; a no-op elsewhere).  Combined with the chunked static
-     * chain partition and first-touch shard construction, pinning
-     * keeps each chain's shard pages on the worker that sweeps them.
-     * Host-local operational configuration like `threads`: excluded
-     * from the scenario fingerprint, never affects results.
-     */
-    bool pinThreads = false;
-
     /** Ideal package count: logical nodes x chains x slots. */
     std::uint64_t idealPackages() const;
     /** Slots in the horizon. */

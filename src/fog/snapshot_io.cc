@@ -26,6 +26,15 @@ deserializeScenarioBlob(std::string_view blob)
     return cfg;
 }
 
+ScenarioConfig
+archivedScenario(const snapshot::LoadedSnapshot &loaded)
+{
+    const snapshot::Section *config = loaded.snap.find("config");
+    if (config == nullptr)
+        fatal("snapshot ", loaded.path, " has no config section");
+    return deserializeScenarioBlob(config->data);
+}
+
 std::uint64_t
 scenarioFingerprint(const ScenarioConfig &cfg)
 {

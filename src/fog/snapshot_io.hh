@@ -22,6 +22,7 @@
 
 #include "fog/scenario.hh"
 #include "snapshot/archive.hh"
+#include "snapshot/snapshot.hh"
 
 namespace neofog {
 
@@ -118,6 +119,12 @@ std::string serializeScenarioBlob(const ScenarioConfig &cfg);
  * corruption).  The host-local knobs come back at their defaults.
  */
 ScenarioConfig deserializeScenarioBlob(std::string_view blob);
+
+/**
+ * The scenario @p loaded archives in its config section.  Fatal when
+ * the section is missing or does not decode.
+ */
+ScenarioConfig archivedScenario(const snapshot::LoadedSnapshot &loaded);
 
 /** FNV-1a hash of the canonical encoding (the config fingerprint). */
 std::uint64_t scenarioFingerprint(const ScenarioConfig &cfg);

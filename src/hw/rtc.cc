@@ -4,20 +4,27 @@
 
 namespace neofog {
 
-Rtc::Rtc(const Config &cfg)
-    : _cfg(cfg), _cap(cfg.cap)
+Rtc::State
+Rtc::initialState(const Config &cfg)
 {
-    if (_cfg.interval <= 0)
+    if (cfg.interval <= 0)
         fatal("RTC interval must be positive");
-    if (_cfg.chargePriority < 0.0 || _cfg.chargePriority > 1.0)
+    if (cfg.chargePriority < 0.0 || cfg.chargePriority > 1.0)
         fatal("RTC charge priority must be in [0,1]");
+    State state;
+    state.cap = SuperCapacitor::initialState(cfg.cap);
+    return state;
+}
+
+Rtc::Rtc(const Config &cfg)
+    : _cfg(cfg), _state(initialState(cfg))
+{
 }
 
 void
 Rtc::advance(Tick duration, Energy income)
 {
-    RtcView(_cfg, _cap.view(), _synchronized, _desyncs)
-        .advance(duration, income);
+    RtcView(_cfg, _state).advance(duration, income);
 }
 
 Tick
@@ -48,14 +55,15 @@ void
 RtcView::advance(Tick duration, Energy income)
 {
     NEOFOG_ASSERT(duration >= 0, "negative RTC advance");
-    _cap.charge(income);
-    _cap.leak(duration);
+    CapacitorView rtc_cap = cap();
+    rtc_cap.charge(income);
+    rtc_cap.leak(duration);
     const Energy need = _cfg->draw * duration;
-    if (!_cap.tryDischarge(need)) {
-        _cap.drain(need);
-        if (*_sync != 0) {
-            *_sync = 0;
-            ++*_desyncs;
+    if (!rtc_cap.tryDischarge(need)) {
+        rtc_cap.drain(need);
+        if (_state->synchronized) {
+            _state->synchronized = false;
+            ++_state->desyncs;
         }
     }
 }

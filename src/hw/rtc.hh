@@ -37,8 +37,9 @@ Tick alignedWakeAfter(Tick interval, Tick now, int phase_offset,
 
 /**
  * RTC model: slot bookkeeping plus its dedicated super-capacitor.
- * advance() runs through an RtcView over the members, the one copy of
- * the keep-alive arithmetic that NodeShard rows use too.
+ * advance() runs through an RtcView over the object's State, the one
+ * copy of the keep-alive arithmetic that every node's NodeState uses
+ * too.
  */
 class Rtc
 {
@@ -76,10 +77,34 @@ class Rtc
         }
     };
 
+    /** Dedicated cap and sync bookkeeping: what a snapshot keeps. */
+    struct State
+    {
+        SuperCapacitor::State cap;
+        bool synchronized = true;
+        std::uint64_t desyncs = 0; ///< times sync was lost
+
+        /** Snapshot support (see src/snapshot/). */
+        template <class Archive>
+        void
+        serialize(Archive &ar)
+        {
+            ar.io("cap", cap);
+            ar.io("synchronized", synchronized);
+            ar.io("desyncs", desyncs);
+        }
+    };
+
+    /**
+     * The state an RTC built from @p cfg starts in: synchronized, its
+     * cap at cfg.cap.initial.  Fatal on an invalid config.
+     */
+    static State initialState(const Config &cfg);
+
     explicit Rtc(const Config &cfg);
 
     /** Whether the RTC still tracks network time. */
-    bool synchronized() const { return _synchronized != 0; }
+    bool synchronized() const { return _state.synchronized; }
 
     /** The slot interval. */
     Tick interval() const { return _cfg.interval; }
@@ -101,42 +126,38 @@ class Rtc
                   int interval_multiplier = 1) const;
 
     /** Record a successful resynchronization. */
-    void resynchronize() { _synchronized = 1; }
+    void resynchronize() { _state.synchronized = true; }
 
     /** Dedicated capacitor (for inspection / tests). */
-    const SuperCapacitor &cap() const { return _cap; }
+    CapacitorView cap() { return {_cfg.cap, _state.cap}; }
 
     /** Times the RTC lost synchronization. */
-    std::uint64_t desyncCount() const { return _desyncs; }
+    std::uint64_t desyncCount() const { return _state.desyncs; }
 
     const Config &config() const { return _cfg; }
 
   private:
     Config _cfg;
-    SuperCapacitor _cap;
-    std::uint8_t _synchronized = 1;
-    std::uint64_t _desyncs = 0;
+    State _state;
 };
 
 /**
- * The RTC keep-alive arithmetic over one set of cells.
+ * The RTC keep-alive arithmetic over one Rtc::State.
  *
- * Mirrors Rtc's public API over a dedicated-cap CapacitorView plus a
- * sync flag byte and a desync counter — an Rtc's own members or one
- * NodeShard row (node_soa.hh).  advance() here is the only copy of
- * the program.
+ * Mirrors Rtc's public API over a State — an Rtc's own or the one in
+ * a node's NodeState (node/node_state.hh).  advance() here is the only
+ * copy of the program.
  */
 class RtcView
 {
   public:
-    RtcView(const Rtc::Config &cfg, CapacitorView cap,
-            std::uint8_t &sync, std::uint64_t &desyncs)
-        : _cfg(&cfg), _cap(cap), _sync(&sync), _desyncs(&desyncs)
+    RtcView(const Rtc::Config &cfg, Rtc::State &state)
+        : _cfg(&cfg), _state(&state)
     {
     }
 
     /** Whether the RTC still tracks network time. */
-    bool synchronized() const { return *_sync != 0; }
+    bool synchronized() const { return _state->synchronized; }
 
     /** The slot interval. */
     Tick interval() const { return _cfg->interval; }
@@ -159,34 +180,19 @@ class RtcView
     }
 
     /** Record a successful resynchronization. */
-    void resynchronize() { *_sync = 1; }
+    void resynchronize() { _state->synchronized = true; }
 
     /** Dedicated capacitor (for inspection / tests). */
-    CapacitorView cap() const { return _cap; }
+    CapacitorView cap() const { return {_cfg->cap, _state->cap}; }
 
     /** Times the RTC lost synchronization. */
-    std::uint64_t desyncCount() const { return *_desyncs; }
+    std::uint64_t desyncCount() const { return _state->desyncs; }
 
     const Rtc::Config &config() const { return *_cfg; }
 
-    /** Snapshot support: dedicated cap and sync bookkeeping. */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("cap", _cap);
-        // The cell is a flag byte; the wire keeps the bool encoding.
-        bool sync = *_sync != 0;
-        ar.io("synchronized", sync);
-        *_sync = sync ? 1 : 0;
-        ar.io("desyncs", *_desyncs);
-    }
-
   private:
     const Rtc::Config *_cfg;
-    CapacitorView _cap;
-    std::uint8_t *_sync;
-    std::uint64_t *_desyncs;
+    Rtc::State *_state;
 };
 
 } // namespace neofog

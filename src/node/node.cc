@@ -121,7 +121,7 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
 
 Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
            NodeShard *shard)
-    : _cfg(cfg), _trace(std::move(trace)), _rng(rng),
+    : _cfg(cfg), _trace(std::move(trace)),
       _frontend(makeFrontEnd(cfg.mode)), _cpu(makeProcessor(cfg))
 {
     if (!_trace)
@@ -129,32 +129,32 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
     if (_cfg.rawPackageBytes == 0 || _cfg.samplesPerPackage == 0)
         fatal("package shape must be nonzero");
 
+    NodeState fresh(rng, cfg.cap, cfg.rtc, cfg.sensor, cfg.buffer,
+                    pendingDepthOf(cfg), makeRadio(cfg));
     if (shard == nullptr) {
-        // Standalone node: its one-row shard lives on this object's
-        // heap, so the facade stays movable (the pointer into the
-        // owned shard survives a move of the Node).
-        _ownShard = std::make_unique<NodeShard>();
-        _ownShard->reserveRows(1, pendingDepthOf(cfg));
-        shard = _ownShard.get();
+        // Standalone node: its state lives on this object's heap, so
+        // the facade stays movable (the pointer survives a move).
+        _ownState = std::make_unique<NodeState>(std::move(fresh));
+        _state = _ownState.get();
+    } else {
+        _state = &shard->add(std::move(fresh));
     }
-    _shard = shard;
-    _row = _shard->addRow(cfg.cap, cfg.rtc, cfg.sensor, cfg.buffer,
-                          pendingDepthOf(cfg), makeRadio(cfg));
 
     _traceFast = _trace->hasFastIntegrate();
     _wakeCostConst = _cpu->wakeEnergy() +
                      _cpu->computeEnergy(kControlInstructions);
     const double samples = static_cast<double>(_cfg.samplesPerPackage);
-    _sampleCostConst = sensorRow().spec().initEnergy() +
-                       sensorRow().spec().sampleEnergy() * samples +
-                       bufferRow().writeEnergy(_cfg.rawPackageBytes);
+    _sampleCostConst = _state->sensor.spec().initEnergy() +
+                       _state->sensor.spec().sampleEnergy() * samples +
+                       _state->buffer.writeEnergy(_cfg.rawPackageBytes);
     const std::size_t payload = _cfg.mode == OperatingMode::NosVp
         ? _cfg.rawPackageBytes
         : _cfg.compressedPackageBytes;
     _txPackageEnergy =
-        rfRow().txCost(payload + kFrameOverheadBytes).energy;
+        _state->rf->txCost(payload + kFrameOverheadBytes).energy;
     _txCompressedDuration =
-        rfRow().txCost(_cfg.compressedPackageBytes + kFrameOverheadBytes)
+        _state->rf->txCost(_cfg.compressedPackageBytes +
+                           kFrameOverheadBytes)
             .duration;
 }
 
@@ -192,36 +192,35 @@ void
 Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
                           Energy gap_ambient, Energy slot_ambient)
 {
-    NodeShard &s = *_shard;
-    NEOFOG_ASSERT(slot_start >= s.lastAccrual[_row],
+    NodeState &s = *_state;
+    NEOFOG_ASSERT(slot_start >= s.lastAccrual,
                   "beginSlot must move forward in time");
     NEOFOG_ASSERT(slot_length > 0, "slot length must be positive");
 
     CapacitorView cap = capView();
     RtcView rtc = rtcView();
-    NodeStats &st = s.stats[_row];
+    NodeStats &st = s.stats;
 
     // Unused direct-channel income from the previous slot flows into
     // the capacitor through the charge path instead.
-    if (s.directBudgetJ[_row] > 0.0) {
+    if (s.directBudget > Energy::zero()) {
         const double direct_eff =
             _frontend.config().harvestEfficiency *
             _frontend.config().directEfficiency;
-        const Energy raw =
-            Energy::fromJoules(s.directBudgetJ[_row]) / direct_eff;
+        const Energy raw = s.directBudget / direct_eff;
         cap.charge(_frontend.incomeToCap(raw));
-        s.directBudgetJ[_row] = 0.0;
+        s.directBudget = Energy::zero();
     }
 
     // Income over any gap (multiplexed nodes sleep through slots).
-    if (slot_start > s.lastAccrual[_row]) {
+    if (slot_start > s.lastAccrual) {
         st.harvestedTotal += gap_ambient;
         const Energy rtc_share =
             gap_ambient * rtc.config().chargePriority;
-        rtc.advance(slot_start - s.lastAccrual[_row],
+        rtc.advance(slot_start - s.lastAccrual,
                     rtc_share * _frontend.config().harvestEfficiency);
         cap.charge(_frontend.incomeToCap(gap_ambient - rtc_share));
-        cap.leak(slot_start - s.lastAccrual[_row]);
+        cap.leak(slot_start - s.lastAccrual);
     }
 
     // Income arriving during this slot window.
@@ -234,38 +233,36 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     const Energy usable = slot_ambient - rtc_share;
 
     if (_cfg.mode == OperatingMode::FiosNvMote) {
-        s.directBudgetJ[_row] =
-            _frontend.incomeToLoadDirect(usable).joules();
+        s.directBudget = _frontend.incomeToLoadDirect(usable);
     } else {
         cap.charge(_frontend.incomeToCap(usable));
-        s.directBudgetJ[_row] = 0.0;
+        s.directBudget = Energy::zero();
     }
     cap.leak(slot_length);
 
-    s.lastIncome[_row] = Power::fromWatts(slot_ambient.joules() /
-                                          secondsFromTicks(slot_length));
-    s.slotCostsValid[_row] = 0; // income changed; cost memos are stale
-    s.lastAccrual[_row] = slot_end;
-    s.slotStart[_row] = slot_start;
-    s.slotLength[_row] = slot_length;
-    s.slotTimeUsed[_row] = 0;
-    s.awake[_row] = 0;
-    s.rfInitializedThisSlot[_row] = 0;
+    s.lastIncome = Power::fromWatts(slot_ambient.joules() /
+                                    secondsFromTicks(slot_length));
+    s.slotCostsValid = false; // income changed; cost memos are stale
+    s.lastAccrual = slot_end;
+    s.slotStart = slot_start;
+    s.slotLength = slot_length;
+    s.slotTimeUsed = 0;
+    s.awake = false;
+    s.rfInitializedThisSlot = false;
 
     // Age the pending queue; packages past the freshness deadline are
     // stale and discarded.  (The window is allocated at construction,
     // sized from the freshness deadline — the slot loop never grows
     // it.)
-    int *const ages = s.pendingAge.data() + s.pendingOffset[_row];
-    const std::size_t depth = s.pendingDepth[_row];
-    const int stale = ages[depth - 1];
-    for (std::size_t a = depth - 1; a > 0; --a)
+    std::vector<int> &ages = s.pendingByAge;
+    const int stale = ages.back();
+    for (std::size_t a = ages.size() - 1; a > 0; --a)
         ages[a] = ages[a - 1];
     ages[0] = 0;
     if (stale > 0) {
-        s.pendingPackages[_row] -= stale;
-        s.buffer[_row].pop(static_cast<std::size_t>(stale) *
-                           _cfg.rawPackageBytes);
+        s.pendingPackages -= stale;
+        s.buffer.pop(static_cast<std::size_t>(stale) *
+                     _cfg.rawPackageBytes);
         st.samplesDiscarded.increment(
             static_cast<std::uint64_t>(stale));
     }
@@ -274,8 +271,8 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     // lose their configuration.  (The FIOS node also sees power cycles,
     // but its sensor path is kept warm by the NV buffer controller; the
     // re-init cost is modeled identically since it is tiny either way.)
-    s.sensor[_row].onPowerFailure();
-    s.rf[_row]->onPowerFailure();
+    s.sensor.onPowerFailure();
+    s.rf->onPowerFailure();
 }
 
 Energy
@@ -306,49 +303,49 @@ Node::sampleCost() const
 void
 Node::refreshSlotCosts() const
 {
-    NodeShard &s = *_shard;
-    if (s.slotCostsValid[_row])
+    NodeState &s = *_state;
+    if (s.slotCostsValid)
         return;
     if (_cfg.mode == OperatingMode::NosVp) {
-        s.slotTaskCost[_row] =
+        s.slotTaskCost =
             _cpu->computeEnergy(_cfg.naiveInstructionsPerPackage);
-        s.slotTaskTime[_row] =
+        s.slotTaskTime =
             _cpu->computeTime(_cfg.naiveInstructionsPerPackage);
     } else {
         const auto *nvp = static_cast<const NvProcessor *>(_cpu.get());
-        s.slotTaskCost[_row] = nvp->effectiveComputeEnergy(
-            _cfg.fogInstructionsPerPackage, s.lastIncome[_row]);
+        s.slotTaskCost = nvp->effectiveComputeEnergy(
+            _cfg.fogInstructionsPerPackage, s.lastIncome);
         Tick t = _cpu->computeTime(_cfg.fogInstructionsPerPackage);
         if (_cfg.enableFrequencyScaling) {
             const double scale =
-                nvp->spendthrift().frequencyScale(s.lastIncome[_row]);
+                nvp->spendthrift().frequencyScale(s.lastIncome);
             t = static_cast<Tick>(static_cast<double>(t) / scale);
         }
-        s.slotTaskTime[_row] = t;
+        s.slotTaskTime = t;
     }
-    s.slotCostsValid[_row] = 1;
+    s.slotCostsValid = true;
 }
 
 Energy
 Node::taskCost() const
 {
     refreshSlotCosts();
-    return _shard->slotTaskCost[_row];
+    return _state->slotTaskCost;
 }
 
 Tick
 Node::taskComputeTime() const
 {
     refreshSlotCosts();
-    return _shard->slotTaskTime[_row];
+    return _state->slotTaskTime;
 }
 
 Energy
 Node::packageTxCost() const
 {
     Energy e = _txPackageEnergy;
-    if (!_shard->rfInitializedThisSlot[_row])
-        e += rfRow().initCost().energy;
+    if (!_state->rfInitializedThisSlot)
+        e += _state->rf->initCost().energy;
     return e;
 }
 
@@ -361,20 +358,20 @@ Node::slotCost() const
 bool
 Node::canCompleteOnePackage() const
 {
-    const NodeShard &s = *_shard;
+    const NodeState &s = *_state;
     const Energy task = taskCost();
     const Energy tx = packageTxCost();
     // The task may draw the direct channel; the transmission may not.
     const Energy direct_used =
-        std::min(task, Energy::fromJoules(s.directBudgetJ[_row]));
+        std::min(task, s.directBudget);
     const Energy cap_needed =
         _frontend.capCostForLoad((task - direct_used) + tx);
     if (capView().stored() < cap_needed)
         return false;
     const Tick need_time = taskComputeTime() + _txCompressedDuration +
-                           (s.rfInitializedThisSlot[_row]
-                                ? 0 : s.rf[_row]->initCost().duration);
-    return s.slotTimeUsed[_row] + need_time <= s.slotLength[_row];
+                           (s.rfInitializedThisSlot
+                                ? 0 : s.rf->initCost().duration);
+    return s.slotTimeUsed + need_time <= s.slotLength;
 }
 
 void
@@ -391,7 +388,7 @@ Node::canAfford(Energy e, bool direct_eligible) const
     Energy deliverable =
         capView().stored() * _frontend.config().dischargeEfficiency;
     if (direct_eligible)
-        deliverable += Energy::fromJoules(_shard->directBudgetJ[_row]);
+        deliverable += _state->directBudget;
     return deliverable >= e;
 }
 
@@ -400,12 +397,11 @@ Node::spend(Energy e, bool direct_eligible)
 {
     if (!canAfford(e, direct_eligible))
         return false;
-    double &direct = _shard->directBudgetJ[_row];
+    Energy &direct = _state->directBudget;
     Energy rest = e;
-    if (direct_eligible && direct > 0.0) {
-        const Energy from_direct =
-            std::min(rest, Energy::fromJoules(direct));
-        direct -= from_direct.joules();
+    if (direct_eligible && direct > Energy::zero()) {
+        const Energy from_direct = std::min(rest, direct);
+        direct -= from_direct;
         rest -= from_direct;
     }
     if (rest > Energy::zero()) {
@@ -432,9 +428,9 @@ Node::classify() const
 bool
 Node::tryWake()
 {
-    NodeShard &s = *_shard;
-    NodeStats &st = s.stats[_row];
-    NEOFOG_ASSERT(!s.awake[_row], "tryWake called twice in a slot");
+    NodeState &s = *_state;
+    NodeStats &st = s.stats;
+    NEOFOG_ASSERT(!s.awake, "tryWake called twice in a slot");
 
     if (classify() == EnergyClass::Dead) {
         st.depletionFailures.increment();
@@ -451,7 +447,7 @@ Node::tryWake()
             return false;
         }
         st.spentRx += resync;
-        s.slotTimeUsed[_row] += rtc.config().resyncListen;
+        s.slotTimeUsed += rtc.config().resyncListen;
         rtc.resynchronize();
         st.rtcResyncs.increment();
     }
@@ -462,11 +458,11 @@ Node::tryWake()
         return false;
     }
     st.spentWake += wake;
-    const Tick wake_start = s.slotStart[_row] + s.slotTimeUsed[_row];
+    const Tick wake_start = s.slotStart + s.slotTimeUsed;
     const Tick wake_time = _cpu->wakeLatency() +
                            _cpu->computeTime(kControlInstructions);
-    s.slotTimeUsed[_row] += wake_time;
-    s.awake[_row] = 1;
+    s.slotTimeUsed += wake_time;
+    s.awake = true;
     st.wakeups.increment();
     notifyPhase(NodeObserver::Phase::Wake, wake_start, wake_time, wake);
     return true;
@@ -475,10 +471,10 @@ Node::tryWake()
 bool
 Node::samplePackage()
 {
-    NodeShard &s = *_shard;
-    NodeStats &st = s.stats[_row];
-    Sensor &sensor = s.sensor[_row];
-    NEOFOG_ASSERT(s.awake[_row], "sampling while asleep");
+    NodeState &s = *_state;
+    NodeStats &st = s.stats;
+    Sensor &sensor = s.sensor;
+    NEOFOG_ASSERT(s.awake, "sampling while asleep");
     Sensor::Cost init{};
     if (!sensor.initialized()) {
         // Peek the cost without committing sensor state yet.
@@ -487,12 +483,12 @@ Node::samplePackage()
     const double n = static_cast<double>(_cfg.samplesPerPackage);
     const Energy total = init.energy +
                          sensor.spec().sampleEnergy() * n +
-                         s.buffer[_row].writeEnergy(_cfg.rawPackageBytes);
+                         s.buffer.writeEnergy(_cfg.rawPackageBytes);
     const Tick time =
         init.duration +
         static_cast<Tick>(n * static_cast<double>(
                                   sensor.spec().sampleLatency));
-    if (s.slotTimeUsed[_row] + time > s.slotLength[_row])
+    if (s.slotTimeUsed + time > s.slotLength)
         return false;
     // A full NV buffer discards the new sample (paper §5.1: data are
     // discarded when the node lacks energy to drain the buffer).
@@ -508,9 +504,9 @@ Node::samplePackage()
         sensor.initialize();
     st.spentSample += total;
     notifyPhase(NodeObserver::Phase::Sample,
-                s.slotStart[_row] + s.slotTimeUsed[_row], time, total);
-    s.slotTimeUsed[_row] += time;
-    s.buffer[_row].push(_cfg.rawPackageBytes);
+                s.slotStart + s.slotTimeUsed, time, total);
+    s.slotTimeUsed += time;
+    s.buffer.push(_cfg.rawPackageBytes);
     pushPending(1);
     st.packagesSampled.increment();
     return true;
@@ -520,47 +516,47 @@ void
 Node::pushPending(int n)
 {
     NEOFOG_ASSERT(n >= 0, "pushPending negative");
-    NodeShard &s = *_shard;
-    s.pendingAge[s.pendingOffset[_row]] += n;
-    s.pendingPackages[_row] += n;
+    NodeState &s = *_state;
+    s.pendingByAge[0] += n;
+    s.pendingPackages += n;
 }
 
 int
 Node::popOldestPending(int n)
 {
     NEOFOG_ASSERT(n >= 0, "popOldestPending negative");
-    NodeShard &s = *_shard;
-    int *const ages = s.pendingAge.data() + s.pendingOffset[_row];
+    NodeState &s = *_state;
+    std::vector<int> &ages = s.pendingByAge;
     int taken = 0;
-    for (std::size_t a = s.pendingDepth[_row]; a-- > 0 && taken < n;) {
+    for (std::size_t a = ages.size(); a-- > 0 && taken < n;) {
         const int t = std::min(ages[a], n - taken);
         ages[a] -= t;
         taken += t;
     }
-    s.pendingPackages[_row] -= taken;
+    s.pendingPackages -= taken;
     return taken;
 }
 
 int
 Node::executeTasks(int count)
 {
-    NodeShard &s = *_shard;
-    NodeStats &st = s.stats[_row];
-    NEOFOG_ASSERT(s.awake[_row], "executing tasks while asleep");
+    NodeState &s = *_state;
+    NodeStats &st = s.stats;
+    NEOFOG_ASSERT(s.awake, "executing tasks while asleep");
     int done = 0;
-    while (done < count && s.pendingPackages[_row] > 0) {
+    while (done < count && s.pendingPackages > 0) {
         const Tick t = taskComputeTime();
-        if (s.slotTimeUsed[_row] + t > s.slotLength[_row])
+        if (s.slotTimeUsed + t > s.slotLength)
             break;
         const Energy e = taskCost();
         if (!spend(e, /*direct_eligible=*/true))
             break;
         st.spentCompute += e;
         notifyPhase(NodeObserver::Phase::Compute,
-                    s.slotStart[_row] + s.slotTimeUsed[_row], t, e);
-        s.slotTimeUsed[_row] += t;
+                    s.slotStart + s.slotTimeUsed, t, e);
+        s.slotTimeUsed += t;
         popOldestPending(1);
-        s.buffer[_row].pop(_cfg.rawPackageBytes);
+        s.buffer.pop(_cfg.rawPackageBytes);
         ++done;
         st.tasksExecuted.increment();
     }
@@ -576,7 +572,7 @@ Node::incidentalTaskCost() const
     if (_cfg.mode == OperatingMode::NosVp)
         return _cpu->computeEnergy(inst);
     const auto *nvp = static_cast<const NvProcessor *>(_cpu.get());
-    return nvp->effectiveComputeEnergy(inst, _shard->lastIncome[_row]);
+    return nvp->effectiveComputeEnergy(inst, _state->lastIncome);
 }
 
 bool
@@ -584,11 +580,11 @@ Node::canCompleteIncidental() const
 {
     if (!_cfg.enableIncidentalComputing)
         return false;
-    const NodeShard &s = *_shard;
+    const NodeState &s = *_state;
     const Energy task = incidentalTaskCost();
     const Energy tx = packageTxCost();
     const Energy direct_used =
-        std::min(task, Energy::fromJoules(s.directBudgetJ[_row]));
+        std::min(task, s.directBudget);
     const Energy cap_needed =
         _frontend.capCostForLoad((task - direct_used) + tx);
     if (capView().stored() < cap_needed)
@@ -598,39 +594,39 @@ Node::canCompleteIncidental() const
         static_cast<double>(_cfg.fogInstructionsPerPackage));
     const Tick need_time =
         _cpu->computeTime(inst) +
-        s.rf[_row]
+        s.rf
             ->txCost(_cfg.compressedPackageBytes + kFrameOverheadBytes)
             .duration +
-        (s.rfInitializedThisSlot[_row]
-             ? 0 : s.rf[_row]->initCost().duration);
-    return s.slotTimeUsed[_row] + need_time <= s.slotLength[_row];
+        (s.rfInitializedThisSlot
+             ? 0 : s.rf->initCost().duration);
+    return s.slotTimeUsed + need_time <= s.slotLength;
 }
 
 int
 Node::executeIncidentalTasks(int count)
 {
-    NodeShard &s = *_shard;
-    NodeStats &st = s.stats[_row];
-    NEOFOG_ASSERT(s.awake[_row], "incidental computing while asleep");
+    NodeState &s = *_state;
+    NodeStats &st = s.stats;
+    NEOFOG_ASSERT(s.awake, "incidental computing while asleep");
     if (!_cfg.enableIncidentalComputing)
         return 0;
     int done = 0;
     const auto inst = static_cast<std::uint64_t>(
         _cfg.incidentalFraction *
         static_cast<double>(_cfg.fogInstructionsPerPackage));
-    while (done < count && s.pendingPackages[_row] > 0) {
+    while (done < count && s.pendingPackages > 0) {
         const Tick t = _cpu->computeTime(inst);
-        if (s.slotTimeUsed[_row] + t > s.slotLength[_row])
+        if (s.slotTimeUsed + t > s.slotLength)
             break;
         const Energy e = incidentalTaskCost();
         if (!spend(e, /*direct_eligible=*/true))
             break;
         st.spentCompute += e;
         notifyPhase(NodeObserver::Phase::IncidentalCompute,
-                    s.slotStart[_row] + s.slotTimeUsed[_row], t, e);
-        s.slotTimeUsed[_row] += t;
+                    s.slotStart + s.slotTimeUsed, t, e);
+        s.slotTimeUsed += t;
         popOldestPending(1);
-        s.buffer[_row].pop(_cfg.rawPackageBytes);
+        s.buffer.pop(_cfg.rawPackageBytes);
         ++done;
         st.incidentalTasks.increment();
     }
@@ -640,66 +636,66 @@ Node::executeIncidentalTasks(int count)
 bool
 Node::payTransmit(std::size_t payload_bytes, int attempts)
 {
-    NodeShard &s = *_shard;
-    NEOFOG_ASSERT(s.awake[_row], "transmitting while asleep");
+    NodeState &s = *_state;
+    NEOFOG_ASSERT(s.awake, "transmitting while asleep");
     NEOFOG_ASSERT(attempts >= 1, "attempts >= 1");
     const RfPhase one =
-        s.rf[_row]->txCost(payload_bytes + kFrameOverheadBytes);
+        s.rf->txCost(payload_bytes + kFrameOverheadBytes);
     RfPhase init{};
-    if (!s.rfInitializedThisSlot[_row])
-        init = s.rf[_row]->initCost();
+    if (!s.rfInitializedThisSlot)
+        init = s.rf->initCost();
     const Tick time = init.duration + one.duration * attempts;
-    if (s.slotTimeUsed[_row] + time > s.slotLength[_row])
+    if (s.slotTimeUsed + time > s.slotLength)
         return false;
     const Energy e =
         init.energy + one.energy * static_cast<double>(attempts);
     if (!spend(e, false))
         return false;
-    s.rfInitializedThisSlot[_row] = 1;
-    s.stats[_row].spentTx += e;
+    s.rfInitializedThisSlot = true;
+    s.stats.spentTx += e;
     notifyPhase(NodeObserver::Phase::Transmit,
-                s.slotStart[_row] + s.slotTimeUsed[_row], time, e);
-    s.slotTimeUsed[_row] += time;
+                s.slotStart + s.slotTimeUsed, time, e);
+    s.slotTimeUsed += time;
     return true;
 }
 
 bool
 Node::payReceive(std::size_t payload_bytes)
 {
-    NodeShard &s = *_shard;
-    NEOFOG_ASSERT(s.awake[_row], "receiving while asleep");
+    NodeState &s = *_state;
+    NEOFOG_ASSERT(s.awake, "receiving while asleep");
     const Tick window =
-        s.rf[_row]->airtime(payload_bytes + kFrameOverheadBytes) +
+        s.rf->airtime(payload_bytes + kFrameOverheadBytes) +
         ticksFromMs(3.0);
-    if (s.slotTimeUsed[_row] + window > s.slotLength[_row])
+    if (s.slotTimeUsed + window > s.slotLength)
         return false;
-    const Energy e = s.rf[_row]->rxCost(window).energy;
+    const Energy e = s.rf->rxCost(window).energy;
     if (!spend(e, false))
         return false;
-    s.stats[_row].spentRx += e;
+    s.stats.spentRx += e;
     notifyPhase(NodeObserver::Phase::Receive,
-                s.slotStart[_row] + s.slotTimeUsed[_row], window, e);
-    s.slotTimeUsed[_row] += window;
+                s.slotStart + s.slotTimeUsed, window, e);
+    s.slotTimeUsed += window;
     return true;
 }
 
 bool
 Node::payControlMessage(std::size_t payload_bytes)
 {
-    NodeShard &s = *_shard;
-    NEOFOG_ASSERT(s.awake[_row], "control message while asleep");
+    NodeState &s = *_state;
+    NEOFOG_ASSERT(s.awake, "control message while asleep");
     const Tick time =
-        s.rf[_row]->airtime(payload_bytes + kFrameOverheadBytes) +
+        s.rf->airtime(payload_bytes + kFrameOverheadBytes) +
         ticksFromMs(1.0);
-    if (s.slotTimeUsed[_row] + time > s.slotLength[_row])
+    if (s.slotTimeUsed + time > s.slotLength)
         return false;
-    const Energy e = s.rf[_row]->config().txPower * time;
+    const Energy e = s.rf->config().txPower * time;
     if (!spend(e, false))
         return false;
-    s.stats[_row].spentTx += e;
+    s.stats.spentTx += e;
     notifyPhase(NodeObserver::Phase::Control,
-                s.slotStart[_row] + s.slotTimeUsed[_row], time, e);
-    s.slotTimeUsed[_row] += time;
+                s.slotStart + s.slotTimeUsed, time, e);
+    s.slotTimeUsed += time;
     return true;
 }
 
@@ -707,14 +703,14 @@ int
 Node::pendingCapacity() const
 {
     const auto max_packages = static_cast<int>(
-        bufferRow().capacity() / _cfg.rawPackageBytes);
-    return std::max(0, max_packages - _shard->pendingPackages[_row]);
+        _state->buffer.capacity() / _cfg.rawPackageBytes);
+    return std::max(0, max_packages - _state->pendingPackages);
 }
 
 double
 Node::spareTaskCapacity() const
 {
-    const NodeShard &s = *_shard;
+    const NodeState &s = *_state;
     // Capacity offered to the load balancer.  Accepting a task only
     // helps the network when the energy it burns would otherwise be
     // *wasted* — income the full-ish capacitor is about to reject, or
@@ -726,12 +722,12 @@ Node::spareTaskCapacity() const
         (cap.stored() - cap.capacity() * 0.7).clampedNonNegative();
     Energy deliverable =
         surplus_stored * _frontend.config().dischargeEfficiency +
-        Energy::fromJoules(s.directBudgetJ[_row]);
+        s.directBudget;
     const Energy per_task = taskCost() + packageTxCost();
     if (per_task.joules() <= 0.0)
         return 0.0;
     const Energy reserve =
-        per_task * static_cast<double>(s.pendingPackages[_row]);
+        per_task * static_cast<double>(s.pendingPackages);
     if (deliverable <= reserve)
         return 0.0;
     const Energy spare = deliverable - reserve;
@@ -750,23 +746,23 @@ Node::relativeTaskCost() const
     if (_cfg.mode == OperatingMode::NosVp)
         return 1.0;
     const auto *nvp = static_cast<const NvProcessor *>(_cpu.get());
-    return 1.0 / nvp->spendthrift().benefit(_shard->lastIncome[_row]);
+    return 1.0 / nvp->spendthrift().benefit(_state->lastIncome);
 }
 
 Tick
 Node::remainingSlotTime() const
 {
-    const NodeShard &s = *_shard;
-    return s.slotTimeUsed[_row] >= s.slotLength[_row]
+    const NodeState &s = *_state;
+    return s.slotTimeUsed >= s.slotLength
         ? 0
-        : s.slotLength[_row] - s.slotTimeUsed[_row];
+        : s.slotLength - s.slotTimeUsed;
 }
 
 void
 Node::recordEnergyPoint(Tick now)
 {
-    statsRow().storedEnergyMj.record(now,
-                                     capView().stored().millijoules());
+    _state->stats.storedEnergyMj.record(
+        now, capView().stored().millijoules());
 }
 
 void
@@ -783,14 +779,13 @@ Node::addPendingPackages(int delta)
 int
 Node::discardPendingPackages()
 {
-    NodeShard &s = *_shard;
-    const int dropped = s.pendingPackages[_row];
-    s.pendingPackages[_row] = 0;
-    int *const ages = s.pendingAge.data() + s.pendingOffset[_row];
-    std::fill(ages, ages + s.pendingDepth[_row], 0);
-    s.buffer[_row].discardAll();
+    NodeState &s = *_state;
+    const int dropped = s.pendingPackages;
+    s.pendingPackages = 0;
+    std::fill(s.pendingByAge.begin(), s.pendingByAge.end(), 0);
+    s.buffer.discardAll();
     if (dropped > 0)
-        s.stats[_row].samplesDiscarded.increment(
+        s.stats.samplesDiscarded.increment(
             static_cast<std::uint64_t>(dropped));
     return dropped;
 }

@@ -28,19 +28,19 @@
  * executeTasks, transmit, receive) to run the scenario's protocol,
  * including load balancing and virtualization.
  *
- * Node is a thin facade over one NodeShard row (see node_soa.hh and
- * DESIGN.md, "Memory layout: chain shards and the income hoist"):
- * every mutable field lives in the shard's contiguous arrays, the
- * facade keeps only construction-derived objects (config, trace,
- * processor, front end, cost constants) plus the shard/row binding.
- * A standalone Node (tests, single-node experiments) owns a private
- * one-row shard; chain nodes share their ChainEngine's shard.
+ * Node is a facade over one NodeState (see node_state.hh and
+ * DESIGN.md, "Memory layout: one NodeState per node"): every field
+ * that mutates after construction lives there, and the facade keeps
+ * only what a resume rebuilds from the scenario (config, trace,
+ * processor, front end, cost constants, observer) plus the trace
+ * cursor scratch and the pointer to its state.  A standalone Node
+ * (tests, single-node experiments) owns its NodeState; chain nodes
+ * point into their ChainEngine's NodeShard.
  */
 
 #ifndef NEOFOG_NODE_NODE_HH
 #define NEOFOG_NODE_NODE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -55,7 +55,7 @@
 #include "hw/rf.hh"
 #include "hw/rtc.hh"
 #include "hw/sensor.hh"
-#include "node/node_soa.hh"
+#include "node/node_state.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -186,7 +186,7 @@ class Node
     };
 
     /**
-     * Standalone node: owns a private one-row shard.
+     * Standalone node: owns its NodeState.
      * @param cfg Node configuration.
      * @param trace Ambient power income (owned).
      * @param rng Node-private random stream.
@@ -194,10 +194,9 @@ class Node
     Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng);
 
     /**
-     * Chain node: appends a row to @p shard and binds to it.  The
-     * shard must outlive the node (the owning ChainEngine declares it
-     * first) and must not reallocate rows the node still references —
-     * reserve it for the full chain before constructing nodes.
+     * Chain node: appends its NodeState to @p shard and points at it.
+     * The shard must outlive the node (the owning ChainEngine declares
+     * it first) and be reserved for the full chain beforehand.
      */
     Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
          NodeShard &shard);
@@ -232,7 +231,7 @@ class Node
                              Energy gap_ambient, Energy slot_ambient);
 
     /** End of the window income has been integrated up to. */
-    Tick lastAccrualTime() const { return _shard->lastAccrual[_row]; }
+    Tick lastAccrualTime() const { return _state->lastAccrual; }
 
     /** The ambient income trace driving this node. */
     const PowerTrace &trace() const { return *_trace; }
@@ -248,7 +247,7 @@ class Node
     bool tryWake();
 
     /** Whether the node woke this slot. */
-    bool awake() const { return _shard->awake[_row] != 0; }
+    bool awake() const { return _state->awake; }
 
     /**
      * Sample one package into the buffer (full fidelity, or decimated
@@ -366,18 +365,25 @@ class Node
     double relativeTaskCost() const;
 
     /** Income power averaged over the last slot. */
-    Power lastSlotIncome() const { return _shard->lastIncome[_row]; }
+    Power lastSlotIncome() const { return _state->lastIncome; }
 
     /** The RTC (for virtualization phase queries). */
     RtcView rtc() const { return rtcView(); }
 
     /** The radio, e.g. for NVD4Q state cloning. */
-    RfModule &rf() { return *_shard->rf[_row]; }
-    const RfModule &rf() const { return *_shard->rf[_row]; }
+    RfModule &rf() { return *_state->rf; }
+    const RfModule &rf() const { return *_state->rf; }
 
     /** Mutable statistics. */
-    NodeStats &stats() { return _shard->stats[_row]; }
-    const NodeStats &stats() const { return _shard->stats[_row]; }
+    NodeStats &stats() { return _state->stats; }
+    const NodeStats &stats() const { return _state->stats; }
+
+    /**
+     * Everything about this node that mutates after construction —
+     * what a snapshot archives (see NodeState::serialize).
+     */
+    NodeState &state() { return *_state; }
+    const NodeState &state() const { return *_state; }
 
     /** Record the capacitor level into the stats time series. */
     void recordEnergyPoint(Tick now);
@@ -389,8 +395,7 @@ class Node
     void setObserver(NodeObserver *observer) { _observer = observer; }
 
     /** Buffered-but-unprocessed packages queued at this node. */
-    int pendingPackages() const
-    { return _shard->pendingPackages[_row]; }
+    int pendingPackages() const { return _state->pendingPackages; }
     /** Adjust the pending-package queue (load-balance transfers). */
     void addPendingPackages(int delta);
 
@@ -403,113 +408,16 @@ class Node
     /** The harvesting front end (mode-derived efficiencies). */
     const FrontEnd &frontend() const { return _frontend; }
 
-    /**
-     * Snapshot support (see src/snapshot/): archives every field that
-     * mutates after construction — all of it lives in this node's
-     * shard row, so the walk reads/writes the row through the facade.
-     * Constructor-derived members (config, trace, cost constants,
-     * processor, front end, observer) are rebuilt deterministically by
-     * a resume's reconstruction.  The trace cursor is a pure cache of
-     * (_trace, window start) that accrueIncome() re-materializes
-     * bit-identically, so loading just drops it.
-     */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        NodeShard &s = *_shard;
-        ar.io("rng", _rng);
-        // The capacitor/RTC columns archive through their row views,
-        // which keep the original Energy / bool / u64 wire types.
-        CapacitorView cap_view = capView();
-        ar.io("cap", cap_view);
-        RtcView rtc_view = rtcView();
-        ar.io("rtc", rtc_view);
-        ar.io("sensor", s.sensor[_row]);
-        ar.io("buffer", s.buffer[_row]);
-        ar.io("rf_state", s.rf[_row]->state());
-        if (s.rf[_row]->retainsState())
-            ar.io("nvrf", static_cast<NvRfController &>(*s.rf[_row]));
-        ar.io("last_accrual", s.lastAccrual[_row]);
-        ar.io("slot_start", s.slotStart[_row]);
-        ar.io("slot_length", s.slotLength[_row]);
-        ar.io("slot_time_used", s.slotTimeUsed[_row]);
-        // The budget column is raw joules; the wire keeps the
-        // original Energy encoding.
-        Energy direct_budget =
-            Energy::fromJoules(s.directBudgetJ[_row]);
-        ar.io("direct_budget", direct_budget);
-        s.directBudgetJ[_row] = direct_budget.joules();
-        ar.io("last_income", s.lastIncome[_row]);
-        // The shard packs flags as bytes; the wire keeps the original
-        // bool encoding.
-        bool awake_flag = s.awake[_row] != 0;
-        ar.io("awake", awake_flag);
-        bool rf_init = s.rfInitializedThisSlot[_row] != 0;
-        ar.io("rf_initialized_this_slot", rf_init);
-        bool costs_valid = s.slotCostsValid[_row] != 0;
-        ar.io("slot_costs_valid", costs_valid);
-        ar.io("slot_task_cost", s.slotTaskCost[_row]);
-        ar.io("slot_task_time", s.slotTaskTime[_row]);
-        ar.io("pending_packages", s.pendingPackages[_row]);
-        // The age ring is flattened into the shard; the wire keeps the
-        // original per-node vector encoding.
-        const auto off = s.pendingOffset[_row];
-        const auto depth = s.pendingDepth[_row];
-        std::vector<int> pending_by_age(
-            s.pendingAge.begin() + off,
-            s.pendingAge.begin() + off + depth);
-        ar.io("pending_by_age", pending_by_age);
-        ar.io("stats", s.stats[_row]);
-        if constexpr (Archive::isLoading) {
-            s.awake[_row] = awake_flag ? 1 : 0;
-            s.rfInitializedThisSlot[_row] = rf_init ? 1 : 0;
-            s.slotCostsValid[_row] = costs_valid ? 1 : 0;
-            // Reconstruct-then-overwrite builds the same shard
-            // geometry the save ran with, so the window must match.
-            if (pending_by_age.size() != depth)
-                fatal("node ", _cfg.id, " pending queue depth ",
-                      pending_by_age.size(),
-                      " does not match its shard window of ", depth);
-            std::copy(pending_by_age.begin(), pending_by_age.end(),
-                      s.pendingAge.begin() + off);
-            _cursor.reset();
-        }
-    }
-
   private:
-    /** Shared constructor body: bind (or create) the shard row. */
+    /** Shared constructor body: append to @p shard, or own the state. */
     Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
          NodeShard *shard);
 
-    // Row views: _shard is a plain pointer member, so these stay
-    // usable from const facade methods — the memo fields below keep
-    // their pre-refactor `mutable` semantics that way.  The energy
-    // state lives in the shard's columns; the views bind one row of
-    // them to this node's configs.
-    CapacitorView
-    capView() const
-    {
-        NodeShard &s = *_shard;
-        return {_cfg.cap, s.capStoredJ[_row], s.capChargedJ[_row],
-                s.capOverflowJ[_row], s.capLeakedJ[_row],
-                s.capDischargedJ[_row]};
-    }
-    RtcView
-    rtcView() const
-    {
-        NodeShard &s = *_shard;
-        return {_cfg.rtc,
-                CapacitorView(_cfg.rtc.cap, s.rtcStoredJ[_row],
-                              s.rtcChargedJ[_row], s.rtcOverflowJ[_row],
-                              s.rtcLeakedJ[_row],
-                              s.rtcDischargedJ[_row]),
-                s.rtcSync[_row], s.rtcDesyncs[_row]};
-    }
-    Sensor &sensorRow() const { return _shard->sensor[_row]; }
-    NvBuffer &bufferRow() const { return _shard->buffer[_row]; }
-    RfModule &rfRow() const { return *_shard->rf[_row]; }
-    NodeStats &statsRow() const { return _shard->stats[_row]; }
+    // Views over this node's capacitor and RTC state.  _state is a
+    // plain pointer member, so these stay usable from const facade
+    // methods — the cost memos keep their `mutable` semantics that way.
+    CapacitorView capView() const { return {_cfg.cap, _state->cap}; }
+    RtcView rtcView() const { return {_cfg.rtc, _state->rtc}; }
 
     /** Report a completed phase to the attached observer, if any. */
     void notifyPhase(NodeObserver::Phase phase, Tick start,
@@ -552,30 +460,33 @@ class Node
     Energy accrueIncome(Tick from, Tick to);
 
     Config _cfg;
-    std::unique_ptr<PowerTrace> _trace; // neofog-lint: allow(snapshot): the power trace is rebuilt from the scenario on resume; its sampling cursor is reset, not archived
+    std::unique_ptr<PowerTrace> _trace;
+    /**
+     * Streaming integration scratch over _trace: a pure function of
+     * the trace and its position, so a resumed node rebuilds it on
+     * its first accrual.
+     */
     std::optional<TraceCursor> _cursor;
-    Rng _rng;
 
-    FrontEnd _frontend; // neofog-lint: allow(snapshot): stateless facade; the sensor/buffer state it fronts lives in the shard rows archived above
-    std::unique_ptr<Processor> _cpu; // neofog-lint: allow(snapshot): stateless strategy object; per-slot compute state lives in the shard rows archived above
+    FrontEnd _frontend;
+    std::unique_ptr<Processor> _cpu;
 
-    /** Private shard of a standalone node (null for chain nodes). */
-    std::unique_ptr<NodeShard> _ownShard; // neofog-lint: allow(snapshot): shard storage is re-created at construction; the row contents are archived via the s.*[_row] fields above
-    /** The shard holding this node's mutable state... */
-    NodeShard *_shard = nullptr;
-    /** ...at this row. */
-    std::uint32_t _row = 0;
+    /** State of a standalone node (null for chain nodes). */
+    std::unique_ptr<NodeState> _ownState;
+    /** This node's mutable state: _ownState or a chain shard row. */
+    NodeState *_state = nullptr;
 
     // Construction-time cost constants: pure functions of the fixed
     // node configuration (the RF transmit cost, the sensor/buffer
     // sampling cost, the processor wake cost carry no mutable state).
-    bool _traceFast = false;        ///< _trace->hasFastIntegrate() // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
-    Energy _wakeCostConst;          ///< wakeCost() // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
-    Energy _sampleCostConst;        ///< sampleCost() // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
-    Energy _txPackageEnergy;        ///< mode-payload tx energy // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
-    Tick _txCompressedDuration = 0; ///< result-package tx airtime // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
+    bool _traceFast = false;        ///< _trace->hasFastIntegrate()
+    Energy _wakeCostConst;          ///< wakeCost()
+    Energy _sampleCostConst;        ///< sampleCost()
+    Energy _txPackageEnergy;        ///< mode-payload tx energy
+    Tick _txCompressedDuration = 0; ///< result-package tx airtime
 
-    NodeObserver *_observer = nullptr; // neofog-lint: allow(snapshot): non-owning observer hook, re-attached by the harness after resume; never part of simulation state
+    /** Not owned; re-attached by the harness after a resume. */
+    NodeObserver *_observer = nullptr;
 };
 
 } // namespace neofog

@@ -1,0 +1,65 @@
+#include "node/node_state.hh"
+
+namespace neofog {
+
+NodeState::NodeState(Rng rng_stream, const SuperCapacitor::Config &cap_cfg,
+                     const Rtc::Config &rtc_cfg,
+                     const SensorSpec &sensor_spec,
+                     const NvBuffer::Config &buffer_cfg,
+                     std::size_t pending_depth,
+                     std::unique_ptr<RfModule> radio)
+    : rng(rng_stream), cap(SuperCapacitor::initialState(cap_cfg)),
+      rtc(Rtc::initialState(rtc_cfg)), sensor(sensor_spec),
+      buffer(buffer_cfg), rf(std::move(radio)),
+      pendingByAge(pending_depth, 0)
+{
+    NEOFOG_ASSERT(pending_depth >= 1, "pending queue needs depth >= 1");
+    NEOFOG_ASSERT(rf != nullptr, "node state needs a radio");
+}
+
+void
+NodeState::checkPendingQueue(const std::string &path,
+                             std::size_t depth) const
+{
+    if (pendingByAge.size() != depth)
+        fatal("snapshot field '", path, "' has ", pendingByAge.size(),
+              " ages, but the node's freshness deadline gives ", depth);
+    std::int64_t sum = 0;
+    for (std::size_t age = 0; age < pendingByAge.size(); ++age) {
+        if (pendingByAge[age] < 0)
+            fatal("snapshot field '", path, "' holds ", pendingByAge[age],
+                  " packages of age ", age);
+        sum += pendingByAge[age];
+    }
+    if (sum != pendingPackages)
+        fatal("snapshot field '", path, "' sums to ", sum,
+              " packages, but pending_packages is ", pendingPackages);
+}
+
+NodeState &
+NodeShard::add(NodeState state)
+{
+    if (_states.size() == _states.capacity())
+        fatal("node shard full at ", _states.size(),
+              " rows: reserve it for the whole chain before adding");
+    return _states.emplace_back(std::move(state));
+}
+
+std::size_t
+NodeShard::residentBytes() const
+{
+    std::size_t bytes =
+        sizeof(NodeShard) + _states.capacity() * sizeof(NodeState);
+    for (const NodeState &s : _states) {
+        // The two concrete radios are small fixed-size objects; the
+        // NVRF is the larger of the pair, so count that conservatively.
+        bytes += s.rf->retainsState() ? sizeof(NvRfController)
+                                      : sizeof(SoftwareRf);
+        bytes += s.pendingByAge.capacity() * sizeof(int);
+        bytes += s.stats.storedEnergyMj.points().capacity() *
+                 sizeof(TimeSeries::Point);
+    }
+    return bytes;
+}
+
+} // namespace neofog

@@ -311,10 +311,18 @@ class JsonParser
   public:
     explicit JsonParser(std::string_view text) : _text(text) {}
 
+    /**
+     * Deepest array/object nesting accepted.  Every document this
+     * project writes nests fewer than 8 levels; the cap turns a
+     * hostile one (a snapshot header is parsed before any checksum)
+     * into a parse error instead of a stack overflow.
+     */
+    static constexpr int kMaxDepth = 64;
+
     JsonValue
     parse()
     {
-        JsonValue v = parseValue();
+        JsonValue v = parseValue(0);
         skipWs();
         if (_pos != _text.size())
             fail("trailing characters after document");
@@ -364,15 +372,19 @@ class JsonParser
         return true;
     }
 
+    /** A value nested inside @p depth arrays/objects. */
     JsonValue
-    parseValue()
+    parseValue(int depth)
     {
         const char c = peek();
+        if ((c == '{' || c == '[') && depth >= kMaxDepth)
+            fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                 " levels");
         switch (c) {
           case '{':
-            return parseObject();
+            return parseObject(depth + 1);
           case '[':
-            return parseArray();
+            return parseArray(depth + 1);
           case '"': {
             JsonValue v;
             v._kind = JsonValue::Kind::String;
@@ -505,7 +517,7 @@ class JsonParser
     }
 
     JsonValue
-    parseArray()
+    parseArray(int depth)
     {
         expect('[');
         JsonValue v;
@@ -515,7 +527,7 @@ class JsonParser
             return v;
         }
         while (true) {
-            v._items.push_back(parseValue());
+            v._items.push_back(parseValue(depth));
             const char c = peek();
             ++_pos;
             if (c == ']')
@@ -526,7 +538,7 @@ class JsonParser
     }
 
     JsonValue
-    parseObject()
+    parseObject(int depth)
     {
         expect('{');
         JsonValue v;
@@ -539,7 +551,7 @@ class JsonParser
             skipWs();
             std::string k = parseString();
             expect(':');
-            v._members.emplace_back(std::move(k), parseValue());
+            v._members.emplace_back(std::move(k), parseValue(depth));
             const char c = peek();
             ++_pos;
             if (c == '}')

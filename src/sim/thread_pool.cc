@@ -4,39 +4,9 @@
 #include <cstdint>
 #include <memory>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace neofog {
 
-namespace {
-
-/**
- * Best-effort affinity: pin pool thread @p worker to one CPU (id mod
- * hardware threads).  Affinity is pure placement — it can never change
- * results, only which core's cache/NUMA node serves the memory.
- */
-void
-pinPoolThread(unsigned worker)
-{
-#if defined(__linux__)
-    const unsigned hw = ThreadPool::hardwareThreads();
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(worker % hw, &set);
-    // pid 0 = the calling thread; ignore failure (restricted cpusets,
-    // containers) — pinning is an optimization, not a contract.
-    (void)sched_setaffinity(0, sizeof(set), &set);
-#else
-    (void)worker;
-#endif
-}
-
-} // namespace
-
-ThreadPool::ThreadPool(unsigned threads, bool pin_threads)
+ThreadPool::ThreadPool(unsigned threads)
 {
     _size = threads == 0 ? hardwareThreads() : threads;
     if (_size < 1)
@@ -47,16 +17,9 @@ ThreadPool::ThreadPool(unsigned threads, bool pin_threads)
     const unsigned cap = std::max(256u, 2 * hardwareThreads());
     if (_size > cap)
         _size = cap;
-    if (pin_threads)
-        pinPoolThread(0); // the caller participates as pool thread 0
     _workers.reserve(_size - 1);
-    for (unsigned i = 0; i + 1 < _size; ++i) {
-        _workers.emplace_back([this, i, pin_threads] {
-            if (pin_threads)
-                pinPoolThread(i + 1);
-            workerLoop(i + 1);
-        });
-    }
+    for (unsigned i = 0; i + 1 < _size; ++i)
+        _workers.emplace_back([this, i] { workerLoop(i + 1); });
 }
 
 ThreadPool::~ThreadPool()

@@ -39,13 +39,8 @@ class ThreadPool
      *        OS threads and runs every loop inline.  Absurd requests
      *        are clamped to max(256, 2 x hardware threads) — results
      *        never depend on the size, only wall-clock does.
-     * @param pin_threads Pin each pool thread (including the caller)
-     *        to one CPU, thread i to CPU i mod hardwareThreads().
-     *        Linux only, best-effort, a no-op elsewhere; keeps
-     *        first-touch memory (see parallelForChunked) on the core
-     *        that faulted it in.  Never affects results.
      */
-    explicit ThreadPool(unsigned threads = 0, bool pin_threads = false);
+    explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;

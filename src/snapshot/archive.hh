@@ -133,11 +133,12 @@ class ScopedArchive
     void pushScope(std::string_view name);
     void popScope();
 
+    /** Full dotted path of @p name (for messages). */
+    std::string path(std::string_view name) const;
+
   protected:
     /** The current scope prefix ("a.b." when nested, "" at top). */
     std::string_view prefix() const { return _prefix; }
-    /** Full dotted path of @p name (for messages). */
-    std::string path(std::string_view name) const;
 
   private:
     std::string _prefix;                 ///< "a.b." when nested

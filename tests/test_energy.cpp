@@ -286,7 +286,7 @@ TEST(SuperCapacitor, SetStoredValidated)
 }
 
 // SuperCapacitor runs every mutator through a CapacitorView over its
-// own cells: work done through view() must show on the object, and
+// own State: work done through view() must show on the object, and
 // work done on the object must show through the view.
 TEST(SuperCapacitor, ViewSharesTheObjectCells)
 {
@@ -313,20 +313,24 @@ TEST(SuperCapacitor, ViewSharesTheObjectCells)
     EXPECT_THROW(view.setStored(11.0_mJ), FatalError);
 }
 
-// The view keeps its cells as raw joules but must archive them as the
-// five Energy records snapshot files carry, in the same order, so files
-// written before and after the cells became plain doubles agree byte
-// for byte; loading must restore every cell exactly.
-TEST(CapacitorView, ArchiveKeepsEnergyWireEncoding)
+// A capacitor's State archives as the five Energy records snapshot
+// files carry, in their fixed order (not the struct's member order),
+// and loading restores every cell exactly; a view bound to the loaded
+// State reads the restored values.
+TEST(CapacitorState, ArchiveKeepsEnergyWireEncoding)
 {
     const SuperCapacitor::Config cfg{10.0_mJ, 0.0_mJ, Power::zero()};
-    // View order: stored, charged, overflow, leaked, discharged.
-    double cells[5] = {0.1 + 0.2, 1.0 / 3.0, 0.0, 5e-324, 0.007};
-    CapacitorView view(cfg, cells[0], cells[1], cells[2], cells[3],
-                       cells[4]);
-    snapshot::OutArchive from_view;
-    from_view.io("cap", view);
-    const std::string blob = from_view.take();
+    // Member order: stored, charged, overflow, leaked, discharged.
+    const double cells[5] = {0.1 + 0.2, 1.0 / 3.0, 0.0, 5e-324, 0.007};
+    SuperCapacitor::State state;
+    Energy *const members[5] = {&state.stored, &state.chargedTotal,
+                                &state.overflowTotal, &state.leakedTotal,
+                                &state.dischargedTotal};
+    for (int i = 0; i < 5; ++i)
+        *members[i] = Energy::fromJoules(cells[i]);
+    snapshot::OutArchive from_state;
+    from_state.io("cap", state);
+    const std::string blob = from_state.take();
 
     snapshot::OutArchive wire;
     wire.pushScope("cap");
@@ -339,14 +343,19 @@ TEST(CapacitorView, ArchiveKeepsEnergyWireEncoding)
     }
     EXPECT_EQ(blob, wire.take());
 
-    double back[5] = {-1.0, -1.0, -1.0, -1.0, -1.0};
-    CapacitorView loaded(cfg, back[0], back[1], back[2], back[3],
-                         back[4]);
+    SuperCapacitor::State back;
+    back.stored = back.chargedTotal = back.overflowTotal =
+        back.leakedTotal = back.dischargedTotal = Energy::fromJoules(-1.0);
     snapshot::InArchive in{std::string_view(blob)};
-    in.io("cap", loaded);
+    in.io("cap", back);
     EXPECT_TRUE(in.atEnd());
+    const CapacitorView loaded(cfg, back);
+    const double restored[5] = {
+        loaded.stored().joules(), loaded.chargedTotal().joules(),
+        loaded.overflowTotal().joules(), loaded.leakedTotal().joules(),
+        loaded.dischargedTotal().joules()};
     for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(snapshot::doubleBits(back[i]),
+        EXPECT_EQ(snapshot::doubleBits(restored[i]),
                   snapshot::doubleBits(cells[i]))
             << "cell " << i;
 }

@@ -176,24 +176,6 @@ TEST(Rtc, RejectsBadConfig)
     EXPECT_THROW(Rtc{cfg2}, FatalError);
 }
 
-/** The RTC cells an RtcView binds: a dedicated cap, flag, count. */
-struct RtcCells
-{
-    /** stored, charged, overflow, leaked, discharged (joules). */
-    double cap[5] = {};
-    std::uint8_t sync = 1;
-    std::uint64_t desyncs = 0;
-
-    RtcView
-    view(const Rtc::Config &cfg)
-    {
-        return {cfg,
-                CapacitorView(cfg.cap, cap[0], cap[1], cap[2], cap[3],
-                              cap[4]),
-                sync, desyncs};
-    }
-};
-
 /** A config whose dedicated cap lasts ~33 s with no income. */
 Rtc::Config
 starvingRtcConfig()
@@ -210,19 +192,18 @@ starvingRtcConfig()
 TEST(RtcView, CountsOneDesyncPerLossOfSync)
 {
     const Rtc::Config cfg = starvingRtcConfig();
-    RtcCells cells;
-    cells.cap[0] = cfg.cap.initial.joules();
-    RtcView rtc = cells.view(cfg);
+    Rtc::State state = Rtc::initialState(cfg);
+    RtcView rtc(cfg, state);
 
     for (int i = 0; i < 5; ++i)
         rtc.advance(40 * kSec, Energy::zero());
     EXPECT_FALSE(rtc.synchronized());
     EXPECT_EQ(rtc.desyncCount(), 1u);
-    EXPECT_EQ(cells.sync, 0u);
+    EXPECT_FALSE(state.synchronized);
     EXPECT_DOUBLE_EQ(rtc.cap().stored().joules(), 0.0);
 
     rtc.resynchronize();
-    EXPECT_EQ(cells.sync, 1u);
+    EXPECT_TRUE(state.synchronized);
     rtc.advance(40 * kSec, Energy::zero());
     EXPECT_EQ(rtc.desyncCount(), 2u);
 
@@ -231,47 +212,42 @@ TEST(RtcView, CountsOneDesyncPerLossOfSync)
     for (int i = 0; i < 5; ++i)
         rtc.advance(12 * kSec, Energy::fromMicrojoules(50.0));
     EXPECT_TRUE(rtc.synchronized());
-    EXPECT_EQ(cells.desyncs, 2u);
+    EXPECT_EQ(state.desyncs, 2u);
 }
 
-// The flag byte and the counter archive as the bool and u64 records
-// snapshot files carry, so the shard cells' types never leak into the
-// file format.
-TEST(RtcView, ArchiveKeepsBoolAndU64WireEncoding)
+// An RTC's State archives as the records snapshot files carry: the
+// dedicated cap's five Energy records, then a bool and a u64.
+TEST(RtcState, ArchiveKeepsBoolAndU64WireEncoding)
 {
-    const Rtc::Config cfg = starvingRtcConfig();
-    for (const std::uint8_t sync : {std::uint8_t{0}, std::uint8_t{1}}) {
-        RtcCells cells;
-        cells.cap[0] = 3e-5;  // stored
-        cells.cap[3] = 0.125; // leaked total
-        cells.sync = sync;
-        cells.desyncs = 7;
-        RtcView rtc = cells.view(cfg);
-        snapshot::OutArchive from_view;
-        from_view.io("rtc", rtc);
-        const std::string blob = from_view.take();
+    for (const bool sync : {false, true}) {
+        Rtc::State state;
+        state.cap.stored = Energy::fromJoules(3e-5);
+        state.cap.leakedTotal = Energy::fromJoules(0.125);
+        state.synchronized = sync;
+        state.desyncs = 7;
+        snapshot::OutArchive from_state;
+        from_state.io("rtc", state);
+        const std::string blob = from_state.take();
 
         // The record layout: the cap's records, a bool, a u64.
         snapshot::OutArchive wire;
         wire.pushScope("rtc");
-        CapacitorView cap = rtc.cap();
-        wire.io("cap", cap);
-        bool flag = sync != 0;
+        wire.io("cap", state.cap);
+        bool flag = sync;
         wire.io("synchronized", flag);
         std::uint64_t count = 7;
         wire.io("desyncs", count);
-        EXPECT_EQ(blob, wire.take()) << "sync " << static_cast<int>(sync);
+        EXPECT_EQ(blob, wire.take()) << "sync " << sync;
 
-        RtcCells back;
-        back.sync = static_cast<std::uint8_t>(1 - sync);
-        RtcView loaded = back.view(cfg);
+        Rtc::State back;
+        back.synchronized = !sync;
         snapshot::InArchive in{std::string_view(blob)};
-        in.io("rtc", loaded);
+        in.io("rtc", back);
         EXPECT_TRUE(in.atEnd());
-        EXPECT_EQ(back.sync, sync);
+        EXPECT_EQ(back.synchronized, sync);
         EXPECT_EQ(back.desyncs, 7u);
-        EXPECT_EQ(back.cap[0], 3e-5);
-        EXPECT_EQ(back.cap[3], 0.125);
+        EXPECT_EQ(back.cap.stored.joules(), 3e-5);
+        EXPECT_EQ(back.cap.leakedTotal.joules(), 0.125);
     }
 }
 
@@ -281,19 +257,19 @@ TEST(RtcView, DesyncCountExactBeyondDoublePrecision)
 {
     const Rtc::Config cfg = starvingRtcConfig();
     constexpr std::uint64_t kBig = std::uint64_t{1} << 53;
-    RtcCells cells;
-    cells.desyncs = kBig;
-    RtcView rtc = cells.view(cfg);
+    Rtc::State state;
+    state.desyncs = kBig;
+    RtcView rtc(cfg, state);
     rtc.advance(40 * kSec, Energy::zero()); // empty cap: desyncs
     ASSERT_EQ(rtc.desyncCount(), kBig + 1);
 
     snapshot::OutArchive out;
-    out.io("rtc", rtc);
+    out.io("rtc", state);
     const std::string blob = out.take();
-    RtcCells back;
-    RtcView loaded = back.view(cfg);
+    Rtc::State back;
     snapshot::InArchive in{std::string_view(blob)};
-    in.io("rtc", loaded);
+    in.io("rtc", back);
+    const RtcView loaded(cfg, back);
     EXPECT_EQ(loaded.desyncCount(), kBig + 1);
     EXPECT_FALSE(loaded.synchronized());
 }

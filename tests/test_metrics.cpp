@@ -149,6 +149,25 @@ TEST(ReportIo, FromJsonRejectsWrongSchemaAndMissingMetrics)
                  FatalError);
 }
 
+// Nesting is capped well above anything this project writes, so a
+// hostile document fails as a parse error instead of recursing until
+// the stack runs out.
+TEST(ReportIo, ParseJsonCapsNestingDepth)
+{
+    const auto nested = [](int depth) {
+        return std::string(static_cast<std::size_t>(depth), '[') +
+               std::string(static_cast<std::size_t>(depth), ']');
+    };
+    EXPECT_EQ(report_io::parseJson(nested(64)).items().size(), 1u);
+    EXPECT_THROW(report_io::parseJson(nested(65)), FatalError);
+    EXPECT_THROW(report_io::parseJson(std::string(200000, '[')),
+                 FatalError);
+    std::string objects;
+    for (int i = 0; i < 200000; ++i)
+        objects += "{\"k\":";
+    EXPECT_THROW(report_io::parseJson(objects), FatalError);
+}
+
 TEST(ReportIo, BenchSchemaValidator)
 {
     const auto good = report_io::parseJson(

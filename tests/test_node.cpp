@@ -314,12 +314,12 @@ TEST(Node, GapAccrualForMultiplexedClones)
     EXPECT_GT(gained, 50.0);
 }
 
-/** A node's full snapshot walk, as bytes. */
+/** A node's full snapshot walk (its NodeState), as bytes. */
 std::string
 archiveBytes(Node &node)
 {
     snapshot::OutArchive ar;
-    ar.io("node", node);
+    ar.io("node", node.state());
     return ar.take();
 }
 
@@ -399,26 +399,28 @@ TEST(Node, FacadesBindTheirOwnShardRow)
 {
     const Node::Config cfg = baseConfig(OperatingMode::FiosNvMote);
     NodeShard shard;
-    shard.reserveRows(2, 1);
+    shard.reserve(2);
     Node a(cfg, std::make_unique<ConstantTrace>(3.0_mW), Rng(1), shard);
     Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(2), shard);
     ASSERT_EQ(shard.rows(), 2u);
+    EXPECT_EQ(&a.state(), &shard[0]);
+    EXPECT_EQ(&b.state(), &shard[1]);
 
     const std::string b_before = archiveBytes(b);
     a.capacitor().drain(100.0_mJ);
-    EXPECT_DOUBLE_EQ(shard.capStoredJ[0], 0.025);
-    EXPECT_DOUBLE_EQ(shard.capStoredJ[1], 0.125);
+    EXPECT_DOUBLE_EQ(shard[0].cap.stored.joules(), 0.025);
+    EXPECT_DOUBLE_EQ(shard[1].cap.stored.joules(), 0.125);
     a.rtc().advance(kHour, Energy::zero());
-    EXPECT_LT(shard.rtcStoredJ[0], shard.rtcStoredJ[1]);
+    EXPECT_LT(shard[0].rtc.cap.stored, shard[1].rtc.cap.stored);
     a.beginSlot(0, kSlot);
     if (a.tryWake())
         a.samplePackage();
     EXPECT_EQ(archiveBytes(b), b_before);
 
     b.beginSlot(0, kSlot);
-    EXPECT_DOUBLE_EQ(b.capacitor().stored().joules(), shard.capStoredJ[1]);
-    EXPECT_EQ(b.rtc().desyncCount(), shard.rtcDesyncs[1]);
-    EXPECT_EQ(b.lastAccrualTime(), shard.lastAccrual[1]);
+    EXPECT_EQ(b.capacitor().stored(), shard[1].cap.stored);
+    EXPECT_EQ(b.rtc().desyncCount(), shard[1].rtc.desyncs);
+    EXPECT_EQ(b.lastAccrualTime(), shard[1].lastAccrual);
 }
 
 // A node whose RTC lost sync must archive the cleared flag and the
@@ -443,7 +445,7 @@ TEST(Node, SnapshotRestoresDesyncedRtc)
     const std::string blob = archiveBytes(node);
     Node twin = make();
     snapshot::InArchive in{std::string_view(blob)};
-    in.io("node", twin);
+    in.io("node", twin.state());
     EXPECT_TRUE(in.atEnd());
     EXPECT_FALSE(twin.rtc().synchronized());
     EXPECT_EQ(twin.rtc().desyncCount(), 1u);
@@ -456,17 +458,19 @@ TEST(Node, SnapshotRestoresDesyncedRtc)
     }
 }
 
-/** Append a row with a plain radio to @p shard. */
-std::uint32_t
-addPlainRow(NodeShard &shard, const SuperCapacitor::Config &cap,
-            const Rtc::Config &rtc, std::size_t pending_depth = 1)
+/** A fresh node state with a plain radio. */
+NodeState
+plainState(const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
+           std::size_t pending_depth = 1)
 {
-    return shard.addRow(cap, rtc, sensors::tmp101(), NvBuffer::Config{},
-                        pending_depth, std::make_unique<SoftwareRf>());
+    return NodeState(Rng(1), cap, rtc, sensors::tmp101(),
+                     NvBuffer::Config{}, pending_depth,
+                     std::make_unique<SoftwareRf>());
 }
 
 // A new row starts from the configs' initial charges with clean
-// accounting, a synchronized RTC and its own pending-age window.
+// accounting, a synchronized RTC and its own pending-age queue; rows
+// never move, and adding past the reserved count is refused.
 TEST(NodeShard, AddRowSeedsFreshEnergyCells)
 {
     const SuperCapacitor::Config cap{250.0_mJ, 7.0_mJ,
@@ -474,52 +478,58 @@ TEST(NodeShard, AddRowSeedsFreshEnergyCells)
     Rtc::Config rtc;
     rtc.cap.initial = 30.0_mJ;
     NodeShard shard;
-    shard.reserveRows(2, 3);
-    EXPECT_EQ(addPlainRow(shard, cap, rtc, 3), 0u);
-    EXPECT_EQ(addPlainRow(shard, cap, rtc, 2), 1u);
+    shard.reserve(2);
+    const NodeState *first = &shard.add(plainState(cap, rtc, 3));
+    const NodeState *second = &shard.add(plainState(cap, rtc, 2));
     ASSERT_EQ(shard.rows(), 2u);
+    EXPECT_EQ(first, &shard[0]);
+    EXPECT_EQ(second, &shard[1]);
 
     for (std::size_t r = 0; r < 2; ++r) {
-        EXPECT_EQ(shard.capStoredJ[r], cap.initial.joules());
-        EXPECT_EQ(shard.rtcStoredJ[r], rtc.cap.initial.joules());
-        for (const std::vector<double> *zero :
-             {&shard.capChargedJ, &shard.capOverflowJ, &shard.capLeakedJ,
-              &shard.capDischargedJ, &shard.rtcChargedJ,
-              &shard.rtcOverflowJ, &shard.rtcLeakedJ,
-              &shard.rtcDischargedJ, &shard.directBudgetJ})
-            EXPECT_EQ((*zero)[r], 0.0);
-        EXPECT_EQ(shard.rtcSync[r], 1u);
-        EXPECT_EQ(shard.rtcDesyncs[r], 0u);
+        const NodeState &s = shard[r];
+        EXPECT_EQ(s.cap.stored, cap.initial);
+        EXPECT_EQ(s.rtc.cap.stored, rtc.cap.initial);
+        for (const Energy zero :
+             {s.cap.chargedTotal, s.cap.overflowTotal, s.cap.leakedTotal,
+              s.cap.dischargedTotal, s.rtc.cap.chargedTotal,
+              s.rtc.cap.overflowTotal, s.rtc.cap.leakedTotal,
+              s.rtc.cap.dischargedTotal, s.directBudget})
+            EXPECT_EQ(zero.joules(), 0.0);
+        EXPECT_TRUE(s.rtc.synchronized);
+        EXPECT_EQ(s.rtc.desyncs, 0u);
     }
-    EXPECT_EQ(shard.pendingOffset[1], 3u);
-    EXPECT_EQ(shard.pendingDepth[1], 2u);
-    EXPECT_EQ(shard.pendingAge.size(), 5u);
+    EXPECT_EQ(shard[0].pendingByAge, std::vector<int>(3, 0));
+    EXPECT_EQ(shard[1].pendingByAge, std::vector<int>(2, 0));
+    EXPECT_THROW(shard.add(plainState(cap, rtc)), FatalError);
+    EXPECT_EQ(shard.rows(), 2u);
 }
 
-// addRow validates both energy configs before it appends anything, so
-// a rejected row leaves the shard as it was.
+// A state validates both energy configs as it is built, so a rejected
+// one never reaches the shard.
 TEST(NodeShard, AddRowRejectsBadEnergyConfigs)
 {
     NodeShard shard;
+    shard.reserve(1);
     const SuperCapacitor::Config good_cap{};
     const Rtc::Config good_rtc{};
 
     SuperCapacitor::Config overfull = good_cap;
     overfull.initial = overfull.capacity + 1.0_mJ;
-    EXPECT_THROW(addPlainRow(shard, overfull, good_rtc), FatalError);
+    EXPECT_THROW(shard.add(plainState(overfull, good_rtc)), FatalError);
 
     Rtc::Config no_interval = good_rtc;
     no_interval.interval = 0;
-    EXPECT_THROW(addPlainRow(shard, good_cap, no_interval), FatalError);
+    EXPECT_THROW(shard.add(plainState(good_cap, no_interval)),
+                 FatalError);
 
     Rtc::Config bad_rtc_cap = good_rtc;
     bad_rtc_cap.cap.capacity = Energy::zero();
-    EXPECT_THROW(addPlainRow(shard, good_cap, bad_rtc_cap), FatalError);
+    EXPECT_THROW(shard.add(plainState(good_cap, bad_rtc_cap)),
+                 FatalError);
 
     EXPECT_EQ(shard.rows(), 0u);
-    EXPECT_TRUE(shard.capStoredJ.empty());
-    EXPECT_TRUE(shard.rtcSync.empty());
-    EXPECT_EQ(addPlainRow(shard, good_cap, good_rtc), 0u);
+    shard.add(plainState(good_cap, good_rtc));
+    EXPECT_EQ(shard.rows(), 1u);
 }
 
 /** Bit patterns of a capacitor's five cells, in view order. */
@@ -534,7 +544,7 @@ capBits(const Capacitor &cap)
             snapshot::doubleBits(cap.dischargedTotal().joules())};
 }
 
-// A shard row's capacitor columns and a standalone SuperCapacitor fed
+// A shard row's capacitor state and a standalone SuperCapacitor fed
 // the same random charge / discharge / drain / leak sequence must
 // return the same amounts and end every step on the same bits.
 TEST(NodeShard, CapacitorRowMatchesSuperCapacitor)
@@ -542,10 +552,8 @@ TEST(NodeShard, CapacitorRowMatchesSuperCapacitor)
     const SuperCapacitor::Config cfg{40.0_mJ, 13.0_mJ,
                                      Power::fromMicrowatts(15.0)};
     NodeShard shard;
-    const std::uint32_t r = addPlainRow(shard, cfg, Rtc::Config{});
-    CapacitorView row(cfg, shard.capStoredJ[r], shard.capChargedJ[r],
-                      shard.capOverflowJ[r], shard.capLeakedJ[r],
-                      shard.capDischargedJ[r]);
+    shard.reserve(1);
+    CapacitorView row(cfg, shard.add(plainState(cfg, Rtc::Config{})).cap);
     SuperCapacitor cap(cfg);
 
     Rng rng(20260817);
@@ -574,7 +582,7 @@ TEST(NodeShard, CapacitorRowMatchesSuperCapacitor)
     }
 }
 
-// Likewise for the RTC keep-alive: a shard row's RTC cells and a
+// Likewise for the RTC keep-alive: a shard row's RTC state and a
 // standalone Rtc advanced through the same starving and recovering
 // income must agree on the flag, the count and every cap cell.
 TEST(NodeShard, RtcRowMatchesRtc)
@@ -583,14 +591,9 @@ TEST(NodeShard, RtcRowMatchesRtc)
     cfg.cap.initial = Energy::fromMicrojoules(200.0);
     cfg.cap.capacity = Energy::fromMillijoules(1.0);
     NodeShard shard;
-    const std::uint32_t r =
-        addPlainRow(shard, SuperCapacitor::Config{}, cfg);
-    RtcView row(cfg,
-                CapacitorView(cfg.cap, shard.rtcStoredJ[r],
-                              shard.rtcChargedJ[r], shard.rtcOverflowJ[r],
-                              shard.rtcLeakedJ[r],
-                              shard.rtcDischargedJ[r]),
-                shard.rtcSync[r], shard.rtcDesyncs[r]);
+    shard.reserve(1);
+    NodeState &state = shard.add(plainState(SuperCapacitor::Config{}, cfg));
+    RtcView row(cfg, state.rtc);
     Rtc rtc(cfg);
 
     Rng rng(20260818);
@@ -612,7 +615,7 @@ TEST(NodeShard, RtcRowMatchesRtc)
         ASSERT_EQ(capBits(row.cap()), capBits(rtc.cap())) << step;
     }
     EXPECT_GT(rtc.desyncCount(), 10u);
-    EXPECT_EQ(shard.rtcDesyncs[r], rtc.desyncCount());
+    EXPECT_EQ(state.rtc.desyncs, rtc.desyncCount());
 }
 
 TEST(Node, PackageTxCostLowerForNvrf)

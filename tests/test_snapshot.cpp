@@ -12,7 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fog/chain_engine.hh"
@@ -21,7 +24,9 @@
 #include "fog/scenario.hh"
 #include "fog/snapshot_io.hh"
 #include "fog/system_report.hh"
+#include "hw/sensor.hh"
 #include "net/loss.hh"
+#include "node/node_state.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -436,10 +441,369 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(CloneGroup), 40u);
     EXPECT_EQ(sizeof(ChainProbe), 192u);
     EXPECT_EQ(sizeof(NodeStats), 168u);
-    EXPECT_EQ(sizeof(Node), 480u);
+    EXPECT_EQ(sizeof(SuperCapacitor::State), 40u);
+    EXPECT_EQ(sizeof(Rtc::State), 56u);
+    EXPECT_EQ(sizeof(NodeState), 552u);
+    EXPECT_EQ(sizeof(ChainState), 584u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
     EXPECT_EQ(sizeof(ScenarioConfig), 512u);
+}
+
+// ---------------------------------------------------------------------
+// Chain section schema: the ordered (path, wire type) list a chain
+// section carries.  The literals below were generated by walking
+// chain0 of the same two scenarios on the tree before NodeState and
+// ChainState existed, so any reorder, rename or retype of a record
+// fails here.  They hold no floating point, so every compiler agrees.
+// ---------------------------------------------------------------------
+
+/** Chain-level records, relative to "chain<c>.". */
+constexpr std::string_view kChainRecords = R"(
+rng.s0 u64
+rng.s1 u64
+rng.s2 u64
+rng.s3 u64
+rng.have_spare_normal bool
+rng.spare_normal f64
+loss.attempts u64
+loss.losses u64
+alive_last_slot vec<bool>
+group0.rotation i32
+shard.ideal_packages u64
+shard.wakeups u64
+shard.depletion_failures u64
+shard.packages_sampled u64
+shard.packages_to_cloud u64
+shard.packages_in_fog u64
+shard.packages_incidental u64
+shard.tasks_balanced_away u64
+shard.lb_messages u64
+shard.lb_failed_regions u64
+shard.tx_lost u64
+shard.tx_aborted u64
+shard.orphan_scans u64
+shard.rejoins u64
+shard.membership_updates u64
+shard.rt_requests_served u64
+shard.rt_requests_missed u64
+shard.relay_hops u64
+shard.relay_drops u64
+shard.rtc_resyncs u64
+shard.cap_overflow_mj f64
+shard.spent_compute_mj f64
+shard.spent_tx_mj f64
+shard.spent_rx_mj f64
+shard.spent_sample_mj f64
+shard.spent_wake_mj f64
+shard.harvested_mj f64
+probe.stored_energy_mj.buf vec<point>
+probe.stored_energy_mj.capacity u64
+probe.stored_energy_mj.head u64
+probe.stored_energy_mj.pushed u64
+probe.yield_frac.buf vec<point>
+probe.yield_frac.capacity u64
+probe.yield_frac.head u64
+probe.yield_frac.pushed u64
+probe.balanced_tasks.buf vec<point>
+probe.balanced_tasks.capacity u64
+probe.balanced_tasks.head u64
+probe.balanced_tasks.pushed u64
+probe.depletion_failures.buf vec<point>
+probe.depletion_failures.capacity u64
+probe.depletion_failures.head u64
+probe.depletion_failures.pushed u64)";
+
+/** One FIOS node's records (NVRF radio), relative to "chain<c>.node<i>.". */
+constexpr std::string_view kFiosNodeRecords = R"(
+rng.s0 u64
+rng.s1 u64
+rng.s2 u64
+rng.s3 u64
+rng.have_spare_normal bool
+rng.spare_normal f64
+cap.stored f64
+cap.overflow_total f64
+cap.leaked_total f64
+cap.charged_total f64
+cap.discharged_total f64
+rtc.cap.stored f64
+rtc.cap.overflow_total f64
+rtc.cap.leaked_total f64
+rtc.cap.charged_total f64
+rtc.cap.discharged_total f64
+rtc.synchronized bool
+rtc.desyncs u64
+sensor.initialized bool
+buffer.size u64
+buffer.accepted u64
+buffer.dropped u64
+rf_state.channel i32
+rf_state.pan_id u32
+rf_state.route_version u64
+rf_state.associated_dev_list vec<u32>
+rf_state.slot_phase i32
+rf_state.wake_interval_multiplier i32
+nvrf.configured bool
+last_accrual i64
+slot_start i64
+slot_length i64
+slot_time_used i64
+direct_budget f64
+last_income f64
+awake bool
+rf_initialized_this_slot bool
+slot_costs_valid bool
+slot_task_cost f64
+slot_task_time i64
+pending_packages i32
+pending_by_age vec<i32>
+stats.wakeups.value u64
+stats.depletion_failures.value u64
+stats.packages_sampled.value u64
+stats.packages_to_cloud.value u64
+stats.packages_in_fog.value u64
+stats.tasks_executed.value u64
+stats.incidental_tasks.value u64
+stats.tasks_received.value u64
+stats.tasks_shipped.value u64
+stats.tx_failures.value u64
+stats.samples_discarded.value u64
+stats.rtc_resyncs.value u64
+stats.stored_energy_mj.points vec<point>
+stats.harvested_total f64
+stats.spent_compute f64
+stats.spent_tx f64
+stats.spent_rx f64
+stats.spent_sample f64
+stats.spent_wake f64)";
+
+/** One NOS-VP node's records (software radio: no nvrf). */
+constexpr std::string_view kVpNodeRecords = R"(
+rng.s0 u64
+rng.s1 u64
+rng.s2 u64
+rng.s3 u64
+rng.have_spare_normal bool
+rng.spare_normal f64
+cap.stored f64
+cap.overflow_total f64
+cap.leaked_total f64
+cap.charged_total f64
+cap.discharged_total f64
+rtc.cap.stored f64
+rtc.cap.overflow_total f64
+rtc.cap.leaked_total f64
+rtc.cap.charged_total f64
+rtc.cap.discharged_total f64
+rtc.synchronized bool
+rtc.desyncs u64
+sensor.initialized bool
+buffer.size u64
+buffer.accepted u64
+buffer.dropped u64
+rf_state.channel i32
+rf_state.pan_id u32
+rf_state.route_version u64
+rf_state.associated_dev_list vec<u32>
+rf_state.slot_phase i32
+rf_state.wake_interval_multiplier i32
+last_accrual i64
+slot_start i64
+slot_length i64
+slot_time_used i64
+direct_budget f64
+last_income f64
+awake bool
+rf_initialized_this_slot bool
+slot_costs_valid bool
+slot_task_cost f64
+slot_task_time i64
+pending_packages i32
+pending_by_age vec<i32>
+stats.wakeups.value u64
+stats.depletion_failures.value u64
+stats.packages_sampled.value u64
+stats.packages_to_cloud.value u64
+stats.packages_in_fog.value u64
+stats.tasks_executed.value u64
+stats.incidental_tasks.value u64
+stats.tasks_received.value u64
+stats.tasks_shipped.value u64
+stats.tx_failures.value u64
+stats.samples_discarded.value u64
+stats.rtc_resyncs.value u64
+stats.stored_energy_mj.points vec<point>
+stats.harvested_total f64
+stats.spent_compute f64
+stats.spent_tx f64
+stats.spent_rx f64
+stats.spent_sample f64
+stats.spent_wake f64)";
+
+/** "path type" lines of @p block, each path prefixed by @p prefix. */
+std::vector<std::pair<std::string, std::string>>
+schemaLines(std::string_view block, const std::string &prefix)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    std::istringstream is{std::string(block)};
+    std::string path;
+    std::string type;
+    while (is >> path >> type)
+        out.emplace_back(prefix + path, type);
+    return out;
+}
+
+/**
+ * Run @p cfg for four slots with a checkpoint at slot 2, and return
+ * chain0's section of that checkpoint as (path, wire type) records.
+ */
+std::vector<std::pair<std::string, std::string>>
+chainSectionSchema(ScenarioConfig cfg, const std::string &tag)
+{
+    const ScratchDir dir(tag);
+    cfg.chains = 1;
+    cfg.horizon = 4 * cfg.slotInterval;
+    cfg.snapshot.everySlots = 2;
+    cfg.snapshot.dir = dir.path();
+    FogSystem(cfg).run();
+    const Snapshot snap =
+        snapshot::readSnapshot(dir.file(snapshot::snapshotFileName(2)));
+    const snapshot::Section *sec = snap.find("chain0");
+    EXPECT_NE(sec, nullptr);
+    std::vector<std::pair<std::string, std::string>> out;
+    if (sec == nullptr)
+        return out;
+    RecordReader reader(sec->data);
+    Record rec;
+    while (reader.next(rec))
+        out.emplace_back(std::string(rec.path),
+                         snapshot::fieldTypeName(rec.type));
+    return out;
+}
+
+TEST(SnapshotSchema, ChainSectionRecordsArePinned)
+{
+    ScenarioConfig fios;
+    fios.nodesPerChain = 1;
+    fios.multiplexing = 2;
+    fios.mode = OperatingMode::FiosNvMote;
+    fios.traceKind = TraceKind::Constant;
+    fios.nodeTemplate = presets::systemNodeTemplate();
+    auto want = schemaLines(kChainRecords, "chain0.");
+    for (const char *node : {"chain0.node0.", "chain0.node1."})
+        for (auto &line : schemaLines(kFiosNodeRecords, node))
+            want.push_back(std::move(line));
+    EXPECT_EQ(chainSectionSchema(fios, "schema_fios"), want);
+
+    ScenarioConfig vp = fios;
+    vp.multiplexing = 1;
+    vp.mode = OperatingMode::NosVp;
+    want = schemaLines(kChainRecords, "chain0.");
+    for (auto &line : schemaLines(kVpNodeRecords, "chain0.node0."))
+        want.push_back(std::move(line));
+    EXPECT_EQ(chainSectionSchema(vp, "schema_vp"), want);
+}
+
+// ---------------------------------------------------------------------
+// NodeState load validation: a snapshot's node records land in
+// NodeState::serialize, which refuses states no run can produce and
+// names the offending record.
+// ---------------------------------------------------------------------
+
+/** A fresh node state with a @p buffer_bytes NV buffer. */
+NodeState
+freshNodeState(std::size_t buffer_bytes = 1024, std::size_t depth = 2)
+{
+    NvBuffer::Config buffer;
+    buffer.capacityBytes = buffer_bytes;
+    return NodeState(Rng(5), SuperCapacitor::Config{}, Rtc::Config{},
+                     sensors::tmp101(), buffer, depth,
+                     std::make_unique<SoftwareRf>());
+}
+
+/** @p state archived as node1 of chain0. */
+std::string
+nodeBlob(NodeState &state)
+{
+    OutArchive out;
+    out.io("chain0.node1", state);
+    return out.take();
+}
+
+/** The FatalError loading @p blob into @p into raises ("" if none). */
+std::string
+nodeLoadError(const std::string &blob, NodeState &into)
+{
+    try {
+        InArchive in{std::string_view(blob)};
+        in.io("chain0.node1", into);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(NodeStateLoad, RejectsBufferFilledPastCapacity)
+{
+    NodeState big = freshNodeState(4096);
+    big.buffer.push(2048);
+    const std::string blob = nodeBlob(big);
+
+    NodeState same = freshNodeState(4096);
+    EXPECT_EQ(nodeLoadError(blob, same), "");
+    EXPECT_EQ(same.buffer.size(), 2048u);
+
+    NodeState small = freshNodeState(1024);
+    EXPECT_NE(nodeLoadError(blob, small).find("chain0.node1.buffer.size"),
+              std::string::npos)
+        << nodeLoadError(blob, small);
+}
+
+TEST(NodeStateLoad, RejectsNegativeAgeCount)
+{
+    NodeState bad = freshNodeState();
+    bad.pendingByAge = {2, -1};
+    bad.pendingPackages = 1; // the sum matches; only the sign is wrong
+    NodeState into = freshNodeState();
+    const std::string err = nodeLoadError(nodeBlob(bad), into);
+    EXPECT_NE(err.find("chain0.node1.pending_by_age"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("-1"), std::string::npos) << err;
+}
+
+TEST(NodeStateLoad, RejectsAgesNotSummingToPending)
+{
+    NodeState good = freshNodeState();
+    good.pendingByAge = {2, 1};
+    good.pendingPackages = 3;
+    NodeState into = freshNodeState();
+    EXPECT_EQ(nodeLoadError(nodeBlob(good), into), "");
+    EXPECT_EQ(into.pendingByAge, good.pendingByAge);
+
+    NodeState bad = freshNodeState();
+    bad.pendingByAge = {2, 1};
+    bad.pendingPackages = 4;
+    const std::string err = nodeLoadError(nodeBlob(bad), into);
+    EXPECT_NE(err.find("chain0.node1.pending_by_age"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("pending_packages is 4"), std::string::npos)
+        << err;
+}
+
+TEST(NodeStateLoad, RejectsQueueDepthMismatch)
+{
+    // A node with a 3-slot freshness deadline cannot load the queue of
+    // a 2-slot one, and the other way round.
+    for (const auto &[from_depth, into_depth] :
+         {std::pair{2u, 3u}, std::pair{3u, 2u}}) {
+        NodeState from = freshNodeState(1024, from_depth);
+        NodeState into = freshNodeState(1024, into_depth);
+        const std::string err = nodeLoadError(nodeBlob(from), into);
+        EXPECT_NE(err.find("chain0.node1.pending_by_age"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -557,6 +921,40 @@ TEST(SnapshotFile, LatestSkipsCorruptAndResolvesDirectories)
     EXPECT_THROW(snapshot::loadSnapshot(empty.path()), FatalError);
 }
 
+// The header JSON is parsed before any checksum, so a hostile header
+// must fail like any other corrupt file, not overflow the stack; as the
+// newest file of a directory it is skipped like a torn one.
+TEST(SnapshotFile, DeeplyNestedHeaderIsRejected)
+{
+    const ScratchDir dir("deep_header");
+    const std::string older = dir.file(snapshot::snapshotFileName(10));
+    Snapshot snap = sampleSnapshot();
+    snap.slot = 10;
+    snapshot::writeSnapshot(older, snap);
+
+    const std::string nested(200000, '[');
+    std::string crafted(snapshot::kMagic, 8);
+    snapshot::appendLe32(crafted, snapshot::kEndianMarker);
+    snapshot::appendLe32(crafted,
+                         static_cast<std::uint32_t>(nested.size()));
+    crafted += nested;
+    const std::string newest = dir.file(snapshot::snapshotFileName(20));
+    spit(newest, crafted);
+
+    try {
+        snapshot::readSnapshot(newest);
+        ADD_FAILURE() << "a 200000-deep header was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("corrupt header"),
+                  std::string::npos)
+            << err.what();
+    }
+    const auto latest = snapshot::readLatestSnapshot(dir.path());
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->path, older);
+    EXPECT_EQ(latest->snap.slot, 10);
+}
+
 TEST(SnapshotFile, CorruptionIsRejectedLoudly)
 {
     const ScratchDir dir("corrupt");
@@ -632,11 +1030,9 @@ TEST(ScenarioFingerprint, BlobRoundTripsAndHostKnobsAreExcluded)
     EXPECT_EQ(scenarioFingerprint(back), scenarioFingerprint(cfg));
 
     // Host-local knobs never enter the fingerprint: a resume may
-    // change thread count, thread pinning or checkpoint cadence
-    // freely.
+    // change thread count or checkpoint cadence freely.
     ScenarioConfig tweaked = cfg;
     tweaked.threads = 8;
-    tweaked.pinThreads = !cfg.pinThreads;
     tweaked.snapshot.everySlots = 5;
     tweaked.snapshot.dir = "/elsewhere";
     EXPECT_EQ(serializeScenarioBlob(tweaked), blob);
