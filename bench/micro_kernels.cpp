@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot kernels:
- * the Algorithm 1 DP (O(n*MAXTIME) scaling), the event queue, the FFT,
- * the compressor, and a full FogSystem slot loop.
+ * the Algorithm 1 DP (O(n*MAXTIME) scaling), the FFT, the compressor,
+ * and a full FogSystem slot loop.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,6 @@
 #include "kernels/compress.hh"
 #include "kernels/fft.hh"
 #include "kernels/signal_gen.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 using namespace neofog;
@@ -45,23 +44,6 @@ BENCHMARK(BM_Algorithm1)
     ->Args({128, 1024})
     ->Args({512, 4096})
     ->Complexity(benchmark::oN);
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        EventQueue q;
-        Rng rng(1);
-        for (std::size_t i = 0; i < n; ++i)
-            q.schedule(static_cast<Tick>(rng.uniformInt(0, 1'000'000)),
-                       [] {});
-        q.runAll();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n) *
-                            state.iterations());
-}
-BENCHMARK(BM_EventQueue)->Arg(1024)->Arg(16384)->Arg(131072);
 
 void
 BM_Fft(benchmark::State &state)

@@ -1,17 +1,15 @@
 /**
  * @file
- * Hot-path microbenchmarks for the prefix-sum energy-trace cache and
- * the intermittent-execution fast-forward, plus an end-to-end
- * headline-shaped run with the cache on vs off.
+ * Hot-path microbenchmarks for the prefix-sum energy-trace cache,
+ * plus an end-to-end headline-shaped run with the cache on vs off.
  *
  * Three sections:
  *  - integrate: slot-shaped windows/sec for {cached, reference} x
  *    {constant, piecewise, interpolated, rain composite};
- *  - fast-forward: IntermittentExecution analytic vs stepped, same
- *    results asserted, wall-clock speedup reported;
  *  - end-to-end: the headline low-power (fig 13) scenario with the
  *    shared energy cache enabled vs the per-node reference path,
- *    slots/sec and speedup, and a 1/2/4-thread bit-identity check.
+ *    slots/sec and speedup;
+ *  - a 1/2/4-thread bit-identity check with the shared cache.
  *
  * Options:
  *   --hours X   end-to-end horizon override (default 1.0)
@@ -32,8 +30,6 @@
 #include "energy/trace_cache.hh"
 #include "fog/fog_system.hh"
 #include "fog/presets.hh"
-#include "hw/processor.hh"
-#include "node/intermittent.hh"
 #include "sim/logging.hh"
 #include "sim/report_io.hh"
 #include "sim/rng.hh"
@@ -201,50 +197,12 @@ main(int argc, char **argv)
         sink.add(key + "_cache_build_secs", build_secs);
     }
 
-    // ---- Section 2: intermittent fast-forward ----------------------
-    header("Intermittent execution: analytic fast-forward vs 1 ms steps");
-    const Tick ff_horizon = smoke ? 15 * kMin : 2 * kHour;
-    const NvProcessor nvp{NvProcessor::fiosConfig()};
-    IntermittentExecution::Config ff_cfg;
-    ff_cfg.frontend = FrontEnd::makeFios().config();
-    Table t2({16, 14, 14, 12});
-    t2.row({"Trace", "Stepped s", "Fast s", "Speedup"});
-    t2.separator();
-    for (const auto &[label, trace] : microTraces(ff_horizon)) {
-        IntermittentExecution::Config stepped_cfg = ff_cfg;
-        stepped_cfg.fastForward = false;
-        // Mote-level income: the unit-mean composite is ~1 W.
-        const ScaledTrace scaled(0.0026, trace);
-        auto start = std::chrono::steady_clock::now();
-        const auto stepped = IntermittentExecution::run(
-            nvp, scaled, ff_horizon, stepped_cfg);
-        const double stepped_secs = seconds(start);
-        start = std::chrono::steady_clock::now();
-        const auto fast =
-            IntermittentExecution::run(nvp, scaled, ff_horizon, ff_cfg);
-        const double fast_secs = seconds(start);
-        if (fast.powerCycles != stepped.powerCycles ||
-            fast.instructionsCompleted != stepped.instructionsCompleted ||
-            fast.activeTime != stepped.activeTime ||
-            fast.overheadTime != stepped.overheadTime) {
-            err("perf_hotpath: fast-forward diverged on %s\n", label);
-            return 1;
-        }
-        t2.row({label, fmt(stepped_secs, 3), fmt(fast_secs, 3),
-                fmt(stepped_secs / std::max(fast_secs, 1e-9), 1) + "x"});
-        const std::string key = keyify(label);
-        sink.add(key + "_ffwd_stepped_secs", stepped_secs);
-        sink.add(key + "_ffwd_fast_secs", fast_secs);
-        sink.add(key + "_ffwd_speedup",
-                 stepped_secs / std::max(fast_secs, 1e-9));
-    }
-
-    // ---- Section 3: end-to-end headline scenario -------------------
+    // ---- Section 2: end-to-end headline scenario -------------------
     header("End to end: headline low-power scenario, cache on vs off");
-    Table t3({24, 8, 14, 14, 12});
-    t3.row({"Configuration", "Mux", "Ref slots/s", "Cached slots/s",
+    Table t2({24, 8, 14, 14, 12});
+    t2.row({"Configuration", "Mux", "Ref slots/s", "Cached slots/s",
             "Speedup"});
-    t3.separator();
+    t2.separator();
     double on_total = 0.0;
     double off_total = 0.0;
     for (const int mux : {1, 3}) {
@@ -271,7 +229,7 @@ main(int argc, char **argv)
             static_cast<double>(reference.totalProcessed()));
         const auto key =
             "e2e_mux" + std::to_string(mux);
-        t3.row({"FIOS + distributed LB", std::to_string(mux),
+        t2.row({"FIOS + distributed LB", std::to_string(mux),
                 fmt(slots / off_secs, 0), fmt(slots / on_secs, 0),
                 fmt(off_secs / on_secs, 2) + "x"});
         sink.add(key + "_ref_secs", off_secs);
@@ -282,12 +240,11 @@ main(int argc, char **argv)
         sink.add(key + "_processed_delta", delta);
     }
     const double e2e_speedup = off_total / on_total;
-    out("\nend-to-end speedup (cache+fast-forward vs reference): "
-        "%.2fx\n",
+    out("\nend-to-end speedup (cache vs reference): %.2fx\n",
         e2e_speedup);
     sink.add("e2e_speedup", e2e_speedup);
 
-    // ---- Section 4: thread bit-identity with the shared cache ------
+    // ---- Section 3: thread bit-identity with the shared cache ------
     {
         ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
         cfg.chains = smoke ? 10 : 40;

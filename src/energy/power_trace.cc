@@ -119,17 +119,6 @@ PiecewiseTrace::integrate(Tick from, Tick to) const
     return total;
 }
 
-Tick
-PiecewiseTrace::constantLevelUntil(Tick t) const
-{
-    const std::size_t idx = segmentIndex(t);
-    if (idx == static_cast<std::size_t>(-1))
-        return _segments.empty() ? kTickNever : _segments.front().start;
-    if (idx + 1 < _segments.size())
-        return _segments[idx + 1].start;
-    return kTickNever;
-}
-
 std::string
 PiecewiseTrace::describe() const
 {
@@ -190,23 +179,6 @@ InterpolatedTrace::integrate(Tick from, Tick to) const
         t = seg_end;
     }
     return total;
-}
-
-Tick
-InterpolatedTrace::constantLevelUntil(Tick t) const
-{
-    // Flat only on the boundary extensions and between equal-level
-    // knots; sloped spans hold no constancy guarantee.
-    if (t < _knots.front().at)
-        return _knots.front().at;
-    if (t >= _knots.back().at)
-        return kTickNever;
-    auto it = std::upper_bound(
-        _knots.begin(), _knots.end(), t,
-        [](Tick v, const Knot &k) { return v < k.at; });
-    const Knot &hi = *it;
-    const Knot &lo = *(it - 1);
-    return lo.level.watts() == hi.level.watts() ? hi.at : t;
 }
 
 std::string

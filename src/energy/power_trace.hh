@@ -59,15 +59,6 @@ class PowerTrace
      */
     virtual bool hasFastIntegrate() const { return false; }
 
-    /**
-     * End (exclusive) of the maximal interval starting at @p t on
-     * which at() is constant, or kTickNever if constant forever.
-     * Traces with no constancy guarantee return @p t itself; the
-     * intermittent-execution fast-forward uses this to decide how far
-     * it may jump in closed form.
-     */
-    virtual Tick constantLevelUntil(Tick t) const { return t; }
-
     /** Human-readable description for logs and reports. */
     virtual std::string describe() const = 0;
 };
@@ -106,7 +97,6 @@ class ConstantTrace : public PowerTrace
     Power at(Tick) const override { return _level; }
     Energy integrate(Tick from, Tick to) const override;
     bool hasFastIntegrate() const override { return true; }
-    Tick constantLevelUntil(Tick) const override { return kTickNever; }
     std::string describe() const override;
 
   private:
@@ -132,7 +122,6 @@ class PiecewiseTrace : public PowerTrace
     Power at(Tick t) const override;
     Energy integrate(Tick from, Tick to) const override;
     bool hasFastIntegrate() const override { return true; }
-    Tick constantLevelUntil(Tick t) const override;
     std::string describe() const override;
 
     const std::vector<Segment> &segments() const { return _segments; }
@@ -166,7 +155,6 @@ class InterpolatedTrace : public PowerTrace
     Power at(Tick t) const override;
     Energy integrate(Tick from, Tick to) const override;
     bool hasFastIntegrate() const override { return true; }
-    Tick constantLevelUntil(Tick t) const override;
     std::string describe() const override;
 
     const std::vector<Knot> &knots() const { return _knots; }
@@ -220,8 +208,6 @@ class ScaledTrace : public PowerTrace
     { return _base->integrate(from, to) * _scale; }
     bool hasFastIntegrate() const override
     { return _base->hasFastIntegrate(); }
-    Tick constantLevelUntil(Tick t) const override
-    { return _base->constantLevelUntil(t); }
     std::string describe() const override;
 
     double scale() const { return _scale; }

@@ -60,8 +60,6 @@ class CumulativeTrace : public PowerTrace
     Power at(Tick t) const override { return _base->at(t); }
     Energy integrate(Tick from, Tick to) const override;
     bool hasFastIntegrate() const override { return true; }
-    Tick constantLevelUntil(Tick t) const override
-    { return _base->constantLevelUntil(t); }
     std::string describe() const override;
 
     const PowerTrace &base() const { return *_base; }

@@ -103,7 +103,8 @@ struct ChainState
 };
 
 /**
- * Simulator for one independent chain of an energy-harvesting WSN.
+ * Slot-by-slot model of one independent chain of an energy-harvesting
+ * WSN.
  */
 class ChainEngine
 {

@@ -1,9 +1,12 @@
 #include "fog/fog_system.hh"
 
+#include <algorithm>
+
 #include "balance/policy_registry.hh"
 #include "energy/trace_cache.hh"
 #include "fog/snapshot_io.hh"
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 #include "snapshot/archive.hh"
 #include "snapshot/snapshot.hh"
 
@@ -15,7 +18,7 @@ FogSystem::FogSystem(const ScenarioConfig &cfg)
 
 FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
                      std::size_t chain_hi)
-    : _cfg(cfg), _sim(cfg.seed), _chainLo(chain_lo), _chainHi(chain_hi)
+    : _cfg(cfg), _chainLo(chain_lo), _chainHi(chain_hi)
 {
     if (_cfg.nodesPerChain == 0 || _cfg.chains == 0)
         fatal("scenario needs at least one node and one chain");
@@ -67,7 +70,7 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
     // The pool exists before the engines so construction itself can
     // run under the *chunked* partition: chain c's node states are
     // allocated and first-written by the same pool thread that will
-    // sweep them every slot (slotTick below uses the same stable
+    // sweep them every slot (runWindow below uses the same stable
     // chunk→thread mapping).
     const std::size_t owned = _chainHi - _chainLo;
     const unsigned threads = _cfg.threads == 0
@@ -94,47 +97,20 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
 }
 
 void
-FogSystem::runOneSlot(std::int64_t slot_index)
+FogSystem::runWindow(std::int64_t from, std::int64_t to)
 {
+    NEOFOG_ASSERT(from >= 0 && to <= _cfg.slotCount() && from <= to,
+                  "runWindow range");
     // Chains are mutually independent, so the order (and thread) in
     // which they execute a slot is irrelevant to the outcome.  The
     // chunked partition (not dynamic claiming) keeps chain c on the
     // pool thread that constructed its shard, every slot — see the
     // first-touch note in the constructor.
-    parallelForChunked(_pool.get(), _engines.size(),
-                       [&](std::size_t c) {
-        _engines[c]->runSlot(slot_index);
-    });
-}
-
-void
-FogSystem::runWindow(std::int64_t from, std::int64_t to)
-{
-    NEOFOG_ASSERT(from >= 0 && to <= _cfg.slotCount() && from <= to,
-                  "runWindow range");
-    for (std::int64_t s = from; s < to; ++s)
-        runOneSlot(s);
-}
-
-void
-FogSystem::slotTick(std::int64_t slot_index)
-{
-    runOneSlot(slot_index);
-
-    // Checkpoint at the upcoming boundary: the state right now is
-    // "after slots [0, next)", exactly what a resume starting at
-    // `next` needs.  Writing is read-only with respect to simulation
-    // state, so it can never perturb results.
-    const std::int64_t next = slot_index + 1;
-    if (_cfg.snapshot.everySlots > 0 && next < _cfg.slotCount() &&
-        next % _cfg.snapshot.everySlots == 0)
-        saveSnapshot(next);
-
-    // Self-rescheduling slot event: keeps the event queue O(1) in the
-    // horizon instead of pre-allocating every slot up front.
-    if (next < _cfg.slotCount()) {
-        _sim.schedule(next * _cfg.slotInterval,
-                      [this, next] { slotTick(next); });
+    for (std::int64_t s = from; s < to; ++s) {
+        parallelForChunked(_pool.get(), _engines.size(),
+                           [&](std::size_t c) {
+            _engines[c]->runSlot(s);
+        });
     }
 }
 
@@ -149,15 +125,22 @@ FogSystem::run()
     _report = SystemReport{};
     _report.idealPackages = _cfg.idealPackages();
 
-    // The only event alive at a slot boundary is the self-rescheduling
-    // slot tick, so a resumed run re-materializes the queue by
-    // scheduling the first outstanding slot (0 for a fresh system).
-    if (_resumeSlot < _cfg.slotCount()) {
-        const std::int64_t first = _resumeSlot;
-        _sim.schedule(first * _cfg.slotInterval,
-                      [this, first] { slotTick(first); });
+    // Step the slot grid from the resume slot (0 for a fresh system),
+    // pausing at every checkpoint boundary before the horizon.  The
+    // state there is "after slots [0, next)", exactly what a resume
+    // starting at `next` needs, and writing it reads simulation state
+    // without changing it, so checkpointing never perturbs results.
+    const std::int64_t slots = _cfg.slotCount();
+    const std::int64_t every = _cfg.snapshot.everySlots;
+    for (std::int64_t from = _resumeSlot; from < slots;) {
+        const std::int64_t next = every > 0
+            ? std::min(slots, from - from % every + every)
+            : slots;
+        runWindow(from, next);
+        if (next < slots)
+            saveSnapshot(next);
+        from = next;
     }
-    _sim.runAll();
 
     // Merge the shards serially in chain order: uint64 sums commute,
     // but double sums do not, and a fixed order keeps the energy

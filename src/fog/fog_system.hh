@@ -12,7 +12,7 @@
  *
  * The per-chain simulation lives in ChainEngine; FogSystem is the
  * orchestrator: it forks one RNG stream per chain (in chain order),
- * schedules the slot grid, dispatches the chains of each slot across
+ * steps the slot grid, dispatches the chains of each slot across
  * a ThreadPool, and merges the per-chain report shards in chain order
  * so results are bit-identical for any thread count.
  */
@@ -28,7 +28,6 @@
 #include "fog/scenario.hh"
 #include "fog/system_report.hh"
 #include "sim/report_io.hh"
-#include "sim/simulator.hh"
 #include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
 
@@ -105,14 +104,17 @@ class FogSystem
     /** First slot run() will execute (0 unless resumed). */
     std::int64_t resumeSlot() const { return _resumeSlot; }
 
-    /** Run the full horizon and return aggregated results. */
+    /**
+     * Run slots [resumeSlot(), slotCount) and return the aggregated
+     * results, writing a checkpoint at every multiple of
+     * snapshot.everySlots strictly inside that range.
+     */
     SystemReport run();
 
     /**
-     * Run slots [from, to) over this system's chain range, outside
-     * the event queue.  ChainEngine never touches the Simulator, so a
-     * plain slot loop is bit-identical to the event-driven run() —
-     * this is the distributed worker's stepping primitive (the
+     * Run slots [from, to) over this system's chain range.  run()
+     * steps the horizon through this loop between checkpoints; it is
+     * also the distributed worker's stepping primitive (the
      * coordinator drives barriers and checkpoints explicitly).
      * Leaves the report un-merged; see shardBlob().
      */
@@ -179,16 +181,7 @@ class FogSystem
     nodeEnergySeries(std::size_t chain, std::size_t physical_idx,
                      std::size_t max_points = 400) const;
 
-    /** The simulator context (time, event queue, stats). */
-    Simulator &sim() { return _sim; }
-
   private:
-    /** Run one slot across every chain, then schedule the next. */
-    void slotTick(std::int64_t slot_index);
-
-    /** The chain-parallel body of one slot (no scheduling). */
-    void runOneSlot(std::int64_t slot_index);
-
     /**
      * The resume core shared by resume() and resumePartition(): check
      * @p loaded's header against @p cfg, construct chains [chain_lo,
@@ -201,7 +194,6 @@ class FogSystem
             std::size_t chain_hi);
 
     ScenarioConfig _cfg;
-    Simulator _sim;
 
     /** Global chain range simulated here (full system: [0, chains)). */
     std::size_t _chainLo = 0;

@@ -56,24 +56,12 @@ class IntermittentExecution
         /**
          * Volatile checkpoint granularity: a VP commits progress only
          * at segment boundaries; work inside an interrupted segment is
-         * re-executed.  (An NVP is insensitive to this.)
+         * re-executed.  (An NVP is insensitive to this.)  Must be
+         * positive.
          */
         std::uint64_t taskSegmentInstructions = 20'000;
         /** Simulation step. */
         Tick step = 1 * kMs;
-        /**
-         * Analytic fast-forward: inside constant-income trace
-         * segments, jump provably-steady step spans (dead charging,
-         * whole-step overhead service, uninterrupted execution) in
-         * closed form on the step-quantized grid instead of ticking
-         * every step; threshold crossings, wake-ups, brown-outs, and
-         * segment boundaries always run the exact per-step update.
-         * All step counts (power cycles, instructions, active and
-         * overhead time) match the stepped reference exactly; the
-         * energy tallies agree to summation-rounding (see DESIGN.md).
-         * Disable to force the stepped reference path.
-         */
-        bool fastForward = true;
     };
 
     /** Outcome of running one processor over the horizon. */
@@ -104,7 +92,9 @@ class IntermittentExecution
     };
 
     /**
-     * Run @p cpu against @p trace for @p horizon.
+     * Run @p cpu against @p trace for @p horizon in fixed steps of
+     * Config::step (the last one may be partial).  Fatal on reversed
+     * thresholds, a non-positive step, or a zero task segment.
      *
      * @param cpu Processor model (VolatileProcessor or NvProcessor).
      * @param trace Ambient power income.

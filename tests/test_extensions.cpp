@@ -1,21 +1,17 @@
 /**
  * @file
- * Tests for the extension modules: trace I/O, Goertzel detector,
- * CRC-16, and incidental computing.
+ * Tests for the extension modules: trace I/O and incidental
+ * computing.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "energy/power_trace.hh"
 #include "energy/trace_io.hh"
 #include "fog/fog_system.hh"
 #include "fog/presets.hh"
-#include "kernels/goertzel.hh"
-#include "kernels/signal_gen.hh"
-#include "net/checksum.hh"
 #include "node/node.hh"
 #include "sim/logging.hh"
 
@@ -129,101 +125,6 @@ TEST(TraceIo, InterpolatedCsvSmoothsSteps)
     // Total energy: two triangles = 6 mW * 60 s = 360 mJ.
     EXPECT_NEAR(trace->integrate(0, 120 * kSec).millijoules(), 360.0,
                 1e-6);
-}
-
-// ---------------------------------------------------------------------
-// Goertzel
-// ---------------------------------------------------------------------
-
-TEST(Goertzel, MatchesFftBinOnPureTone)
-{
-    const std::size_t n = 256;
-    std::vector<double> sig(n);
-    const double rate = 256.0;
-    const double f = 32.0; // exact bin
-    for (std::size_t i = 0; i < n; ++i)
-        sig[i] = std::sin(2.0 * M_PI * f * static_cast<double>(i) /
-                          rate);
-    // |X(k)| of a unit sine at an exact bin is N/2.
-    EXPECT_NEAR(kernels::goertzelMagnitude(sig, f, rate), 128.0, 1.0);
-    // Off-tone bins see almost nothing.
-    EXPECT_LT(kernels::goertzelMagnitude(sig, 100.0, rate), 2.0);
-}
-
-TEST(Goertzel, PowerRatioDetectsTone)
-{
-    Rng rng(5);
-    const double rate = 200.0;
-    std::vector<double> sig(1000);
-    for (std::size_t i = 0; i < sig.size(); ++i)
-        sig[i] = std::sin(2.0 * M_PI * 20.0 *
-                          static_cast<double>(i) / rate) +
-                 0.1 * rng.normal();
-    EXPECT_GT(kernels::goertzelPowerRatio(sig, 20.0, rate), 0.8);
-    EXPECT_LT(kernels::goertzelPowerRatio(sig, 55.0, rate), 0.05);
-}
-
-TEST(Goertzel, RefineLocatesFundamental)
-{
-    Rng rng(6);
-    const double rate = 100.0;
-    const double f0 = 1.37;
-    const auto sig = kernels::bridgeVibration(rng, 4096, rate, f0, 0.05);
-    const double found =
-        kernels::goertzelRefine(sig, 1.2, 0.5, rate, 41);
-    EXPECT_NEAR(found, f0, 0.05);
-}
-
-TEST(Goertzel, RejectsBadInputs)
-{
-    std::vector<double> sig(10, 1.0);
-    EXPECT_THROW(kernels::goertzelMagnitude(sig, 60.0, 100.0), FatalError);
-    EXPECT_THROW(kernels::goertzelMagnitude(sig, 1.0, 0.0), FatalError);
-    EXPECT_THROW(kernels::goertzelRefine(sig, 1.0, 0.5, 100.0, 2),
-                 FatalError);
-    EXPECT_DOUBLE_EQ(kernels::goertzelMagnitude({}, 1.0, 100.0), 0.0);
-}
-
-// ---------------------------------------------------------------------
-// CRC-16
-// ---------------------------------------------------------------------
-
-TEST(Crc16, KnownVector)
-{
-    // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
-    const std::uint8_t data[] = {'1', '2', '3', '4', '5',
-                                 '6', '7', '8', '9'};
-    EXPECT_EQ(crc16(data, 9), 0x29B1);
-}
-
-TEST(Crc16, EmptyInput)
-{
-    EXPECT_EQ(crc16(nullptr, 0), 0xFFFF);
-}
-
-TEST(Crc16, AppendAndVerify)
-{
-    std::vector<std::uint8_t> frame{1, 2, 3, 4, 5};
-    appendCrc16(frame);
-    EXPECT_EQ(frame.size(), 7u);
-    EXPECT_TRUE(checkAndStripCrc16(frame));
-    EXPECT_EQ(frame, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
-}
-
-TEST(Crc16, DetectsCorruption)
-{
-    std::vector<std::uint8_t> frame{9, 8, 7};
-    appendCrc16(frame);
-    frame[1] ^= 0x40;
-    const auto before = frame.size();
-    EXPECT_FALSE(checkAndStripCrc16(frame));
-    EXPECT_EQ(frame.size(), before); // untouched on failure
-}
-
-TEST(Crc16, ShortFrameRejected)
-{
-    std::vector<std::uint8_t> tiny{0x12};
-    EXPECT_FALSE(checkAndStripCrc16(tiny));
 }
 
 // ---------------------------------------------------------------------

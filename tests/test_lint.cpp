@@ -264,6 +264,11 @@ TEST(LintScopes, SanctionedSeedPointsMaySeed)
                            "Rng root(cfg.seed ^ 0xF06F06ULL);\n",
                            bad);
     EXPECT_EQ(countRule(bad, Rule::Determinism), 1);
+    // The retired simulator context is no longer a fork point.
+    Result retired;
+    neofog::lint::lintFile("src/sim/simulator.hh",
+                           "Rng root(seed);\n", retired);
+    EXPECT_EQ(countRule(retired, Rule::Determinism), 1);
 }
 
 TEST(LintRules, GuardMustFollowNeofogConvention)

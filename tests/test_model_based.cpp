@@ -1,155 +1,19 @@
 /**
  * @file
- * Model-based stress tests: the event queue against a naive reference
- * implementation under random operation sequences, and the node state
- * machine under randomized slot drives.
+ * Model-based stress tests: the node state machine under randomized
+ * slot drives.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "energy/power_trace.hh"
 #include "node/node.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace neofog {
 namespace {
-
-/**
- * Reference model: a sorted multimap of (when, priority, seq) -> id,
- * with eager deletion on cancel.
- */
-class ReferenceQueue
-{
-  public:
-    std::uint64_t
-    schedule(Tick when, int priority)
-    {
-        const std::uint64_t id = _next_id++;
-        _entries.push_back({when, priority, _next_seq++, id});
-        return id;
-    }
-
-    void
-    cancel(std::uint64_t id)
-    {
-        _entries.erase(
-            std::remove_if(_entries.begin(), _entries.end(),
-                           [&](const Entry &e) { return e.id == id; }),
-            _entries.end());
-    }
-
-    /** Pop the earliest (time, priority, fifo) entry, if any. */
-    bool
-    pop(std::uint64_t &id_out)
-    {
-        if (_entries.empty())
-            return false;
-        auto it = std::min_element(
-            _entries.begin(), _entries.end(),
-            [](const Entry &a, const Entry &b) {
-                if (a.when != b.when)
-                    return a.when < b.when;
-                if (a.priority != b.priority)
-                    return a.priority < b.priority;
-                return a.seq < b.seq;
-            });
-        id_out = it->id;
-        _entries.erase(it);
-        return true;
-    }
-
-    std::size_t size() const { return _entries.size(); }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        std::uint64_t id;
-    };
-    std::vector<Entry> _entries;
-    std::uint64_t _next_id = 1;
-    std::uint64_t _next_seq = 0;
-};
-
-class EventQueueModelTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(EventQueueModelTest, MatchesReferenceUnderRandomOps)
-{
-    Rng rng(static_cast<std::uint64_t>(GetParam()));
-    EventQueue queue;
-    ReferenceQueue model;
-
-    std::vector<std::uint64_t> fired; // ids in execution order
-    // Maps our queue's EventId to the model's id (they advance in
-    // lockstep since both hand out sequential ids).
-    std::vector<EventId> live_ids;
-
-    Tick max_scheduled = 0;
-    for (int op = 0; op < 2000; ++op) {
-        const double dice = rng.uniform();
-        if (dice < 0.6) {
-            // Schedule at or after "now".
-            const Tick when =
-                queue.now() + rng.uniformInt(0, 10'000);
-            const int priority = static_cast<int>(rng.uniformInt(0, 3));
-            const EventId qid = queue.schedule(
-                when,
-                [&fired, qid_capture = model.schedule(when, priority)] {
-                    fired.push_back(qid_capture);
-                },
-                priority);
-            live_ids.push_back(qid);
-            max_scheduled = std::max(max_scheduled, when);
-        } else if (dice < 0.75 && !live_ids.empty()) {
-            // Cancel a random id (may already have fired; both sides
-            // must treat that as a no-op).
-            const std::size_t pick = static_cast<std::size_t>(
-                rng.uniformInt(0,
-                               static_cast<std::int64_t>(
-                                   live_ids.size() - 1)));
-            // Model ids equal queue ids by construction.
-            model.cancel(live_ids[pick]);
-            queue.cancel(live_ids[pick]);
-        } else {
-            // Step a few events.
-            for (int k = 0; k < 3; ++k) {
-                std::uint64_t expect;
-                const bool model_has = model.pop(expect);
-                const bool queue_has = queue.step();
-                ASSERT_EQ(queue_has, model_has);
-                if (queue_has) {
-                    ASSERT_FALSE(fired.empty());
-                    EXPECT_EQ(fired.back(), expect);
-                }
-            }
-        }
-        ASSERT_EQ(queue.liveCount(), model.size());
-    }
-
-    // Drain both and compare the tail ordering.
-    while (true) {
-        std::uint64_t expect;
-        const bool model_has = model.pop(expect);
-        const bool queue_has = queue.step();
-        ASSERT_EQ(queue_has, model_has);
-        if (!queue_has)
-            break;
-        EXPECT_EQ(fired.back(), expect);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 class NodeFuzzTest : public ::testing::TestWithParam<int>
 {

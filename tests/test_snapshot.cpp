@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -1301,6 +1302,79 @@ TEST(Resume, ChainedResumeStaysBitIdentical)
     EXPECT_EQ(twice->resumeSlot(), 270);
     EXPECT_EQ(twice->run(), reference);
 }
+
+// ---------------------------------------------------------------------
+// Checkpoint cadence
+// ---------------------------------------------------------------------
+
+constexpr std::int64_t kCadenceSlots = 30;
+
+/** Every file name in @p dir. */
+std::set<std::string>
+fileNames(const std::string &dir)
+{
+    std::set<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    return names;
+}
+
+/** Checkpoint files at the multiples of @p every in (from, slots). */
+std::set<std::string>
+expectedCheckpoints(std::int64_t from, std::int64_t slots,
+                    std::int64_t every)
+{
+    std::set<std::string> names;
+    for (std::int64_t k = every; k < slots; k += every) {
+        if (k > from)
+            names.insert(snapshot::snapshotFileName(k));
+    }
+    return names;
+}
+
+class CheckpointCadence : public ::testing::TestWithParam<std::int64_t>
+{
+};
+
+// run() checkpoints at exactly the multiples of everySlots strictly
+// inside the horizon; a run resumed from the first checkpoint writes
+// only the later ones and lands on the uninterrupted report.
+TEST_P(CheckpointCadence, WritesEveryMultipleInsideTheHorizon)
+{
+    const std::int64_t every = GetParam();
+    const std::string tag = "cadence_" + std::to_string(every);
+    const ScratchDir dir(tag);
+    const ScratchDir resumed_dir(tag + "_resumed");
+
+    ScenarioConfig cfg = resumeScenario(1);
+    cfg.chains = 2;
+    cfg.horizon = kCadenceSlots * cfg.slotInterval;
+    ASSERT_EQ(cfg.slotCount(), kCadenceSlots);
+    const SystemReport reference = FogSystem(cfg).run();
+
+    cfg.snapshot.everySlots = every;
+    cfg.snapshot.dir = dir.path();
+    EXPECT_EQ(FogSystem(cfg).run(), reference);
+    EXPECT_EQ(fileNames(dir.path()),
+              expectedCheckpoints(0, kCadenceSlots, every));
+    if (every >= kCadenceSlots)
+        return; // no checkpoint to resume from
+
+    ScenarioConfig::SnapshotConfig resnap;
+    resnap.everySlots = every;
+    resnap.dir = resumed_dir.path();
+    auto resumed = FogSystem::resume(
+        dir.file(snapshot::snapshotFileName(every)), 1, resnap);
+    EXPECT_EQ(resumed->resumeSlot(), every);
+    EXPECT_EQ(resumed->run(), reference);
+    EXPECT_EQ(fileNames(resumed_dir.path()),
+              expectedCheckpoints(every, kCadenceSlots, every));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Every, CheckpointCadence,
+    ::testing::Values<std::int64_t>(1, 7, kCadenceSlots - 1,
+                                    kCadenceSlots, kCadenceSlots + 1));
 
 } // namespace
 } // namespace neofog

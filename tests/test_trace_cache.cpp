@@ -1,7 +1,7 @@
 /**
  * @file
- * Property tests for the prefix-sum energy-trace cache and the
- * intermittent-execution analytic fast-forward (ctest label: perf).
+ * Property tests for the prefix-sum energy-trace cache (ctest label:
+ * perf).
  *
  * The numerical contract under test (see DESIGN.md):
  *  - CumulativeTrace prefix cells are bit-identical to the canonical
@@ -10,9 +10,7 @@
  *  - windows inside a single grid cell are bit-identical to the
  *    stepped integrator (same single trapezoid);
  *  - all other windows agree with the stepped reference to <= 1e-12
- *    relative;
- *  - the intermittent fast-forward reproduces the stepped reference's
- *    step counts exactly and its energy tallies to summation-rounding.
+ *    relative.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +21,6 @@
 
 #include "energy/power_trace.hh"
 #include "energy/trace_cache.hh"
-#include "hw/processor.hh"
-#include "node/intermittent.hh"
 #include "sim/rng.hh"
 
 namespace neofog {
@@ -201,111 +197,6 @@ TEST(TraceCursor, StreamingWindowsMatchStepped)
                       base->integrateStepped(0, span).joules(), 1e-10,
                       base->describe().c_str());
     }
-}
-
-TEST(ConstantLevelUntil, ReportsFlatSpans)
-{
-    const ConstantTrace flat(1.0_mW);
-    EXPECT_EQ(flat.constantLevelUntil(123), kTickNever);
-
-    const PiecewiseTrace steps(
-        {{0, 1.0_mW}, {10 * kSec, 1.0_mW}, {20 * kSec, 2.0_mW}});
-    EXPECT_EQ(steps.constantLevelUntil(0), 10 * kSec);
-    EXPECT_EQ(steps.constantLevelUntil(15 * kSec), 20 * kSec);
-    EXPECT_EQ(steps.constantLevelUntil(25 * kSec), kTickNever);
-
-    const PiecewiseTrace late({{5 * kSec, 1.0_mW}});
-    // Zero before the first segment is itself a constant span.
-    EXPECT_EQ(late.constantLevelUntil(kSec), 5 * kSec);
-
-    const InterpolatedTrace ramp(
-        {{0, 1.0_mW}, {10 * kSec, 3.0_mW}, {20 * kSec, 3.0_mW}});
-    EXPECT_EQ(ramp.constantLevelUntil(5 * kSec), 5 * kSec); // sloped
-    EXPECT_EQ(ramp.constantLevelUntil(12 * kSec), 20 * kSec); // flat
-    EXPECT_EQ(ramp.constantLevelUntil(30 * kSec), kTickNever); // hold
-}
-
-/**
- * The fast-forward equivalence matrix: every trace type x NVP-FIOS
- * and VP-NOS.  Step-count results must match the stepped reference
- * exactly; energy tallies to summation-rounding (n*x vs x+...+x).
- */
-TEST(IntermittentFastForward, MatchesSteppedReference)
-{
-    const Tick horizon = 10 * kMin;
-    std::vector<std::shared_ptr<const PowerTrace>> set =
-        cacheTraceSet(horizon);
-    Rng rng(21);
-    set.push_back(std::shared_ptr<const PowerTrace>(
-        traces::makePiezoTrace(rng, horizon, 5.0_mW, 12.0)));
-    set.push_back(std::shared_ptr<const PowerTrace>(
-        traces::makeRfTrace(rng, horizon, 0.4_mW)));
-    // Down-scale the unit-mean rain stream to mote-level income.
-    set.push_back(std::make_shared<ScaledTrace>(
-        0.0026, std::shared_ptr<const PowerTrace>(
-                    traces::makeRainUnitStream(13, horizon))));
-
-    const NvProcessor nvp{NvProcessor::fiosConfig()};
-    const VolatileProcessor vp;
-    IntermittentExecution::Config nv_cfg;
-    nv_cfg.frontend = FrontEnd::makeFios().config();
-    IntermittentExecution::Config vp_cfg;
-    vp_cfg.frontend = FrontEnd::makeNos().config();
-
-    int total_cycles = 0;
-    for (const auto &trace : set) {
-        for (const auto *cfg : {&nv_cfg, &vp_cfg}) {
-            const Processor &cpu =
-                cfg == &nv_cfg ? static_cast<const Processor &>(nvp)
-                               : static_cast<const Processor &>(vp);
-            IntermittentExecution::Config fast = *cfg;
-            fast.fastForward = true;
-            IntermittentExecution::Config stepped = *cfg;
-            stepped.fastForward = false;
-            const auto f =
-                IntermittentExecution::run(cpu, *trace, horizon, fast);
-            const auto s = IntermittentExecution::run(cpu, *trace,
-                                                      horizon, stepped);
-            const std::string what = trace->describe();
-            EXPECT_EQ(f.powerCycles, s.powerCycles) << what;
-            EXPECT_EQ(f.instructionsCompleted, s.instructionsCompleted)
-                << what;
-            EXPECT_EQ(f.instructionsWasted, s.instructionsWasted)
-                << what;
-            EXPECT_EQ(f.activeTime, s.activeTime) << what;
-            EXPECT_EQ(f.overheadTime, s.overheadTime) << what;
-            expectRelNear(f.harvested.joules(), s.harvested.joules(),
-                          1e-9, what.c_str());
-            expectRelNear(f.spent.joules(), s.spent.joules(), 1e-9,
-                          what.c_str());
-            total_cycles += s.powerCycles;
-        }
-    }
-    // The matrix must actually exercise power cycling somewhere,
-    // or the brown-out/wake boundary handling went untested.
-    EXPECT_GT(total_cycles, 0);
-}
-
-TEST(IntermittentFastForward, PartialFinalStepMatches)
-{
-    // A horizon that is not a whole number of steps forces the
-    // partial-trapezoid final step through the exact path.
-    const ConstantTrace trace(2.0_mW);
-    const NvProcessor nvp{NvProcessor::fiosConfig()};
-    IntermittentExecution::Config cfg;
-    cfg.frontend = FrontEnd::makeFios().config();
-    const Tick horizon = 90 * kSec + 257;
-    IntermittentExecution::Config stepped = cfg;
-    stepped.fastForward = false;
-    const auto f = IntermittentExecution::run(nvp, trace, horizon, cfg);
-    const auto s =
-        IntermittentExecution::run(nvp, trace, horizon, stepped);
-    EXPECT_EQ(f.powerCycles, s.powerCycles);
-    EXPECT_EQ(f.instructionsCompleted, s.instructionsCompleted);
-    EXPECT_EQ(f.activeTime, s.activeTime);
-    EXPECT_EQ(f.overheadTime, s.overheadTime);
-    expectRelNear(f.harvested.joules(), s.harvested.joules(), 1e-9,
-                  "harvested");
 }
 
 } // namespace

@@ -85,9 +85,9 @@ layerTable()
 }
 
 /**
- * Files allowed to seed an Rng from scratch: the generator itself,
- * the Simulator root stream, and FogSystem's per-chain fork loop.
- * Everything else must receive a stream by value or fork one.
+ * Files allowed to seed an Rng from scratch: the generator itself
+ * and FogSystem's per-chain fork loop.  Everything else must receive
+ * a stream by value or fork one.
  */
 const std::set<std::string> &
 sanctionedSeedFiles()
@@ -95,7 +95,6 @@ sanctionedSeedFiles()
     static const std::set<std::string> files = {
         "src/sim/rng.hh",
         "src/sim/rng.cc",
-        "src/sim/simulator.hh",
         "src/fog/fog_system.cc",
     };
     return files;
@@ -202,8 +201,7 @@ seedsRng(const std::string &code)
     if (code.find("Rng") == std::string::npos)
         return false;
     // Forking an existing stream is the sanctioned mechanism.
-    if (code.find(".fork(") != std::string::npos ||
-        code.find("forkRng(") != std::string::npos)
+    if (code.find(".fork(") != std::string::npos)
         return false;
     static const std::regex direct(R"(\bRng\s*\(\s*[^)\s])");
     static const std::regex named(
