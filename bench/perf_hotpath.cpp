@@ -1,18 +1,15 @@
 /**
  * @file
- * Hot-path microbenchmarks for the prefix-sum energy-trace cache,
- * plus an end-to-end headline-shaped run with the cache on vs off.
+ * Hot-path microbenchmarks for the prefix-sum energy-trace cache.
  *
- * Three sections:
+ * Two sections:
  *  - integrate: slot-shaped windows/sec for {cached, reference} x
  *    {constant, piecewise, interpolated, rain composite};
- *  - end-to-end: the headline low-power (fig 13) scenario with the
- *    shared energy cache enabled vs the per-node reference path,
- *    slots/sec and speedup;
- *  - a 1/2/4-thread bit-identity check with the shared cache.
+ *  - a 1/2/4-thread bit-identity check of the headline low-power
+ *    (fig 13) scenario with the shared cache.
  *
  * Options:
- *   --hours X   end-to-end horizon override (default 1.0)
+ *   --hours X   thread-check horizon override (default 1.0)
  *   --smoke     tiny run for CI: 0.25 h horizon, scaled-down window
  *               counts, and schema validation of the emitted JSON
  */
@@ -108,18 +105,6 @@ timeWindows(const PowerTrace &trace, Tick span, long windows,
     return secs;
 }
 
-double
-runFogTimed(ScenarioConfig cfg, double hours, bool cache_on,
-            SystemReport &report)
-{
-    cfg.horizon = ticksFromSeconds(hours * 3600.0);
-    cfg.energyCache.enabled = cache_on;
-    const auto start = std::chrono::steady_clock::now();
-    FogSystem sys(cfg);
-    report = sys.run();
-    return seconds(start);
-}
-
 /** Re-read the emitted JSON and check it against the schema. */
 int
 validateSink(const ResultSink &sink)
@@ -197,63 +182,16 @@ main(int argc, char **argv)
         sink.add(key + "_cache_build_secs", build_secs);
     }
 
-    // ---- Section 2: end-to-end headline scenario -------------------
-    header("End to end: headline low-power scenario, cache on vs off");
-    Table t2({24, 8, 14, 14, 12});
-    t2.row({"Configuration", "Mux", "Ref slots/s", "Cached slots/s",
-            "Speedup"});
-    t2.separator();
-    double on_total = 0.0;
-    double off_total = 0.0;
-    for (const int mux : {1, 3}) {
-        ScenarioConfig cfg =
-            presets::fig13(presets::fiosNeofog(), mux);
-        cfg.chains = smoke ? 10 : 40;
-        const double slots =
-            static_cast<double>(cfg.chains) *
-            (hours * 3600.0 /
-             secondsFromTicks(cfg.slotInterval));
-        SystemReport with_cache;
-        SystemReport reference;
-        const double on_secs =
-            runFogTimed(cfg, hours, true, with_cache);
-        const double off_secs =
-            runFogTimed(cfg, hours, false, reference);
-        on_total += on_secs;
-        off_total += off_secs;
-        // The cache only reassociates the same trapezoid sums, so the
-        // processed totals must agree closely (DESIGN.md documents the
-        // <= 1e-12 relative window delta).
-        const double delta = std::abs(
-            static_cast<double>(with_cache.totalProcessed()) -
-            static_cast<double>(reference.totalProcessed()));
-        const auto key =
-            "e2e_mux" + std::to_string(mux);
-        t2.row({"FIOS + distributed LB", std::to_string(mux),
-                fmt(slots / off_secs, 0), fmt(slots / on_secs, 0),
-                fmt(off_secs / on_secs, 2) + "x"});
-        sink.add(key + "_ref_secs", off_secs);
-        sink.add(key + "_cached_secs", on_secs);
-        sink.add(key + "_ref_slots_per_sec", slots / off_secs);
-        sink.add(key + "_cached_slots_per_sec", slots / on_secs);
-        sink.add(key + "_speedup", off_secs / on_secs);
-        sink.add(key + "_processed_delta", delta);
-    }
-    const double e2e_speedup = off_total / on_total;
-    out("\nend-to-end speedup (cache vs reference): %.2fx\n",
-        e2e_speedup);
-    sink.add("e2e_speedup", e2e_speedup);
-
-    // ---- Section 3: thread bit-identity with the shared cache ------
+    // ---- Section 2: thread bit-identity with the shared cache ------
     {
         ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
         cfg.chains = smoke ? 10 : 40;
+        cfg.horizon = ticksFromSeconds(hours * 3600.0);
         SystemReport serial;
         bool consistent = true;
         for (unsigned threads : {1u, 2u, 4u}) {
             cfg.threads = threads;
-            SystemReport r;
-            runFogTimed(cfg, hours, true, r);
+            const SystemReport r = FogSystem(cfg).run();
             if (threads == 1)
                 serial = r;
             else if (!(r == serial))

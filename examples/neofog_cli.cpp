@@ -89,12 +89,6 @@ usage(const char *argv0)
         "depletion)\n"
         "  --probe-cap N             probe ring capacity "
         "(default 4096)\n"
-        "  --no-energy-cache         disable the shared prefix-sum "
-        "energy\n"
-        "                            cache (per-node reference "
-        "integration)\n"
-        "  --cache-grid-s N          energy-cache grid seconds "
-        "(default 1)\n"
         "  --dump-energy I           export node I's stored-energy "
         "series\n"
         "  --snapshot-every N        checkpoint every N slots "
@@ -330,10 +324,6 @@ main(int argc, char **argv)
             cfg.probes.enabled = true;
         } else if (arg == "--probe-cap") {
             cfg.probes.capacity = count();
-        } else if (arg == "--no-energy-cache") {
-            cfg.energyCache.enabled = false;
-        } else if (arg == "--cache-grid-s") {
-            cfg.energyCache.grid = duration(1.0);
         } else if (arg == "--dump-energy") {
             dump_energy = parseNumber<int>(arg, next(), 0, kMax<int>,
                                            "an integer >= 0");

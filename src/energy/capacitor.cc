@@ -49,12 +49,6 @@ SuperCapacitor::leak(Tick duration)
     view().leak(duration);
 }
 
-void
-SuperCapacitor::setStored(Energy e)
-{
-    view().setStored(e);
-}
-
 Energy
 CapacitorView::charge(Energy amount)
 {
@@ -101,14 +95,6 @@ CapacitorView::leak(Tick duration)
     const Energy loss = std::min(_cfg->leakage * duration, s.stored);
     s.stored -= loss;
     s.leakedTotal += loss;
-}
-
-void
-CapacitorView::setStored(Energy e)
-{
-    if (e.joules() < 0.0 || e > _cfg->capacity)
-        fatal("setStored outside [0, capacity]");
-    _state->stored = e;
 }
 
 } // namespace neofog

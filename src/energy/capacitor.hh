@@ -115,9 +115,6 @@ class SuperCapacitor
     /** Whether at least @p amount is available. */
     bool has(Energy amount) const { return _state.stored >= amount; }
 
-    /** Set stored energy directly (testing / scenario setup). */
-    void setStored(Energy e);
-
     /** Cumulative energy rejected because the capacitor was full. */
     Energy overflowTotal() const { return _state.overflowTotal; }
 
@@ -193,9 +190,6 @@ class CapacitorView
 
     /** Whether at least @p amount is available. */
     bool has(Energy amount) const { return _state->stored >= amount; }
-
-    /** Set stored energy directly (testing / scenario setup). */
-    void setStored(Energy e);
 
     /** Cumulative energy rejected because the capacitor was full. */
     Energy overflowTotal() const { return _state->overflowTotal; }

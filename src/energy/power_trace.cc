@@ -407,17 +407,6 @@ rainNodeGain(Rng &node_rng)
 }
 
 std::unique_ptr<PowerTrace>
-makeRainTrace(std::uint64_t shared_seed, Rng &node_rng, Tick horizon,
-              Power mean_level)
-{
-    const double node_gain = rainNodeGain(node_rng);
-    std::shared_ptr<const PowerTrace> unit =
-        makeRainUnitStream(shared_seed, horizon);
-    return std::make_unique<ScaledTrace>(
-        mean_level.watts() * node_gain, std::move(unit));
-}
-
-std::unique_ptr<PowerTrace>
 makeMountainTrace(Rng &rng, Tick horizon, Power mean_sunny,
                   double shade_fraction)
 {

@@ -255,33 +255,24 @@ std::unique_ptr<PowerTrace> makeBridgeTrace(int profile_index, Rng &rng,
                                             double node_variance = 0.3);
 
 /**
- * Low-power rainy-day trace (Fig 13): heavily attenuated *dependent*
- * profile — all nodes of a deployment share the same rain-spell
- * schedule (clouds cover everyone at once), with small per-node gain
- * jitter.  The shared dark stretches are what bound total successful
+ * The deployment-wide stream of the low-power rainy-day scenario
+ * (Fig 13): a heavily attenuated *dependent* profile — all nodes of a
+ * deployment share the same rain-spell schedule (clouds cover everyone
+ * at once), so the shared dark stretches bound total successful
  * sampling and make NVD4Q multiplexing saturate (paper: ~8000 at 3x).
- *
- * @param shared_seed Seeds the spell schedule; pass the same value for
- *        every node of one deployment.
- * @param node_rng Per-node stream for gain jitter.
- */
-std::unique_ptr<PowerTrace> makeRainTrace(std::uint64_t shared_seed,
-                                          Rng &node_rng, Tick horizon,
-                                          Power mean_level);
-
-/**
- * The deployment-wide rain stream makeRainTrace() scales per node:
- * the shared spell schedule times the day envelope, normalized so its
+ * It is the spell schedule times the day envelope, normalized so its
  * time-mean over the horizon is 1 W.  Build it once per scenario and
- * wrap each node's trace as ScaledTrace(mean_w * node_gain, stream) —
- * all nodes then share one stream (and one prefix table when cached).
+ * wrap each node's trace as ScaledTrace(mean_w * rainNodeGain(rng),
+ * stream) — all nodes then share one stream and one prefix table.
+ *
+ * @param shared_seed Seeds the spell schedule.
  */
 std::unique_ptr<PowerTrace> makeRainUnitStream(std::uint64_t shared_seed,
                                                Tick horizon);
 
 /**
- * The per-node gain factor of the rain deployment (consumes exactly
- * one draw from @p node_rng, like makeRainTrace does).
+ * The per-node gain jitter of the rain deployment (consumes exactly
+ * one draw from @p node_rng).
  */
 double rainNodeGain(Rng &node_rng);
 

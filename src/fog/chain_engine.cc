@@ -46,13 +46,6 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     _windowMemo.reserve(4);
     _balancerIsNoop = _balancer->name() == "none";
 
-    // What the income hoist can share: identical constant levels, or
-    // per-node scalings of the scenario's shared stream.
-    if (_cfg.traceKind == TraceKind::Constant)
-        _hoist = IncomeHoist::Constant;
-    else if (_cfg.traceKind == TraceKind::RainLow && _sharedTrace)
-        _hoist = IncomeHoist::SharedScaled;
-
     // Each logical slot schedules exactly one clone, so a physical
     // node records ~horizon/slotInterval/mux energy points; pre-size
     // the series so the hot loop never grows it.
@@ -84,15 +77,12 @@ ChainEngine::makeTrace()
         return traces::makeMountainTrace(_state.rng, span, _cfg.meanIncome);
       case TraceKind::RainLow:
         // Dependent: all nodes share the deployment's spell schedule.
-        // With the energy cache on, FogSystem built (and prefix-
-        // summed) that stream once; each node only adds its gain.
-        if (_sharedTrace) {
-            return std::make_unique<ScaledTrace>(
-                _cfg.meanIncome.watts() * traces::rainNodeGain(_state.rng),
-                _sharedTrace);
-        }
-        return traces::makeRainTrace(_cfg.seed * 131 + 7, _state.rng, span,
-                                     _cfg.meanIncome);
+        // FogSystem built (and prefix-summed) that stream once; each
+        // node only adds its gain.
+        NEOFOG_ASSERT(_sharedTrace, "rain chain without the shared stream");
+        return std::make_unique<ScaledTrace>(
+            _cfg.meanIncome.watts() * traces::rainNodeGain(_state.rng),
+            _sharedTrace);
       case TraceKind::Constant:
         return std::make_unique<ConstantTrace>(_cfg.meanIncome);
     }
@@ -142,7 +132,7 @@ ChainEngine::runSlot(std::int64_t slot_index)
     for (const CloneGroup &g : _state.groups)
         scheduled.push_back(_nodes[g.memberForSlot(slot_index)].get());
 
-    if (_hoist != IncomeHoist::None) {
+    if (_sharedTrace) {
         beginSlotBatch(scheduled, t);
     } else {
         for (Node *n : scheduled)
@@ -193,8 +183,7 @@ ChainEngine::beginSlotBatch(const std::vector<Node *> &scheduled, Tick t)
     const Tick slot_end = t + _cfg.slotInterval;
     _windowMemo.clear();
 
-    // Integral of the shared unit stream (SharedScaled) or of the one
-    // constant level every node sees (Constant) over a window.  A slot
+    // Integral of the shared unit stream over a window.  A slot
     // produces only a handful of distinct windows — the slot itself
     // plus the accrual gaps of multiplexed clones — so a linear scan
     // of the memo beats any hashing.
@@ -202,22 +191,16 @@ ChainEngine::beginSlotBatch(const std::vector<Node *> &scheduled, Tick t)
         for (const IncomeWindow &w : _windowMemo)
             if (w.from == from && w.to == to)
                 return w.unit;
-        const Energy u = _hoist == IncomeHoist::SharedScaled
-            ? _sharedTrace->integrate(from, to)
-            : scheduled.front()->trace().integrate(from, to);
+        const Energy u = _sharedTrace->integrate(from, to);
         _windowMemo.push_back({from, to, u});
         return u;
     };
-    // Exactly what the node's own trace would integrate: ConstantTrace
-    // integration is a pure function of the shared level, and
+    // Exactly what the node's own trace would integrate:
     // ScaledTrace::integrate is base-integral * scale by definition.
     const auto nodeIncome = [&](const Node &n, Tick from,
                                 Tick to) -> Energy {
-        const Energy u = unitIntegral(from, to);
-        if (_hoist == IncomeHoist::SharedScaled)
-            return u * static_cast<const ScaledTrace &>(n.trace())
-                           .scale();
-        return u;
+        return unitIntegral(from, to) *
+               static_cast<const ScaledTrace &>(n.trace()).scale();
     };
 
     for (Node *n : scheduled) {

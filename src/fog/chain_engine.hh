@@ -119,10 +119,12 @@ class ChainEngine
      * @param rng Private stream, pre-forked from the scenario root in
      *        chain order so results never depend on which thread runs
      *        which chain.
+     * @param shared_trace The scenario's shared rain stream (see
+     *        FogSystem::_sharedTrace); null for per-node trace kinds.
      */
     ChainEngine(const ScenarioConfig &cfg, std::size_t chain_index,
                 std::uint32_t first_node_id, Rng rng,
-                std::shared_ptr<const PowerTrace> shared_trace = nullptr);
+                std::shared_ptr<const PowerTrace> shared_trace);
 
     ChainEngine(const ChainEngine &) = delete;
     ChainEngine &operator=(const ChainEngine &) = delete;
@@ -168,27 +170,14 @@ class ChainEngine
     std::unique_ptr<PowerTrace> makeTrace();
 
     /**
-     * What the income hoist can lift out of the per-node beginSlot
-     * loop, decided once at construction from the trace shape (see
-     * beginSlotBatch).
-     */
-    enum class IncomeHoist
-    {
-        None,         ///< per-node traces are unrelated: no hoist
-        Constant,     ///< every node sees one identical constant level
-        SharedScaled, ///< per-node ScaledTrace views of one shared base
-    };
-
-    /**
-     * Batched beginSlot over the scheduled nodes: integrate each
-     * distinct accrual window once (per chain, per slot) and feed
-     * every node the shared integral through beginSlotWithIncome.
-     * Bit-identical to calling node->beginSlot(t, slotInterval) per
-     * node — Constant hoisting reuses the same pure integral every
-     * node would compute, SharedScaled multiplies the shared base
-     * integral by the node's scale exactly as ScaledTrace::integrate
-     * does.  Called exactly when _hoist != None; every other chain
-     * steps each node through beginSlot.
+     * The income hoist: batched beginSlot over the scheduled nodes of
+     * a rain chain.  It integrates each distinct accrual window of the
+     * shared stream once (per chain, per slot) and feeds every node
+     * that integral times its scale through beginSlotWithIncome —
+     * exactly what ScaledTrace::integrate computes, so the result is
+     * bit-identical to calling node->beginSlot(t, slotInterval) per
+     * node.  Called exactly when the chain holds _sharedTrace; every
+     * other chain steps each node through beginSlot.
      */
     void beginSlotBatch(const std::vector<Node *> &scheduled, Tick t);
 
@@ -235,9 +224,6 @@ class ChainEngine
      */
     std::shared_ptr<const PowerTrace> _sharedTrace;
 
-    /** Hoist this chain's trace shape allows (set at construction). */
-    IncomeHoist _hoist = IncomeHoist::None;
-
     /**
      * Must be declared before _nodes: the Node facades point into
      * its node shard and must be destroyed first.
@@ -261,7 +247,7 @@ class ChainEngine
     {
         Tick from;
         Tick to;
-        Energy unit; ///< shared-trace (or constant-level) integral
+        Energy unit; ///< shared-trace integral
     };
     /** Windows integrated this slot (scratch for beginSlotBatch). */
     std::vector<IncomeWindow> _windowMemo;

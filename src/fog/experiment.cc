@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/report_io.hh"
-#include "sim/thread_pool.hh"
 
 namespace neofog {
 
@@ -84,22 +83,12 @@ ExperimentRunner::runSeeds(const ScenarioConfig &cfg,
         fatal("experiment needs at least one run");
     AggregateReport agg;
     agg.runs = opt.runs;
-    agg.reports.resize(static_cast<std::size_t>(opt.runs));
-
-    // Each seed is an independent FogSystem; run them concurrently
-    // and deposit each report in its seed-indexed slot, then fold the
-    // statistics serially in seed order so the aggregate is identical
-    // to the serial run.
-    std::unique_ptr<ThreadPool> pool;
-    if (opt.runs > 1 && opt.seedThreads != 1)
-        pool = std::make_unique<ThreadPool>(opt.seedThreads);
-    parallelFor(pool.get(), static_cast<std::size_t>(opt.runs),
-                [&](std::size_t i) {
+    agg.reports.reserve(static_cast<std::size_t>(opt.runs));
+    for (int i = 0; i < opt.runs; ++i) {
         ScenarioConfig run_cfg = cfg;
         run_cfg.seed = opt.baseSeed + static_cast<std::uint64_t>(i);
-        FogSystem sys(run_cfg);
-        agg.reports[i] = sys.run();
-    });
+        agg.reports.push_back(FogSystem(run_cfg).run());
+    }
 
     // Registry-derived aggregation: every metric (stored and derived)
     // gets a ScalarStat fed in seed order.

@@ -26,24 +26,15 @@
 namespace neofog {
 
 /**
- * How to replay a scenario across seeds.  Replaces the old positional
- * (runs, base_seed, threads) tail; seedThreads is named distinctly
- * from ScenarioConfig::threads (the per-slot chain loop) because the
- * two levels multiply.
+ * How to replay a scenario across seeds.  Seeds run one after another
+ * in seed order; ScenarioConfig::threads parallelizes each run's
+ * per-slot chain loop.
  */
 struct RunOptions
 {
     /** Number of seeds: baseSeed, baseSeed+1, ... baseSeed+runs-1. */
     int runs = 1;
     std::uint64_t baseSeed = 1;
-    /**
-     * Seeds are mutually independent, so they run concurrently on
-     * this many threads (0 = all hardware threads, 1 = serial).
-     * Aggregation happens in seed order afterwards, so the result is
-     * identical for any value.  Leave ScenarioConfig::threads at 1
-     * when parallelizing across seeds.
-     */
-    unsigned seedThreads = 1;
 };
 
 /**
@@ -95,7 +86,6 @@ class ExperimentRunner
     /**
      * Two-system comparison across the same seeds: returns the
      * per-seed ratio statistics of totalProcessed (b over a).
-     * opt.seedThreads is ignored (pairs run serially).
      */
     static ScalarStat compareTotals(const ScenarioConfig &a,
                                     const ScenarioConfig &b,

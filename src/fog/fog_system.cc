@@ -6,7 +6,6 @@
 #include "energy/trace_cache.hh"
 #include "fog/snapshot_io.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "snapshot/archive.hh"
 #include "snapshot/snapshot.hh"
 
@@ -41,12 +40,11 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
     _cfg.balancerPolicy =
         PolicyRegistry::instance().canonicalSpec(_cfg.balancerPolicy);
 
-    // With the energy cache enabled, deployment-wide streams are
-    // built once here and shared read-only by every chain: the rain
-    // front is the same for all nodes up to a scalar gain, so one
-    // prefix table answers every node's slot-window integrals.
-    if (_cfg.energyCache.enabled &&
-        _cfg.traceKind == TraceKind::RainLow) {
+    // The deployment-wide rain stream is built once here and shared
+    // read-only by every chain: the rain front is the same for all
+    // nodes up to a scalar gain, so one prefix table answers every
+    // node's slot-window integrals.
+    if (_cfg.traceKind == TraceKind::RainLow) {
         const Tick span = _cfg.horizon + 2 * _cfg.slotInterval;
         _sharedTrace = std::make_shared<CumulativeTrace>(
             traces::makeRainUnitStream(_cfg.seed * 131 + 7, span),
@@ -103,9 +101,9 @@ FogSystem::runWindow(std::int64_t from, std::int64_t to)
                   "runWindow range");
     // Chains are mutually independent, so the order (and thread) in
     // which they execute a slot is irrelevant to the outcome.  The
-    // chunked partition (not dynamic claiming) keeps chain c on the
-    // pool thread that constructed its shard, every slot — see the
-    // first-touch note in the constructor.
+    // chunked partition keeps chain c on the pool thread that
+    // constructed its shard, every slot — see the first-touch note in
+    // the constructor.
     for (std::int64_t s = from; s < to; ++s) {
         parallelForChunked(_pool.get(), _engines.size(),
                            [&](std::size_t c) {
@@ -308,8 +306,8 @@ FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
     // did (same seed, same fork order), and each chain's archived
     // ChainState then replaces all of its mutable state.  Restoring
     // is chain-parallel for the same reason serializing is; a corrupt
-    // section throws out of parallelFor and the half-built system is
-    // discarded whole.
+    // section throws out of parallelForChunked and the half-built
+    // system is discarded whole.
     auto system = std::make_unique<FogSystem>(cfg, chain_lo, chain_hi);
     parallelForChunked(system->_pool.get(), system->_engines.size(),
                        [&](std::size_t i) {
@@ -328,47 +326,6 @@ FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
     });
     system->_resumeSlot = snap.slot;
     return system;
-}
-
-void
-FogSystem::dumpStats(std::ostream &os) const
-{
-    StatRegistry registry;
-    for (std::size_t c = 0; c < _engines.size(); ++c) {
-        const auto &nodes = _engines[c]->nodes();
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const NodeStats &st = nodes[i]->stats();
-            const std::string prefix =
-                "chain" + std::to_string(_engines[c]->chainIndex()) +
-                ".node" + std::to_string(i) + ".";
-            registry.registerCounter(prefix + "wakeups", &st.wakeups);
-            registry.registerCounter(prefix + "depletionFailures",
-                                     &st.depletionFailures);
-            registry.registerCounter(prefix + "packagesSampled",
-                                     &st.packagesSampled);
-            registry.registerCounter(prefix + "packagesToCloud",
-                                     &st.packagesToCloud);
-            registry.registerCounter(prefix + "packagesInFog",
-                                     &st.packagesInFog);
-            registry.registerCounter(prefix + "tasksExecuted",
-                                     &st.tasksExecuted);
-            registry.registerCounter(prefix + "incidentalTasks",
-                                     &st.incidentalTasks);
-            registry.registerCounter(prefix + "tasksReceived",
-                                     &st.tasksReceived);
-            registry.registerCounter(prefix + "tasksShipped",
-                                     &st.tasksShipped);
-            registry.registerCounter(prefix + "txFailures",
-                                     &st.txFailures);
-            registry.registerCounter(prefix + "samplesDiscarded",
-                                     &st.samplesDiscarded);
-            registry.registerCounter(prefix + "rtcResyncs",
-                                     &st.rtcResyncs);
-            registry.registerSeries(prefix + "storedEnergyMj",
-                                    &st.storedEnergyMj);
-        }
-    }
-    registry.dump(os);
 }
 
 std::vector<report_io::LabeledSeries>

@@ -21,7 +21,6 @@
 #define NEOFOG_FOG_FOG_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "fog/chain_engine.hh"
@@ -160,12 +159,6 @@ class FogSystem
     { return _engines; }
 
     /**
-     * Dump every node's counters and series sizes as "name value"
-     * lines (gem5-style), e.g. `chain0.node3.wakeups 117`.
-     */
-    void dumpStats(std::ostream &os) const;
-
-    /**
      * Snapshot every chain's probe series for export, in chain order
      * (names like "chain0.stored_mj").  Empty unless the scenario
      * enabled probes (ScenarioConfig::probes).
@@ -202,10 +195,10 @@ class FogSystem
     bool _finalized = false;
 
     /**
-     * Scenario-wide shared power stream (rain front), prefix-summed
-     * when the energy cache is enabled.  Immutable after the
-     * constructor, so chains read it concurrently without
-     * synchronization.  Null for per-node trace kinds.
+     * Scenario-wide shared power stream (rain front), prefix-summed on
+     * the energy-cache grid.  Immutable after the constructor, so
+     * chains read it concurrently without synchronization.  Null for
+     * per-node trace kinds.
      */
     std::shared_ptr<const PowerTrace> _sharedTrace;
 

@@ -107,30 +107,17 @@ struct ScenarioConfig
     ProbeConfig probes{};
 
     /**
-     * Prefix-sum energy-trace cache (see energy/trace_cache.hh).
-     * When enabled, scenario-wide shared streams (the rain front) are
-     * built once per FogSystem and wrapped in a CumulativeTrace, so
-     * every node answers its slot-window integrals from one immutable
-     * O(1) table instead of re-walking trapezoid substeps.  Disabling
-     * it reverts to per-node traces and the canonical stepped
-     * integrator — the reference path perf_hotpath measures against.
+     * Prefix-sum energy-trace cache (see energy/trace_cache.hh): the
+     * scenario-wide rain front is built once per FogSystem and wrapped
+     * in a CumulativeTrace on this grid, so every node answers its
+     * slot-window integrals from one immutable O(1) table.
      */
     struct EnergyCacheConfig
     {
-        bool enabled = true;
-        /** Canonical grid cell width; slot-aligned at the default. */
-        Tick grid = kSec;
-
-        /** Snapshot support (see src/snapshot/). */
-        template <class Archive>
-        void
-        serialize(Archive &ar)
-        {
-            ar.io("enabled", enabled);
-            ar.io("grid", grid);
-        }
+        /** Canonical grid cell width; whole-second slots align to it. */
+        static constexpr Tick grid = kSec;
     };
-    EnergyCacheConfig energyCache{};
+    static constexpr EnergyCacheConfig energyCache{};
 
     std::uint64_t seed = 1;
 

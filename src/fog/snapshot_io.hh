@@ -21,6 +21,7 @@
 #include <string_view>
 
 #include "fog/scenario.hh"
+#include "sim/logging.hh"
 #include "snapshot/archive.hh"
 #include "snapshot/snapshot.hh"
 
@@ -106,7 +107,26 @@ serializeScenario(Archive &ar, ScenarioConfig &cfg)
     ar.io("real_time_request_chance", cfg.realTimeRequestChance);
     ar.io("hop_by_hop_relay", cfg.hopByHopRelay);
     ar.io("probes", cfg.probes);
-    ar.io("energy_cache", cfg.energyCache);
+    // The energy cache is always on at its fixed grid, and the records
+    // keep their neofog-snapshot-v1 bytes.  Any other value was
+    // integrated on a deleted path and cannot resume bit-identically.
+    constexpr Tick grid = ScenarioConfig::energyCache.grid;
+    bool cache_enabled = true;
+    Tick cache_grid = grid;
+    ar.pushScope("energy_cache");
+    ar.io("enabled", cache_enabled);
+    ar.io("grid", cache_grid);
+    if constexpr (Archive::isLoading) {
+        if (!cache_enabled || cache_grid != grid)
+            fatal("snapshot config has ", ar.path("enabled"), " = ",
+                  cache_enabled ? "true" : "false", ", ",
+                  ar.path("grid"), " = ", secondsFromTicks(cache_grid),
+                  " s: that run integrated income on a retired "
+                  "energy-cache path and cannot resume bit-identically "
+                  "(this build needs true, ",
+                  secondsFromTicks(grid), " s)");
+    }
+    ar.popScope();
     ar.io("seed", cfg.seed);
 }
 

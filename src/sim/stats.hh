@@ -1,19 +1,15 @@
 /**
  * @file
- * Lightweight statistics package: counters, scalars, histograms, and
- * time series, collected in a named registry that can be dumped as text.
- *
- * Modeled loosely on gem5's stats: components own their stat objects and
- * register them by dotted name ("node3.wakeups").
+ * Lightweight statistics package: monotonic counters, running scalar
+ * summaries and (tick, value) time series.  Components own their stat
+ * objects; SystemReport's metric registry (sim/metrics.hh) names what
+ * a run reports.
  */
 
 #ifndef NEOFOG_SIM_STATS_HH
 #define NEOFOG_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -68,39 +64,6 @@ class ScalarStat
 };
 
 /**
- * Fixed-bucket histogram over [lo, hi) with under/overflow buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void sample(double v);
-
-    double lo() const { return _lo; }
-    double hi() const { return _hi; }
-    std::size_t bucketCount() const { return _buckets.size(); }
-    std::uint64_t bucket(std::size_t i) const { return _buckets.at(i); }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-    std::uint64_t total() const { return _total; }
-
-    /** Value below which the given fraction of samples fall (approx). */
-    double percentile(double p) const;
-
-    void reset();
-
-  private:
-    double _lo;
-    double _hi;
-    double _bucketWidth;
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
-};
-
-/**
  * A (tick, value) series, e.g. a node's stored energy over time.
  */
 class TimeSeries
@@ -120,10 +83,6 @@ class TimeSeries
     std::size_t size() const { return _points.size(); }
     void reset() { _points.clear(); }
 
-    /** Last recorded value, or fallback if empty. */
-    double lastValue(double fallback = 0.0) const
-    { return _points.empty() ? fallback : _points.back().value; }
-
     /**
      * Downsample to at most @p max_points by keeping every k-th point
      * (always keeps the final point).  Used when printing figures.
@@ -140,34 +99,6 @@ class TimeSeries
 
   private:
     std::vector<Point> _points;
-};
-
-/**
- * Named collection of statistics owned by a simulation.
- *
- * The registry stores pointers; the owning components must outlive it
- * or deregister.  All experiment code keeps stats and registry together
- * inside the system object, so lifetimes are trivially correct.
- */
-class StatRegistry
-{
-  public:
-    void registerCounter(const std::string &name, const Counter *c);
-    void registerScalar(const std::string &name, const ScalarStat *s);
-    void registerSeries(const std::string &name, const TimeSeries *t);
-
-    /** Dump all registered stats as "name value" lines. */
-    void dump(std::ostream &os) const;
-
-    /** Look up a counter by name; nullptr if absent. */
-    const Counter *findCounter(const std::string &name) const;
-    const ScalarStat *findScalar(const std::string &name) const;
-    const TimeSeries *findSeries(const std::string &name) const;
-
-  private:
-    std::map<std::string, const Counter *> _counters;
-    std::map<std::string, const ScalarStat *> _scalars;
-    std::map<std::string, const TimeSeries *> _series;
 };
 
 } // namespace neofog

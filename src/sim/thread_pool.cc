@@ -43,31 +43,13 @@ ThreadPool::hardwareThreads()
 void
 ThreadPool::work(Job &job, unsigned worker)
 {
-    if (job.chunked) {
-        // Static partition: this thread's fixed contiguous chunk.
-        // The mapping depends only on (count, poolSize, worker), so
-        // every chunked loop of a pool sweeps the same indices on the
-        // same thread — the first-touch locality contract.
-        const std::size_t lo = job.count * worker / job.poolSize;
-        const std::size_t hi =
-            job.count * (worker + 1) / job.poolSize;
-        for (std::size_t i = lo; i < hi; ++i) {
-            try {
-                (*job.body)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(job.errorMutex);
-                if (!job.error)
-                    job.error = std::current_exception();
-            }
-            job.done.fetch_add(1, std::memory_order_acq_rel);
-        }
-        return;
-    }
-    while (true) {
-        const std::size_t i =
-            job.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= job.count)
-            break;
+    // Static partition: this thread's fixed contiguous chunk.  The
+    // mapping depends only on (count, poolSize, worker), so every loop
+    // of a pool sweeps the same indices on the same thread — the
+    // first-touch locality contract.
+    const std::size_t lo = job.count * worker / job.poolSize;
+    const std::size_t hi = job.count * (worker + 1) / job.poolSize;
+    for (std::size_t i = lo; i < hi; ++i) {
         try {
             (*job.body)(i);
         } catch (...) {
@@ -109,9 +91,8 @@ ThreadPool::workerLoop(unsigned worker)
 }
 
 void
-ThreadPool::runJob(std::size_t count,
-                   const std::function<void(std::size_t)> &body,
-                   bool chunked)
+ThreadPool::parallelForChunked(
+    std::size_t count, const std::function<void(std::size_t)> &body)
 {
     if (count == 0)
         return;
@@ -124,7 +105,6 @@ ThreadPool::runJob(std::size_t count,
     auto job = std::make_shared<Job>();
     job->body = &body;
     job->count = count;
-    job->chunked = chunked;
     job->poolSize = _size;
     {
         std::lock_guard<std::mutex> lock(_mutex);
@@ -136,10 +116,9 @@ ThreadPool::runJob(std::size_t count,
     // The caller is a full participant: pool thread 0.
     work(*job, 0);
 
-    // Wait until every index has completed.  Workers that claimed an
-    // out-of-range index (or own an empty chunk) merely break out;
-    // they hold their own shared_ptr, so the job stays valid for them
-    // past this return.
+    // Wait until every index has completed.  Workers that own an
+    // empty chunk merely return; they hold their own shared_ptr, so
+    // the job stays valid for them past this return.
     {
         std::unique_lock<std::mutex> lock(_mutex);
         _finished.wait(lock, [&] {
@@ -150,32 +129,6 @@ ThreadPool::runJob(std::size_t count,
     }
     if (job->error)
         std::rethrow_exception(job->error);
-}
-
-void
-ThreadPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &body)
-{
-    runJob(count, body, /*chunked=*/false);
-}
-
-void
-ThreadPool::parallelForChunked(
-    std::size_t count, const std::function<void(std::size_t)> &body)
-{
-    runJob(count, body, /*chunked=*/true);
-}
-
-void
-parallelFor(ThreadPool *pool, std::size_t count,
-            const std::function<void(std::size_t)> &body)
-{
-    if (pool && pool->size() > 1) {
-        pool->parallelFor(count, body);
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-    }
 }
 
 void

@@ -2,13 +2,13 @@
  * @file
  * Fixed-size worker pool for data-parallel simulation loops.
  *
- * The system layer runs many independent chain simulators per slot and
- * many independent seeds per experiment.  ThreadPool::parallelFor
- * distributes such index ranges over a fixed set of worker threads;
- * the calling thread participates, so a pool of size 1 degenerates to
- * the plain serial loop.  Work items must not touch shared mutable
- * state — determinism is the caller's contract (see DESIGN.md,
- * "Threading and determinism model").
+ * The system layer runs many independent chain simulators per slot.
+ * ThreadPool::parallelForChunked distributes such an index range over
+ * a fixed set of worker threads in a static partition; the calling
+ * thread participates, so a pool of size 1 degenerates to the plain
+ * serial loop.  Work items must not touch shared mutable state —
+ * determinism is the caller's contract (see DESIGN.md, "Threading and
+ * determinism model").
  */
 
 #ifndef NEOFOG_SIM_THREAD_POOL_HH
@@ -50,26 +50,17 @@ class ThreadPool
     unsigned size() const { return _size; }
 
     /**
-     * Run body(0) ... body(count-1), distributing indices over the
-     * pool.  Blocks until every index has finished.  Indices are
-     * claimed dynamically, so the assignment of index to thread is
-     * nondeterministic — bodies must be mutually independent.  If any
-     * body throws, the first exception is rethrown here after the loop
-     * drains.  Not reentrant: parallelFor must not be called from
-     * inside a body.
-     */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &body);
-
-    /**
-     * Like parallelFor, but with a *deterministic static partition*:
-     * pool thread w runs exactly the contiguous index chunk
-     * [w*count/size, (w+1)*count/size), every call.  The stable
-     * chunk→thread mapping is what makes first-touch placement work:
-     * when the objects behind the indices were also *constructed*
-     * under parallelForChunked, every later sweep touches memory the
-     * same thread faulted in (see DESIGN.md, "Memory placement").
-     * Same blocking/exception contract as parallelFor.
+     * Run body(0) ... body(count-1) in a *deterministic static
+     * partition*: pool thread w runs exactly the contiguous index
+     * chunk [w*count/size, (w+1)*count/size), every call.  Blocks until
+     * every index has finished; bodies must be mutually independent.
+     * If any body throws, the first exception is rethrown here after
+     * the loop drains.  Not reentrant: it must not be called from
+     * inside a body.  The stable chunk→thread mapping is what makes
+     * first-touch placement work: when the objects behind the indices
+     * were also *constructed* under parallelForChunked, every later
+     * sweep touches memory the same thread faulted in (see DESIGN.md,
+     * "Memory placement").
      */
     void parallelForChunked(std::size_t count,
                             const std::function<void(std::size_t)> &body);
@@ -82,26 +73,15 @@ class ThreadPool
     {
         const std::function<void(std::size_t)> *body = nullptr;
         std::size_t count = 0;
-        /** Static chunk per thread instead of dynamic claiming. */
-        bool chunked = false;
         /** Pool size the chunk ranges are computed against. */
         unsigned poolSize = 1;
-        std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
         std::exception_ptr error;
         std::mutex errorMutex;
     };
 
-    /**
-     * Run @p job's share for pool thread @p worker: the dynamic
-     * claim-next loop, or (chunked) the thread's static index range.
-     */
+    /** Run pool thread @p worker's static index range of @p job. */
     void work(Job &job, unsigned worker);
-
-    /** Shared submit/participate/wait body of both parallelFor forms. */
-    void runJob(std::size_t count,
-                const std::function<void(std::size_t)> &body,
-                bool chunked);
 
     void workerLoop(unsigned worker);
 
@@ -112,7 +92,7 @@ class ThreadPool
     std::condition_variable _wake;     ///< workers wait for a job
     std::condition_variable _finished; ///< caller waits for completion
     std::shared_ptr<Job> _job;         ///< current job, null when idle
-    std::uint64_t _generation = 0;     ///< bumped per parallelFor
+    std::uint64_t _generation = 0;     ///< bumped per loop
     bool _stopping = false;
 };
 
@@ -120,10 +100,6 @@ class ThreadPool
  * Serial-fallback helper: run the loop on @p pool if it exists and has
  * more than one thread, inline otherwise.
  */
-void parallelFor(ThreadPool *pool, std::size_t count,
-                 const std::function<void(std::size_t)> &body);
-
-/** Serial-fallback helper for the chunked static partition. */
 void parallelForChunked(ThreadPool *pool, std::size_t count,
                         const std::function<void(std::size_t)> &body);
 

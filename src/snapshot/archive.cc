@@ -21,7 +21,12 @@ validType(std::uint8_t v)
 std::string
 quoted(std::string_view s)
 {
-    return "'" + std::string(s) + "'";
+    // Appended, not `"'" + std::string(s) + "'"`: GCC 12 raises a false
+    // -Werror=restrict on the inlined concatenation of a temporary.
+    std::string out(1, '\'');
+    out.append(s);
+    out.push_back('\'');
+    return out;
 }
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
@@ -284,11 +289,19 @@ formatPayload(FieldType type, std::string_view payload)
                       static_cast<unsigned long long>(bits));
         return buf;
       }
-      case FieldType::Str:
-        return "\"" + std::string(payload.substr(4)) + "\"";
+      case FieldType::Str: {
+        // This and the vector case append for the reason quoted()
+        // gives.
+        std::string out(1, '"');
+        out.append(payload.substr(4));
+        out.push_back('"');
+        return out;
+      }
       default: {
-        const std::uint64_t count = readLe64(p);
-        return "[" + std::to_string(count) + " elements]";
+        std::string out(1, '[');
+        out.append(std::to_string(readLe64(p)));
+        out.append(" elements]");
+        return out;
       }
     }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "fog/experiment.hh"
 #include "fog/fog_system.hh"
 #include "fog/presets.hh"
@@ -176,8 +178,7 @@ TEST(FogSystem, MultiplexingNeutralInHighPower)
     // A single 2-hour seed is too noisy to pin the "roughly neutral"
     // property, so average a few seeds (the paper itself averages
     // five power profiles per figure).
-    const RunOptions opts{.runs = 5, .baseSeed = 500,
-                          .seedThreads = 4};
+    const RunOptions opts{.runs = 5, .baseSeed = 500};
     const AggregateReport m1 =
         ExperimentRunner::runSeeds(mk(1), opts);
     const AggregateReport m3 =
@@ -257,6 +258,114 @@ TEST(FogSystem, StoredEnergySeriesRecorded)
         EXPECT_GE(pt.value, 0.0);
         EXPECT_LE(pt.value, 250.0 + 1e-9);
     }
+}
+
+// ---------------------------------------------------------------------
+// Income paths.  A rain chain takes its income from the scenario's one
+// prefix-summed rain stream through the income hoist
+// (ChainEngine::beginSlotBatch); every other trace kind steps each node
+// through its own trace.  Both are pinned to reports written down by
+// the tree that still had a per-node rain path and a constant-level
+// hoist arm: counters exactly, energies to 12 significant digits
+// (report bytes are compared across trees by md5, not across
+// compilers here).
+// ---------------------------------------------------------------------
+
+/** Every stored report metric, one "name value" line each. */
+std::string
+storedMetrics(const SystemReport &r)
+{
+    std::ostringstream os;
+    os.precision(12);
+    for (const auto &d : SystemReport::metrics().metrics()) {
+        if (d.derived())
+            continue;
+        os << '\n' << d.name << ' ';
+        if (d.integral())
+            os << d.getU64(r);
+        else
+            os << d.get(r);
+    }
+    return os.str();
+}
+
+TEST(IncomePaths, SharedRainStreamReportIsPinned)
+{
+    // Fig 13's FIOS + distributed balancing at multiplexing 3, shrunk.
+    ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
+    cfg.chains = 3;
+    cfg.horizon = kHour;
+    cfg.seed = 13;
+    EXPECT_EQ(storedMetrics(FogSystem(cfg).run()), R"(
+ideal_packages 9000
+wakeups 8006
+depletion_failures 994
+packages_sampled 8006
+packages_to_cloud 0
+packages_in_fog 2823
+packages_incidental 0
+tasks_balanced_away 6
+lb_messages 19045
+lb_failed_regions 112
+tx_lost 120
+tx_aborted 0
+orphan_scans 670
+rejoins 848
+membership_updates 0
+rt_requests_served 0
+rt_requests_missed 0
+relay_hops 0
+relay_drops 0
+rtc_resyncs 0
+cap_overflow_mj 25703.665969
+spent_compute_mj 97141.3473086
+spent_tx_mj 4268.9441016
+spent_rx_mj 812.961792
+spent_sample_mj 442.4243696
+spent_wake_mj 22.12506136
+harvested_mj 241402.276725)");
+}
+
+TEST(IncomePaths, ConstantLevelReportIsPinned)
+{
+    ScenarioConfig cfg;
+    cfg.chains = 4;
+    cfg.nodesPerChain = 10;
+    cfg.multiplexing = 2;
+    cfg.mode = OperatingMode::FiosNvMote;
+    cfg.traceKind = TraceKind::Constant;
+    cfg.meanIncome = Power::fromMilliwatts(0.9);
+    cfg.balancerPolicy = "distributed";
+    cfg.horizon = kHour;
+    cfg.seed = 5;
+    EXPECT_EQ(storedMetrics(FogSystem(cfg).run()), R"(
+ideal_packages 12000
+wakeups 12000
+depletion_failures 0
+packages_sampled 12000
+packages_to_cloud 0
+packages_in_fog 8262
+packages_incidental 0
+tasks_balanced_away 0
+lb_messages 38581
+lb_failed_regions 217
+tx_lost 58
+tx_aborted 0
+orphan_scans 0
+rejoins 0
+membership_updates 0
+rt_requests_served 0
+rt_requests_missed 0
+relay_hops 0
+relay_drops 0
+rtc_resyncs 0
+cap_overflow_mj 0
+spent_compute_mj 132508.235294
+spent_tx_mj 9072.908928
+spent_rx_mj 0
+spent_sample_mj 746.0928
+spent_wake_mj 31.336896
+harvested_mj 258768)");
 }
 
 } // namespace

@@ -60,8 +60,9 @@ TEST(Traces, DescribeStringsInformative)
                   ->describe()
                   .find("profile 2"),
               std::string::npos);
-    EXPECT_NE(traces::makeRainTrace(7, rng, kHour, 1.0_mW)
-                  ->describe()
+    EXPECT_NE(ScaledTrace(1.0e-3 * traces::rainNodeGain(rng),
+                          traces::makeRainUnitStream(7, kHour))
+                  .describe()
                   .find("dependent"),
               std::string::npos);
 }

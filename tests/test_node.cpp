@@ -324,12 +324,13 @@ archiveBytes(Node &node)
 }
 
 // The income hoist (ChainEngine::beginSlotBatch) integrates each
-// accrual window once per chain and feeds every node the shared
-// integral (x the node's scale) through beginSlotWithIncome.  On both
-// hoistable trace shapes — a ScaledTrace over a cached rain stream and
-// a constant level — a node fed that way must end every slot on the
-// same bytes as a twin integrating its own trace in beginSlot, across
-// multiplexed gaps and with slot work spending from the capacitor.
+// accrual window of a rain chain's shared stream once and feeds every
+// node that integral (x the node's scale) through beginSlotWithIncome.
+// A node fed that way must end every slot on the same bytes as a twin
+// integrating its own trace in beginSlot, across multiplexed gaps and
+// with slot work spending from the capacitor.  The constant level
+// checks the same split of integration from banking on an analytic
+// trace.
 TEST(Node, IncomeHoistMatchesPerNodeIntegration)
 {
     const Tick horizon = 3 * kHour;

@@ -285,6 +285,50 @@ TEST(Archive, LoadRejectsPathAndTypeMismatch)
     }
 }
 
+// The words snapshot diagnostics use to name a record and render its
+// value, which replay output and resume errors show users.
+TEST(Archive, DiagnosticTextIsPinned)
+{
+    std::string label = "rain";
+    std::vector<double> samples = {1.0, 2.0, 3.0};
+    OutArchive out;
+    out.io("label", label);
+    out.io("samples", samples);
+    const std::string blob = out.take();
+
+    RecordReader reader(blob);
+    Record rec;
+    ASSERT_TRUE(reader.next(rec));
+    EXPECT_EQ(snapshot::formatPayload(rec.type, rec.payload),
+              "\"rain\"");
+    ASSERT_TRUE(reader.next(rec));
+    EXPECT_EQ(snapshot::formatPayload(rec.type, rec.payload),
+              "[3 elements]");
+
+    InArchive in{std::string_view(blob)};
+    std::string got;
+    try {
+        in.io("title", got);
+        FAIL() << "expected a path mismatch";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "snapshot field mismatch: stream has 'label' where "
+                     "the loader expects 'title' (format/version skew?)");
+    }
+
+    // The record reader quotes the path of a record it cannot decode.
+    std::string bad = blob;
+    bad[2 + 5] = 99; // after the u16 length and the 5 bytes of "label"
+    RecordReader broken(bad);
+    try {
+        broken.next(rec);
+        FAIL() << "expected an invalid type tag";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "snapshot record 'label' has invalid type tag 99");
+    }
+}
+
 TEST(Archive, BatchChecksumMatchesFnv1a)
 {
     // Published FNV-1a 64 test vectors.
@@ -448,7 +492,7 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(ChainState), 584u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
-    EXPECT_EQ(sizeof(ScenarioConfig), 512u);
+    EXPECT_EQ(sizeof(ScenarioConfig), 496u);
 }
 
 // ---------------------------------------------------------------------
@@ -704,6 +748,97 @@ TEST(SnapshotSchema, ChainSectionRecordsArePinned)
     for (auto &line : schemaLines(kVpNodeRecords, "chain0.node0."))
         want.push_back(std::move(line));
     EXPECT_EQ(chainSectionSchema(vp, "schema_vp"), want);
+}
+
+// ---------------------------------------------------------------------
+// Config section schema: the ordered (path, wire type) records of the
+// scenario blob every snapshot carries and hashes into its config
+// fingerprint.  The literals were generated by the tree that still
+// had the energy-cache knobs; the records must not move, so snapshots
+// written by that tree keep decoding (or are refused by name).
+// ---------------------------------------------------------------------
+
+constexpr std::string_view kConfigRecords = R"(
+nodes_per_chain u64
+chains u64
+multiplexing i32
+horizon i64
+slot_interval i64
+trace_kind i32
+profile_index i32
+mean_income f64
+mode i32
+balancer_policy str
+loss.success_rate f64
+loss.weather_factor f64
+loss.max_retries i32
+node_template.id u32
+node_template.mode i32
+node_template.cap.capacity f64
+node_template.cap.initial f64
+node_template.cap.leakage f64
+node_template.rtc.interval i64
+node_template.rtc.draw f64
+node_template.rtc.cap.capacity f64
+node_template.rtc.cap.initial f64
+node_template.rtc.cap.leakage f64
+node_template.rtc.charge_priority f64
+node_template.rtc.resync_listen i64
+node_template.rtc.resync_energy f64
+node_template.sensor.part_name str
+node_template.sensor.init_latency i64
+node_template.sensor.init_power f64
+node_template.sensor.sample_latency i64
+node_template.sensor.sample_power f64
+node_template.sensor.bytes_per_sample u64
+node_template.processor_mhz f64
+node_template.raw_package_bytes u64
+node_template.compressed_package_bytes u64
+node_template.samples_per_package u64
+node_template.fog_instructions_per_package u64
+node_template.naive_instructions_per_package u64
+node_template.package_deadline_slots i32
+node_template.enable_incidental_computing bool
+node_template.incidental_fraction f64
+node_template.enable_frequency_scaling bool
+node_template.buffer.capacity_bytes u64
+node_template.buffer.interrupt_threshold f64
+node_template.buffer.write_energy_per_byte f64
+node_template.buffer.read_energy_per_byte f64
+membership_update_interval i64
+real_time_request_chance f64
+hop_by_hop_relay bool
+probes.enabled bool
+probes.capacity u64
+probes.every_slots i64
+energy_cache.enabled bool
+energy_cache.grid i64
+seed u64)";
+
+/** (path, wire type) records of @p cfg's config-section blob. */
+std::vector<std::pair<std::string, std::string>>
+configSectionSchema(const ScenarioConfig &cfg)
+{
+    const std::string blob = serializeScenarioBlob(cfg);
+    std::vector<std::pair<std::string, std::string>> out;
+    RecordReader reader(blob);
+    Record rec;
+    while (reader.next(rec))
+        out.emplace_back(std::string(rec.path),
+                         snapshot::fieldTypeName(rec.type));
+    return out;
+}
+
+TEST(SnapshotSchema, ConfigSectionRecordsArePinned)
+{
+    const auto want = schemaLines(kConfigRecords, "");
+    const ScenarioConfig rain = presets::fig13(presets::fiosNeofog(), 3);
+    EXPECT_EQ(configSectionSchema(rain), want);
+    EXPECT_EQ(scenarioFingerprint(rain), 0xb23a204eb0aa55f9ULL);
+
+    const ScenarioConfig forest = presets::fig10(presets::fiosNeofog(), 0);
+    EXPECT_EQ(configSectionSchema(forest), want);
+    EXPECT_EQ(scenarioFingerprint(forest), 0x7d911f853a2c9f1dULL);
 }
 
 // ---------------------------------------------------------------------
@@ -1048,6 +1183,59 @@ TEST(ScenarioFingerprint, BlobRoundTripsAndHostKnobsAreExcluded)
     EXPECT_NE(scenarioFingerprint(remoded), scenarioFingerprint(cfg));
 }
 
+/**
+ * Byte offset of record @p path's payload in @p blob (records are
+ * [u16 len][path][u8 type][payload]).
+ */
+std::size_t
+payloadOffset(const std::string &blob, std::string_view path)
+{
+    RecordReader reader(blob);
+    Record rec;
+    while (reader.next(rec))
+        if (rec.path == path)
+            return static_cast<std::size_t>(rec.payload.data() -
+                                             blob.data());
+    ADD_FAILURE() << "no record " << path;
+    return 0;
+}
+
+/** The retired grid value the tests below write: 2 s, little-endian. */
+std::string
+twoSecondGrid()
+{
+    std::string grid;
+    snapshot::appendLe64(grid, static_cast<std::uint64_t>(2 * kSec));
+    return grid;
+}
+
+// The energy cache is always on at a 1 s grid.  A config section that
+// records another value was integrated on a deleted path, so decoding
+// it names the record instead of resuming onto different income.
+TEST(ScenarioFingerprint, RetiredEnergyCacheValuesAreRejected)
+{
+    const std::string blob = serializeScenarioBlob(ScenarioConfig{});
+    const auto decodeError = [](const std::string &bytes) {
+        try {
+            deserializeScenarioBlob(bytes);
+        } catch (const FatalError &err) {
+            return std::string(err.what());
+        }
+        return std::string();
+    };
+    EXPECT_EQ(decodeError(blob), "");
+
+    std::string off = blob;
+    off[payloadOffset(off, "energy_cache.enabled")] = 0;
+    EXPECT_NE(decodeError(off).find("energy_cache"), std::string::npos);
+
+    std::string coarse = blob;
+    coarse.replace(payloadOffset(coarse, "energy_cache.grid"), 8,
+                   twoSecondGrid());
+    EXPECT_NE(decodeError(coarse).find("energy_cache"),
+              std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Replay diffing
 // ---------------------------------------------------------------------
@@ -1171,6 +1359,50 @@ TEST(Resume, RejectsCorruptOrMissingSnapshots)
     EXPECT_THROW(FogSystem::resume(configless), FatalError);
 }
 
+// A snapshot written with the energy cache off, or on another grid,
+// integrated its income on a deleted path.  Resuming it fails naming
+// the record instead of continuing onto different income; the same
+// file with the always-on values resumes.
+TEST(Resume, RefusesRetiredEnergyCacheValues)
+{
+    const ScratchDir dir("resume_retired_cache");
+    ScenarioConfig cfg = resumeScenario(1);
+    cfg.horizon = 10 * kMin;
+    cfg.snapshot.everySlots = 10;
+    cfg.snapshot.dir = dir.path();
+    FogSystem(cfg).run();
+    const std::string taken = dir.file(snapshot::snapshotFileName(10));
+    ASSERT_TRUE(fs::exists(taken)) << taken;
+    EXPECT_EQ(FogSystem::resume(taken)->resumeSlot(), 10);
+
+    const Snapshot pristine = snapshot::readSnapshot(taken);
+    const auto resumeError = [&](std::string_view record,
+                                 const std::string &payload) {
+        Snapshot edited = pristine;
+        for (snapshot::Section &section : edited.sections) {
+            if (section.name == "config")
+                section.data.replace(payloadOffset(section.data, record),
+                                     payload.size(), payload);
+        }
+        const std::string path = dir.file("edited.nfsnap");
+        snapshot::writeSnapshot(path, edited);
+        try {
+            FogSystem::resume(path);
+        } catch (const FatalError &err) {
+            return std::string(err.what());
+        }
+        return std::string();
+    };
+    const std::string off = resumeError("energy_cache.enabled",
+                                        std::string(1, '\0'));
+    EXPECT_NE(off.find("energy_cache.enabled = false"), std::string::npos)
+        << off;
+    const std::string coarse =
+        resumeError("energy_cache.grid", twoSecondGrid());
+    EXPECT_NE(coarse.find("energy_cache.grid = 2 s"), std::string::npos)
+        << coarse;
+}
+
 // The tentpole contract, enforced here rather than by convention:
 // for random split slots s and any thread count, run(0..H) and
 // run(0..s); resume; run(s..H) produce operator==-equal reports.
@@ -1245,8 +1477,9 @@ expectMidRunResumeIdentical(const ScenarioConfig &cfg,
     }
 }
 
-// The fig-13 scenario above takes the hoist's shared-stream arm; a
-// constant level takes its other arm, with the same resume contract.
+// The fig-13 scenario above takes its income through the hoist's
+// shared rain stream; a constant level steps each node through its own
+// trace, with the same resume contract.
 TEST(Resume, ConstantTraceStaysBitIdentical)
 {
     ScenarioConfig cfg;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "sim/stats.hh"
 
@@ -67,42 +66,6 @@ TEST(ScalarStat, WelfordMatchesNaiveOnLargeValues)
     EXPECT_NEAR(s.variance(), 1.0, 1e-6);
 }
 
-TEST(Histogram, BucketsAndBounds)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(-1.0);
-    h.sample(0.0);
-    h.sample(5.5);
-    h.sample(9.999);
-    h.sample(10.0);
-    h.sample(42.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-}
-
-TEST(Histogram, PercentileMidpoint)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i) + 0.5);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.percentile(0.9), 90.0, 1.5);
-    EXPECT_NEAR(h.percentile(0.0), 0.5, 1.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.bucket(2), 0u);
-}
-
 TEST(TimeSeries, RecordsPoints)
 {
     TimeSeries t;
@@ -110,14 +73,8 @@ TEST(TimeSeries, RecordsPoints)
     t.record(10, 1.0);
     t.record(20, 2.0);
     EXPECT_EQ(t.size(), 2u);
-    EXPECT_DOUBLE_EQ(t.lastValue(), 2.0);
     EXPECT_EQ(t.points()[0].when, 10);
-}
-
-TEST(TimeSeries, LastValueFallback)
-{
-    TimeSeries t;
-    EXPECT_DOUBLE_EQ(t.lastValue(-7.0), -7.0);
+    EXPECT_DOUBLE_EQ(t.points()[1].value, 2.0);
 }
 
 TEST(TimeSeries, DownsampleKeepsEnds)
@@ -137,32 +94,6 @@ TEST(TimeSeries, DownsampleNoopWhenSmall)
     t.record(1, 1.0);
     t.record(2, 2.0);
     EXPECT_EQ(t.downsampled(10).size(), 2u);
-}
-
-TEST(StatRegistry, RegisterAndFind)
-{
-    StatRegistry reg;
-    Counter c;
-    ScalarStat s;
-    TimeSeries t;
-    reg.registerCounter("node0.wakeups", &c);
-    reg.registerScalar("node0.income", &s);
-    reg.registerSeries("node0.energy", &t);
-    EXPECT_EQ(reg.findCounter("node0.wakeups"), &c);
-    EXPECT_EQ(reg.findScalar("node0.income"), &s);
-    EXPECT_EQ(reg.findSeries("node0.energy"), &t);
-    EXPECT_EQ(reg.findCounter("missing"), nullptr);
-}
-
-TEST(StatRegistry, DumpContainsNames)
-{
-    StatRegistry reg;
-    Counter c;
-    c.increment(3);
-    reg.registerCounter("x.count", &c);
-    std::ostringstream oss;
-    reg.dump(oss);
-    EXPECT_NE(oss.str().find("x.count 3"), std::string::npos);
 }
 
 } // namespace

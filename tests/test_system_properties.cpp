@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <tuple>
 
 #include "fog/fog_system.hh"
@@ -126,21 +125,6 @@ TEST(SystemEndurance, ThreeDayRunStaysSane)
         for (const auto &pt : series.points())
             EXPECT_GE(pt.value, -1e-9);
     }
-}
-
-TEST(SystemStats, DumpContainsPerNodeCounters)
-{
-    ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
-    cfg.horizon = 30 * kMin;
-    FogSystem sys(cfg);
-    sys.run();
-    std::ostringstream oss;
-    sys.dumpStats(oss);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("chain0.node0.wakeups"), std::string::npos);
-    EXPECT_NE(out.find("chain0.node9.packagesInFog"),
-              std::string::npos);
-    EXPECT_NE(out.find("storedEnergyMj.points"), std::string::npos);
 }
 
 } // namespace
