@@ -119,7 +119,6 @@ printVersion()
                 "  neofog-report-v1\n"
                 "  neofog-aggregate-v1\n"
                 "  neofog-run-v1\n"
-                "  neofog-series-v1\n"
                 "  neofog-bench-v1\n"
                 "  neofog-snapshot-v1\n",
                 NEOFOG_VERSION);
@@ -424,22 +423,8 @@ main(int argc, char **argv)
             w.key("report");
             report_io::writeMetricsJson(w, report.snapshot());
             if (!series.empty()) {
-                w.key("series").beginArray();
-                for (const auto &s : series) {
-                    w.beginObject();
-                    w.key("name").value(s.name);
-                    w.key("unit").value(s.unit);
-                    w.key("points").beginArray();
-                    for (const auto &pt : s.points) {
-                        w.beginArray();
-                        w.value(secondsFromTicks(pt.when));
-                        w.value(pt.value);
-                        w.endArray();
-                    }
-                    w.endArray();
-                    w.endObject();
-                }
-                w.endArray();
+                w.key("series");
+                report_io::writeSeriesArray(w, series);
             }
             w.endObject();
             os << '\n';

@@ -47,9 +47,9 @@ std::uint64_t
 expectedRotationDigest(const ScenarioConfig &cfg, const ChainRange &range,
                        std::int64_t slot)
 {
-    // Mirror ChainEngine::updateMembership: slots 1..slot-1 rotate the
-    // mux>1 groups whenever slot_index % every == 0, and
-    // CloneGroup::rotateMembership is an unbounded increment.
+    // Mirror ChainEngine::updateMembership: slots 1..slot-1 rotate a
+    // mux>1 chain whenever slot_index % every == 0, and the rotation
+    // is an unbounded increment.
     std::int64_t rotation = 0;
     if (cfg.membershipUpdateInterval > 0 && cfg.multiplexing > 1 &&
         slot > 0) {
@@ -61,9 +61,7 @@ expectedRotationDigest(const ScenarioConfig &cfg, const ChainRange &range,
     std::string bytes;
     for (std::size_t c = range.lo; c < range.hi; ++c) {
         snapshot::appendLe64(bytes, static_cast<std::uint64_t>(c));
-        for (std::size_t l = 0; l < cfg.nodesPerChain; ++l)
-            snapshot::appendLe32(
-                bytes, static_cast<std::uint32_t>(rotation));
+        snapshot::appendLe32(bytes, static_cast<std::uint32_t>(rotation));
     }
     return snapshot::fnv1a(bytes);
 }

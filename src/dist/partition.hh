@@ -54,10 +54,10 @@ std::vector<ChainRange> partitionChains(std::size_t chains,
 std::size_t clampWorkers(long long requested, std::size_t chains);
 
 /**
- * The FNV-1a digest of the NVD4Q clone-group rotations a partition
- * must hold *after* running slots [0, slot): for each chain in
- * [range.lo, range.hi), the chain index (LE64) followed by each
- * group's rotation (LE32).  Rotation is a pure function of the slot
+ * The FNV-1a digest of the NVD4Q clone rotations a partition must
+ * hold *after* running slots [0, slot): for each chain in
+ * [range.lo, range.hi), the chain index (LE64) followed by the
+ * chain's rotation (LE32).  Rotation is a pure function of the slot
  * grid (Algorithm 2 rotates every membership interval regardless of
  * energy state), so the coordinator computes the expectation from the
  * scenario alone and cross-checks every worker at every barrier —

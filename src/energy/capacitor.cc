@@ -20,35 +20,6 @@ SuperCapacitor::initialState(const Config &cfg)
     return state;
 }
 
-SuperCapacitor::SuperCapacitor(const Config &cfg)
-    : _cfg(cfg), _state(initialState(cfg))
-{
-}
-
-Energy
-SuperCapacitor::charge(Energy amount)
-{
-    return view().charge(amount);
-}
-
-bool
-SuperCapacitor::tryDischarge(Energy amount)
-{
-    return view().tryDischarge(amount);
-}
-
-Energy
-SuperCapacitor::drain(Energy amount)
-{
-    return view().drain(amount);
-}
-
-void
-SuperCapacitor::leak(Tick duration)
-{
-    view().leak(duration);
-}
-
 Energy
 CapacitorView::charge(Energy amount)
 {

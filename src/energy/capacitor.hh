@@ -18,15 +18,11 @@
 
 namespace neofog {
 
-class CapacitorView;
-
 /**
- * A leaky, bounded energy store.
- *
- * The mutable part is one State of five energy cells; every mutator
- * runs through a CapacitorView over it, so a standalone capacitor and
- * a node's archived state (NodeState) execute the one copy of the
- * arithmetic.
+ * A leaky, bounded energy store: its configuration and its archived
+ * State of five energy cells.  A node's State lives in its NodeState
+ * (an RTC's dedicated cap in its Rtc::State); every mutation runs
+ * through a CapacitorView over it.
  */
 class SuperCapacitor
 {
@@ -78,71 +74,16 @@ class SuperCapacitor
      * cfg.initial, clean accounting.  Fatal on an invalid config.
      */
     static State initialState(const Config &cfg);
-
-    explicit SuperCapacitor(const Config &cfg);
-
-    /** Currently stored energy. */
-    Energy stored() const { return _state.stored; }
-
-    /** Capacity limit. */
-    Energy capacity() const { return _cfg.capacity; }
-
-    /** Stored energy as a fraction of capacity, in [0,1]. */
-    double fillFraction() const { return _state.stored / _cfg.capacity; }
-
-    /**
-     * Add energy; amounts beyond capacity are rejected and counted.
-     * @return Energy actually accepted.
-     */
-    Energy charge(Energy amount);
-
-    /**
-     * Remove energy if fully available.
-     * @return true and deducts if stored() >= amount, else false with no
-     *         state change.
-     */
-    bool tryDischarge(Energy amount);
-
-    /**
-     * Remove up to @p amount, draining to zero if necessary.
-     * @return Energy actually removed.
-     */
-    Energy drain(Energy amount);
-
-    /** Apply self-leakage for an elapsed duration. */
-    void leak(Tick duration);
-
-    /** Whether at least @p amount is available. */
-    bool has(Energy amount) const { return _state.stored >= amount; }
-
-    /** Cumulative energy rejected because the capacitor was full. */
-    Energy overflowTotal() const { return _state.overflowTotal; }
-
-    /** Cumulative energy lost to self-leakage. */
-    Energy leakedTotal() const { return _state.leakedTotal; }
-
-    /** Cumulative energy accepted by charge(). */
-    Energy chargedTotal() const { return _state.chargedTotal; }
-
-    /** Cumulative energy removed by discharge/drain. */
-    Energy dischargedTotal() const { return _state.dischargedTotal; }
-
-    /** View over this capacitor's own state. */
-    CapacitorView view();
-
-  private:
-    Config _cfg;
-    State _state;
 };
 
 /**
  * The capacitor arithmetic over one SuperCapacitor::State.
  *
- * A standalone SuperCapacitor and every node's NodeState (see
- * node/node_state.hh) hold a State; CapacitorView binds one of them to
- * a config and runs charge / discharge / drain / leak on it.  This is
- * the only copy of that floating-point program, so a node and a
- * standalone capacitor fed the same inputs end on the same bits.
+ * CapacitorView binds a State — a node's main cap in its NodeState
+ * (see node/node_state.hh), an RTC's dedicated cap, or the storage of
+ * an IntermittentExecution run — to a config and runs charge /
+ * discharge / drain / leak on it.  This is the only copy of that
+ * floating-point program.
  *
  * Views are cheap value types: a config pointer and a state pointer.
  * Both must outlive the view.
@@ -207,12 +148,6 @@ class CapacitorView
     const SuperCapacitor::Config *_cfg;
     SuperCapacitor::State *_state;
 };
-
-inline CapacitorView
-SuperCapacitor::view()
-{
-    return {_cfg, _state};
-}
 
 } // namespace neofog
 

@@ -10,6 +10,22 @@
 
 namespace neofog {
 
+void
+ChainState::checkAliveLength(const std::string &path,
+                             std::size_t logical) const
+{
+    if (aliveLastSlot.size() != logical)
+        fatal("snapshot field '", path, "' has ", aliveLastSlot.size(),
+              " entries, but the chain has ", logical, " logical nodes");
+}
+
+void
+ChainState::rejectRotation(const std::string &path, std::int32_t r) const
+{
+    fatal("snapshot field '", path, "' is ", r, ", but group0.rotation is ",
+          rotation, ": a chain's clone groups rotate together");
+}
+
 ChainEngine::ChainEngine(const ScenarioConfig &cfg,
                          std::size_t chain_index,
                          std::uint32_t first_node_id, Rng rng,
@@ -26,23 +42,18 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     // the whole chain up front so node construction never reallocates
     // (the facades keep pointers into it).
     _state.nodes.reserve(_cfg.nodesPerChain * mux);
-    for (std::size_t l = 0; l < _cfg.nodesPerChain; ++l) {
-        std::vector<std::size_t> members;
-        for (std::size_t m = 0; m < mux; ++m) {
-            Node::Config ncfg = _cfg.nodeTemplate;
-            ncfg.id = next_id++;
-            ncfg.mode = _cfg.mode;
-            ncfg.rtc.interval = _cfg.slotInterval;
-            members.push_back(_nodes.size());
-            _nodes.push_back(std::make_unique<Node>(
-                ncfg, makeTrace(), _state.rng.fork(), _state.nodes));
-        }
-        _state.groups.emplace_back(l, std::move(members));
+    for (std::size_t p = 0; p < _cfg.nodesPerChain * mux; ++p) {
+        Node::Config ncfg = _cfg.nodeTemplate;
+        ncfg.id = next_id++;
+        ncfg.mode = _cfg.mode;
+        ncfg.rtc.interval = _cfg.slotInterval;
+        _nodes.push_back(std::make_unique<Node>(
+            ncfg, makeTrace(), _state.rng.fork(), _state.nodes));
     }
     _state.aliveLastSlot.assign(_cfg.nodesPerChain, true);
-    _scheduled.reserve(_state.groups.size());
-    _lbStates.reserve(_state.groups.size());
-    _lbOutcome.moves.reserve(_state.groups.size());
+    _scheduled.reserve(_cfg.nodesPerChain);
+    _lbStates.reserve(_cfg.nodesPerChain);
+    _lbOutcome.moves.reserve(_cfg.nodesPerChain);
     _windowMemo.reserve(4);
     _balancerIsNoop = _balancer->name() == "none";
 
@@ -107,13 +118,9 @@ ChainEngine::updateMembership(std::int64_t slot_index)
         return;
     const std::int64_t every =
         _cfg.membershipUpdateInterval / _cfg.slotInterval;
-    if (every > 0 && slot_index % every == 0) {
-        for (CloneGroup &g : _state.groups) {
-            if (g.multiplier() > 1) {
-                g.rotateMembership();
-                ++_state.report.membershipUpdates;
-            }
-        }
+    if (every > 0 && slot_index % every == 0 && _cfg.multiplexing > 1) {
+        ++_state.rotation;
+        _state.report.membershipUpdates += _cfg.nodesPerChain;
     }
 }
 
@@ -124,13 +131,19 @@ ChainEngine::runSlot(std::int64_t slot_index)
 
     updateMembership(slot_index);
 
-    // One physical clone of every logical node is scheduled this slot.
+    // One physical clone of every logical node is scheduled this slot:
+    // the one at the chain's phase within each group of mux clones.
     // _scheduled is engine-owned scratch: reusing its capacity keeps
     // the per-slot loop allocation-free.
+    const auto mux = static_cast<std::int64_t>(_cfg.multiplexing);
+    std::int64_t phase = (slot_index + _state.rotation) % mux;
+    if (phase < 0)
+        phase += mux;
     std::vector<Node *> &scheduled = _scheduled;
     scheduled.clear();
-    for (const CloneGroup &g : _state.groups)
-        scheduled.push_back(_nodes[g.memberForSlot(slot_index)].get());
+    for (auto p = static_cast<std::size_t>(phase); p < _nodes.size();
+         p += static_cast<std::size_t>(mux))
+        scheduled.push_back(_nodes[p].get());
 
     if (_sharedTrace) {
         beginSlotBatch(scheduled, t);
@@ -339,26 +352,21 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
             Node *left = neighbor(l, -1);
             Node *right = neighbor(l, +1);
             if (left && right) {
-                left->payControlMessage(
-                    Mac::Config{}.orphanScanBytes);
-                left->payReceive(Mac::Config{}.scanConfirmBytes);
-                right->payReceive(Mac::Config{}.orphanScanBytes);
-                right->payControlMessage(
-                    Mac::Config{}.scanConfirmBytes);
+                left->payControlMessage(kOrphanScanBytes);
+                left->payReceive(kScanConfirmBytes);
+                right->payReceive(kOrphanScanBytes);
+                right->payControlMessage(kScanConfirmBytes);
                 ++_state.report.orphanScans;
             }
         } else if (!before && now) {
             // Recovered: broadcast presence, neighbours re-associate.
             Node *left = neighbor(l, -1);
-            scheduled[l]->payControlMessage(
-                Mac::Config{}.orphanScanBytes);
+            scheduled[l]->payControlMessage(kOrphanScanBytes);
             if (left) {
-                left->payReceive(Mac::Config{}.orphanScanBytes);
-                left->payControlMessage(
-                    Mac::Config{}.devListEntryBytes);
+                left->payReceive(kOrphanScanBytes);
+                left->payControlMessage(kDevListEntryBytes);
             }
-            scheduled[l]->payReceive(
-                Mac::Config{}.devListEntryBytes);
+            scheduled[l]->payReceive(kDevListEntryBytes);
             ++_state.report.rejoins;
         }
         _state.aliveLastSlot[l] = now;

@@ -6,10 +6,10 @@
  * time" (§4); chains are mutually independent (results aggregate, no
  * cross-chain traffic), so each chain is an independently executable
  * unit.  A ChainEngine owns everything one chain touches during a
- * slot — its physical nodes, NVD4Q clone groups, heal/relay/real-time
- * logic, a private Rng stream forked from the scenario seed in chain
- * order, private LossModel state, a private LoadBalancer, and a
- * SystemReport shard.  What of that a snapshot keeps is one
+ * slot — its physical nodes, its NVD4Q clone rotation, heal/relay/
+ * real-time logic, a private Rng stream forked from the scenario seed
+ * in chain order, private LossModel state, a private LoadBalancer,
+ * and a SystemReport shard.  What of that a snapshot keeps is one
  * ChainState; the rest is rebuilt from the scenario or is per-slot
  * scratch.  Because no two engines share mutable state,
  * FogSystem can run the engines of one slot on any number of threads
@@ -20,7 +20,9 @@
 #ifndef NEOFOG_FOG_CHAIN_ENGINE_HH
 #define NEOFOG_FOG_CHAIN_ENGINE_HH
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "balance/balancer.hh"
@@ -29,7 +31,6 @@
 #include "net/loss.hh"
 #include "node/node.hh"
 #include "sim/metrics.hh"
-#include "virt/nvd4q.hh"
 
 namespace neofog {
 
@@ -77,29 +78,59 @@ struct ChainState
     LossModel loss;
     /** Whether each logical position was alive last slot. */
     std::vector<bool> aliveLastSlot;
-    /** NVD4Q clone groups, in logical-node order. */
-    std::vector<CloneGroup> groups;
+    /**
+     * NVD4Q membership rotations so far (Algorithm 2 phase shift).
+     * All clone groups of a chain rotate together, so one counter is
+     * the whole clone schedule.
+     */
+    int rotation = 0;
     /** The chain's report shard. */
     SystemReport report;
     ChainProbe probe;
     /** Physical nodes' states, in id order. */
     NodeShard nodes;
 
-    /** Snapshot support (see src/snapshot/). */
+    /**
+     * Snapshot support (see src/snapshot/).  The rotation is written
+     * once per logical node, as group<i>.rotation.  Loading rejects an
+     * alive_last_slot of another length than the chain's logical
+     * nodes, and group records that disagree with group0.
+     */
     template <class Archive>
     void
     serialize(Archive &ar)
     {
         ar.io("rng", rng);
         ar.io("loss", loss);
+        const std::size_t logical = aliveLastSlot.size();
         ar.io("alive_last_slot", aliveLastSlot);
-        for (std::size_t i = 0; i < groups.size(); ++i)
-            ar.io("group" + std::to_string(i), groups[i]);
+        if constexpr (Archive::isLoading)
+            checkAliveLength(ar.path("alive_last_slot"), logical);
+        for (std::size_t i = 0; i < logical; ++i) {
+            const std::string name =
+                "group" + std::to_string(i) + ".rotation";
+            std::int32_t r = rotation;
+            ar.io(name, r);
+            if constexpr (Archive::isLoading) {
+                if (i == 0)
+                    rotation = r;
+                else if (r != rotation)
+                    rejectRotation(ar.path(name), r);
+            }
+        }
         ar.io("shard", report);
         ar.io("probe", probe);
         for (std::size_t i = 0; i < nodes.rows(); ++i)
             ar.io("node" + std::to_string(i), nodes[i]);
     }
+
+  private:
+    /** Fatal unless aliveLastSlot has @p logical entries. */
+    void checkAliveLength(const std::string &path,
+                          std::size_t logical) const;
+    /** Fatal: record @p path holds @p r, not group0's rotation. */
+    [[noreturn]] void rejectRotation(const std::string &path,
+                                     std::int32_t r) const;
 };
 
 /**
@@ -110,7 +141,8 @@ class ChainEngine
 {
   public:
     /**
-     * Build the chain's physical nodes and clone groups.
+     * Build the chain's physical nodes: logical node l's clones are
+     * physical nodes [l*mux, (l+1)*mux).
      *
      * @param cfg Scenario shared by all chains (must outlive this).
      * @param chain_index Position of this chain in the scenario.
@@ -147,10 +179,6 @@ class ChainEngine
     const std::vector<std::unique_ptr<Node>> &nodes() const
     { return _nodes; }
 
-    /** NVD4Q clone groups, in logical-node order. */
-    const std::vector<CloneGroup> &groups() const
-    { return _state.groups; }
-
     /** The chain's node states (memory accounting, diagnostics). */
     const NodeShard &soa() const { return _state.nodes; }
 
@@ -181,7 +209,7 @@ class ChainEngine
      */
     void beginSlotBatch(const std::vector<Node *> &scheduled, Tick t);
 
-    /** Rotate NVD4Q clone groups at the configured frequency. */
+    /** Rotate the NVD4Q clone schedule at the configured frequency. */
     void updateMembership(std::int64_t slot_index);
 
     /** Heal the chain around dead nodes (orphan scan / rejoin). */

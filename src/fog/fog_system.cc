@@ -181,9 +181,8 @@ FogSystem::rotationDigest() const
     for (const auto &engine : _engines) {
         snapshot::appendLe64(
             bytes, static_cast<std::uint64_t>(engine->chainIndex()));
-        for (const CloneGroup &g : engine->groups())
-            snapshot::appendLe32(
-                bytes, static_cast<std::uint32_t>(g.rotation()));
+        snapshot::appendLe32(
+            bytes, static_cast<std::uint32_t>(engine->state().rotation));
     }
     return snapshot::fnv1a(bytes);
 }

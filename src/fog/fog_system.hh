@@ -140,7 +140,7 @@ class FogSystem
 
     /**
      * FNV-1a digest of the partition's NVD4Q clone rotations: per
-     * chain, the global chain index (LE64) then each group's rotation
+     * chain, the global chain index (LE64) then the chain's rotation
      * (LE32).  Matches dist::expectedRotationDigest when the partition
      * is exactly on the slot grid — the distributed barrier check.
      */

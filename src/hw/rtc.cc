@@ -16,41 +16,6 @@ Rtc::initialState(const Config &cfg)
     return state;
 }
 
-Rtc::Rtc(const Config &cfg)
-    : _cfg(cfg), _state(initialState(cfg))
-{
-}
-
-void
-Rtc::advance(Tick duration, Energy income)
-{
-    RtcView(_cfg, _state).advance(duration, income);
-}
-
-Tick
-alignedWakeAfter(Tick interval, Tick now, int phase_offset,
-                 int interval_multiplier)
-{
-    NEOFOG_ASSERT(interval_multiplier >= 1, "interval multiplier >= 1");
-    NEOFOG_ASSERT(phase_offset >= 0 && phase_offset < interval_multiplier,
-                  "phase offset must be in [0, multiplier)");
-    const Tick stride = interval * interval_multiplier;
-    const Tick offset = interval * phase_offset;
-    // Smallest k*stride + offset strictly greater than now.
-    Tick k = (now - offset) / stride;
-    Tick candidate = k * stride + offset;
-    while (candidate <= now)
-        candidate += stride;
-    return candidate;
-}
-
-Tick
-Rtc::nextWake(Tick now, int phase_offset, int interval_multiplier) const
-{
-    return alignedWakeAfter(_cfg.interval, now, phase_offset,
-                            interval_multiplier);
-}
-
 void
 RtcView::advance(Tick duration, Energy income)
 {

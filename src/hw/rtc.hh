@@ -12,7 +12,8 @@
  * Nodes that lack energy for a slot wake at a *multiple* of the RTC
  * interval (not whenever they happen to have energy), which keeps them
  * aligned to network slots.  NVD4Q extends this with a per-clone phase
- * offset and wake-interval multiplier.
+ * offset and wake-interval multiplier: a chain schedules one clone of
+ * each logical node per slot (see ChainEngine::runSlot).
  */
 
 #ifndef NEOFOG_HW_RTC_HH
@@ -27,19 +28,10 @@
 namespace neofog {
 
 /**
- * Next aligned wake tick strictly after @p now on a slot grid of
- * @p interval, for a clone with the given phase offset and interval
- * multiplier (0/1 for un-virtualized nodes).  Shared by Rtc and
- * RtcView so both facades compute the identical grid.
- */
-Tick alignedWakeAfter(Tick interval, Tick now, int phase_offset,
-                      int interval_multiplier);
-
-/**
- * RTC model: slot bookkeeping plus its dedicated super-capacitor.
- * advance() runs through an RtcView over the object's State, the one
- * copy of the keep-alive arithmetic that every node's NodeState uses
- * too.
+ * RTC model: the configuration and the archived state of the slot
+ * clock and its dedicated super-capacitor.  Every node keeps its
+ * State in its NodeState; RtcView runs the keep-alive arithmetic on
+ * it.
  */
 class Rtc
 {
@@ -100,52 +92,11 @@ class Rtc
      * cap at cfg.cap.initial.  Fatal on an invalid config.
      */
     static State initialState(const Config &cfg);
-
-    explicit Rtc(const Config &cfg);
-
-    /** Whether the RTC still tracks network time. */
-    bool synchronized() const { return _state.synchronized; }
-
-    /** The slot interval. */
-    Tick interval() const { return _cfg.interval; }
-
-    /**
-     * Advance wall-clock by @p duration: drains the RTC cap (plus
-     * leakage) and desynchronizes if it empties.
-     * @param income Energy routed to the RTC cap during the period
-     *        (already scaled by the charge priority).
-     */
-    void advance(Tick duration, Energy income);
-
-    /**
-     * Next aligned wake tick strictly after @p now for a clone with the
-     * given phase offset and interval multiplier (both 0/1 for
-     * un-virtualized nodes).
-     */
-    Tick nextWake(Tick now, int phase_offset = 0,
-                  int interval_multiplier = 1) const;
-
-    /** Record a successful resynchronization. */
-    void resynchronize() { _state.synchronized = true; }
-
-    /** Dedicated capacitor (for inspection / tests). */
-    CapacitorView cap() { return {_cfg.cap, _state.cap}; }
-
-    /** Times the RTC lost synchronization. */
-    std::uint64_t desyncCount() const { return _state.desyncs; }
-
-    const Config &config() const { return _cfg; }
-
-  private:
-    Config _cfg;
-    State _state;
 };
 
 /**
- * The RTC keep-alive arithmetic over one Rtc::State.
- *
- * Mirrors Rtc's public API over a State — an Rtc's own or the one in
- * a node's NodeState (node/node_state.hh).  advance() here is the only
+ * The RTC keep-alive arithmetic over one Rtc::State — a node's, in
+ * its NodeState (node/node_state.hh).  advance() here is the only
  * copy of the program.
  */
 class RtcView
@@ -169,15 +120,6 @@ class RtcView
      *        (already scaled by the charge priority).
      */
     void advance(Tick duration, Energy income);
-
-    /** Next aligned wake tick strictly after @p now (see Rtc). */
-    Tick
-    nextWake(Tick now, int phase_offset = 0,
-             int interval_multiplier = 1) const
-    {
-        return alignedWakeAfter(_cfg->interval, now, phase_offset,
-                                interval_multiplier);
-    }
 
     /** Record a successful resynchronization. */
     void resynchronize() { _state->synchronized = true; }

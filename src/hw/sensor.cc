@@ -1,7 +1,5 @@
 #include "hw/sensor.hh"
 
-#include "sim/logging.hh"
-
 namespace neofog {
 
 namespace sensors {
@@ -86,37 +84,5 @@ piezoPickup()
 }
 
 } // namespace sensors
-
-Sensor::Sensor(const SensorSpec &spec)
-    : _spec(spec)
-{
-    if (_spec.bytesPerSample == 0)
-        fatal("sensor must produce at least one byte per sample");
-}
-
-Sensor::Cost
-Sensor::initialize()
-{
-    if (_initialized)
-        return {};
-    _initialized = true;
-    return {_spec.initLatency, _spec.initEnergy()};
-}
-
-Sensor::Cost
-Sensor::sample(std::size_t count) const
-{
-    NEOFOG_ASSERT(_initialized,
-                  "sampling an uninitialized sensor: ", _spec.partName);
-    const auto n = static_cast<double>(count);
-    return {static_cast<Tick>(n * static_cast<double>(_spec.sampleLatency)),
-            _spec.sampleEnergy() * n};
-}
-
-std::size_t
-Sensor::sampleBytes(std::size_t count) const
-{
-    return _spec.bytesPerSample * count;
-}
 
 } // namespace neofog

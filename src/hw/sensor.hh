@@ -8,7 +8,8 @@
  * datasheet-typical values.  Sensor configuration registers are
  * volatile: after a node power failure the sensor must be
  * re-initialized before sampling (one of the costs FIOS amortizes by
- * sampling in bursts into the NV buffer).
+ * sampling in bursts into the NV buffer).  A node keeps that latch in
+ * NodeState::sensorInitialized and reads the spec from its config.
  */
 
 #ifndef NEOFOG_HW_SENSOR_HH
@@ -71,56 +72,6 @@ SensorSpec ecgAfe();
 SensorSpec piezoPickup();
 
 } // namespace sensors
-
-/**
- * Runtime sensor with volatile configuration state.
- */
-class Sensor
-{
-  public:
-    explicit Sensor(const SensorSpec &spec);
-
-    const SensorSpec &spec() const { return _spec; }
-
-    /** Whether the configuration registers are currently valid. */
-    bool initialized() const { return _initialized; }
-
-    /**
-     * Cost of making the sensor ready; zero-duration if already
-     * initialized.  Marks the sensor initialized.
-     */
-    struct Cost
-    {
-        Tick duration = 0;
-        Energy energy = Energy::zero();
-    };
-
-    Cost initialize();
-
-    /**
-     * Cost of taking @p count back-to-back samples.  Fatal if the
-     * sensor has not been initialized since the last power failure.
-     */
-    Cost sample(std::size_t count = 1) const;
-
-    /** Bytes produced by @p count samples. */
-    std::size_t sampleBytes(std::size_t count = 1) const;
-
-    /** Power failure: configuration registers are lost. */
-    void onPowerFailure() { _initialized = false; }
-
-    /** Snapshot support: the volatile configuration latch. */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("initialized", _initialized);
-    }
-
-  private:
-    SensorSpec _spec; // neofog-lint: allow(snapshot): construction-time sensor spec, rebuilt from the scenario on resume; only the volatile init latch mutates
-    bool _initialized = false;
-};
 
 } // namespace neofog
 

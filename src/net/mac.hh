@@ -1,82 +1,32 @@
 /**
  * @file
- * Slotted MAC helpers: transmission costing, orphan-scan rejoin.
+ * Slotted MAC control payloads: the orphan-scan bypass and the rejoin.
  *
  * The RTC gives all nodes a common slot grid (§2.3); within a slot,
- * adjacent chain nodes exchange frames.  This module prices the MAC
- * behaviours the paper models in §4:
- *  - a data hop (TX at the sender, RX at the receiver);
- *  - the Zigbee orphan-scan bypass when the next-hop node is dead
- *    (A broadcasts orphan_scan, C confirms, AssociatedDevList updates,
+ * adjacent chain nodes exchange frames.  §4 models two Zigbee control
+ * handshakes on top of the data hops:
+ *  - the orphan-scan bypass when the next-hop node is dead (A
+ *    broadcasts orphan_scan, C confirms, AssociatedDevList updates,
  *    then A->C directly);
  *  - the rejoin when a dead node recovers.
+ *
+ * ChainEngine::heal prices both with Node::payControlMessage and
+ * Node::payReceive over the payload sizes below.
  */
 
 #ifndef NEOFOG_NET_MAC_HH
 #define NEOFOG_NET_MAC_HH
 
-#include "hw/rf.hh"
-#include "net/packet.hh"
-#include "sim/types.hh"
-#include "sim/units.hh"
+#include <cstddef>
 
 namespace neofog {
 
-/** Two-sided cost of a MAC exchange. */
-struct MacExchange
-{
-    RfPhase sender;
-    RfPhase receiver;
-};
-
-/**
- * MAC pricing on top of concrete RF modules.
- */
-class Mac
-{
-  public:
-    struct Config
-    {
-        /** Payload of an orphan_scan broadcast. */
-        std::size_t orphanScanBytes = 12;
-        /** Payload of a scan_confirm unicast. */
-        std::size_t scanConfirmBytes = 16;
-        /** Payload of an AssociatedDevList update entry. */
-        std::size_t devListEntryBytes = 4;
-        /** Guard listening time around each slot exchange. */
-        Tick rxGuard = ticksFromMs(3.0);
-    };
-
-    Mac();
-    explicit Mac(const Config &cfg);
-
-    /**
-     * Cost of one data hop of @p payload_bytes from @p tx_rf to
-     * @p rx_rf, including frame overhead and RX guard time.
-     */
-    MacExchange dataHop(const RfModule &tx_rf, const RfModule &rx_rf,
-                        std::size_t payload_bytes) const;
-
-    /**
-     * Cost of the orphan-scan bypass handshake when the regular next
-     * hop is dead: broadcast + confirm + dev-list update, before the
-     * actual data hop to the bypass target.
-     */
-    MacExchange orphanScan(const RfModule &tx_rf,
-                           const RfModule &rx_rf) const;
-
-    /**
-     * Cost for a recovered node to rejoin: broadcast presence, both
-     * neighbours update AssociatedDevList.
-     */
-    MacExchange rejoin(const RfModule &recovering_rf,
-                       const RfModule &neighbor_rf) const;
-
-    const Config &config() const { return _cfg; }
-
-  private:
-    Config _cfg;
-};
+/** Payload of an orphan_scan broadcast. */
+inline constexpr std::size_t kOrphanScanBytes = 12;
+/** Payload of a scan_confirm unicast. */
+inline constexpr std::size_t kScanConfirmBytes = 16;
+/** Payload of an AssociatedDevList update entry. */
+inline constexpr std::size_t kDevListEntryBytes = 4;
 
 } // namespace neofog
 

@@ -20,7 +20,8 @@ class StepMachine
     StepMachine(const Processor &cpu, const PowerTrace &trace,
                 const IntermittentExecution::Config &cfg)
         : _cpu(cpu), _trace(trace), _cfg(cfg), _frontend(cfg.frontend),
-          _fios(_frontend.kind() == FrontEndKind::Fios), _cap(cfg.cap)
+          _fios(_frontend.kind() == FrontEndKind::Fios),
+          _capState(SuperCapacitor::initialState(cfg.cap))
     {
         // Instructions executable per step while powered, and the
         // energy they need at the load.
@@ -38,12 +39,15 @@ class StepMachine
     IntermittentExecution::Result finish();
 
   private:
+    /** The storage arithmetic over this run's capacitor state. */
+    CapacitorView cap() { return {_cfg.cap, _capState}; }
+
     const Processor &_cpu;
     const PowerTrace &_trace;
     const IntermittentExecution::Config &_cfg;
     FrontEnd _frontend;
     bool _fios;
-    SuperCapacitor _cap;
+    SuperCapacitor::State _capState;
     IntermittentExecution::Result _result;
 
     std::uint64_t _instPerStep = 0;
@@ -73,20 +77,20 @@ StepMachine::stepOnce(Tick t, Tick horizon)
         const double used_frac = direct_available.joules() > 0.0
             ? direct_used.joules() / direct_available.joules()
             : 0.0;
-        _cap.charge(_frontend.incomeToCap(ambient * (1.0 - used_frac)));
+        cap().charge(_frontend.incomeToCap(ambient * (1.0 - used_frac)));
         direct_available = direct_used;
     } else {
-        _cap.charge(_frontend.incomeToCap(ambient));
+        cap().charge(_frontend.incomeToCap(ambient));
     }
-    _cap.leak(step_end - t);
+    cap().leak(step_end - t);
 
     if (!_powered) {
-        if (_cap.stored() >= _cfg.onThreshold) {
+        if (cap().stored() >= _cfg.onThreshold) {
             // Power-on: pay the wake overhead (restore for NVP,
             // restart + state reload for VP).
             const Energy wake =
                 _frontend.capCostForLoad(_cpu.wakeEnergy());
-            if (_cap.tryDischarge(wake)) {
+            if (cap().tryDischarge(wake)) {
                 _result.spent += wake;
                 _pendingOverhead = _cpu.wakeLatency();
                 _powered = true;
@@ -108,7 +112,7 @@ StepMachine::stepOnce(Tick t, Tick horizon)
     // direct channel first, the capacitor for the rest.
     const Energy from_cap = _frontend.capCostForLoad(
         (_loadPerStep - direct_available).clampedNonNegative());
-    if (_cap.tryDischarge(from_cap)) {
+    if (cap().tryDischarge(from_cap)) {
         _result.spent += from_cap + direct_available;
         _result.activeTime += _cfg.step;
         if (_cpu.isNonvolatile()) {
@@ -125,13 +129,13 @@ StepMachine::stepOnce(Tick t, Tick horizon)
     }
 
     // Brown-out check.
-    if (_cap.stored() < _cfg.offThreshold) {
+    if (cap().stored() < _cfg.offThreshold) {
         ++_result.powerCycles;
         if (_cpu.isNonvolatile()) {
             // Distributed NV backup: small energy, state kept.
             const Energy backup =
                 _frontend.capCostForLoad(_cpu.backupEnergy());
-            _result.spent += _cap.drain(backup);
+            _result.spent += cap().drain(backup);
             _result.overheadTime += _cpu.backupLatency();
         } else {
             // All uncommitted work is lost.

@@ -128,9 +128,11 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
         fatal("node ", cfg.id, " needs a power trace");
     if (_cfg.rawPackageBytes == 0 || _cfg.samplesPerPackage == 0)
         fatal("package shape must be nonzero");
+    if (_cfg.sensor.bytesPerSample == 0)
+        fatal("sensor must produce at least one byte per sample");
 
-    NodeState fresh(rng, cfg.cap, cfg.rtc, cfg.sensor, cfg.buffer,
-                    pendingDepthOf(cfg), makeRadio(cfg));
+    NodeState fresh(rng, cfg.cap, cfg.rtc, cfg.buffer, pendingDepthOf(cfg),
+                    makeRadio(cfg));
     if (shard == nullptr) {
         // Standalone node: its state lives on this object's heap, so
         // the facade stays movable (the pointer survives a move).
@@ -144,8 +146,8 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
     _wakeCostConst = _cpu->wakeEnergy() +
                      _cpu->computeEnergy(kControlInstructions);
     const double samples = static_cast<double>(_cfg.samplesPerPackage);
-    _sampleCostConst = _state->sensor.spec().initEnergy() +
-                       _state->sensor.spec().sampleEnergy() * samples +
+    _sampleCostConst = _cfg.sensor.initEnergy() +
+                       _cfg.sensor.sampleEnergy() * samples +
                        _state->buffer.writeEnergy(_cfg.rawPackageBytes);
     const std::size_t payload = _cfg.mode == OperatingMode::NosVp
         ? _cfg.rawPackageBytes
@@ -271,7 +273,7 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     // lose their configuration.  (The FIOS node also sees power cycles,
     // but its sensor path is kept warm by the NV buffer controller; the
     // re-init cost is modeled identically since it is tiny either way.)
-    s.sensor.onPowerFailure();
+    s.sensorInitialized = false;
     s.rf->onPowerFailure();
 }
 
@@ -473,21 +475,22 @@ Node::samplePackage()
 {
     NodeState &s = *_state;
     NodeStats &st = s.stats;
-    Sensor &sensor = s.sensor;
+    const SensorSpec &sensor = _cfg.sensor;
     NEOFOG_ASSERT(s.awake, "sampling while asleep");
-    Sensor::Cost init{};
-    if (!sensor.initialized()) {
-        // Peek the cost without committing sensor state yet.
-        init = {sensor.spec().initLatency, sensor.spec().initEnergy()};
+    // The first sample since the last power failure also pays the
+    // sensor's initialization; the latch commits only on success.
+    Tick init_time = 0;
+    Energy init_energy = Energy::zero();
+    if (!s.sensorInitialized) {
+        init_time = sensor.initLatency;
+        init_energy = sensor.initEnergy();
     }
     const double n = static_cast<double>(_cfg.samplesPerPackage);
-    const Energy total = init.energy +
-                         sensor.spec().sampleEnergy() * n +
+    const Energy total = init_energy + sensor.sampleEnergy() * n +
                          s.buffer.writeEnergy(_cfg.rawPackageBytes);
     const Tick time =
-        init.duration +
-        static_cast<Tick>(n * static_cast<double>(
-                                  sensor.spec().sampleLatency));
+        init_time +
+        static_cast<Tick>(n * static_cast<double>(sensor.sampleLatency));
     if (s.slotTimeUsed + time > s.slotLength)
         return false;
     // A full NV buffer discards the new sample (paper §5.1: data are
@@ -500,8 +503,7 @@ Node::samplePackage()
         st.samplesDiscarded.increment();
         return false;
     }
-    if (!sensor.initialized())
-        sensor.initialize();
+    s.sensorInitialized = true;
     st.spentSample += total;
     notifyPhase(NodeObserver::Phase::Sample,
                 s.slotStart + s.slotTimeUsed, time, total);

@@ -4,14 +4,12 @@ namespace neofog {
 
 NodeState::NodeState(Rng rng_stream, const SuperCapacitor::Config &cap_cfg,
                      const Rtc::Config &rtc_cfg,
-                     const SensorSpec &sensor_spec,
                      const NvBuffer::Config &buffer_cfg,
                      std::size_t pending_depth,
                      std::unique_ptr<RfModule> radio)
     : rng(rng_stream), cap(SuperCapacitor::initialState(cap_cfg)),
-      rtc(Rtc::initialState(rtc_cfg)), sensor(sensor_spec),
-      buffer(buffer_cfg), rf(std::move(radio)),
-      pendingByAge(pending_depth, 0)
+      rtc(Rtc::initialState(rtc_cfg)), buffer(buffer_cfg),
+      rf(std::move(radio)), pendingByAge(pending_depth, 0)
 {
     NEOFOG_ASSERT(pending_depth >= 1, "pending queue needs depth >= 1");
     NEOFOG_ASSERT(rf != nullptr, "node state needs a radio");

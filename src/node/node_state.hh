@@ -3,9 +3,10 @@
  * The archived state of a node, and the per-chain store of it.
  *
  * A NodeState is exactly what a snapshot keeps of one node: the RNG
- * stream, the capacitor and RTC state, the sensor, NV buffer and radio,
- * the slot-lifecycle scalars, the per-slot cost memos, the
- * pending-package age queue and the statistics.  Everything else a
+ * stream, the capacitor and RTC state, the sensor's configuration
+ * latch, the NV buffer and radio, the slot-lifecycle scalars, the
+ * per-slot cost memos, the pending-package age queue and the
+ * statistics.  Everything else a
  * Node holds — config, power trace, processor, front end, cost
  * constants, observer, trace cursor — is rebuilt from the scenario, so
  * a resume reconstructs the Node and overwrites only its NodeState.
@@ -31,7 +32,6 @@
 #include "hw/nv_buffer.hh"
 #include "hw/rf.hh"
 #include "hw/rtc.hh"
-#include "hw/sensor.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -104,14 +104,13 @@ struct NodeState
      * @param radio The node's radio (owned from now on).
      */
     NodeState(Rng rng, const SuperCapacitor::Config &cap_cfg,
-              const Rtc::Config &rtc_cfg, const SensorSpec &sensor_spec,
+              const Rtc::Config &rtc_cfg,
               const NvBuffer::Config &buffer_cfg,
               std::size_t pending_depth, std::unique_ptr<RfModule> radio);
 
     Rng rng;
     SuperCapacitor::State cap;
     Rtc::State rtc;
-    Sensor sensor;
     NvBuffer buffer;
     std::unique_ptr<RfModule> rf;
 
@@ -124,6 +123,11 @@ struct NodeState
     Energy slotTaskCost;   ///< memo of Node::taskCost()
     Tick slotTaskTime = 0; ///< memo of Node::taskComputeTime()
     int pendingPackages = 0;
+    /**
+     * Whether the sensor's volatile configuration registers hold since
+     * the last power failure (the spec is Node::Config::sensor).
+     */
+    bool sensorInitialized = false;
     bool awake = false;
     bool rfInitializedThisSlot = false;
     /** Whether slotTaskCost/slotTaskTime match lastIncome. */
@@ -146,7 +150,7 @@ struct NodeState
         ar.io("rng", rng);
         ar.io("cap", cap);
         ar.io("rtc", rtc);
-        ar.io("sensor", sensor);
+        ar.io("sensor.initialized", sensorInitialized);
         ar.io("buffer", buffer);
         if constexpr (Archive::isLoading) {
             if (buffer.size() > buffer.capacity())

@@ -56,6 +56,31 @@ RingSeries::push(Tick when, double value)
     _head = (_head + 1) % _capacity;
 }
 
+void
+RingSeries::checkLoaded(const std::string &scope,
+                        std::size_t configured) const
+{
+    if (_capacity != configured)
+        fatal("snapshot field '", scope, "capacity' is ", _capacity,
+              ", but the probe ring's configured capacity is ",
+              configured);
+    if (_buf.size() > _capacity)
+        fatal("snapshot field '", scope, "buf' holds ", _buf.size(),
+              " samples, more than the ring's capacity of ", _capacity);
+    if (_pushed < _buf.size())
+        fatal("snapshot field '", scope, "pushed' is ", _pushed,
+              ", fewer than the ", _buf.size(), " samples held");
+    if (_head == 0)
+        return;
+    if (_buf.size() < _capacity)
+        fatal("snapshot field '", scope, "head' is ", _head,
+              ", but a ring holding ", _buf.size(), " of ", _capacity,
+              " samples has not wrapped yet");
+    if (_head >= _capacity)
+        fatal("snapshot field '", scope, "head' is ", _head,
+              ", past the ring's capacity of ", _capacity);
+}
+
 std::vector<TimeSeries::Point>
 RingSeries::snapshot() const
 {

@@ -259,11 +259,17 @@ class RingSeries
     /** Exact equality of history (determinism checks). */
     bool operator==(const RingSeries &other) const;
 
-    /** Snapshot support (see src/snapshot/). */
+    /**
+     * Snapshot support (see src/snapshot/).  Loading rejects a
+     * capacity other than the ring's own and a ring no push sequence
+     * produces: more samples than capacity, fewer pushes than samples,
+     * or a head off the ring's write position.
+     */
     template <class Archive>
     void
     serialize(Archive &ar)
     {
+        const std::size_t configured = _capacity;
         ar.io("buf", _buf);
         std::uint64_t capacity = _capacity;
         std::uint64_t head = _head;
@@ -273,10 +279,21 @@ class RingSeries
         if constexpr (Archive::isLoading) {
             _capacity = static_cast<std::size_t>(capacity);
             _head = static_cast<std::size_t>(head);
+            checkLoaded(ar.path(""), configured);
         }
     }
 
   private:
+    /**
+     * Fatal unless the loaded cells are a reachable state of a ring of
+     * @p configured samples: that capacity, at most that many samples,
+     * at least as many pushes as samples, head 0 until the ring is
+     * full and below capacity once it is.  @p scope prefixes the
+     * record names in the message.
+     */
+    void checkLoaded(const std::string &scope,
+                     std::size_t configured) const;
+
     std::vector<TimeSeries::Point> _buf;
     std::size_t _capacity = 0;
     std::size_t _head = 0; ///< next write position once full

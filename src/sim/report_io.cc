@@ -643,12 +643,9 @@ writeSeriesCsv(std::ostream &os, const std::vector<LabeledSeries> &series)
 }
 
 void
-writeSeriesJson(std::ostream &os, const std::vector<LabeledSeries> &series)
+writeSeriesArray(JsonWriter &w, const std::vector<LabeledSeries> &series)
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("schema").value("neofog-series-v1");
-    w.key("series").beginArray();
+    w.beginArray();
     for (const LabeledSeries &s : series) {
         w.beginObject();
         w.key("name").value(s.name);
@@ -664,8 +661,6 @@ writeSeriesJson(std::ostream &os, const std::vector<LabeledSeries> &series)
         w.endObject();
     }
     w.endArray();
-    w.endObject();
-    os << '\n';
 }
 
 /* ------------------------- schema validation ---------------------- */

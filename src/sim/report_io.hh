@@ -13,8 +13,6 @@
  *   neofog-report-v1    {"schema","label","metrics":{name:value}}
  *   neofog-aggregate-v1 {"schema","label","runs","metrics":
  *                         {name:{count,mean,stddev,min,max}}}
- *   neofog-series-v1    {"schema","series":[{"name","unit",
- *                         "points":[[t_s,v],...]}]}
  *   neofog-bench-v1     {"schema","bench","results":{key:number},
  *                         "notes":{key:string}}
  */
@@ -210,9 +208,13 @@ struct LabeledSeries
 void writeSeriesCsv(std::ostream &os,
                     const std::vector<LabeledSeries> &series);
 
-/** neofog-series-v1 JSON document. */
-void writeSeriesJson(std::ostream &os,
-                     const std::vector<LabeledSeries> &series);
+/**
+ * Write @p series as a JSON array of {"name","unit","points":
+ * [[t_s,v],...]} objects, in the given order.  The writer must be
+ * positioned after a key() or inside an array.
+ */
+void writeSeriesArray(JsonWriter &w,
+                      const std::vector<LabeledSeries> &series);
 
 /* ----------------------------------------------------------------- *
  *  Schema validation

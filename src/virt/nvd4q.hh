@@ -29,7 +29,12 @@
 namespace neofog {
 
 /**
- * One logical node's set of physical clones with their slot rotation.
+ * One logical node's set of physical clones with their slot rotation:
+ * the model of Algorithm 2's group formation, used by the figure
+ * benches and examples.  A ChainEngine does not hold groups: its
+ * clones are contiguous and rotate together, so it keeps one rotation
+ * counter per chain (ChainState::rotation) and schedules the same
+ * member memberForSlot would.
  */
 class CloneGroup
 {
@@ -62,20 +67,9 @@ class CloneGroup
      */
     void rotateMembership();
 
-    /**
-     * Snapshot support: only the rotation phase mutates after group
-     * formation (members and ids are construction-derived).
-     */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("rotation", _rotation);
-    }
-
   private:
-    std::size_t _logicalId; // neofog-lint: allow(snapshot): group identity is construction-derived (formation is deterministic in node order); only the rotation phase mutates
-    std::vector<std::size_t> _members; // neofog-lint: allow(snapshot): membership is construction-derived (formation is deterministic in node order); only the rotation phase mutates
+    std::size_t _logicalId;
+    std::vector<std::size_t> _members;
     int _rotation = 0;
 };
 

@@ -34,39 +34,6 @@ TEST(Sensor, CatalogIsDistinct)
               sensors::uvMeter().bytesPerSample);
 }
 
-TEST(Sensor, InitThenSample)
-{
-    Sensor sensor(sensors::tmp101());
-    EXPECT_FALSE(sensor.initialized());
-    const auto init = sensor.initialize();
-    EXPECT_TRUE(sensor.initialized());
-    EXPECT_EQ(init.duration, ticksFromMs(566.0));
-    // Second init is free.
-    const auto again = sensor.initialize();
-    EXPECT_EQ(again.duration, 0);
-    EXPECT_DOUBLE_EQ(again.energy.joules(), 0.0);
-}
-
-TEST(Sensor, SampleCostScalesWithCount)
-{
-    Sensor sensor(sensors::tmp101());
-    sensor.initialize();
-    const auto one = sensor.sample(1);
-    const auto ten = sensor.sample(10);
-    EXPECT_NEAR(static_cast<double>(ten.duration),
-                10.0 * static_cast<double>(one.duration), 1.0);
-    EXPECT_NEAR(ten.energy.joules(), 10.0 * one.energy.joules(), 1e-15);
-    EXPECT_EQ(sensor.sampleBytes(10), 20u);
-}
-
-TEST(Sensor, PowerFailureDropsInit)
-{
-    Sensor sensor(sensors::uvMeter());
-    sensor.initialize();
-    sensor.onPowerFailure();
-    EXPECT_FALSE(sensor.initialized());
-}
-
 TEST(NvBuffer, PushPopAccounting)
 {
     NvBuffer buf({1024, 1.0, Energy::fromNanojoules(1.0),
@@ -117,32 +84,11 @@ TEST(NvBuffer, RejectsBadConfig)
                  FatalError);
 }
 
-TEST(Rtc, NextWakeAligned)
-{
-    Rtc::Config cfg;
-    cfg.interval = 12 * kSec;
-    Rtc rtc(cfg);
-    EXPECT_EQ(rtc.nextWake(0), 12 * kSec);
-    EXPECT_EQ(rtc.nextWake(1), 12 * kSec);
-    EXPECT_EQ(rtc.nextWake(12 * kSec), 24 * kSec);
-    EXPECT_EQ(rtc.nextWake(12 * kSec - 1), 12 * kSec);
-}
-
-TEST(Rtc, NextWakeWithPhaseAndMultiplier)
-{
-    Rtc::Config cfg;
-    cfg.interval = 10 * kSec;
-    Rtc rtc(cfg);
-    // 3 clones: phases 0, 1, 2, stride 30 s.
-    EXPECT_EQ(rtc.nextWake(0, 1, 3), 10 * kSec);
-    EXPECT_EQ(rtc.nextWake(10 * kSec, 1, 3), 40 * kSec);
-    EXPECT_EQ(rtc.nextWake(0, 2, 3), 20 * kSec);
-    EXPECT_EQ(rtc.nextWake(25 * kSec, 0, 3), 30 * kSec);
-}
-
 TEST(Rtc, StaysSyncedWhilePowered)
 {
-    Rtc rtc(Rtc::Config{});
+    const Rtc::Config cfg;
+    Rtc::State state = Rtc::initialState(cfg);
+    RtcView rtc(cfg, state);
     for (int i = 0; i < 100; ++i)
         rtc.advance(12 * kSec, Energy::fromMicrojoules(50.0));
     EXPECT_TRUE(rtc.synchronized());
@@ -155,7 +101,8 @@ TEST(Rtc, DesyncsWhenCapEmpties)
     cfg.cap.initial = Energy::fromMicrojoules(50.0);
     cfg.cap.capacity = Energy::fromMillijoules(1.0);
     cfg.draw = Power::fromMicrowatts(1.0);
-    Rtc rtc(cfg);
+    Rtc::State state = Rtc::initialState(cfg);
+    RtcView rtc(cfg, state);
     // 50 uJ at 1 uW draw + 0.5 uW cap leakage = ~33 s of life.
     rtc.advance(25 * kSec, Energy::zero());
     EXPECT_TRUE(rtc.synchronized());
@@ -170,10 +117,10 @@ TEST(Rtc, RejectsBadConfig)
 {
     Rtc::Config cfg;
     cfg.interval = 0;
-    EXPECT_THROW(Rtc{cfg}, FatalError);
+    EXPECT_THROW(Rtc::initialState(cfg), FatalError);
     Rtc::Config cfg2;
     cfg2.chargePriority = 2.0;
-    EXPECT_THROW(Rtc{cfg2}, FatalError);
+    EXPECT_THROW(Rtc::initialState(cfg2), FatalError);
 }
 
 /** A config whose dedicated cap lasts ~33 s with no income. */

@@ -25,6 +25,7 @@
 #include "sim/metrics.hh"
 #include "sim/report_io.hh"
 #include "sim/rng.hh"
+#include "snapshot/archive.hh"
 
 namespace neofog {
 namespace {
@@ -180,6 +181,41 @@ TEST(ReportIo, BenchSchemaValidator)
     EXPECT_NE(report_io::validateBenchJson(bad), "");
 }
 
+// The series array neofog_cli embeds in its neofog-run-v1 document:
+// one {"name","unit","points":[[t_s,v],...]} object per series, in
+// order, with lossless values.
+TEST(ReportIo, SeriesArrayKeepsOrderAndValues)
+{
+    const std::vector<report_io::LabeledSeries> series = {
+        {"stored_energy_mj", "mJ", {{0, 1.0 / 3.0}, {12 * kSec, 0.1}}},
+        {"yield_frac", "ratio", {}},
+    };
+    std::ostringstream os;
+    report_io::JsonWriter w(os);
+    w.beginObject();
+    w.key("series");
+    report_io::writeSeriesArray(w, series);
+    w.endObject();
+
+    const report_io::JsonValue doc = report_io::parseJson(os.str());
+    const report_io::JsonValue *arr = doc.find("series");
+    ASSERT_TRUE(arr != nullptr && arr->isArray());
+    ASSERT_EQ(arr->items().size(), series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        const report_io::JsonValue &got = arr->items()[i];
+        EXPECT_EQ(got.find("name")->asString(), series[i].name);
+        EXPECT_EQ(got.find("unit")->asString(), series[i].unit);
+        const auto &points = got.find("points")->items();
+        ASSERT_EQ(points.size(), series[i].points.size());
+        for (std::size_t k = 0; k < points.size(); ++k) {
+            EXPECT_EQ(points[k].items()[0].asNumber(),
+                      secondsFromTicks(series[i].points[k].when));
+            EXPECT_EQ(points[k].items()[1].asNumber(),
+                      series[i].points[k].value);
+        }
+    }
+}
+
 TEST(RingSeries, WrapsKeepingNewestSamples)
 {
     RingSeries ring(4);
@@ -199,6 +235,102 @@ TEST(RingSeries, WrapsKeepingNewestSamples)
     disabled.push(0, 1.0);
     EXPECT_TRUE(disabled.empty());
     EXPECT_EQ(disabled.dropped(), 1u);
+}
+
+/**
+ * A ring's records under "ring." as a snapshot carries them, with
+ * @p held zero samples in the buffer and the given cells.
+ */
+std::string
+ringRecords(std::size_t held, std::uint64_t capacity, std::uint64_t head,
+            std::uint64_t pushed)
+{
+    snapshot::OutArchive out;
+    out.pushScope("ring");
+    std::vector<TimeSeries::Point> buf(held, TimeSeries::Point{0, 0.0});
+    out.io("buf", buf);
+    out.io("capacity", capacity);
+    out.io("head", head);
+    out.io("pushed", pushed);
+    return out.take();
+}
+
+/**
+ * Load @p blob into a ring of @p capacity samples; the FatalError's
+ * message, or "".
+ */
+std::string
+ringLoadError(const std::string &blob, std::size_t capacity)
+{
+    RingSeries ring(capacity);
+    try {
+        snapshot::InArchive in{std::string_view(blob)};
+        in.io("ring", ring);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+// Every state a push sequence reaches loads back, and the loaded ring
+// keeps evolving exactly like the original.
+TEST(RingSeriesLoad, AcceptsEveryPushSequence)
+{
+    for (const std::size_t capacity : {0u, 1u, 4u}) {
+        for (int pushes = 0; pushes <= 10; ++pushes) {
+            RingSeries ring(capacity);
+            for (int i = 0; i < pushes; ++i)
+                ring.push(i, static_cast<double>(i));
+            snapshot::OutArchive out;
+            out.io("ring", ring);
+            const std::string blob = out.take();
+            RingSeries loaded(capacity);
+            snapshot::InArchive in{std::string_view(blob)};
+            ASSERT_NO_THROW(in.io("ring", loaded))
+                << capacity << "/" << pushes;
+            ring.push(99, 99.0);
+            loaded.push(99, 99.0);
+            EXPECT_TRUE(loaded == ring) << capacity << "/" << pushes;
+        }
+    }
+}
+
+// The probe's configured capacity bounds the ring; a snapshot cannot
+// widen or narrow it.
+TEST(RingSeriesLoad, RejectsAnotherCapacity)
+{
+    EXPECT_EQ(ringLoadError(ringRecords(4, 4, 0, 4), 4), "");
+    for (const std::size_t configured : {0u, 3u, 1000u}) {
+        const std::string err =
+            ringLoadError(ringRecords(4, 4, 0, 4), configured);
+        EXPECT_NE(err.find("'ring.capacity'"), std::string::npos) << err;
+    }
+}
+
+TEST(RingSeriesLoad, RejectsMoreSamplesThanCapacity)
+{
+    const std::string err = ringLoadError(ringRecords(5, 4, 0, 5), 4);
+    EXPECT_NE(err.find("'ring.buf'"), std::string::npos) << err;
+}
+
+TEST(RingSeriesLoad, RejectsFewerPushesThanSamples)
+{
+    const std::string err = ringLoadError(ringRecords(3, 4, 0, 2), 4);
+    EXPECT_NE(err.find("'ring.pushed'"), std::string::npos) << err;
+}
+
+// The head moves only once the ring is full, and stays below capacity.
+TEST(RingSeriesLoad, RejectsHeadOffTheWritePosition)
+{
+    EXPECT_EQ(ringLoadError(ringRecords(4, 4, 3, 9), 4), "");
+    for (const std::string &blob :
+         {ringRecords(3, 4, 1, 3), ringRecords(4, 4, 4, 9),
+          ringRecords(4, 4, 1000000, 40)}) {
+        const std::string err = ringLoadError(blob, 4);
+        EXPECT_NE(err.find("'ring.head'"), std::string::npos) << err;
+    }
+    const std::string err = ringLoadError(ringRecords(0, 0, 1, 5), 0);
+    EXPECT_NE(err.find("'ring.head'"), std::string::npos) << err;
 }
 
 /** Small multi-chain scenario for aggregation / probe tests. */

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for the network substrate: loss model, topology/routing, MAC.
+ * Tests for the network substrate: loss model, topology/routing.
  */
 
 #include <gtest/gtest.h>
 
-#include "hw/rf.hh"
 #include "net/loss.hh"
-#include "net/mac.hh"
 #include "net/packet.hh"
 #include "net/topology.hh"
 #include "sim/logging.hh"
@@ -160,44 +158,6 @@ TEST(Packet, KindNames)
     EXPECT_EQ(packetKindName(PacketKind::Data), "data");
     EXPECT_EQ(packetKindName(PacketKind::OrphanScan), "orphan-scan");
     EXPECT_EQ(packetKindName(PacketKind::CloneSync), "clone-sync");
-}
-
-TEST(Mac, DataHopCostsBothSides)
-{
-    Mac mac;
-    NvRfController tx, rx;
-    tx.configure();
-    rx.configure();
-    const MacExchange ex = mac.dataHop(tx, rx, 64);
-    EXPECT_GT(ex.sender.duration, 0);
-    EXPECT_GT(ex.sender.energy.joules(), 0.0);
-    EXPECT_GT(ex.receiver.duration, 0);
-    EXPECT_GT(ex.receiver.energy.joules(), 0.0);
-    // Sender cost grows with payload.
-    EXPECT_GT(mac.dataHop(tx, rx, 1024).sender.energy.joules(),
-              ex.sender.energy.joules());
-}
-
-TEST(Mac, OrphanScanIsCheaperThanDataHop)
-{
-    Mac mac;
-    SoftwareRf a, c;
-    const MacExchange scan = mac.orphanScan(a, c);
-    const MacExchange data = mac.dataHop(a, c, 256);
-    EXPECT_LT(scan.sender.energy.joules() + scan.receiver.energy.joules(),
-              data.sender.energy.joules() +
-                  data.receiver.energy.joules());
-}
-
-TEST(Mac, RejoinTouchesBothNodes)
-{
-    Mac mac;
-    NvRfController rec, nb;
-    rec.configure();
-    nb.configure();
-    const MacExchange ex = mac.rejoin(rec, nb);
-    EXPECT_GT(ex.sender.energy.joules(), 0.0);
-    EXPECT_GT(ex.receiver.energy.joules(), 0.0);
 }
 
 } // namespace

@@ -68,6 +68,108 @@ TEST(Node, RequiresTrace)
         FatalError);
 }
 
+// The sensor spec is read from the node's config, so the node checks
+// it beside the package shape.
+TEST(Node, RequiresSensorBytesPerSample)
+{
+    Node::Config cfg = baseConfig(OperatingMode::NosVp);
+    cfg.sensor.bytesPerSample = 0;
+    EXPECT_THROW(
+        Node(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(1)),
+        FatalError);
+}
+
+/** Records the duration and energy of every Sample phase. */
+class SampleLog : public NodeObserver
+{
+  public:
+    struct Entry
+    {
+        Tick duration;
+        Energy energy;
+    };
+
+    void
+    onPhase(std::uint32_t, Phase phase, Tick, Tick duration,
+            Energy energy) override
+    {
+        if (phase == Phase::Sample)
+            entries.push_back({duration, energy});
+    }
+
+    std::vector<Entry> entries;
+};
+
+/** A sample burst's cost without and with the sensor's initialization. */
+struct SampleCosts
+{
+    SampleLog::Entry warm;
+    SampleLog::Entry cold;
+};
+
+SampleCosts
+sampleCosts(const Node::Config &cfg)
+{
+    const SensorSpec &sensor = cfg.sensor;
+    const double n = static_cast<double>(cfg.samplesPerPackage);
+    const Energy burst = sensor.sampleEnergy() * n;
+    const Energy write = NvBuffer(cfg.buffer).writeEnergy(cfg.rawPackageBytes);
+    const Tick burst_time =
+        static_cast<Tick>(n * static_cast<double>(sensor.sampleLatency));
+    return {{burst_time, burst + write},
+            {sensor.initLatency + burst_time,
+             sensor.initEnergy() + burst + write}};
+}
+
+// Sensor configuration registers are volatile: a NOS node powers off
+// between slots, so its first sample after every beginSlot pays the
+// sensor's initialization again.
+TEST(Node, FirstSampleAfterBeginSlotPaysSensorInit)
+{
+    for (const OperatingMode mode :
+         {OperatingMode::NosVp, OperatingMode::NosNvp}) {
+        const Node::Config cfg = baseConfig(mode);
+        Node node(cfg, std::make_unique<ConstantTrace>(5.0_mW), Rng(7));
+        SampleLog log;
+        node.setObserver(&log);
+        const SampleCosts cost = sampleCosts(cfg);
+        for (int slot = 0; slot < 3; ++slot) {
+            node.beginSlot(slot * kSlot, kSlot);
+            EXPECT_FALSE(node.state().sensorInitialized);
+            ASSERT_TRUE(node.tryWake());
+            ASSERT_TRUE(node.samplePackage());
+            EXPECT_TRUE(node.state().sensorInitialized);
+            ASSERT_EQ(log.entries.size(), static_cast<std::size_t>(slot) + 1);
+            EXPECT_EQ(log.entries.back().duration, cost.cold.duration);
+            EXPECT_EQ(log.entries.back().energy.joules(),
+                      cost.cold.energy.joules());
+        }
+    }
+}
+
+// Within one slot the registers hold: a second sample pays only the
+// burst and the buffer write.
+TEST(Node, SecondSampleInSlotSkipsSensorInit)
+{
+    for (const OperatingMode mode :
+         {OperatingMode::NosVp, OperatingMode::NosNvp}) {
+        const Node::Config cfg = baseConfig(mode);
+        Node node(cfg, std::make_unique<ConstantTrace>(5.0_mW), Rng(7));
+        SampleLog log;
+        node.setObserver(&log);
+        node.beginSlot(0, kSlot);
+        ASSERT_TRUE(node.tryWake());
+        ASSERT_TRUE(node.samplePackage());
+        ASSERT_TRUE(node.samplePackage());
+        ASSERT_EQ(log.entries.size(), 2u);
+        const SampleCosts cost = sampleCosts(cfg);
+        EXPECT_EQ(log.entries[1].duration, cost.warm.duration);
+        EXPECT_EQ(log.entries[1].energy.joules(), cost.warm.energy.joules());
+        EXPECT_GT(log.entries[0].energy, log.entries[1].energy);
+        EXPECT_EQ(node.stats().packagesSampled.value(), 2u);
+    }
+}
+
 TEST(Node, BeginSlotBanksIncome)
 {
     auto node = makeNode(OperatingMode::NosNvp, 5.0_mW);
@@ -464,8 +566,7 @@ NodeState
 plainState(const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
            std::size_t pending_depth = 1)
 {
-    return NodeState(Rng(1), cap, rtc, sensors::tmp101(),
-                     NvBuffer::Config{}, pending_depth,
+    return NodeState(Rng(1), cap, rtc, NvBuffer::Config{}, pending_depth,
                      std::make_unique<SoftwareRf>());
 }
 
@@ -531,92 +632,6 @@ TEST(NodeShard, AddRowRejectsBadEnergyConfigs)
     EXPECT_EQ(shard.rows(), 0u);
     shard.add(plainState(good_cap, good_rtc));
     EXPECT_EQ(shard.rows(), 1u);
-}
-
-/** Bit patterns of a capacitor's five cells, in view order. */
-template <class Capacitor>
-std::vector<std::uint64_t>
-capBits(const Capacitor &cap)
-{
-    return {snapshot::doubleBits(cap.stored().joules()),
-            snapshot::doubleBits(cap.chargedTotal().joules()),
-            snapshot::doubleBits(cap.overflowTotal().joules()),
-            snapshot::doubleBits(cap.leakedTotal().joules()),
-            snapshot::doubleBits(cap.dischargedTotal().joules())};
-}
-
-// A shard row's capacitor state and a standalone SuperCapacitor fed
-// the same random charge / discharge / drain / leak sequence must
-// return the same amounts and end every step on the same bits.
-TEST(NodeShard, CapacitorRowMatchesSuperCapacitor)
-{
-    const SuperCapacitor::Config cfg{40.0_mJ, 13.0_mJ,
-                                     Power::fromMicrowatts(15.0)};
-    NodeShard shard;
-    shard.reserve(1);
-    CapacitorView row(cfg, shard.add(plainState(cfg, Rtc::Config{})).cap);
-    SuperCapacitor cap(cfg);
-
-    Rng rng(20260817);
-    for (int step = 0; step < 2000; ++step) {
-        const Energy amount =
-            Energy::fromMillijoules(rng.uniform(0.0, 12.0));
-        switch (rng.uniformInt(0, 3)) {
-          case 0:
-            EXPECT_EQ(row.charge(amount).joules(),
-                      cap.charge(amount).joules());
-            break;
-          case 1:
-            EXPECT_EQ(row.tryDischarge(amount), cap.tryDischarge(amount));
-            break;
-          case 2:
-            EXPECT_EQ(row.drain(amount).joules(),
-                      cap.drain(amount).joules());
-            break;
-          default: {
-            const Tick d = rng.uniformInt(0, 600) * kSec;
-            row.leak(d);
-            cap.leak(d);
-          }
-        }
-        ASSERT_EQ(capBits(row), capBits(cap)) << "step " << step;
-    }
-}
-
-// Likewise for the RTC keep-alive: a shard row's RTC state and a
-// standalone Rtc advanced through the same starving and recovering
-// income must agree on the flag, the count and every cap cell.
-TEST(NodeShard, RtcRowMatchesRtc)
-{
-    Rtc::Config cfg;
-    cfg.cap.initial = Energy::fromMicrojoules(200.0);
-    cfg.cap.capacity = Energy::fromMillijoules(1.0);
-    NodeShard shard;
-    shard.reserve(1);
-    NodeState &state = shard.add(plainState(SuperCapacitor::Config{}, cfg));
-    RtcView row(cfg, state.rtc);
-    Rtc rtc(cfg);
-
-    Rng rng(20260818);
-    for (int step = 0; step < 2000; ++step) {
-        const Tick d = rng.uniformInt(0, 120) * kSec;
-        // Mostly less than the 1 uW draw plus leakage, so the cap
-        // empties and refills over and over.
-        const Energy income = rng.chance(0.3)
-            ? Energy::zero()
-            : Energy::fromMicrojoules(rng.uniform(0.0, 200.0));
-        row.advance(d, income);
-        rtc.advance(d, income);
-        if (!rtc.synchronized() && rng.chance(0.5)) {
-            row.resynchronize();
-            rtc.resynchronize();
-        }
-        ASSERT_EQ(row.synchronized(), rtc.synchronized()) << step;
-        ASSERT_EQ(row.desyncCount(), rtc.desyncCount()) << step;
-        ASSERT_EQ(capBits(row.cap()), capBits(rtc.cap())) << step;
-    }
-    EXPECT_GT(rtc.desyncCount(), 10u);
-    EXPECT_EQ(state.rtc.desyncs, rtc.desyncCount());
 }
 
 TEST(Node, PackageTxCostLowerForNvrf)

@@ -34,7 +34,6 @@
 #include "snapshot/archive.hh"
 #include "snapshot/replay.hh"
 #include "snapshot/snapshot.hh"
-#include "virt/nvd4q.hh"
 
 namespace neofog {
 namespace {
@@ -479,17 +478,15 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(RingSeries), 48u);
     EXPECT_EQ(sizeof(ProbeConfig), 24u);
     EXPECT_EQ(sizeof(NvBuffer), 56u);
-    EXPECT_EQ(sizeof(Sensor), 80u);
     EXPECT_EQ(sizeof(SensorSpec), 72u);
     EXPECT_EQ(sizeof(RfState), 48u);
     EXPECT_EQ(sizeof(LossModel), 40u);
-    EXPECT_EQ(sizeof(CloneGroup), 40u);
     EXPECT_EQ(sizeof(ChainProbe), 192u);
     EXPECT_EQ(sizeof(NodeStats), 168u);
     EXPECT_EQ(sizeof(SuperCapacitor::State), 40u);
     EXPECT_EQ(sizeof(Rtc::State), 56u);
-    EXPECT_EQ(sizeof(NodeState), 552u);
-    EXPECT_EQ(sizeof(ChainState), 584u);
+    EXPECT_EQ(sizeof(NodeState), 472u);
+    EXPECT_EQ(sizeof(ChainState), 568u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
     EXPECT_EQ(sizeof(ScenarioConfig), 496u);
@@ -854,8 +851,7 @@ freshNodeState(std::size_t buffer_bytes = 1024, std::size_t depth = 2)
     NvBuffer::Config buffer;
     buffer.capacityBytes = buffer_bytes;
     return NodeState(Rng(5), SuperCapacitor::Config{}, Rtc::Config{},
-                     sensors::tmp101(), buffer, depth,
-                     std::make_unique<SoftwareRf>());
+                     buffer, depth, std::make_unique<SoftwareRf>());
 }
 
 /** @p state archived as node1 of chain0. */
@@ -1401,6 +1397,208 @@ TEST(Resume, RefusesRetiredEnergyCacheValues)
         resumeError("energy_cache.grid", twoSecondGrid());
     EXPECT_NE(coarse.find("energy_cache.grid = 2 s"), std::string::npos)
         << coarse;
+}
+
+// ---------------------------------------------------------------------
+// Hostile chain sections: real snapshot files with one record edited
+// (and the section's size and checksum rewritten) must be refused on
+// resume with a message naming the record.
+// ---------------------------------------------------------------------
+
+/** neofog_cli's scenario before any flag (examples/neofog_cli.cpp). */
+ScenarioConfig
+cliDefaults()
+{
+    ScenarioConfig cfg;
+    cfg.nodesPerChain = 10;
+    cfg.chains = 1;
+    cfg.horizon = 5 * kHour;
+    cfg.slotInterval = 12 * kSec;
+    cfg.traceKind = TraceKind::ForestIndependent;
+    cfg.meanIncome = Power::fromMilliwatts(2.6);
+    cfg.mode = OperatingMode::FiosNvMote;
+    cfg.balancerPolicy = "distributed";
+    cfg.nodeTemplate = presets::systemNodeTemplate();
+    cfg.seed = 1;
+    return cfg;
+}
+
+/**
+ * Run @p cfg with a checkpoint every 40 slots into @p dir and return
+ * the slot-40 snapshot.
+ */
+Snapshot
+slot40Snapshot(ScenarioConfig cfg, const ScratchDir &dir)
+{
+    cfg.snapshot.everySlots = 40;
+    cfg.snapshot.dir = dir.path();
+    FogSystem(cfg).run();
+    return snapshot::readSnapshot(dir.file(snapshot::snapshotFileName(40)));
+}
+
+/** Replace the whole record @p path of @p blob with @p record. */
+void
+replaceRecord(std::string &blob, std::string_view path,
+              const std::string &record)
+{
+    RecordReader reader(blob);
+    Record rec;
+    std::size_t start = 0;
+    while (reader.next(rec)) {
+        if (rec.path == path) {
+            blob.replace(start, reader.position() - start, record);
+            return;
+        }
+        start = reader.position();
+    }
+    ADD_FAILURE() << "no record " << path;
+}
+
+/**
+ * Write @p pristine with @p edit applied to section @p name into
+ * @p dir, resume from it, and return the FatalError's message ("" if
+ * the resume succeeds).
+ */
+template <class Edit>
+std::string
+resumeErrorAfterEdit(const Snapshot &pristine, const std::string &name,
+                     const ScratchDir &dir, Edit edit)
+{
+    Snapshot edited = pristine;
+    for (snapshot::Section &section : edited.sections)
+        if (section.name == name)
+            edit(section.data);
+    const std::string path = dir.file("edited.nfsnap");
+    snapshot::writeSnapshot(path, edited);
+    try {
+        FogSystem::resume(path);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+// A probe ring whose head points past its buffer would be written
+// through on the next push once the ring is full.
+TEST(Resume, RefusesProbeRingHeadPastCapacity)
+{
+    const ScratchDir dir("resume_probe_head");
+    ScenarioConfig cfg = cliDefaults();
+    cfg.traceKind = TraceKind::RainLow;
+    cfg.chains = 2;
+    cfg.horizon = kHour;
+    cfg.seed = 13;
+    cfg.probes.enabled = true;
+    cfg.probes.capacity = 4;
+    const Snapshot pristine = slot40Snapshot(cfg, dir);
+    EXPECT_EQ(FogSystem::resume(dir.file(snapshot::snapshotFileName(40)))
+                  ->resumeSlot(),
+              40);
+
+    const std::string record = "chain0.probe.stored_energy_mj.head";
+    const std::string err = resumeErrorAfterEdit(
+        pristine, "chain0", dir, [&](std::string &data) {
+            std::string head;
+            snapshot::appendLe64(head, 1000000);
+            data.replace(payloadOffset(data, record), head.size(), head);
+        });
+    EXPECT_NE(err.find(record), std::string::npos) << err;
+}
+
+// heal() indexes alive_last_slot once per logical node, so a chain
+// section whose vector has another length is refused.
+TEST(Resume, RefusesAliveLastSlotOfOtherLength)
+{
+    const ScratchDir dir("resume_alive_length");
+    ScenarioConfig cfg = cliDefaults(); // flag set A
+    cfg.traceKind = TraceKind::RainLow;
+    cfg.chains = 6;
+    cfg.horizon = kHour;
+    cfg.multiplexing = 3;
+    cfg.seed = 13;
+    const Snapshot pristine = slot40Snapshot(cfg, dir);
+
+    for (const std::size_t entries : {0u, 2u}) {
+        snapshot::OutArchive ar;
+        ar.pushScope("chain0");
+        std::vector<bool> alive(entries, true);
+        ar.io("alive_last_slot", alive);
+        const std::string record = ar.take();
+        const std::string err = resumeErrorAfterEdit(
+            pristine, "chain0", dir, [&](std::string &data) {
+                replaceRecord(data, "chain0.alive_last_slot", record);
+            });
+        EXPECT_NE(err.find("chain0.alive_last_slot"), std::string::npos)
+            << entries << " entries: " << err;
+    }
+}
+
+// A chain's clone groups rotate together, so group records that
+// disagree describe no schedule the engine can run.
+TEST(Resume, RefusesClonesRotatedApart)
+{
+    const ScratchDir dir("resume_rotated_apart");
+    ScenarioConfig cfg = cliDefaults(); // flag set E
+    cfg.traceKind = TraceKind::RainLow;
+    cfg.balancerPolicy = "delay-energy";
+    cfg.hopByHopRelay = true;
+    cfg.realTimeRequestChance = 0.05;
+    cfg.nodesPerChain = 12;
+    cfg.chains = 3;
+    cfg.horizon = 2 * kHour;
+    cfg.multiplexing = 3;
+    cfg.seed = 21;
+    cfg.meanIncome = Power::fromMilliwatts(0.7);
+    const Snapshot pristine = slot40Snapshot(cfg, dir);
+
+    const std::string record = "chain0.group4.rotation";
+    const std::string err = resumeErrorAfterEdit(
+        pristine, "chain0", dir, [&](std::string &data) {
+            std::string one;
+            snapshot::appendLe32(one, 1);
+            data.replace(payloadOffset(data, record), one.size(), one);
+        });
+    EXPECT_NE(err.find(record), std::string::npos) << err;
+}
+
+// A mux-3 fleet rotating its clones every 5 slots, checkpointed after
+// four rotations, resumes onto the uninterrupted report; each chain
+// writes its rotation count once per logical node.
+TEST(Resume, RotatedClonesStayBitIdentical)
+{
+    const ScratchDir dir("resume_rotated");
+    ScenarioConfig cfg = resumeScenario(1);
+    cfg.horizon = 60 * cfg.slotInterval;
+    cfg.membershipUpdateInterval = 5 * cfg.slotInterval;
+    const SystemReport reference = FogSystem(cfg).run();
+    EXPECT_EQ(reference.membershipUpdates,
+              11u * cfg.nodesPerChain * cfg.chains);
+
+    ScenarioConfig snapping = cfg;
+    snapping.snapshot.everySlots = 23;
+    snapping.snapshot.dir = dir.path();
+    EXPECT_EQ(FogSystem(snapping).run(), reference);
+
+    // Slots 5, 10, 15 and 20 rotated before the checkpoint at 23.
+    const std::string path = dir.file(snapshot::snapshotFileName(23));
+    const Snapshot snap = snapshot::readSnapshot(path);
+    for (std::size_t c = 0; c < cfg.chains; ++c) {
+        const std::string chain = "chain" + std::to_string(c);
+        const snapshot::Section *sec = snap.find(chain);
+        ASSERT_NE(sec, nullptr) << chain;
+        for (std::size_t l = 0; l < cfg.nodesPerChain; ++l) {
+            const std::string record =
+                chain + ".group" + std::to_string(l) + ".rotation";
+            const auto *payload = reinterpret_cast<const unsigned char *>(
+                sec->data.data() + payloadOffset(sec->data, record));
+            EXPECT_EQ(snapshot::readLe32(payload), 4u) << record;
+        }
+    }
+    for (const unsigned threads : {1u, 4u}) {
+        auto resumed = FogSystem::resume(path, threads);
+        EXPECT_EQ(resumed->resumeSlot(), 23);
+        EXPECT_EQ(resumed->run(), reference) << "threads " << threads;
+    }
 }
 
 // The tentpole contract, enforced here rather than by convention:
