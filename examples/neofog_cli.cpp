@@ -18,6 +18,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -26,10 +27,12 @@
 
 #include "balance/policy_registry.hh"
 #include "dist/coordinator.hh"
+#include "dist/partition.hh"
 #include "fog/fog_system.hh"
 #include "fog/presets.hh"
 #include "sim/logging.hh"
 #include "sim/report_io.hh"
+#include "snapshot/snapshot.hh"
 
 using namespace neofog;
 
@@ -182,6 +185,26 @@ parseNumber(const std::string &flag, const std::string &text, T lo, T hi,
         std::exit(2);
     }
     return v;
+}
+
+/**
+ * The worker<k> directory count of @p dir when a --workers run wrote
+ * it (no snapshot of its own, a valid one in worker0), else 0.
+ */
+std::size_t
+workersDirCount(const std::string &dir)
+{
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dist::workerSnapshotDir(dir, 0),
+                                       ec) ||
+        !snapshot::latestSnapshot(dir).empty() ||
+        snapshot::latestSnapshot(dist::workerSnapshotDir(dir, 0)).empty())
+        return 0;
+    std::size_t count = 1;
+    while (std::filesystem::is_directory(
+        dist::workerSnapshotDir(dir, count), ec))
+        ++count;
+    return count;
 }
 
 /** One-line scenario summary used by the text format and JSON meta. */
@@ -337,6 +360,17 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage(argv[0]);
+            return 2;
+        }
+    }
+
+    if (!use_workers && !resume_path.empty()) {
+        if (const std::size_t n = workersDirCount(resume_path); n > 0) {
+            std::fprintf(stderr,
+                         "--resume %s: a --workers run wrote it (%zu "
+                         "worker<k> directories); resume it with "
+                         "--workers %zu\n",
+                         resume_path.c_str(), n, n);
             return 2;
         }
     }

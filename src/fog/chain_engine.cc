@@ -26,13 +26,27 @@ ChainState::rejectRotation(const std::string &path, std::int32_t r) const
           rotation, ": a chain's clone groups rotate together");
 }
 
+namespace {
+
+/** The node config a scenario gives every node of a chain. */
+Node::Config
+chainNodeConfig(const ScenarioConfig &cfg)
+{
+    Node::Config ncfg = cfg.nodeTemplate;
+    ncfg.mode = cfg.mode;
+    ncfg.rtc.interval = cfg.slotInterval;
+    return ncfg;
+}
+
+} // namespace
+
 ChainEngine::ChainEngine(const ScenarioConfig &cfg,
                          std::size_t chain_index,
                          std::uint32_t first_node_id, Rng rng,
                          std::shared_ptr<const PowerTrace> shared_trace)
     : _cfg(cfg), _chainIndex(chain_index),
       _balancer(PolicyRegistry::instance().make(cfg.balancerPolicy)),
-      _sharedTrace(std::move(shared_trace)),
+      _sharedTrace(std::move(shared_trace)), _spec(chainNodeConfig(cfg)),
       _state(rng, cfg.loss)
 {
     const auto mux = static_cast<std::size_t>(_cfg.multiplexing);
@@ -43,12 +57,11 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     // (the facades keep pointers into it).
     _state.nodes.reserve(_cfg.nodesPerChain * mux);
     for (std::size_t p = 0; p < _cfg.nodesPerChain * mux; ++p) {
-        Node::Config ncfg = _cfg.nodeTemplate;
-        ncfg.id = next_id++;
-        ncfg.mode = _cfg.mode;
-        ncfg.rtc.interval = _cfg.slotInterval;
+        // Both calls draw from the chain stream, so they are two
+        // statements: argument order is left to the compiler.
+        const Rng stream = _state.rng.fork();
         _nodes.push_back(std::make_unique<Node>(
-            ncfg, makeTrace(), _state.rng.fork(), _state.nodes));
+            _spec, next_id++, makeTrace(), stream, _state.nodes));
     }
     _state.aliveLastSlot.assign(_cfg.nodesPerChain, true);
     _scheduled.reserve(_cfg.nodesPerChain);

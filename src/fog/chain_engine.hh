@@ -186,9 +186,9 @@ class ChainEngine
 
     /**
      * Everything a snapshot archives of this chain.  The config, the
-     * balancer, the shared trace, the Node facades and the per-slot
-     * scratch are rebuilt by constructing the engine, so a resume
-     * constructs it and then overwrites this.
+     * balancer, the shared trace, the node spec, the Node facades and
+     * the per-slot scratch are rebuilt by constructing the engine, so
+     * a resume constructs it and then overwrites this.
      */
     ChainState &state() { return _state; }
     const ChainState &state() const { return _state; }
@@ -251,6 +251,9 @@ class ChainEngine
      * traces wrap it in a per-node ScaledTrace when set.  Read-only.
      */
     std::shared_ptr<const PowerTrace> _sharedTrace;
+
+    /** What every node of the chain shares; declared before _nodes. */
+    const Node::Spec _spec;
 
     /**
      * Must be declared before _nodes: the Node facades point into

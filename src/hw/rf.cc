@@ -33,13 +33,6 @@ RfModule::airtime(std::size_t bytes) const
     return ticksFromSeconds(seconds);
 }
 
-void
-RfModule::onPowerFailure()
-{
-    // Default: volatile behaviour handled by subclasses; base keeps
-    // nothing extra.
-}
-
 SoftwareRf::SoftwareRf()
     : SoftwareRf(SwConfig{})
 {
@@ -83,13 +76,6 @@ std::string
 SoftwareRf::name() const
 {
     return _sw.initLatency <= ticksFromMs(50.0) ? "SW-RF(NVM)" : "SW-RF";
-}
-
-void
-SoftwareRf::onPowerFailure()
-{
-    // All transceiver state is lost; the network must be rebuilt.
-    _state = RfState{};
 }
 
 NvRfController::NvRfController()
@@ -143,12 +129,6 @@ NvRfController::cloneFrom(const NvRfController &other)
     cost += RfPhase{_nv.selfInitLatency,
                     _cfg.initPower * _nv.selfInitLatency};
     return cost;
-}
-
-void
-NvRfController::onPowerFailure()
-{
-    // Nonvolatile: configuration and network state survive.
 }
 
 } // namespace neofog

@@ -125,9 +125,6 @@ class RfModule
     RfState &state() { return _state; }
     const RfState &state() const { return _state; }
 
-    /** Model a power failure: volatile modules lose their state. */
-    virtual void onPowerFailure();
-
     const Config &config() const { return _cfg; }
 
   protected:
@@ -170,7 +167,6 @@ class SoftwareRf : public RfModule
     RfPhase initCost() const override;
     RfPhase txCost(std::size_t bytes) const override;
     std::string name() const override;
-    void onPowerFailure() override;
 
     const SwConfig &swConfig() const { return _sw; }
 
@@ -222,21 +218,10 @@ class NvRfController : public RfModule
      */
     RfPhase cloneFrom(const NvRfController &other);
 
-    void onPowerFailure() override;
-
     const NvConfig &nvConfig() const { return _nv; }
 
-    /** Snapshot support: the one-time-configuration latch (the
-     *  network state itself lives in RfState::serialize). */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("configured", _configured);
-    }
-
   private:
-    NvConfig _nv; // neofog-lint: allow(snapshot): one-time NV configuration latch, rebuilt from the scenario on resume; the network state lives in RfState::serialize
+    NvConfig _nv;
     bool _configured = false;
 };
 

@@ -35,7 +35,7 @@ operatingModeName(OperatingMode mode)
 
 namespace {
 
-std::unique_ptr<Processor>
+std::unique_ptr<const Processor>
 makeProcessor(const Node::Config &cfg)
 {
     Processor::Config base;
@@ -65,7 +65,7 @@ makeProcessor(const Node::Config &cfg)
     NEOFOG_PANIC("unknown operating mode");
 }
 
-std::unique_ptr<RfModule>
+std::unique_ptr<const RfModule>
 makeRadio(const Node::Config &cfg)
 {
     switch (cfg.mode) {
@@ -91,73 +91,73 @@ makeFrontEnd(OperatingMode mode)
                                              : FrontEnd::makeNos();
 }
 
-/** Pending-queue depth of a node (its freshness deadline, >= 1). */
-std::size_t
-pendingDepthOf(const Node::Config &cfg)
+/** A node's fresh state; the spec's processor and radio stay shared. */
+NodeState
+freshState(const Node::Spec &spec, Rng rng)
 {
-    return static_cast<std::size_t>(
-        std::max(1, cfg.packageDeadlineSlots));
+    const Node::Config &cfg = spec.cfg;
+    return NodeState(rng, cfg.cap, cfg.rtc, cfg.buffer,
+                     static_cast<std::size_t>(
+                         std::max(1, cfg.packageDeadlineSlots)),
+                     spec.rf->retainsState());
 }
 
-} // namespace
-
-namespace {
+std::unique_ptr<PowerTrace>
+checkedTrace(std::unique_ptr<PowerTrace> trace, std::uint32_t id)
+{
+    if (!trace)
+        fatal("node ", id, " needs a power trace");
+    return trace;
+}
 
 /** Instructions of "control & basic computing" at every wake (Fig 1). */
 constexpr std::uint64_t kControlInstructions = 1000;
 
 } // namespace
 
-Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng)
-    : Node(cfg, std::move(trace), rng, static_cast<NodeShard *>(nullptr))
+Node::Spec::Spec(const Config &config)
+    : cfg(config), frontend(makeFrontEnd(config.mode)),
+      cpu(makeProcessor(config)), rf(makeRadio(config))
 {
-}
-
-Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
-           NodeShard &shard)
-    : Node(cfg, std::move(trace), rng, &shard)
-{
-}
-
-Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
-           NodeShard *shard)
-    : _cfg(cfg), _trace(std::move(trace)),
-      _frontend(makeFrontEnd(cfg.mode)), _cpu(makeProcessor(cfg))
-{
-    if (!_trace)
-        fatal("node ", cfg.id, " needs a power trace");
-    if (_cfg.rawPackageBytes == 0 || _cfg.samplesPerPackage == 0)
+    if (cfg.rawPackageBytes == 0 || cfg.samplesPerPackage == 0)
         fatal("package shape must be nonzero");
-    if (_cfg.sensor.bytesPerSample == 0)
+    if (cfg.sensor.bytesPerSample == 0)
         fatal("sensor must produce at least one byte per sample");
 
-    NodeState fresh(rng, cfg.cap, cfg.rtc, cfg.buffer, pendingDepthOf(cfg),
-                    makeRadio(cfg));
-    if (shard == nullptr) {
-        // Standalone node: its state lives on this object's heap, so
-        // the facade stays movable (the pointer survives a move).
-        _ownState = std::make_unique<NodeState>(std::move(fresh));
-        _state = _ownState.get();
-    } else {
-        _state = &shard->add(std::move(fresh));
-    }
-
-    _traceFast = _trace->hasFastIntegrate();
-    _wakeCostConst = _cpu->wakeEnergy() +
-                     _cpu->computeEnergy(kControlInstructions);
-    const double samples = static_cast<double>(_cfg.samplesPerPackage);
-    _sampleCostConst = _cfg.sensor.initEnergy() +
-                       _cfg.sensor.sampleEnergy() * samples +
-                       _state->buffer.writeEnergy(_cfg.rawPackageBytes);
-    const std::size_t payload = _cfg.mode == OperatingMode::NosVp
-        ? _cfg.rawPackageBytes
-        : _cfg.compressedPackageBytes;
-    _txPackageEnergy =
-        _state->rf->txCost(payload + kFrameOverheadBytes).energy;
-    _txCompressedDuration =
-        _state->rf->txCost(_cfg.compressedPackageBytes +
-                           kFrameOverheadBytes)
+    // Pure functions of the config: the RF transmit cost, the
+    // sensor/buffer sampling cost and the processor wake cost carry no
+    // mutable state.
+    wakeCost = cpu->wakeEnergy() + cpu->computeEnergy(kControlInstructions);
+    const double samples = static_cast<double>(cfg.samplesPerPackage);
+    sampleCost = cfg.sensor.initEnergy() +
+                 cfg.sensor.sampleEnergy() * samples +
+                 NvBuffer(cfg.buffer).writeEnergy(cfg.rawPackageBytes);
+    const std::size_t payload = cfg.mode == OperatingMode::NosVp
+        ? cfg.rawPackageBytes
+        : cfg.compressedPackageBytes;
+    txPackageEnergy = rf->txCost(payload + kFrameOverheadBytes).energy;
+    txCompressedDuration =
+        rf->txCost(cfg.compressedPackageBytes + kFrameOverheadBytes)
             .duration;
+}
+
+Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng)
+    : _ownSpec(std::make_unique<const Spec>(cfg)), _spec(_ownSpec.get()),
+      _trace(checkedTrace(std::move(trace), cfg.id)),
+      // Standalone node: its state lives on this object's heap, so the
+      // facade stays movable (the pointer survives a move).
+      _ownState(std::make_unique<NodeState>(freshState(*_spec, rng))),
+      _state(_ownState.get()), _id(cfg.id),
+      _traceFast(_trace->hasFastIntegrate())
+{
+}
+
+Node::Node(const Spec &spec, std::uint32_t id,
+           std::unique_ptr<PowerTrace> trace, Rng rng, NodeShard &shard)
+    : _spec(&spec), _trace(checkedTrace(std::move(trace), id)),
+      _state(&shard.add(freshState(spec, rng))), _id(id),
+      _traceFast(_trace->hasFastIntegrate())
+{
 }
 
 Energy
@@ -207,10 +207,10 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     // the capacitor through the charge path instead.
     if (s.directBudget > Energy::zero()) {
         const double direct_eff =
-            _frontend.config().harvestEfficiency *
-            _frontend.config().directEfficiency;
+            _spec->frontend.config().harvestEfficiency *
+            _spec->frontend.config().directEfficiency;
         const Energy raw = s.directBudget / direct_eff;
-        cap.charge(_frontend.incomeToCap(raw));
+        cap.charge(_spec->frontend.incomeToCap(raw));
         s.directBudget = Energy::zero();
     }
 
@@ -220,8 +220,8 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
         const Energy rtc_share =
             gap_ambient * rtc.config().chargePriority;
         rtc.advance(slot_start - s.lastAccrual,
-                    rtc_share * _frontend.config().harvestEfficiency);
-        cap.charge(_frontend.incomeToCap(gap_ambient - rtc_share));
+                    rtc_share * _spec->frontend.config().harvestEfficiency);
+        cap.charge(_spec->frontend.incomeToCap(gap_ambient - rtc_share));
         cap.leak(slot_start - s.lastAccrual);
     }
 
@@ -231,13 +231,13 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     const Energy rtc_share =
         slot_ambient * rtc.config().chargePriority;
     rtc.advance(slot_length,
-                rtc_share * _frontend.config().harvestEfficiency);
+                rtc_share * _spec->frontend.config().harvestEfficiency);
     const Energy usable = slot_ambient - rtc_share;
 
-    if (_cfg.mode == OperatingMode::FiosNvMote) {
-        s.directBudget = _frontend.incomeToLoadDirect(usable);
+    if (_spec->cfg.mode == OperatingMode::FiosNvMote) {
+        s.directBudget = _spec->frontend.incomeToLoadDirect(usable);
     } else {
-        cap.charge(_frontend.incomeToCap(usable));
+        cap.charge(_spec->frontend.incomeToCap(usable));
         s.directBudget = Energy::zero();
     }
     cap.leak(slot_length);
@@ -264,7 +264,7 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     if (stale > 0) {
         s.pendingPackages -= stale;
         s.buffer.pop(static_cast<std::size_t>(stale) *
-                     _cfg.rawPackageBytes);
+                     _spec->cfg.rawPackageBytes);
         st.samplesDiscarded.increment(
             static_cast<std::uint64_t>(stale));
     }
@@ -274,19 +274,18 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     // but its sensor path is kept warm by the NV buffer controller; the
     // re-init cost is modeled identically since it is tiny either way.)
     s.sensorInitialized = false;
-    s.rf->onPowerFailure();
 }
 
 Energy
 Node::wakeCost() const
 {
-    return _wakeCostConst;
+    return _spec->wakeCost;
 }
 
 Energy
 Node::activationCost() const
 {
-    if (_cfg.mode == OperatingMode::NosVp)
+    if (_spec->cfg.mode == OperatingMode::NosVp)
         return wakeCost();
     // NVP modes use a higher activation threshold (§5.2.1): they only
     // wake when the slot can plausibly make progress — a sample plus a
@@ -299,7 +298,7 @@ Node::activationCost() const
 Energy
 Node::sampleCost() const
 {
-    return _sampleCostConst;
+    return _spec->sampleCost;
 }
 
 void
@@ -308,17 +307,17 @@ Node::refreshSlotCosts() const
     NodeState &s = *_state;
     if (s.slotCostsValid)
         return;
-    if (_cfg.mode == OperatingMode::NosVp) {
+    if (_spec->cfg.mode == OperatingMode::NosVp) {
         s.slotTaskCost =
-            _cpu->computeEnergy(_cfg.naiveInstructionsPerPackage);
+            _spec->cpu->computeEnergy(_spec->cfg.naiveInstructionsPerPackage);
         s.slotTaskTime =
-            _cpu->computeTime(_cfg.naiveInstructionsPerPackage);
+            _spec->cpu->computeTime(_spec->cfg.naiveInstructionsPerPackage);
     } else {
-        const auto *nvp = static_cast<const NvProcessor *>(_cpu.get());
+        const auto *nvp = static_cast<const NvProcessor *>(_spec->cpu.get());
         s.slotTaskCost = nvp->effectiveComputeEnergy(
-            _cfg.fogInstructionsPerPackage, s.lastIncome);
-        Tick t = _cpu->computeTime(_cfg.fogInstructionsPerPackage);
-        if (_cfg.enableFrequencyScaling) {
+            _spec->cfg.fogInstructionsPerPackage, s.lastIncome);
+        Tick t = _spec->cpu->computeTime(_spec->cfg.fogInstructionsPerPackage);
+        if (_spec->cfg.enableFrequencyScaling) {
             const double scale =
                 nvp->spendthrift().frequencyScale(s.lastIncome);
             t = static_cast<Tick>(static_cast<double>(t) / scale);
@@ -345,9 +344,9 @@ Node::taskComputeTime() const
 Energy
 Node::packageTxCost() const
 {
-    Energy e = _txPackageEnergy;
+    Energy e = _spec->txPackageEnergy;
     if (!_state->rfInitializedThisSlot)
-        e += _state->rf->initCost().energy;
+        e += _spec->rf->initCost().energy;
     return e;
 }
 
@@ -367,12 +366,12 @@ Node::canCompleteOnePackage() const
     const Energy direct_used =
         std::min(task, s.directBudget);
     const Energy cap_needed =
-        _frontend.capCostForLoad((task - direct_used) + tx);
+        _spec->frontend.capCostForLoad((task - direct_used) + tx);
     if (capView().stored() < cap_needed)
         return false;
-    const Tick need_time = taskComputeTime() + _txCompressedDuration +
+    const Tick need_time = taskComputeTime() + _spec->txCompressedDuration +
                            (s.rfInitializedThisSlot
-                                ? 0 : s.rf->initCost().duration);
+                                ? 0 : _spec->rf->initCost().duration);
     return s.slotTimeUsed + need_time <= s.slotLength;
 }
 
@@ -381,14 +380,14 @@ Node::notifyPhase(NodeObserver::Phase phase, Tick start, Tick duration,
                   Energy energy)
 {
     if (_observer)
-        _observer->onPhase(_cfg.id, phase, start, duration, energy);
+        _observer->onPhase(_id, phase, start, duration, energy);
 }
 
 bool
 Node::canAfford(Energy e, bool direct_eligible) const
 {
     Energy deliverable =
-        capView().stored() * _frontend.config().dischargeEfficiency;
+        capView().stored() * _spec->frontend.config().dischargeEfficiency;
     if (direct_eligible)
         deliverable += _state->directBudget;
     return deliverable >= e;
@@ -407,7 +406,7 @@ Node::spend(Energy e, bool direct_eligible)
         rest -= from_direct;
     }
     if (rest > Energy::zero()) {
-        const Energy cap_cost = _frontend.capCostForLoad(rest);
+        const Energy cap_cost = _spec->frontend.capCostForLoad(rest);
         const bool ok = capView().tryDischarge(cap_cost);
         NEOFOG_ASSERT(ok, "spend() affordability check out of sync");
     }
@@ -461,8 +460,8 @@ Node::tryWake()
     }
     st.spentWake += wake;
     const Tick wake_start = s.slotStart + s.slotTimeUsed;
-    const Tick wake_time = _cpu->wakeLatency() +
-                           _cpu->computeTime(kControlInstructions);
+    const Tick wake_time = _spec->cpu->wakeLatency() +
+                           _spec->cpu->computeTime(kControlInstructions);
     s.slotTimeUsed += wake_time;
     s.awake = true;
     st.wakeups.increment();
@@ -475,7 +474,7 @@ Node::samplePackage()
 {
     NodeState &s = *_state;
     NodeStats &st = s.stats;
-    const SensorSpec &sensor = _cfg.sensor;
+    const SensorSpec &sensor = _spec->cfg.sensor;
     NEOFOG_ASSERT(s.awake, "sampling while asleep");
     // The first sample since the last power failure also pays the
     // sensor's initialization; the latch commits only on success.
@@ -485,9 +484,9 @@ Node::samplePackage()
         init_time = sensor.initLatency;
         init_energy = sensor.initEnergy();
     }
-    const double n = static_cast<double>(_cfg.samplesPerPackage);
+    const double n = static_cast<double>(_spec->cfg.samplesPerPackage);
     const Energy total = init_energy + sensor.sampleEnergy() * n +
-                         s.buffer.writeEnergy(_cfg.rawPackageBytes);
+                         s.buffer.writeEnergy(_spec->cfg.rawPackageBytes);
     const Tick time =
         init_time +
         static_cast<Tick>(n * static_cast<double>(sensor.sampleLatency));
@@ -508,7 +507,7 @@ Node::samplePackage()
     notifyPhase(NodeObserver::Phase::Sample,
                 s.slotStart + s.slotTimeUsed, time, total);
     s.slotTimeUsed += time;
-    s.buffer.push(_cfg.rawPackageBytes);
+    s.buffer.push(_spec->cfg.rawPackageBytes);
     pushPending(1);
     st.packagesSampled.increment();
     return true;
@@ -558,7 +557,7 @@ Node::executeTasks(int count)
                     s.slotStart + s.slotTimeUsed, t, e);
         s.slotTimeUsed += t;
         popOldestPending(1);
-        s.buffer.pop(_cfg.rawPackageBytes);
+        s.buffer.pop(_spec->cfg.rawPackageBytes);
         ++done;
         st.tasksExecuted.increment();
     }
@@ -569,18 +568,18 @@ Energy
 Node::incidentalTaskCost() const
 {
     const auto inst = static_cast<std::uint64_t>(
-        _cfg.incidentalFraction *
-        static_cast<double>(_cfg.fogInstructionsPerPackage));
-    if (_cfg.mode == OperatingMode::NosVp)
-        return _cpu->computeEnergy(inst);
-    const auto *nvp = static_cast<const NvProcessor *>(_cpu.get());
+        _spec->cfg.incidentalFraction *
+        static_cast<double>(_spec->cfg.fogInstructionsPerPackage));
+    if (_spec->cfg.mode == OperatingMode::NosVp)
+        return _spec->cpu->computeEnergy(inst);
+    const auto *nvp = static_cast<const NvProcessor *>(_spec->cpu.get());
     return nvp->effectiveComputeEnergy(inst, _state->lastIncome);
 }
 
 bool
 Node::canCompleteIncidental() const
 {
-    if (!_cfg.enableIncidentalComputing)
+    if (!_spec->cfg.enableIncidentalComputing)
         return false;
     const NodeState &s = *_state;
     const Energy task = incidentalTaskCost();
@@ -588,19 +587,16 @@ Node::canCompleteIncidental() const
     const Energy direct_used =
         std::min(task, s.directBudget);
     const Energy cap_needed =
-        _frontend.capCostForLoad((task - direct_used) + tx);
+        _spec->frontend.capCostForLoad((task - direct_used) + tx);
     if (capView().stored() < cap_needed)
         return false;
     const auto inst = static_cast<std::uint64_t>(
-        _cfg.incidentalFraction *
-        static_cast<double>(_cfg.fogInstructionsPerPackage));
+        _spec->cfg.incidentalFraction *
+        static_cast<double>(_spec->cfg.fogInstructionsPerPackage));
     const Tick need_time =
-        _cpu->computeTime(inst) +
-        s.rf
-            ->txCost(_cfg.compressedPackageBytes + kFrameOverheadBytes)
-            .duration +
+        _spec->cpu->computeTime(inst) + _spec->txCompressedDuration +
         (s.rfInitializedThisSlot
-             ? 0 : s.rf->initCost().duration);
+             ? 0 : _spec->rf->initCost().duration);
     return s.slotTimeUsed + need_time <= s.slotLength;
 }
 
@@ -610,14 +606,14 @@ Node::executeIncidentalTasks(int count)
     NodeState &s = *_state;
     NodeStats &st = s.stats;
     NEOFOG_ASSERT(s.awake, "incidental computing while asleep");
-    if (!_cfg.enableIncidentalComputing)
+    if (!_spec->cfg.enableIncidentalComputing)
         return 0;
     int done = 0;
     const auto inst = static_cast<std::uint64_t>(
-        _cfg.incidentalFraction *
-        static_cast<double>(_cfg.fogInstructionsPerPackage));
+        _spec->cfg.incidentalFraction *
+        static_cast<double>(_spec->cfg.fogInstructionsPerPackage));
     while (done < count && s.pendingPackages > 0) {
-        const Tick t = _cpu->computeTime(inst);
+        const Tick t = _spec->cpu->computeTime(inst);
         if (s.slotTimeUsed + t > s.slotLength)
             break;
         const Energy e = incidentalTaskCost();
@@ -628,7 +624,7 @@ Node::executeIncidentalTasks(int count)
                     s.slotStart + s.slotTimeUsed, t, e);
         s.slotTimeUsed += t;
         popOldestPending(1);
-        s.buffer.pop(_cfg.rawPackageBytes);
+        s.buffer.pop(_spec->cfg.rawPackageBytes);
         ++done;
         st.incidentalTasks.increment();
     }
@@ -642,10 +638,10 @@ Node::payTransmit(std::size_t payload_bytes, int attempts)
     NEOFOG_ASSERT(s.awake, "transmitting while asleep");
     NEOFOG_ASSERT(attempts >= 1, "attempts >= 1");
     const RfPhase one =
-        s.rf->txCost(payload_bytes + kFrameOverheadBytes);
+        _spec->rf->txCost(payload_bytes + kFrameOverheadBytes);
     RfPhase init{};
     if (!s.rfInitializedThisSlot)
-        init = s.rf->initCost();
+        init = _spec->rf->initCost();
     const Tick time = init.duration + one.duration * attempts;
     if (s.slotTimeUsed + time > s.slotLength)
         return false;
@@ -667,11 +663,11 @@ Node::payReceive(std::size_t payload_bytes)
     NodeState &s = *_state;
     NEOFOG_ASSERT(s.awake, "receiving while asleep");
     const Tick window =
-        s.rf->airtime(payload_bytes + kFrameOverheadBytes) +
+        _spec->rf->airtime(payload_bytes + kFrameOverheadBytes) +
         ticksFromMs(3.0);
     if (s.slotTimeUsed + window > s.slotLength)
         return false;
-    const Energy e = s.rf->rxCost(window).energy;
+    const Energy e = _spec->rf->rxCost(window).energy;
     if (!spend(e, false))
         return false;
     s.stats.spentRx += e;
@@ -687,11 +683,11 @@ Node::payControlMessage(std::size_t payload_bytes)
     NodeState &s = *_state;
     NEOFOG_ASSERT(s.awake, "control message while asleep");
     const Tick time =
-        s.rf->airtime(payload_bytes + kFrameOverheadBytes) +
+        _spec->rf->airtime(payload_bytes + kFrameOverheadBytes) +
         ticksFromMs(1.0);
     if (s.slotTimeUsed + time > s.slotLength)
         return false;
-    const Energy e = s.rf->config().txPower * time;
+    const Energy e = _spec->rf->config().txPower * time;
     if (!spend(e, false))
         return false;
     s.stats.spentTx += e;
@@ -705,7 +701,7 @@ int
 Node::pendingCapacity() const
 {
     const auto max_packages = static_cast<int>(
-        _state->buffer.capacity() / _cfg.rawPackageBytes);
+        _state->buffer.capacity() / _spec->cfg.rawPackageBytes);
     return std::max(0, max_packages - _state->pendingPackages);
 }
 
@@ -723,7 +719,7 @@ Node::spareTaskCapacity() const
     const Energy surplus_stored =
         (cap.stored() - cap.capacity() * 0.7).clampedNonNegative();
     Energy deliverable =
-        surplus_stored * _frontend.config().dischargeEfficiency +
+        surplus_stored * _spec->frontend.config().dischargeEfficiency +
         s.directBudget;
     const Energy per_task = taskCost() + packageTxCost();
     if (per_task.joules() <= 0.0)
@@ -745,9 +741,9 @@ Node::spareTaskCapacity() const
 double
 Node::relativeTaskCost() const
 {
-    if (_cfg.mode == OperatingMode::NosVp)
+    if (_spec->cfg.mode == OperatingMode::NosVp)
         return 1.0;
-    const auto *nvp = static_cast<const NvProcessor *>(_cpu.get());
+    const auto *nvp = static_cast<const NvProcessor *>(_spec->cpu.get());
     return 1.0 / nvp->spendthrift().benefit(_state->lastIncome);
 }
 

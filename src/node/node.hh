@@ -30,12 +30,12 @@
  *
  * Node is a facade over one NodeState (see node_state.hh and
  * DESIGN.md, "Memory layout: one NodeState per node"): every field
- * that mutates after construction lives there, and the facade keeps
- * only what a resume rebuilds from the scenario (config, trace,
- * processor, front end, cost constants, observer) plus the trace
- * cursor scratch and the pointer to its state.  A standalone Node
- * (tests, single-node experiments) owns its NodeState; chain nodes
- * point into their ChainEngine's NodeShard.
+ * that mutates after construction lives there.  What all nodes of a
+ * chain share — config, processor, radio, front end, cost constants —
+ * is one immutable Node::Spec.  The facade keeps its id, trace,
+ * observer, the trace cursor scratch and pointers to its spec and
+ * state.  A standalone Node (tests, single-node experiments) owns its
+ * Spec and NodeState; chain nodes point into their ChainEngine's.
  */
 
 #ifndef NEOFOG_NODE_NODE_HH
@@ -186,7 +186,28 @@ class Node
     };
 
     /**
-     * Standalone node: owns its NodeState.
+     * What the nodes of a chain share, built once and never changed:
+     * the config (whose id only a standalone node uses), the front
+     * end, one processor, one radio and the cost constants.
+     */
+    struct Spec
+    {
+        /** Fatal on a package or sensor shape no node can run. */
+        explicit Spec(const Config &config);
+
+        Config cfg;
+        FrontEnd frontend;
+        std::unique_ptr<const Processor> cpu;
+        /** Configured at deployment; no run changes it. */
+        std::unique_ptr<const RfModule> rf;
+        Energy wakeCost;              ///< Node::wakeCost()
+        Energy sampleCost;            ///< Node::sampleCost()
+        Energy txPackageEnergy;       ///< mode-payload tx energy
+        Tick txCompressedDuration = 0; ///< result-package tx airtime
+    };
+
+    /**
+     * Standalone node: builds and owns its Spec and NodeState.
      * @param cfg Node configuration.
      * @param trace Ambient power income (owned).
      * @param rng Node-private random stream.
@@ -194,16 +215,18 @@ class Node
     Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng);
 
     /**
-     * Chain node: appends its NodeState to @p shard and points at it.
-     * The shard must outlive the node (the owning ChainEngine declares
-     * it first) and be reserved for the full chain beforehand.
+     * Chain node @p id: points at @p spec and appends its NodeState to
+     * @p shard.  Both must outlive the node (the owning ChainEngine
+     * declares them first), and the shard must be reserved for the
+     * full chain beforehand.
      */
-    Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
-         NodeShard &shard);
+    Node(const Spec &spec, std::uint32_t id,
+         std::unique_ptr<PowerTrace> trace, Rng rng, NodeShard &shard);
 
-    std::uint32_t id() const { return _cfg.id; }
-    OperatingMode mode() const { return _cfg.mode; }
-    const Config &config() const { return _cfg; }
+    std::uint32_t id() const { return _id; }
+
+    /** The spec this node shares with its chain (or owns). */
+    const Spec &spec() const { return *_spec; }
 
     // ------------------------------------------------------------------
     // Slot lifecycle
@@ -370,10 +393,6 @@ class Node
     /** The RTC (for virtualization phase queries). */
     RtcView rtc() const { return rtcView(); }
 
-    /** The radio, e.g. for NVD4Q state cloning. */
-    RfModule &rf() { return *_state->rf; }
-    const RfModule &rf() const { return *_state->rf; }
-
     /** Mutable statistics. */
     NodeStats &stats() { return _state->stats; }
     const NodeStats &stats() const { return _state->stats; }
@@ -405,19 +424,13 @@ class Node
     /** The main super-capacitor (overflow/leakage accounting). */
     CapacitorView capacitor() const { return capView(); }
 
-    /** The harvesting front end (mode-derived efficiencies). */
-    const FrontEnd &frontend() const { return _frontend; }
-
   private:
-    /** Shared constructor body: append to @p shard, or own the state. */
-    Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
-         NodeShard *shard);
-
     // Views over this node's capacitor and RTC state.  _state is a
     // plain pointer member, so these stay usable from const facade
     // methods — the cost memos keep their `mutable` semantics that way.
-    CapacitorView capView() const { return {_cfg.cap, _state->cap}; }
-    RtcView rtcView() const { return {_cfg.rtc, _state->rtc}; }
+    CapacitorView capView() const
+    { return {_spec->cfg.cap, _state->cap}; }
+    RtcView rtcView() const { return {_spec->cfg.rtc, _state->rtc}; }
 
     /** Report a completed phase to the attached observer, if any. */
     void notifyPhase(NodeObserver::Phase phase, Tick start,
@@ -459,7 +472,10 @@ class Node
      */
     Energy accrueIncome(Tick from, Tick to);
 
-    Config _cfg;
+    /** Spec of a standalone node (null for chain nodes). */
+    std::unique_ptr<const Spec> _ownSpec;
+    /** _ownSpec, or the spec of this node's chain. */
+    const Spec *_spec = nullptr;
     std::unique_ptr<PowerTrace> _trace;
     /**
      * Streaming integration scratch over _trace: a pure function of
@@ -468,22 +484,13 @@ class Node
      */
     std::optional<TraceCursor> _cursor;
 
-    FrontEnd _frontend;
-    std::unique_ptr<Processor> _cpu;
-
     /** State of a standalone node (null for chain nodes). */
     std::unique_ptr<NodeState> _ownState;
     /** This node's mutable state: _ownState or a chain shard row. */
     NodeState *_state = nullptr;
 
-    // Construction-time cost constants: pure functions of the fixed
-    // node configuration (the RF transmit cost, the sensor/buffer
-    // sampling cost, the processor wake cost carry no mutable state).
-    bool _traceFast = false;        ///< _trace->hasFastIntegrate()
-    Energy _wakeCostConst;          ///< wakeCost()
-    Energy _sampleCostConst;        ///< sampleCost()
-    Energy _txPackageEnergy;        ///< mode-payload tx energy
-    Tick _txCompressedDuration = 0; ///< result-package tx airtime
+    std::uint32_t _id = 0;
+    bool _traceFast = false; ///< _trace->hasFastIntegrate()
 
     /** Not owned; re-attached by the harness after a resume. */
     NodeObserver *_observer = nullptr;

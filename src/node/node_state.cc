@@ -1,18 +1,43 @@
 #include "node/node_state.hh"
 
+#include <utility>
+
 namespace neofog {
 
 NodeState::NodeState(Rng rng_stream, const SuperCapacitor::Config &cap_cfg,
                      const Rtc::Config &rtc_cfg,
                      const NvBuffer::Config &buffer_cfg,
-                     std::size_t pending_depth,
-                     std::unique_ptr<RfModule> radio)
+                     std::size_t pending_depth, bool nvrf_radio)
     : rng(rng_stream), cap(SuperCapacitor::initialState(cap_cfg)),
       rtc(Rtc::initialState(rtc_cfg)), buffer(buffer_cfg),
-      rf(std::move(radio)), pendingByAge(pending_depth, 0)
+      nvrf(nvrf_radio), pendingByAge(pending_depth, 0)
 {
     NEOFOG_ASSERT(pending_depth >= 1, "pending queue needs depth >= 1");
-    NEOFOG_ASSERT(rf != nullptr, "node state needs a radio");
+}
+
+void
+NodeState::checkRadio(const std::string &node, const RfState &radio,
+                      bool configured)
+{
+    const RfState fixed;
+    const std::pair<const char *, bool> fields[] = {
+        {"channel", radio.channel != fixed.channel},
+        {"pan_id", radio.panId != fixed.panId},
+        {"route_version", radio.routeVersion != fixed.routeVersion},
+        {"associated_dev_list",
+         radio.associatedDevList != fixed.associatedDevList},
+        {"slot_phase", radio.slotPhase != fixed.slotPhase},
+        {"wake_interval_multiplier",
+         radio.wakeIntervalMultiplier != fixed.wakeIntervalMultiplier},
+    };
+    for (const auto &[field, differs] : fields)
+        if (differs)
+            fatal("snapshot field '", node, "rf_state.", field,
+                  "' differs from the radio's deployment state, which no "
+                  "run changes");
+    if (!configured)
+        fatal("snapshot field '", node, "nvrf.configured' is false, but "
+              "every NVRF is configured at deployment");
 }
 
 void
@@ -49,10 +74,6 @@ NodeShard::residentBytes() const
     std::size_t bytes =
         sizeof(NodeShard) + _states.capacity() * sizeof(NodeState);
     for (const NodeState &s : _states) {
-        // The two concrete radios are small fixed-size objects; the
-        // NVRF is the larger of the pair, so count that conservatively.
-        bytes += s.rf->retainsState() ? sizeof(NvRfController)
-                                      : sizeof(SoftwareRf);
         bytes += s.pendingByAge.capacity() * sizeof(int);
         bytes += s.stats.storedEnergyMj.points().capacity() *
                  sizeof(TimeSeries::Point);

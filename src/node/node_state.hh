@@ -4,14 +4,14 @@
  *
  * A NodeState is exactly what a snapshot keeps of one node: the RNG
  * stream, the capacitor and RTC state, the sensor's configuration
- * latch, the NV buffer and radio, the slot-lifecycle scalars, the
- * per-slot cost memos, the pending-package age queue and the
- * statistics.  Everything else a
- * Node holds — config, power trace, processor, front end, cost
- * constants, observer, trace cursor — is rebuilt from the scenario, so
- * a resume reconstructs the Node and overwrites only its NodeState.
- * NodeState::serialize is therefore the one place a snapshot's node
- * records land, and it rejects states no run can produce.
+ * latch, the NV buffer, the slot-lifecycle scalars, the per-slot cost
+ * memos, the pending-package age queue and the statistics.  Everything
+ * else a Node uses — its chain's Node::Spec (config, processor, radio,
+ * front end, cost constants), power trace, observer, trace cursor — is
+ * rebuilt from the scenario, so a resume reconstructs the Node and
+ * overwrites only its NodeState.  NodeState::serialize is therefore
+ * the one place a snapshot's node records land, and it rejects states
+ * no run can produce.
  *
  * A NodeShard holds the NodeStates of one chain in one vector,
  * reserved for the whole chain up front: each chain Node keeps a
@@ -24,7 +24,6 @@
 #define NEOFOG_NODE_NODE_STATE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,18 +100,17 @@ struct NodeState
      * charges (fatal on an invalid config), everything else zero.
      * @param pending_depth Freshness-deadline depth of the pending
      *        queue (>= 1).
-     * @param radio The node's radio (owned from now on).
+     * @param nvrf Whether the node's radio is an NVRF.
      */
     NodeState(Rng rng, const SuperCapacitor::Config &cap_cfg,
               const Rtc::Config &rtc_cfg,
               const NvBuffer::Config &buffer_cfg,
-              std::size_t pending_depth, std::unique_ptr<RfModule> radio);
+              std::size_t pending_depth, bool nvrf);
 
     Rng rng;
     SuperCapacitor::State cap;
     Rtc::State rtc;
     NvBuffer buffer;
-    std::unique_ptr<RfModule> rf;
 
     Tick lastAccrual = 0;  ///< end of the window income accrued up to
     Tick slotStart = 0;
@@ -128,6 +126,8 @@ struct NodeState
      * the last power failure (the spec is Node::Config::sensor).
      */
     bool sensorInitialized = false;
+    /** Radio kind, which picks the records serialize writes. */
+    bool nvrf = false;
     bool awake = false;
     bool rfInitializedThisSlot = false;
     /** Whether slotTaskCost/slotTaskTime match lastIncome. */
@@ -138,8 +138,10 @@ struct NodeState
     NodeStats stats;
 
     /**
-     * Snapshot support (see src/snapshot/).  Loading rejects a buffer
-     * filled past its capacity, a queue depth other than the
+     * Snapshot support (see src/snapshot/).  No run changes a node's
+     * radio, so its records are constants: the default RfState, and an
+     * NVRF's configured latch.  Loading rejects any other radio value,
+     * a buffer filled past its capacity, a queue depth other than the
      * configured one, and age counts that are negative or do not sum
      * to pendingPackages.
      */
@@ -158,9 +160,13 @@ struct NodeState
                       "' holds ", buffer.size(), " bytes, more than the ",
                       buffer.capacity(), "-byte buffer capacity");
         }
-        ar.io("rf_state", rf->state());
-        if (rf->retainsState())
-            ar.io("nvrf", static_cast<NvRfController &>(*rf));
+        RfState radio;
+        ar.io("rf_state", radio);
+        bool configured = true;
+        if (nvrf)
+            ar.io("nvrf.configured", configured);
+        if constexpr (Archive::isLoading)
+            checkRadio(ar.path(""), radio, configured);
         ar.io("last_accrual", lastAccrual);
         ar.io("slot_start", slotStart);
         ar.io("slot_length", slotLength);
@@ -181,6 +187,14 @@ struct NodeState
     }
 
   private:
+    /**
+     * Fatal unless the radio records loaded under the @p node prefix
+     * (such as "chain0.node1.") hold the default @p radio and a true
+     * @p configured.
+     */
+    static void checkRadio(const std::string &node, const RfState &radio,
+                           bool configured);
+
     /**
      * Fatal unless the loaded age queue has @p depth entries, none
      * negative, summing to pendingPackages.  @p path names the record.
@@ -213,8 +227,8 @@ class NodeShard
 
     /**
      * Bytes resident in the shard (capacity-based, including each
-     * node's radio object, age queue and stats series points).  The
-     * fleet bench divides this by rows() for its bytes_per_node key.
+     * node's age queue and stats series points).  The fleet bench
+     * divides this by rows() for its bytes_per_node key.
      */
     std::size_t residentBytes() const;
 

@@ -8,6 +8,8 @@
 
 #include <sstream>
 
+#include "energy/power_trace.hh"
+#include "fog/chain_engine.hh"
 #include "fog/experiment.hh"
 #include "fog/fog_system.hh"
 #include "fog/presets.hh"
@@ -324,6 +326,50 @@ spent_rx_mj 812.961792
 spent_sample_mj 442.4243696
 spent_wake_mj 22.12506136
 harvested_mj 241402.276725)");
+}
+
+// A chain builds what its nodes share once: every node points at one
+// spec, whose config is the scenario's template in the scenario's mode
+// and slot interval, and the node ids run on from the first one.
+TEST(ChainEngine, NodesShareOneSpec)
+{
+    ScenarioConfig cfg = smallScenario(OperatingMode::NosNvp, "none");
+    cfg.multiplexing = 2;
+    const ChainEngine engine(cfg, 1, 20, Rng(3), nullptr);
+    ASSERT_EQ(engine.nodes().size(), 20u);
+    const Node::Spec &spec = engine.node(0).spec();
+    EXPECT_EQ(spec.cfg.mode, OperatingMode::NosNvp);
+    EXPECT_EQ(spec.cfg.rtc.interval, cfg.slotInterval);
+    EXPECT_FALSE(engine.soa()[0].nvrf);
+    for (std::size_t p = 0; p < engine.nodes().size(); ++p) {
+        EXPECT_EQ(&engine.node(p).spec(), &spec) << p;
+        EXPECT_EQ(engine.node(p).id(), 20u + p) << p;
+    }
+}
+
+// Node p's stream is the chain stream's p-th fork, and its rain gain
+// the draw right after that fork, whatever order a compiler evaluates
+// function arguments in.
+TEST(ChainEngine, RainGainsReplayTheChainStream)
+{
+    ScenarioConfig cfg = smallScenario(OperatingMode::FiosNvMote, "none");
+    cfg.traceKind = TraceKind::RainLow;
+    cfg.multiplexing = 3;
+    const ChainEngine engine(
+        cfg, 0, 0, Rng(41),
+        std::make_shared<ConstantTrace>(Power::fromWatts(1.0)));
+    Rng replay(41);
+    for (std::size_t p = 0; p < engine.nodes().size(); ++p) {
+        Rng stream = replay.fork();
+        const double gain =
+            cfg.meanIncome.watts() * traces::rainNodeGain(replay);
+        const Node &node = engine.node(p);
+        EXPECT_EQ(static_cast<const ScaledTrace &>(node.trace()).scale(),
+                  gain)
+            << p;
+        Rng own = node.state().rng;
+        EXPECT_EQ(own.next(), stream.next()) << p;
+    }
 }
 
 TEST(IncomePaths, ConstantLevelReportIsPinned)

@@ -495,19 +495,23 @@ TEST(Node, IncomeHoistMatchesPerNodeIntegration)
     }
 }
 
-// Chain nodes share one shard; each facade must read and write only
-// its own row, so stepping one node leaves its neighbour's bytes as
-// they were.
+// Chain nodes share one spec and one shard; each facade must read and
+// write only its own row, so stepping one node leaves its neighbour's
+// bytes as they were.
 TEST(Node, FacadesBindTheirOwnShardRow)
 {
-    const Node::Config cfg = baseConfig(OperatingMode::FiosNvMote);
+    const Node::Spec spec(baseConfig(OperatingMode::FiosNvMote));
     NodeShard shard;
     shard.reserve(2);
-    Node a(cfg, std::make_unique<ConstantTrace>(3.0_mW), Rng(1), shard);
-    Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(2), shard);
+    Node a(spec, 1, std::make_unique<ConstantTrace>(3.0_mW), Rng(1), shard);
+    Node b(spec, 2, std::make_unique<ConstantTrace>(1.0_mW), Rng(2), shard);
     ASSERT_EQ(shard.rows(), 2u);
     EXPECT_EQ(&a.state(), &shard[0]);
     EXPECT_EQ(&b.state(), &shard[1]);
+    EXPECT_EQ(&a.spec(), &spec);
+    EXPECT_EQ(&b.spec(), &spec);
+    EXPECT_EQ(a.id(), 1u);
+    EXPECT_EQ(b.id(), 2u);
 
     const std::string b_before = archiveBytes(b);
     a.capacitor().drain(100.0_mJ);
@@ -524,6 +528,27 @@ TEST(Node, FacadesBindTheirOwnShardRow)
     EXPECT_EQ(b.capacitor().stored(), shard[1].cap.stored);
     EXPECT_EQ(b.rtc().desyncCount(), shard[1].rtc.desyncs);
     EXPECT_EQ(b.lastAccrualTime(), shard[1].lastAccrual);
+}
+
+// A standalone node builds its own spec, so two nodes of one config
+// share no processor or radio, and the spec stays put when its node
+// moves.
+TEST(Node, StandaloneNodesOwnTheirSpecs)
+{
+    Node::Config cfg = baseConfig(OperatingMode::FiosNvMote);
+    cfg.id = 7;
+    Node a(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(1));
+    Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(1));
+    EXPECT_NE(&a.spec(), &b.spec());
+    EXPECT_NE(a.spec().cpu.get(), b.spec().cpu.get());
+    EXPECT_NE(a.spec().rf.get(), b.spec().rf.get());
+    EXPECT_EQ(a.id(), 7u);
+    EXPECT_TRUE(a.state().nvrf);
+
+    const Node::Spec *spec = &a.spec();
+    const Node moved = std::move(a);
+    EXPECT_EQ(&moved.spec(), spec);
+    EXPECT_EQ(moved.id(), 7u);
 }
 
 // A node whose RTC lost sync must archive the cleared flag and the
@@ -561,13 +586,13 @@ TEST(Node, SnapshotRestoresDesyncedRtc)
     }
 }
 
-/** A fresh node state with a plain radio. */
+/** A fresh node state with a software radio. */
 NodeState
 plainState(const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
            std::size_t pending_depth = 1)
 {
     return NodeState(Rng(1), cap, rtc, NvBuffer::Config{}, pending_depth,
-                     std::make_unique<SoftwareRf>());
+                     /*nvrf=*/false);
 }
 
 // A new row starts from the configs' initial charges with clean

@@ -45,16 +45,6 @@ TEST(SoftwareRf, TxEnergyUsesTxPower)
     EXPECT_NEAR(tx.energy.millijoules(), 255.0 * 0.0891, 0.05);
 }
 
-TEST(SoftwareRf, LosesStateOnPowerFailure)
-{
-    SoftwareRf rf;
-    rf.state().channel = 20;
-    rf.state().associatedDevList = {1, 2, 3};
-    rf.onPowerFailure();
-    EXPECT_EQ(rf.state().channel, RfState{}.channel);
-    EXPECT_TRUE(rf.state().associatedDevList.empty());
-}
-
 TEST(NvRf, SelfInitAfterConfigure)
 {
     NvRfController rf;
@@ -99,18 +89,6 @@ TEST(NvRf, ThroughputAdvantageAtLargePayloads)
         static_cast<double>(sw.txCost(n).duration) /
         static_cast<double>(nv.txCost(n).duration);
     EXPECT_NEAR(ratio, 6.2, 0.6);
-}
-
-TEST(NvRf, RetainsStateAcrossPowerFailure)
-{
-    NvRfController rf;
-    rf.configure();
-    rf.state().channel = 15;
-    rf.state().associatedDevList = {7, 8};
-    rf.onPowerFailure();
-    EXPECT_EQ(rf.state().channel, 15);
-    EXPECT_EQ(rf.state().associatedDevList.size(), 2u);
-    EXPECT_TRUE(rf.configured());
 }
 
 TEST(NvRf, CloneCopiesState)

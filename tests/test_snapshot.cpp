@@ -851,7 +851,7 @@ freshNodeState(std::size_t buffer_bytes = 1024, std::size_t depth = 2)
     NvBuffer::Config buffer;
     buffer.capacityBytes = buffer_bytes;
     return NodeState(Rng(5), SuperCapacitor::Config{}, Rtc::Config{},
-                     buffer, depth, std::make_unique<SoftwareRf>());
+                     buffer, depth, /*nvrf=*/false);
 }
 
 /** @p state archived as node1 of chain0. */
@@ -1505,18 +1505,25 @@ TEST(Resume, RefusesProbeRingHeadPastCapacity)
     EXPECT_NE(err.find(record), std::string::npos) << err;
 }
 
-// heal() indexes alive_last_slot once per logical node, so a chain
-// section whose vector has another length is refused.
-TEST(Resume, RefusesAliveLastSlotOfOtherLength)
+/** Flag set A's slot-40 snapshot (FIOS rain chains, NVRF radios). */
+Snapshot
+flagSetASnapshot(const ScratchDir &dir)
 {
-    const ScratchDir dir("resume_alive_length");
-    ScenarioConfig cfg = cliDefaults(); // flag set A
+    ScenarioConfig cfg = cliDefaults();
     cfg.traceKind = TraceKind::RainLow;
     cfg.chains = 6;
     cfg.horizon = kHour;
     cfg.multiplexing = 3;
     cfg.seed = 13;
-    const Snapshot pristine = slot40Snapshot(cfg, dir);
+    return slot40Snapshot(cfg, dir);
+}
+
+// heal() indexes alive_last_slot once per logical node, so a chain
+// section whose vector has another length is refused.
+TEST(Resume, RefusesAliveLastSlotOfOtherLength)
+{
+    const ScratchDir dir("resume_alive_length");
+    const Snapshot pristine = flagSetASnapshot(dir);
 
     for (const std::size_t entries : {0u, 2u}) {
         snapshot::OutArchive ar;
@@ -1558,6 +1565,51 @@ TEST(Resume, RefusesClonesRotatedApart)
             snapshot::appendLe32(one, 1);
             data.replace(payloadOffset(data, record), one.size(), one);
         });
+    EXPECT_NE(err.find(record), std::string::npos) << err;
+}
+
+// Every NVRF is configured at deployment and no run unconfigures it.
+// A node resumed as unconfigured would pay the one-time 28 ms setup on
+// every wake, so the record is refused.
+TEST(Resume, RefusesUnconfiguredNvrf)
+{
+    const ScratchDir dir("resume_nvrf_configured");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    const std::string record = "chain0.node0.nvrf.configured";
+    const std::string err = resumeErrorAfterEdit(
+        pristine, "chain0", dir,
+        [&](std::string &data) { data[payloadOffset(data, record)] = 0; });
+    EXPECT_NE(err.find(record), std::string::npos) << err;
+}
+
+// No run changes a node's radio state, so a snapshot that holds
+// another one describes no node the engine builds.
+TEST(Resume, RefusesRadioStateNoRunWrites)
+{
+    const ScratchDir dir("resume_rf_state");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    for (const char *field : {"channel", "wake_interval_multiplier"}) {
+        const std::string record =
+            std::string("chain0.node3.rf_state.") + field;
+        const std::string err = resumeErrorAfterEdit(
+            pristine, "chain0", dir, [&](std::string &data) {
+                std::string twelve;
+                snapshot::appendLe32(twelve, 12);
+                data.replace(payloadOffset(data, record), twelve.size(),
+                             twelve);
+            });
+        EXPECT_NE(err.find(record), std::string::npos) << err;
+    }
+
+    snapshot::OutArchive ar;
+    ar.pushScope("chain0.node3.rf_state");
+    std::vector<std::uint32_t> neighbours{2, 4};
+    ar.io("associated_dev_list", neighbours);
+    const std::string list = ar.take();
+    const std::string record = "chain0.node3.rf_state.associated_dev_list";
+    const std::string err = resumeErrorAfterEdit(
+        pristine, "chain0", dir,
+        [&](std::string &data) { replaceRecord(data, record, list); });
     EXPECT_NE(err.find(record), std::string::npos) << err;
 }
 
