@@ -57,14 +57,18 @@ main()
     ResultSink sink("fig9_stored_energy");
     for (const auto &sut : systems) {
         ScenarioConfig cfg = presets::fig9(sut);
+        StoredEnergyLog logs[3];
         FogSystem system(cfg);
+        for (std::size_t k = 0; k < 3; ++k)
+            system.setObserver(0, nodes_of_interest[k], &logs[k]);
         system.run();
 
         out("\n%s (series in mJ, one sample / 10 min):\n",
                     sut.label.c_str());
-        for (std::size_t ni : nodes_of_interest) {
+        for (std::size_t k = 0; k < 3; ++k) {
+            const std::size_t ni = nodes_of_interest[k];
             const Node &node = system.node(0, ni);
-            const auto &series = node.stats().storedEnergyMj;
+            const TimeSeries &series = logs[k].series();
             out("  node %zu:", ni);
             const Tick step = 10 * kMin;
             Tick next = 0;

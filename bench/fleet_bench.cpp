@@ -7,7 +7,10 @@
  * Four sections:
  *  - fleet throughput: build and run the full fleet, reporting
  *    slots_per_sec (chain-slots executed per wall-clock second) and
- *    bytes_per_node (resident node-shard bytes / total nodes);
+ *    bytes_per_node (resident node-shard bytes / total nodes); a
+ *    20-chain fleet of the same shape over 1000 slots must hold the
+ *    same bytes per node (bytes_per_node_1000_slots), since no node
+ *    state grows with the horizon;
  *  - thread sweep: the same fleet at --threads 1/2/4 must produce
  *    bit-identical reports (chain-order shard merge discipline);
  *  - snapshot resume: a mid-horizon checkpoint must resume onto the
@@ -85,6 +88,9 @@ fleetShardBytes(const FogSystem &sys)
         bytes += engine->soa().residentBytes();
     return bytes;
 }
+
+/** Horizon of the bytes-per-node bound check. */
+constexpr std::int64_t kLongSlots = 1000;
 
 struct TimedRun
 {
@@ -206,6 +212,27 @@ main(int argc, char **argv)
     sink.add("slots_per_sec", slots_per_sec);
     sink.add("build_secs", fleet_t.buildSecs);
     sink.add("bytes_per_node", bytes_per_node);
+    {
+        const std::size_t long_chains = 20;
+        SystemReport long_run;
+        std::size_t long_bytes = 0;
+        runTimed(fleetScenario(long_chains, nodes_per_chain, kLongSlots),
+                 long_run, &long_bytes);
+        const double long_per_node =
+            static_cast<double>(long_bytes) /
+            static_cast<double>(long_chains * nodes_per_chain);
+        const bool bounded = long_per_node == bytes_per_node;
+        out("resident shard bytes/node at %lld slots: %.1f (%zu chains), "
+            "same as at %lld: %s\n",
+            static_cast<long long>(kLongSlots), long_per_node,
+            long_chains, static_cast<long long>(slots),
+            bounded ? "yes" : "NO");
+        sink.add("bytes_per_node_1000_slots", long_per_node);
+        if (!bounded) {
+            err("fleet_bench: node state grows with the horizon\n");
+            return 1;
+        }
+    }
 
     // ---- Section 2: thread-sweep bit-identity ----------------------
     header("Thread sweep: chain-order shard merge bit-identity");

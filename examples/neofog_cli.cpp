@@ -12,7 +12,9 @@
  * Every result flows through the report_io exporter: text (aligned
  * tables), json (schema-tagged, machine-readable), or csv.  --probes
  * enables the per-chain time-series probes and exports their streams;
- * --dump-energy exports one node's stored-energy series the same way.
+ * --dump-energy exports one node's stored-energy series the same way,
+ * over the slots this process runs (a resumed run starts at its
+ * snapshot's slot).
  */
 
 #include <charconv>
@@ -94,6 +96,9 @@ usage(const char *argv0)
         "(default 4096)\n"
         "  --dump-energy I           export node I's stored-energy "
         "series\n"
+        "                            (chain 0; the slots this process "
+        "runs,\n"
+        "                            at most 400 points)\n"
         "  --snapshot-every N        checkpoint every N slots "
         "(default off)\n"
         "  --snapshot-dir D          checkpoint directory "
@@ -408,24 +413,33 @@ main(int argc, char **argv)
             // own config section; only the host-local knobs (threads,
             // the checkpoint schedule) carry over from the command
             // line.
+            StoredEnergyLog energy_log;
             std::unique_ptr<FogSystem> system = resume_path.empty()
                 ? std::make_unique<FogSystem>(cfg)
                 : FogSystem::resume(resume_path, cfg.threads,
                                     cfg.snapshot);
             cfg = system->config();
-            report = system->run();
-
-            // Collect every requested time-series stream; they all
-            // leave through the same exporter as the report.
-            series = system->probeSeries();
+            // The log watches the slots this process runs: a history
+            // is not restart state, so a resumed run's starts at the
+            // snapshot's slot.
             if (dump_energy >= 0) {
                 const auto idx = static_cast<std::size_t>(dump_energy);
                 if (idx >= system->physicalPerChain()) {
                     std::fprintf(stderr, "node index out of range\n");
                     return 2;
                 }
-                series.push_back(system->nodeEnergySeries(0, idx));
+                system->setObserver(0, idx, &energy_log);
             }
+            report = system->run();
+
+            // Collect every requested time-series stream; they all
+            // leave through the same exporter as the report.
+            series = system->probeSeries();
+            if (dump_energy >= 0)
+                series.push_back({"chain0.node" +
+                                      std::to_string(dump_energy) +
+                                      ".stored_mj",
+                                  "mJ", energy_log.series().downsampled(400)});
         }
 
         std::ofstream file;

@@ -51,8 +51,7 @@ runNode(OperatingMode mode, std::uint32_t id, const char *label)
     cfg.cap.initial = Energy::fromMillijoules(120.0);
 
     Node node(cfg, std::make_unique<ConstantTrace>(
-                       Power::fromMilliwatts(6.0)),
-              Rng(5));
+                       Power::fromMilliwatts(6.0)));
     PrintingObserver obs;
     node.setObserver(&obs);
 

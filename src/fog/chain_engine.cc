@@ -57,11 +57,12 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     // (the facades keep pointers into it).
     _state.nodes.reserve(_cfg.nodesPerChain * mux);
     for (std::size_t p = 0; p < _cfg.nodesPerChain * mux; ++p) {
-        // Both calls draw from the chain stream, so they are two
-        // statements: argument order is left to the compiler.
-        const Rng stream = _state.rng.fork();
+        // No node owns a stream, but the chain stream still takes the
+        // draw that forked one (fork() is Rng(next())), so every later
+        // draw keeps its value.
+        _state.rng.next();
         _nodes.push_back(std::make_unique<Node>(
-            _spec, next_id++, makeTrace(), stream, _state.nodes));
+            _spec, next_id++, makeTrace(), _state.nodes));
     }
     _state.aliveLastSlot.assign(_cfg.nodesPerChain, true);
     _scheduled.reserve(_cfg.nodesPerChain);
@@ -69,14 +70,6 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     _lbOutcome.moves.reserve(_cfg.nodesPerChain);
     _windowMemo.reserve(4);
     _balancerIsNoop = _balancer->name() == "none";
-
-    // Each logical slot schedules exactly one clone, so a physical
-    // node records ~horizon/slotInterval/mux energy points; pre-size
-    // the series so the hot loop never grows it.
-    const std::size_t slots = static_cast<std::size_t>(
-        _cfg.slotInterval > 0 ? _cfg.horizon / _cfg.slotInterval : 0);
-    for (auto &n : _nodes)
-        n->stats().storedEnergyMj.reserve(slots / mux + 2);
 
     if (_cfg.probes.enabled) {
         ChainProbe &probe = _state.probe;
@@ -165,7 +158,6 @@ ChainEngine::runSlot(std::int64_t slot_index)
             n->beginSlot(t, _cfg.slotInterval);
     }
     for (Node *n : scheduled) {
-        n->recordEnergyPoint(t);
         // A volatile node loses buffered-but-unprocessed data at
         // power-off; NV buffers persist.
         if (_cfg.mode == OperatingMode::NosVp)
@@ -285,10 +277,8 @@ ChainEngine::maybeServeRealTimeRequest(
         ++_state.report.rtRequestsMissed;
         return;
     }
-    const int attempts = _state.loss.deliver(_state.rng);
-    const int paid =
-        attempts == 0 ? _state.loss.config().maxRetries + 1 : attempts;
-    if (!node.payTransmit(raw, paid) || attempts == 0) {
+    const auto tx = _state.loss.deliver(_state.rng);
+    if (!node.payTransmit(raw, tx.paid) || !tx.delivered) {
         ++_state.report.rtRequestsMissed;
         return;
     }
@@ -448,12 +438,10 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
                 break;
             // Ship the raw package over the chain (virtual buffers,
             // loss applies per transfer).
-            const int attempts = _state.loss.deliver(_state.rng);
-            const int paid = attempts == 0
-                ? _state.loss.config().maxRetries + 1 : attempts;
-            if (!from->payTransmit(raw, paid))
+            const auto tx = _state.loss.deliver(_state.rng);
+            if (!from->payTransmit(raw, tx.paid))
                 break;
-            if (attempts == 0) {
+            if (!tx.delivered) {
                 ++_state.report.txLost;
                 from->stats().txFailures.increment();
                 from->addPendingPackages(-1);
@@ -495,15 +483,13 @@ ChainEngine::executeAndTransmit(Node &node,
             break;
         if (node.executeTasks(1) == 0)
             break;
-        const int attempts = _state.loss.deliver(_state.rng);
-        const int paid = attempts == 0
-            ? _state.loss.config().maxRetries + 1 : attempts;
-        if (!node.payTransmit(result_bytes, paid)) {
+        const auto tx = _state.loss.deliver(_state.rng);
+        if (!node.payTransmit(result_bytes, tx.paid)) {
             // Processed but unshippable this slot.
             ++_state.report.txAborted;
             break;
         }
-        if (attempts == 0) {
+        if (!tx.delivered) {
             node.stats().txFailures.increment();
             ++_state.report.txLost;
             continue;
@@ -526,14 +512,12 @@ ChainEngine::executeAndTransmit(Node &node,
            node.canCompleteIncidental()) {
         if (node.executeIncidentalTasks(1) == 0)
             break;
-        const int attempts = _state.loss.deliver(_state.rng);
-        const int paid = attempts == 0
-            ? _state.loss.config().maxRetries + 1 : attempts;
-        if (!node.payTransmit(result_bytes, paid)) {
+        const auto tx = _state.loss.deliver(_state.rng);
+        if (!node.payTransmit(result_bytes, tx.paid)) {
             ++_state.report.txAborted;
             break;
         }
-        if (attempts == 0) {
+        if (!tx.delivered) {
             node.stats().txFailures.increment();
             ++_state.report.txLost;
             continue;
@@ -551,11 +535,9 @@ ChainEngine::executeAndTransmit(Node &node,
     if (!vp && node.pendingPackages() > 0 &&
         node.classify() == EnergyClass::Extra &&
         !node.canCompleteOnePackage()) {
-        const int attempts = _state.loss.deliver(_state.rng);
-        const int paid = attempts == 0
-            ? _state.loss.config().maxRetries + 1 : attempts;
-        if (node.payTransmit(_cfg.nodeTemplate.rawPackageBytes, paid) &&
-            attempts != 0 &&
+        const auto tx = _state.loss.deliver(_state.rng);
+        if (node.payTransmit(_cfg.nodeTemplate.rawPackageBytes, tx.paid) &&
+            tx.delivered &&
             relayToSink(scheduled, logical_idx,
                         _cfg.nodeTemplate.rawPackageBytes)) {
             node.addPendingPackages(-1);

@@ -184,6 +184,10 @@ class ChainEngine
 
     const Node &node(std::size_t physical_idx) const;
 
+    /** See FogSystem::setObserver. */
+    void setObserver(std::size_t physical_idx, NodeObserver *observer)
+    { _nodes.at(physical_idx)->setObserver(observer); }
+
     /**
      * Everything a snapshot archives of this chain.  The config, the
      * balancer, the shared trace, the node spec, the Node facades and

@@ -350,21 +350,19 @@ FogSystem::probeSeries() const
     return out;
 }
 
-report_io::LabeledSeries
-FogSystem::nodeEnergySeries(std::size_t chain, std::size_t physical_idx,
-                            std::size_t max_points) const
-{
-    const Node &n = node(chain, physical_idx);
-    return {"chain" + std::to_string(chain) + ".node" +
-                std::to_string(physical_idx) + ".stored_mj",
-            "mJ", n.stats().storedEnergyMj.downsampled(max_points)};
-}
-
 const Node &
 FogSystem::node(std::size_t chain, std::size_t physical_idx) const
 {
     NEOFOG_ASSERT(chain < _engines.size(), "chain index");
     return _engines[chain]->node(physical_idx);
+}
+
+void
+FogSystem::setObserver(std::size_t chain, std::size_t physical_idx,
+                       NodeObserver *observer)
+{
+    NEOFOG_ASSERT(chain < _engines.size(), "chain index");
+    _engines[chain]->setObserver(physical_idx, observer);
 }
 
 std::size_t

@@ -149,6 +149,15 @@ class FogSystem
     /** Per-(physical)-node access after run() for figure series. */
     const Node &node(std::size_t chain, std::size_t physical_idx) const;
 
+    /**
+     * Attach @p observer (not owned; nullptr detaches) to a physical
+     * node of the @p chain-th chain this system runs (counted from
+     * chainLo()) for the slots run() executes from here on, e.g. a
+     * StoredEnergyLog.  The chain's thread calls it.
+     */
+    void setObserver(std::size_t chain, std::size_t physical_idx,
+                     NodeObserver *observer);
+
     /** Number of physical nodes per chain. */
     std::size_t physicalPerChain() const;
 
@@ -164,15 +173,6 @@ class FogSystem
      * enabled probes (ScenarioConfig::probes).
      */
     std::vector<report_io::LabeledSeries> probeSeries() const;
-
-    /**
-     * One physical node's stored-energy series, export-ready (the
-     * path behind the CLI's --dump-energy), downsampled to at most
-     * @p max_points.
-     */
-    report_io::LabeledSeries
-    nodeEnergySeries(std::size_t chain, std::size_t physical_idx,
-                     std::size_t max_points = 400) const;
 
   private:
     /**

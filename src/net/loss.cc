@@ -38,14 +38,14 @@ LossModel::attempt(Rng &rng) const
     return ok;
 }
 
-int
+LossModel::Delivery
 LossModel::deliver(Rng &rng) const
 {
     for (int tries = 1; tries <= _cfg.maxRetries + 1; ++tries) {
         if (attempt(rng))
-            return tries;
+            return {tries, true};
     }
-    return 0;
+    return {_cfg.maxRetries + 1, false};
 }
 
 } // namespace neofog

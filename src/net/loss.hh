@@ -52,12 +52,18 @@ class LossModel
     /** Single-attempt success draw. */
     bool attempt(Rng &rng) const;
 
+    /** What one delivery with retries cost and whether it arrived. */
+    struct Delivery
+    {
+        int paid;       ///< attempts the sender pays for (1..maxRetries+1)
+        bool delivered; ///< whether one of them got through
+    };
+
     /**
-     * Deliver with retries.
-     * @return Number of attempts used (1..maxRetries+1), or 0 if all
-     *         attempts failed.
+     * Deliver with retries: attempt until one succeeds or all
+     * maxRetries+1 fail.  A failed delivery paid for every attempt.
      */
-    int deliver(Rng &rng) const;
+    Delivery deliver(Rng &rng) const;
 
     /** Effective per-attempt success probability. */
     double effectiveRate() const;

@@ -93,10 +93,10 @@ makeFrontEnd(OperatingMode mode)
 
 /** A node's fresh state; the spec's processor and radio stay shared. */
 NodeState
-freshState(const Node::Spec &spec, Rng rng)
+freshState(const Node::Spec &spec)
 {
     const Node::Config &cfg = spec.cfg;
-    return NodeState(rng, cfg.cap, cfg.rtc, cfg.buffer,
+    return NodeState(cfg.cap, cfg.rtc, cfg.buffer,
                      static_cast<std::size_t>(
                          std::max(1, cfg.packageDeadlineSlots)),
                      spec.rf->retainsState());
@@ -141,21 +141,21 @@ Node::Spec::Spec(const Config &config)
             .duration;
 }
 
-Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng)
+Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace)
     : _ownSpec(std::make_unique<const Spec>(cfg)), _spec(_ownSpec.get()),
       _trace(checkedTrace(std::move(trace), cfg.id)),
       // Standalone node: its state lives on this object's heap, so the
       // facade stays movable (the pointer survives a move).
-      _ownState(std::make_unique<NodeState>(freshState(*_spec, rng))),
+      _ownState(std::make_unique<NodeState>(freshState(*_spec))),
       _state(_ownState.get()), _id(cfg.id),
       _traceFast(_trace->hasFastIntegrate())
 {
 }
 
 Node::Node(const Spec &spec, std::uint32_t id,
-           std::unique_ptr<PowerTrace> trace, Rng rng, NodeShard &shard)
+           std::unique_ptr<PowerTrace> trace, NodeShard &shard)
     : _spec(&spec), _trace(checkedTrace(std::move(trace), id)),
-      _state(&shard.add(freshState(spec, rng))), _id(id),
+      _state(&shard.add(freshState(spec))), _id(id),
       _traceFast(_trace->hasFastIntegrate())
 {
 }
@@ -274,6 +274,9 @@ Node::beginSlotWithIncome(Tick slot_start, Tick slot_length,
     // but its sensor path is kept warm by the NV buffer controller; the
     // re-init cost is modeled identically since it is tiny either way.)
     s.sensorInitialized = false;
+
+    if (_observer)
+        _observer->onSlotBegin(_id, slot_start, cap.stored());
 }
 
 Energy
@@ -754,13 +757,6 @@ Node::remainingSlotTime() const
     return s.slotTimeUsed >= s.slotLength
         ? 0
         : s.slotLength - s.slotTimeUsed;
-}
-
-void
-Node::recordEnergyPoint(Tick now)
-{
-    _state->stats.storedEnergyMj.record(
-        now, capView().stored().millijoules());
 }
 
 void

@@ -57,7 +57,6 @@
 #include "hw/sensor.hh"
 #include "node/node_state.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
@@ -77,8 +76,9 @@ std::string operatingModeName(OperatingMode mode);
 
 /**
  * Observer hook for node activity: every paid phase is reported with
- * its tick, duration, and energy.  Intended for debugging, timeline
- * visualization, and tests that assert phase ordering; the system
+ * its tick, duration, and energy, and every slot start with the
+ * stored energy.  Intended for debugging, timeline visualization,
+ * figure series and tests that assert phase ordering; the system
  * simulator runs without one.
  */
 class NodeObserver
@@ -107,6 +107,31 @@ class NodeObserver
      */
     virtual void onPhase(std::uint32_t node_id, Phase phase, Tick start,
                          Tick duration, Energy energy) = 0;
+
+    /**
+     * A slot began: the capacitor holds @p stored at @p slot_start,
+     * after the slot's income was banked and before the node wakes.
+     */
+    virtual void onSlotBegin(std::uint32_t /*node_id*/,
+                             Tick /*slot_start*/, Energy /*stored*/) {}
+};
+
+/**
+ * One node's stored-energy curve: a (tick, mJ) point at the start of
+ * every slot it runs.  Nodes keep no history; attach this to watch one.
+ */
+class StoredEnergyLog : public NodeObserver
+{
+  public:
+    void onPhase(std::uint32_t, Phase, Tick, Tick, Energy) override {}
+    void onSlotBegin(std::uint32_t, Tick slot_start, Energy stored) override
+    { _series.record(slot_start, stored.millijoules()); }
+
+    /** The points so far, in slot order. */
+    const TimeSeries &series() const { return _series; }
+
+  private:
+    TimeSeries _series;
 };
 
 /** Display name of an observer phase. */
@@ -210,9 +235,8 @@ class Node
      * Standalone node: builds and owns its Spec and NodeState.
      * @param cfg Node configuration.
      * @param trace Ambient power income (owned).
-     * @param rng Node-private random stream.
      */
-    Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng);
+    Node(const Config &cfg, std::unique_ptr<PowerTrace> trace);
 
     /**
      * Chain node @p id: points at @p spec and appends its NodeState to
@@ -221,7 +245,7 @@ class Node
      * full chain beforehand.
      */
     Node(const Spec &spec, std::uint32_t id,
-         std::unique_ptr<PowerTrace> trace, Rng rng, NodeShard &shard);
+         std::unique_ptr<PowerTrace> trace, NodeShard &shard);
 
     std::uint32_t id() const { return _id; }
 
@@ -248,7 +272,8 @@ class Node
      * there is no gap) and @p slot_ambient must equal
      * trace().integrate(slot_start, slot_start + slot_length); the
      * arithmetic after the integrals is identical to beginSlot, so
-     * the two entry points are bit-identical.
+     * the two entry points are bit-identical.  Both end in the
+     * observer's onSlotBegin.
      */
     void beginSlotWithIncome(Tick slot_start, Tick slot_length,
                              Energy gap_ambient, Energy slot_ambient);
@@ -403,9 +428,6 @@ class Node
      */
     NodeState &state() { return *_state; }
     const NodeState &state() const { return *_state; }
-
-    /** Record the capacitor level into the stats time series. */
-    void recordEnergyPoint(Tick now);
 
     /**
      * Attach a phase observer (nullptr detaches).  Not owned; must

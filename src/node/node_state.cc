@@ -4,11 +4,11 @@
 
 namespace neofog {
 
-NodeState::NodeState(Rng rng_stream, const SuperCapacitor::Config &cap_cfg,
+NodeState::NodeState(const SuperCapacitor::Config &cap_cfg,
                      const Rtc::Config &rtc_cfg,
                      const NvBuffer::Config &buffer_cfg,
                      std::size_t pending_depth, bool nvrf_radio)
-    : rng(rng_stream), cap(SuperCapacitor::initialState(cap_cfg)),
+    : cap(SuperCapacitor::initialState(cap_cfg)),
       rtc(Rtc::initialState(rtc_cfg)), buffer(buffer_cfg),
       nvrf(nvrf_radio), pendingByAge(pending_depth, 0)
 {
@@ -73,11 +73,8 @@ NodeShard::residentBytes() const
 {
     std::size_t bytes =
         sizeof(NodeShard) + _states.capacity() * sizeof(NodeState);
-    for (const NodeState &s : _states) {
+    for (const NodeState &s : _states)
         bytes += s.pendingByAge.capacity() * sizeof(int);
-        bytes += s.stats.storedEnergyMj.points().capacity() *
-                 sizeof(TimeSeries::Point);
-    }
     return bytes;
 }
 

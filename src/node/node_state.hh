@@ -2,16 +2,17 @@
  * @file
  * The archived state of a node, and the per-chain store of it.
  *
- * A NodeState is exactly what a snapshot keeps of one node: the RNG
- * stream, the capacitor and RTC state, the sensor's configuration
- * latch, the NV buffer, the slot-lifecycle scalars, the per-slot cost
- * memos, the pending-package age queue and the statistics.  Everything
- * else a Node uses — its chain's Node::Spec (config, processor, radio,
- * front end, cost constants), power trace, observer, trace cursor — is
+ * A NodeState is exactly what a snapshot keeps of one node: the
+ * capacitor and RTC state, the sensor's configuration latch, the NV
+ * buffer, the slot-lifecycle scalars, the per-slot cost memos, the
+ * pending-package age queue and the statistics.  Everything else a
+ * Node uses — its chain's Node::Spec (config, processor, radio, front
+ * end, cost constants), power trace, observer, trace cursor — is
  * rebuilt from the scenario, so a resume reconstructs the Node and
  * overwrites only its NodeState.  NodeState::serialize is therefore
  * the one place a snapshot's node records land, and it rejects states
- * no run can produce.
+ * no run can produce.  It holds no random stream (its chain's feeds
+ * every draw) and no capacitor history (see StoredEnergyLog).
  *
  * A NodeShard holds the NodeStates of one chain in one vector,
  * reserved for the whole chain up front: each chain Node keeps a
@@ -54,7 +55,6 @@ struct NodeStats
     Counter txFailures;       ///< packets lost after all retries
     Counter samplesDiscarded; ///< buffer data dropped for lack of energy
     Counter rtcResyncs;       ///< RTC resynchronizations paid
-    TimeSeries storedEnergyMj; ///< capacitor level over time (mJ)
 
     Energy harvestedTotal;    ///< ambient energy seen
     Energy spentCompute;
@@ -80,7 +80,8 @@ struct NodeStats
         ar.io("tx_failures", txFailures);
         ar.io("samples_discarded", samplesDiscarded);
         ar.io("rtc_resyncs", rtcResyncs);
-        ar.io("stored_energy_mj", storedEnergyMj);
+        std::vector<TimeSeries::Point> none; // see NodeState::serialize
+        ar.io("stored_energy_mj.points", none);
         ar.io("harvested_total", harvestedTotal);
         ar.io("spent_compute", spentCompute);
         ar.io("spent_tx", spentTx);
@@ -102,12 +103,11 @@ struct NodeState
      *        queue (>= 1).
      * @param nvrf Whether the node's radio is an NVRF.
      */
-    NodeState(Rng rng, const SuperCapacitor::Config &cap_cfg,
+    NodeState(const SuperCapacitor::Config &cap_cfg,
               const Rtc::Config &rtc_cfg,
               const NvBuffer::Config &buffer_cfg,
               std::size_t pending_depth, bool nvrf);
 
-    Rng rng;
     SuperCapacitor::State cap;
     Rtc::State rtc;
     NvBuffer buffer;
@@ -143,13 +143,16 @@ struct NodeState
      * NVRF's configured latch.  Loading rejects any other radio value,
      * a buffer filled past its capacity, a queue depth other than the
      * configured one, and age counts that are negative or do not sum
-     * to pendingPackages.
+     * to pendingPackages.  Older files hold a node stream in rng and a
+     * history in stored_energy_mj.points; neither is restart state, so
+     * a load discards them, and a save writes a default Rng and none.
      */
     template <class Archive>
     void
     serialize(Archive &ar)
     {
-        ar.io("rng", rng);
+        Rng stream;
+        ar.io("rng", stream);
         ar.io("cap", cap);
         ar.io("rtc", rtc);
         ar.io("sensor.initialized", sensorInitialized);
@@ -227,8 +230,8 @@ class NodeShard
 
     /**
      * Bytes resident in the shard (capacity-based, including each
-     * node's age queue and stats series points).  The fleet bench
-     * divides this by rows() for its bytes_per_node key.
+     * node's age queue).  The fleet bench divides this by rows() for
+     * its bytes_per_node key.
      */
     std::size_t residentBytes() const;
 

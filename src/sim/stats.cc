@@ -54,8 +54,11 @@ TimeSeries::downsampled(std::size_t max_points) const
         (_points.size() + max_points - 1) / max_points;
     for (std::size_t i = 0; i < _points.size(); i += stride)
         out.push_back(_points[i]);
-    if (out.back().when != _points.back().when)
+    if (out.back().when != _points.back().when) {
+        if (out.size() == max_points)
+            out.pop_back();
         out.push_back(_points.back());
+    }
     return out;
 }
 

@@ -76,26 +76,14 @@ class TimeSeries
     };
 
     void record(Tick when, double value) { _points.push_back({when, value}); }
-    /** Pre-size for a known point count (one allocation, no growth). */
-    void reserve(std::size_t n) { _points.reserve(n); }
     const std::vector<Point> &points() const { return _points; }
-    bool empty() const { return _points.empty(); }
-    std::size_t size() const { return _points.size(); }
-    void reset() { _points.clear(); }
 
     /**
      * Downsample to at most @p max_points by keeping every k-th point
-     * (always keeps the final point).  Used when printing figures.
+     * and the final point, which replaces the last kept one when those
+     * already fill @p max_points.  Used when printing figures.
      */
     std::vector<Point> downsampled(std::size_t max_points) const;
-
-    /** Snapshot support (see src/snapshot/). */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("points", _points);
-    }
 
   private:
     std::vector<Point> _points;

@@ -134,8 +134,7 @@ TEST(TraceIo, InterpolatedCsvSmoothsSteps)
 TEST(Incidental, DisabledByDefault)
 {
     Node::Config cfg = presets::systemNodeTemplate();
-    auto node = Node(cfg, std::make_unique<ConstantTrace>(1.0_mW),
-                     Rng(1));
+    auto node = Node(cfg, std::make_unique<ConstantTrace>(1.0_mW));
     node.beginSlot(0, 12 * kSec);
     EXPECT_FALSE(node.canCompleteIncidental());
     node.tryWake();
@@ -146,8 +145,7 @@ TEST(Incidental, CheaperThanFullTask)
 {
     Node::Config cfg = presets::systemNodeTemplate();
     cfg.enableIncidentalComputing = true;
-    auto node = Node(cfg, std::make_unique<ConstantTrace>(1.0_mW),
-                     Rng(1));
+    auto node = Node(cfg, std::make_unique<ConstantTrace>(1.0_mW));
     node.beginSlot(0, 12 * kSec);
     EXPECT_LT(node.incidentalTaskCost().joules(),
               0.25 * node.taskCost().joules());
@@ -159,8 +157,7 @@ TEST(Incidental, SummarizesWhenFullTaskUnaffordable)
     cfg.enableIncidentalComputing = true;
     cfg.cap.initial = Energy::fromMillijoules(25.0);
     auto node = Node(cfg, std::make_unique<ConstantTrace>(
-                              Power::fromMicrowatts(200.0)),
-                     Rng(1));
+                              Power::fromMicrowatts(200.0)));
     node.beginSlot(0, 12 * kSec);
     ASSERT_TRUE(node.tryWake());
     ASSERT_TRUE(node.samplePackage());

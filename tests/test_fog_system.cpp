@@ -252,13 +252,47 @@ TEST(FogSystem, EnergyAccountingSane)
 
 TEST(FogSystem, StoredEnergySeriesRecorded)
 {
+    StoredEnergyLog log;
     FogSystem sys(smallScenario(OperatingMode::NosNvp, "tree"));
+    sys.setObserver(0, 3, &log);
     sys.run();
-    const auto &series = sys.node(0, 3).stats().storedEnergyMj;
-    EXPECT_GT(series.size(), 100u);
-    for (const auto &pt : series.points()) {
+    const auto &points = log.series().points();
+    EXPECT_GT(points.size(), 100u);
+    for (const auto &pt : points) {
         EXPECT_GE(pt.value, 0.0);
         EXPECT_LE(pt.value, 250.0 + 1e-9);
+    }
+}
+
+// A watched chain node logs one point per slot it is scheduled, at
+// that slot's start, on both income paths: the rain hoist
+// (ChainEngine::beginSlotBatch) and each node's own beginSlot.
+TEST(FogSystem, EnergyLogGetsOnePointPerScheduledSlot)
+{
+    for (const TraceKind kind :
+         {TraceKind::RainLow, TraceKind::ForestIndependent}) {
+        ScenarioConfig cfg =
+            smallScenario(OperatingMode::FiosNvMote, "distributed");
+        cfg.traceKind = kind;
+        cfg.multiplexing = 3;
+        // No rotation: clone p of a group runs the slots s = p mod 3.
+        cfg.membershipUpdateInterval = 0;
+        StoredEnergyLog logs[3];
+        FogSystem sys(cfg);
+        for (std::size_t p = 0; p < 3; ++p)
+            sys.setObserver(0, p, &logs[p]);
+        sys.run();
+        for (std::size_t p = 0; p < 3; ++p) {
+            const auto &points = logs[p].series().points();
+            const NodeStats &st = sys.node(0, p).stats();
+            EXPECT_EQ(points.size(),
+                      st.wakeups.value() + st.depletionFailures.value());
+            ASSERT_EQ(points.size(), 100u) << traceKindName(kind) << p;
+            for (std::size_t k = 0; k < points.size(); ++k)
+                EXPECT_EQ(points[k].when,
+                          static_cast<Tick>(p + 3 * k) * cfg.slotInterval)
+                    << traceKindName(kind) << ", node " << p << ", " << k;
+        }
     }
 }
 
@@ -347,9 +381,8 @@ TEST(ChainEngine, NodesShareOneSpec)
     }
 }
 
-// Node p's stream is the chain stream's p-th fork, and its rain gain
-// the draw right after that fork, whatever order a compiler evaluates
-// function arguments in.
+// The chain stream gives each node one draw it discards and then its
+// rain gain, node by node.
 TEST(ChainEngine, RainGainsReplayTheChainStream)
 {
     ScenarioConfig cfg = smallScenario(OperatingMode::FiosNvMote, "none");
@@ -360,15 +393,13 @@ TEST(ChainEngine, RainGainsReplayTheChainStream)
         std::make_shared<ConstantTrace>(Power::fromWatts(1.0)));
     Rng replay(41);
     for (std::size_t p = 0; p < engine.nodes().size(); ++p) {
-        Rng stream = replay.fork();
+        replay.next();
         const double gain =
             cfg.meanIncome.watts() * traces::rainNodeGain(replay);
-        const Node &node = engine.node(p);
-        EXPECT_EQ(static_cast<const ScaledTrace &>(node.trace()).scale(),
-                  gain)
+        EXPECT_EQ(
+            static_cast<const ScaledTrace &>(engine.node(p).trace()).scale(),
+            gain)
             << p;
-        Rng own = node.state().rng;
-        EXPECT_EQ(own.next(), stream.next()) << p;
     }
 }
 

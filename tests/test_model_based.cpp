@@ -41,7 +41,7 @@ TEST_P(NodeFuzzTest, RandomDrivesNeverBreakInvariants)
     auto trace = traces::makeForestTrace(
         trace_rng, 2 * kHour,
         Power::fromMilliwatts(rng.uniform(0.05, 8.0)));
-    Node node(cfg, std::move(trace), rng.fork());
+    Node node(cfg, std::move(trace));
 
     const Tick slot = 12 * kSec;
     Tick t = 0;

@@ -44,7 +44,7 @@ TEST(LossModel, RetriesReduceEndToEndLoss)
     int failures = 0;
     const int n = 100000;
     for (int i = 0; i < n; ++i) {
-        if (loss.deliver(rng) == 0)
+        if (!loss.deliver(rng).delivered)
             ++failures;
     }
     // P(3 consecutive failures) = 0.2^3 = 0.008.

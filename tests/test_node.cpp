@@ -50,7 +50,7 @@ makeNode(OperatingMode mode, Power income,
     const Node::Config cfg =
         use_override ? cfg_override : baseConfig(mode);
     return std::make_unique<Node>(
-        cfg, std::make_unique<ConstantTrace>(income), Rng(7));
+        cfg, std::make_unique<ConstantTrace>(income));
 }
 
 TEST(Node, ModeNames)
@@ -64,7 +64,7 @@ TEST(Node, ModeNames)
 TEST(Node, RequiresTrace)
 {
     EXPECT_THROW(
-        Node(baseConfig(OperatingMode::NosVp), nullptr, Rng(1)),
+        Node(baseConfig(OperatingMode::NosVp), nullptr),
         FatalError);
 }
 
@@ -75,7 +75,7 @@ TEST(Node, RequiresSensorBytesPerSample)
     Node::Config cfg = baseConfig(OperatingMode::NosVp);
     cfg.sensor.bytesPerSample = 0;
     EXPECT_THROW(
-        Node(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(1)),
+        Node(cfg, std::make_unique<ConstantTrace>(1.0_mW)),
         FatalError);
 }
 
@@ -129,7 +129,7 @@ TEST(Node, FirstSampleAfterBeginSlotPaysSensorInit)
     for (const OperatingMode mode :
          {OperatingMode::NosVp, OperatingMode::NosNvp}) {
         const Node::Config cfg = baseConfig(mode);
-        Node node(cfg, std::make_unique<ConstantTrace>(5.0_mW), Rng(7));
+        Node node(cfg, std::make_unique<ConstantTrace>(5.0_mW));
         SampleLog log;
         node.setObserver(&log);
         const SampleCosts cost = sampleCosts(cfg);
@@ -154,7 +154,7 @@ TEST(Node, SecondSampleInSlotSkipsSensorInit)
     for (const OperatingMode mode :
          {OperatingMode::NosVp, OperatingMode::NosNvp}) {
         const Node::Config cfg = baseConfig(mode);
-        Node node(cfg, std::make_unique<ConstantTrace>(5.0_mW), Rng(7));
+        Node node(cfg, std::make_unique<ConstantTrace>(5.0_mW));
         SampleLog log;
         node.setObserver(&log);
         node.beginSlot(0, kSlot);
@@ -389,14 +389,19 @@ TEST(Node, RelativeTaskCostReflectsSpendthrift)
     EXPECT_DOUBLE_EQ(vp->relativeTaskCost(), 1.0);
 }
 
+// A node keeps no history of its own: an attached StoredEnergyLog
+// gets one point per slot, at the slot's start.
 TEST(Node, EnergyPointRecording)
 {
+    StoredEnergyLog log;
     auto node = makeNode(OperatingMode::NosNvp, 1.0_mW);
+    node->setObserver(&log);
     node->beginSlot(0, kSlot);
-    node->recordEnergyPoint(0);
     node->beginSlot(kSlot, kSlot);
-    node->recordEnergyPoint(kSlot);
-    EXPECT_EQ(node->stats().storedEnergyMj.size(), 2u);
+    const auto &points = log.series().points();
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[0].when, 0);
+    EXPECT_EQ(points[1].when, kSlot);
 }
 
 TEST(Node, GapAccrualForMultiplexedClones)
@@ -464,8 +469,8 @@ TEST(Node, IncomeHoistMatchesPerNodeIntegration)
              {OperatingMode::NosVp, OperatingMode::NosNvp,
               OperatingMode::FiosNvMote}) {
             const Node::Config cfg = baseConfig(mode);
-            Node stepped(cfg, shape.trace(), Rng(7));
-            Node hoisted(cfg, shape.trace(), Rng(7));
+            Node stepped(cfg, shape.trace());
+            Node hoisted(cfg, shape.trace());
             std::minstd_rand gaps(20260808);
             const std::string what = std::string(shape.name) + ", " +
                                      operatingModeName(mode);
@@ -503,8 +508,8 @@ TEST(Node, FacadesBindTheirOwnShardRow)
     const Node::Spec spec(baseConfig(OperatingMode::FiosNvMote));
     NodeShard shard;
     shard.reserve(2);
-    Node a(spec, 1, std::make_unique<ConstantTrace>(3.0_mW), Rng(1), shard);
-    Node b(spec, 2, std::make_unique<ConstantTrace>(1.0_mW), Rng(2), shard);
+    Node a(spec, 1, std::make_unique<ConstantTrace>(3.0_mW), shard);
+    Node b(spec, 2, std::make_unique<ConstantTrace>(1.0_mW), shard);
     ASSERT_EQ(shard.rows(), 2u);
     EXPECT_EQ(&a.state(), &shard[0]);
     EXPECT_EQ(&b.state(), &shard[1]);
@@ -537,8 +542,8 @@ TEST(Node, StandaloneNodesOwnTheirSpecs)
 {
     Node::Config cfg = baseConfig(OperatingMode::FiosNvMote);
     cfg.id = 7;
-    Node a(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(1));
-    Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW), Rng(1));
+    Node a(cfg, std::make_unique<ConstantTrace>(1.0_mW));
+    Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW));
     EXPECT_NE(&a.spec(), &b.spec());
     EXPECT_NE(a.spec().cpu.get(), b.spec().cpu.get());
     EXPECT_NE(a.spec().rf.get(), b.spec().rf.get());
@@ -561,8 +566,7 @@ TEST(Node, SnapshotRestoresDesyncedRtc)
     cfg.rtc.cap.initial = Energy::fromMicrojoules(50.0);
     cfg.rtc.cap.capacity = Energy::fromMillijoules(1.0);
     const auto make = [&] {
-        return Node(cfg, std::make_unique<ConstantTrace>(Power::zero()),
-                    Rng(9));
+        return Node(cfg, std::make_unique<ConstantTrace>(Power::zero()));
     };
     Node node = make();
     Tick t = 0;
@@ -591,7 +595,7 @@ NodeState
 plainState(const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
            std::size_t pending_depth = 1)
 {
-    return NodeState(Rng(1), cap, rtc, NvBuffer::Config{}, pending_depth,
+    return NodeState(cap, rtc, NvBuffer::Config{}, pending_depth,
                      /*nvrf=*/false);
 }
 

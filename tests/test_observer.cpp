@@ -43,7 +43,7 @@ makeNode(RecordingObserver *obs)
     Node::Config cfg = presets::systemNodeTemplate();
     cfg.id = 42;
     auto node = std::make_unique<Node>(
-        cfg, std::make_unique<ConstantTrace>(8.0_mW), Rng(1));
+        cfg, std::make_unique<ConstantTrace>(8.0_mW));
     node->setObserver(obs);
     return node;
 }
@@ -97,6 +97,40 @@ TEST(Observer, PhaseNamesComplete)
                    NodeObserver::Phase::Receive,
                    NodeObserver::Phase::Control})
         EXPECT_NE(phaseName(p), "?");
+}
+
+// A slot's point is the stored energy right after the slot's income is
+// banked, through either entry point; the phases that follow add none.
+TEST(Observer, SlotBeginReportsStoredAfterBanking)
+{
+    const Tick slot = 12 * kSec;
+    for (const bool hoisted : {false, true}) {
+        StoredEnergyLog log;
+        auto node = makeNode(nullptr);
+        node->setObserver(&log);
+        std::vector<double> expected;
+        for (int s = 0; s < 3; ++s) {
+            // Every other slot, so a gap accrues before each turn.
+            const Tick t = 2 * s * slot;
+            if (hoisted) {
+                const PowerTrace &trace = node->trace();
+                node->beginSlotWithIncome(
+                    t, slot, trace.integrate(node->lastAccrualTime(), t),
+                    trace.integrate(t, t + slot));
+            } else {
+                node->beginSlot(t, slot);
+            }
+            expected.push_back(node->stored().millijoules());
+            ASSERT_TRUE(node->tryWake());
+            ASSERT_TRUE(node->samplePackage());
+        }
+        const auto &points = log.series().points();
+        ASSERT_EQ(points.size(), 3u) << hoisted;
+        for (std::size_t k = 0; k < points.size(); ++k) {
+            EXPECT_EQ(points[k].when, static_cast<Tick>(2 * k) * slot);
+            EXPECT_EQ(points[k].value, expected[k]) << hoisted << k;
+        }
+    }
 }
 
 TEST(Observer, ControlAndReceivePhasesReported)

@@ -101,12 +101,10 @@ TEST(FrequencyScaling, SlowsTasksAtLowIncome)
     Node::Config cfg = presets::systemNodeTemplate();
     cfg.enableFrequencyScaling = true;
     Node scaled(cfg, std::make_unique<ConstantTrace>(
-                         Power::fromMicrowatts(300.0)),
-                Rng(3));
+                         Power::fromMicrowatts(300.0)));
     Node::Config cfg2 = presets::systemNodeTemplate();
     Node nominal(cfg2, std::make_unique<ConstantTrace>(
-                           Power::fromMicrowatts(300.0)),
-                 Rng(3));
+                           Power::fromMicrowatts(300.0)));
     scaled.beginSlot(0, 12 * kSec);
     nominal.beginSlot(0, 12 * kSec);
     EXPECT_GT(scaled.taskComputeTime(), 2 * nominal.taskComputeTime());
@@ -116,10 +114,9 @@ TEST(FrequencyScaling, NoEffectAtHighIncome)
 {
     Node::Config cfg = presets::systemNodeTemplate();
     cfg.enableFrequencyScaling = true;
-    Node scaled(cfg, std::make_unique<ConstantTrace>(50.0_mW), Rng(3));
+    Node scaled(cfg, std::make_unique<ConstantTrace>(50.0_mW));
     Node::Config cfg2 = presets::systemNodeTemplate();
-    Node nominal(cfg2, std::make_unique<ConstantTrace>(50.0_mW),
-                 Rng(3));
+    Node nominal(cfg2, std::make_unique<ConstantTrace>(50.0_mW));
     scaled.beginSlot(0, 12 * kSec);
     nominal.beginSlot(0, 12 * kSec);
     EXPECT_EQ(scaled.taskComputeTime(), nominal.taskComputeTime());

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -474,7 +475,6 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
 {
     EXPECT_EQ(sizeof(Rng), 48u);
     EXPECT_EQ(sizeof(Counter), 8u);
-    EXPECT_EQ(sizeof(TimeSeries), 24u);
     EXPECT_EQ(sizeof(RingSeries), 48u);
     EXPECT_EQ(sizeof(ProbeConfig), 24u);
     EXPECT_EQ(sizeof(NvBuffer), 56u);
@@ -482,10 +482,10 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(RfState), 48u);
     EXPECT_EQ(sizeof(LossModel), 40u);
     EXPECT_EQ(sizeof(ChainProbe), 192u);
-    EXPECT_EQ(sizeof(NodeStats), 168u);
+    EXPECT_EQ(sizeof(NodeStats), 144u);
     EXPECT_EQ(sizeof(SuperCapacitor::State), 40u);
     EXPECT_EQ(sizeof(Rtc::State), 56u);
-    EXPECT_EQ(sizeof(NodeState), 472u);
+    EXPECT_EQ(sizeof(NodeState), 400u);
     EXPECT_EQ(sizeof(ChainState), 568u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
@@ -850,8 +850,8 @@ freshNodeState(std::size_t buffer_bytes = 1024, std::size_t depth = 2)
 {
     NvBuffer::Config buffer;
     buffer.capacityBytes = buffer_bytes;
-    return NodeState(Rng(5), SuperCapacitor::Config{}, Rtc::Config{},
-                     buffer, depth, /*nvrf=*/false);
+    return NodeState(SuperCapacitor::Config{}, Rtc::Config{}, buffer,
+                     depth, /*nvrf=*/false);
 }
 
 /** @p state archived as node1 of chain0. */
@@ -1505,9 +1505,9 @@ TEST(Resume, RefusesProbeRingHeadPastCapacity)
     EXPECT_NE(err.find(record), std::string::npos) << err;
 }
 
-/** Flag set A's slot-40 snapshot (FIOS rain chains, NVRF radios). */
-Snapshot
-flagSetASnapshot(const ScratchDir &dir)
+/** Flag set A: FIOS rain chains at multiplexing 3, NVRF radios. */
+ScenarioConfig
+flagSetA()
 {
     ScenarioConfig cfg = cliDefaults();
     cfg.traceKind = TraceKind::RainLow;
@@ -1515,7 +1515,116 @@ flagSetASnapshot(const ScratchDir &dir)
     cfg.horizon = kHour;
     cfg.multiplexing = 3;
     cfg.seed = 13;
-    return slot40Snapshot(cfg, dir);
+    return cfg;
+}
+
+/** Flag set A's slot-40 snapshot. */
+Snapshot
+flagSetASnapshot(const ScratchDir &dir)
+{
+    return slot40Snapshot(flagSetA(), dir);
+}
+
+/** Replace each record of @p blob that @p records holds a new one of. */
+void
+replaceRecords(std::string &blob, const std::string &records)
+{
+    RecordReader reader(records);
+    Record rec;
+    std::size_t start = 0;
+    while (reader.next(rec)) {
+        replaceRecord(blob, rec.path,
+                      records.substr(start, reader.position() - start));
+        start = reader.position();
+    }
+}
+
+// Files older builds wrote hold each node's capacitor history and a
+// stream forked for the node.  Neither is restart state, so such a
+// file resumes and finishes on the uninterrupted report.
+TEST(Resume, FilesWithNodeHistoryAndStreamsResume)
+{
+    const ScratchDir dir("resume_node_history");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    const SystemReport uninterrupted = FogSystem(flagSetA()).run();
+
+    OutArchive ar;
+    ar.pushScope("chain0.node3");
+    std::vector<TimeSeries::Point> history;
+    for (int k = 0; k < 14; ++k)
+        history.push_back({3 * k * 12 * kSec, 60.0 + k});
+    ar.io("stats.stored_energy_mj.points", history);
+    Rng forked = Rng(13).fork();
+    ar.io("rng", forked);
+    const std::string records = ar.take();
+
+    Snapshot older = pristine;
+    for (snapshot::Section &section : older.sections) {
+        if (section.name != "chain0")
+            continue;
+        replaceRecords(section.data, records);
+        EXPECT_EQ(section.data.size(),
+                  pristine.find("chain0")->data.size() +
+                      14 * sizeof(TimeSeries::Point));
+    }
+    const std::string path = dir.file("older.nfsnap");
+    snapshot::writeSnapshot(path, older);
+    const auto resumed = FogSystem::resume(path);
+    EXPECT_EQ(resumed->resumeSlot(), 40);
+    EXPECT_EQ(resumed->run(), uninterrupted);
+}
+
+// A node's records do not grow with the slot index: flag set A's
+// chain0 section has one size at slots 40 and 280, and in it every
+// node's history record is empty and its rng records hold a default
+// Rng.
+TEST(SnapshotSchema, NodeRecordsDoNotGrowWithTheHorizon)
+{
+    const ScratchDir dir("snapshot_node_bytes");
+    ScenarioConfig cfg = flagSetA();
+    cfg.snapshot.everySlots = 40;
+    cfg.snapshot.dir = dir.path();
+    FogSystem(cfg).run();
+
+    OutArchive fixed;
+    Rng stream;
+    fixed.io("rng", stream);
+    std::vector<TimeSeries::Point> none;
+    fixed.io("stored_energy_mj.points", none);
+    const std::string fixed_records = fixed.take();
+    std::map<std::string, std::string> want; // field -> payload
+    RecordReader fixed_reader(fixed_records);
+    Record rec;
+    while (fixed_reader.next(rec))
+        want[std::string(rec.path)] = std::string(rec.payload);
+
+    std::size_t bytes[2] = {};
+    for (const std::int64_t slot : {40, 280}) {
+        const Snapshot snap = snapshot::readSnapshot(
+            dir.file(snapshot::snapshotFileName(slot)));
+        const snapshot::Section *sec = snap.find("chain0");
+        ASSERT_NE(sec, nullptr);
+        bytes[slot == 280] = sec->data.size();
+        std::size_t checked = 0;
+        RecordReader reader(sec->data);
+        while (reader.next(rec)) {
+            const std::string path(rec.path);
+            if (path.rfind("chain0.node", 0) != 0)
+                continue;
+            std::string field = path.substr(path.find('.', 7) + 1);
+            if (field.rfind("stats.", 0) == 0)
+                field = field.substr(6);
+            const auto it = want.find(field);
+            if (it == want.end())
+                continue;
+            EXPECT_EQ(std::string(rec.payload), it->second)
+                << path << " at slot " << slot;
+            ++checked;
+        }
+        // 30 nodes, 6 rng records and one history record each.
+        EXPECT_EQ(checked, 30u * 7u) << "slot " << slot;
+    }
+    EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 // heal() indexes alive_last_slot once per logical node, so a chain

@@ -69,23 +69,35 @@ TEST(ScalarStat, WelfordMatchesNaiveOnLargeValues)
 TEST(TimeSeries, RecordsPoints)
 {
     TimeSeries t;
-    EXPECT_TRUE(t.empty());
+    EXPECT_TRUE(t.points().empty());
     t.record(10, 1.0);
     t.record(20, 2.0);
-    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.points().size(), 2u);
     EXPECT_EQ(t.points()[0].when, 10);
     EXPECT_DOUBLE_EQ(t.points()[1].value, 2.0);
 }
 
+// The strided points fill the cap and miss the final point, which
+// then replaces the last strided one: the cap holds and both ends stay.
 TEST(TimeSeries, DownsampleKeepsEnds)
 {
-    TimeSeries t;
-    for (Tick i = 0; i < 1000; ++i)
-        t.record(i, static_cast<double>(i));
-    const auto down = t.downsampled(10);
-    EXPECT_LE(down.size(), 12u);
-    EXPECT_EQ(down.front().when, 0);
-    EXPECT_EQ(down.back().when, 999);
+    struct Case
+    {
+        Tick points;
+        std::size_t cap;
+        Tick secondLast; ///< the last strided point that stays
+    };
+    for (const Case &c : {Case{1000, 10, 800}, Case{1200, 400, 1194}}) {
+        TimeSeries t;
+        for (Tick i = 0; i < c.points; ++i)
+            t.record(i, static_cast<double>(i));
+        const auto down = t.downsampled(c.cap);
+        ASSERT_EQ(down.size(), c.cap) << c.points;
+        EXPECT_EQ(down.front().when, 0);
+        EXPECT_EQ(down[c.cap - 2].when, c.secondLast);
+        EXPECT_EQ(down.back().when, c.points - 1);
+        EXPECT_EQ(down.back().value, static_cast<double>(c.points - 1));
+    }
 }
 
 TEST(TimeSeries, DownsampleNoopWhenSmall)

@@ -113,16 +113,20 @@ TEST(SystemEndurance, ThreeDayRunStaysSane)
     ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
     cfg.horizon = 3 * 24 * kHour;
     cfg.seed = 77;
+    StoredEnergyLog logs[10];
     FogSystem sys(cfg);
+    for (std::size_t i = 0; i < 10; ++i)
+        sys.setObserver(0, i, &logs[i]);
     const SystemReport r = sys.run();
     EXPECT_EQ(r.wakeups + r.depletionFailures, cfg.idealPackages());
     EXPECT_GT(r.totalProcessed(), 0u);
     // Night slots produce nothing, so yield is well below daytime
     // levels but the run completes and the accounting balances.
     EXPECT_LE(r.totalProcessed(), r.packagesSampled);
-    for (std::size_t i = 0; i < 10; ++i) {
-        const auto &series = sys.node(0, i).stats().storedEnergyMj;
-        for (const auto &pt : series.points())
+    for (const StoredEnergyLog &log : logs) {
+        EXPECT_EQ(log.series().points().size(),
+                  static_cast<std::size_t>(cfg.slotCount()));
+        for (const auto &pt : log.series().points())
             EXPECT_GE(pt.value, -1e-9);
     }
 }
