@@ -66,8 +66,8 @@ main()
     ResultSink sink("ablation_forward_progress");
     IntermittentExecution::Config cfg;
     for (const Profile &p : profiles) {
-        NvProcessor nvp{NvProcessor::fiosConfig()};
-        VolatileProcessor vp;
+        const Processor nvp = Processor::fiosNvp();
+        const Processor vp = Processor::volatileMcu();
         auto nv_cfg = cfg;
         nv_cfg.frontend = FrontEnd::makeFios().config();
         auto vp_cfg = cfg;

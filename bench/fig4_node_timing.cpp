@@ -32,9 +32,9 @@ main()
            "Total"});
     t.separator();
 
-    auto print_system = [&](const std::string &label, Processor &cpu,
-                            RfModule &rf, SensorSpec sensor) {
-        const double wake_ms = msFromTicks(cpu.wakeLatency());
+    auto print_system = [&](const std::string &label, const Processor &cpu,
+                            const Radio &rf, SensorSpec sensor) {
+        const double wake_ms = msFromTicks(cpu.wakeLatency);
         const double sensor_ms =
             msFromTicks(sensor.initLatency + sensor.sampleLatency);
         const RfPhase init = rf.initCost();
@@ -53,35 +53,20 @@ main()
                fmt(tx.energy.millijoules(), 2) + " mJ", ""});
     };
 
-    {
-        VolatileProcessor vp;
-        SoftwareRf rf;
-        print_system("NOS-VP", vp, rf, sensors::tmp101());
-    }
-    {
-        NvProcessor nvp;
-        SoftwareRf rf{SoftwareRf::nvmDirectConfig()};
-        print_system("NOS-NVP", nvp, rf, sensors::tmp101());
-    }
-    {
-        NvProcessor nvp{NvProcessor::fiosConfig()};
-        NvRfController rf;
-        rf.configure();
-        print_system("FIOS NV-mote", nvp, rf, sensors::tmp101());
-    }
+    const Radio sw_vp = Radio::software();
+    const Radio sw_nvm = Radio::nvmDirect();
+    const Radio nvrf = Radio::nvrf();
+    print_system("NOS-VP", Processor::volatileMcu(), sw_vp,
+                 sensors::tmp101());
+    print_system("NOS-NVP", Processor::nosNvp(), sw_nvm, sensors::tmp101());
+    print_system("FIOS NV-mote", Processor::fiosNvp(), nvrf,
+                 sensors::tmp101());
 
     // Headline derived ratios.
-    SoftwareRf sw_vp;
-    SoftwareRf sw_nvm{SoftwareRf::nvmDirectConfig()};
-    NvRfController nvrf;
-    nvrf.configure();
-
     const double init_vs_nvm =
-        msFromTicks(sw_nvm.swConfig().initLatency) /
-        msFromTicks(nvrf.nvConfig().selfInitLatency);
+        msFromTicks(sw_nvm.initLatency) / msFromTicks(nvrf.initLatency);
     const double init_vs_sw =
-        msFromTicks(sw_vp.swConfig().initLatency) /
-        msFromTicks(nvrf.nvConfig().selfInitLatency);
+        msFromTicks(sw_vp.initLatency) / msFromTicks(nvrf.initLatency);
     out("\nDerived ratios (paper in parentheses):\n");
     out("  RF init speedup, NVRF vs NVM-direct: %.1fx (27x)\n",
                 init_vs_nvm);
@@ -103,12 +88,12 @@ main()
                 "%.1fx at %zu B (6.2x), %.1fx at %zu B\n",
                 tx_adv_bulk, bulk, tx_adv_small, payload);
 
-    NvProcessor nos_nvp;
-    VolatileProcessor vp;
-    const double wake_vp = static_cast<double>(vp.wakeLatency());
-    const double wake_nvp = static_cast<double>(nos_nvp.wakeLatency());
-    const double wake_fios = static_cast<double>(
-        NvProcessor{NvProcessor::fiosConfig()}.wakeLatency());
+    const double wake_vp =
+        static_cast<double>(Processor::volatileMcu().wakeLatency);
+    const double wake_nvp =
+        static_cast<double>(Processor::nosNvp().wakeLatency);
+    const double wake_fios =
+        static_cast<double>(Processor::fiosNvp().wakeLatency);
     out("  CPU wake: VP %.0f us vs NOS-NVP %.0f us vs FIOS "
                 "%.0f us (300/32/7 us)\n",
                 wake_vp, wake_nvp, wake_fios);
@@ -133,37 +118,27 @@ main()
         for (int i = 0; i < n && i < 60; ++i)
             out("%c", c);
     };
-    {
-        SoftwareRf rf;
-        out("  %-10s", "NOS-VP");
-        bar('.', 0.3);
-        bar('s', msFromTicks(sensors::tmp101().initLatency));
-        bar('i', msFromTicks(rf.swConfig().initLatency));
-        bar('j', msFromTicks(rf.swConfig().rejoinLatency));
-        bar('T', msFromTicks(rf.txCost(payload).duration));
-        out("\n");
-    }
-    {
-        SoftwareRf rf{SoftwareRf::nvmDirectConfig()};
-        out("  %-10s", "NOS-NVP");
-        bar('.', 0.032);
-        bar('s', msFromTicks(sensors::tmp101().initLatency));
-        bar('i', msFromTicks(rf.swConfig().initLatency));
-        bar('j', msFromTicks(rf.swConfig().rejoinLatency));
-        bar('T', msFromTicks(rf.txCost(payload).duration));
-        out("\n");
-    }
-    {
-        NvRfController rf;
-        rf.configure();
-        out("  %-10s", "FIOS");
-        bar('.', 0.007);
-        bar('s', msFromTicks(sensors::tmp101().initLatency));
-        bar('C', 400.0); // complex fog computing on direct power
-        bar('i', msFromTicks(rf.nvConfig().selfInitLatency));
-        bar('T', msFromTicks(rf.txCost(payload).duration));
-        out("\n");
-    }
+    out("  %-10s", "NOS-VP");
+    bar('.', 0.3);
+    bar('s', msFromTicks(sensors::tmp101().initLatency));
+    bar('i', msFromTicks(sw_vp.initLatency));
+    bar('j', msFromTicks(sw_vp.rejoinLatency));
+    bar('T', msFromTicks(sw_vp.txCost(payload).duration));
+    out("\n");
+    out("  %-10s", "NOS-NVP");
+    bar('.', 0.032);
+    bar('s', msFromTicks(sensors::tmp101().initLatency));
+    bar('i', msFromTicks(sw_nvm.initLatency));
+    bar('j', msFromTicks(sw_nvm.rejoinLatency));
+    bar('T', msFromTicks(sw_nvm.txCost(payload).duration));
+    out("\n");
+    out("  %-10s", "FIOS");
+    bar('.', 0.007);
+    bar('s', msFromTicks(sensors::tmp101().initLatency));
+    bar('C', 400.0); // complex fog computing on direct power
+    bar('i', msFromTicks(nvrf.initLatency));
+    bar('T', msFromTicks(nvrf.txCost(payload).duration));
+    out("\n");
     out("\n  The FIOS activation spends its time computing "
                 "('C'), not waiting on the\n  radio ('i'/'j'/'T') — "
                 "the Fig 1 shift from RF-dominated to compute-"

@@ -28,22 +28,22 @@ demonstrateCloning()
     std::printf("== Algorithm 2: joining the network by cloning NVRF "
                 "state ==\n");
 
-    // An established node with live network state.
-    NvRfController veteran;
-    veteran.configure();
-    veteran.state().channel = 17;
-    veteran.state().routeVersion = 9;
-    veteran.state().associatedDevList = {12, 14};
+    // An established node's NVRF register file with live network
+    // state.
+    RfState veteran;
+    veteran.channel = 17;
+    veteran.routeVersion = 9;
+    veteran.associatedDevList = {12, 14};
 
     // A freshly air-dropped node joins by cloning it.
-    NvRfController rookie;
-    const JoinCost cost = Nvd4qManager::joinCost(rookie, veteran);
+    RfState rookie;
+    const JoinCost cost =
+        Nvd4qManager::joinCost(Radio::nvrf(), rookie, veteran);
     std::printf("  join took %.1f ms and %.3f mJ; channel %d and %zu "
                 "neighbours inherited,\n  no network reconstruction "
                 "needed\n",
                 msFromTicks(cost.duration), cost.energy.millijoules(),
-                rookie.state().channel,
-                rookie.state().associatedDevList.size());
+                rookie.channel, rookie.associatedDevList.size());
 
     // Clone groups over a dense deployment.
     Rng rng(3);

@@ -86,7 +86,7 @@ compareStrategies()
                 -p.energySavedRatio() * 100.0);
 
     // How long does the batch take on the fabricated 1 MHz NVP?
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     const auto inst = p.bufferedInstructionsFor(AppProfile::kBatchBytes);
     std::printf("  batch compute on the 1 MHz NVP: %.1f s of "
                 "(intermittent) execution, %.1f mJ\n\n",

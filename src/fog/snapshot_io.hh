@@ -28,6 +28,25 @@
 namespace neofog {
 
 /**
+ * Archive enum @p value as its integer.  Loading refuses an integer
+ * that names no enumerator of this build (0 through @p last).
+ */
+template <class Archive, class Enum>
+void
+ioEnum(Archive &ar, std::string_view name, Enum &value, Enum last)
+{
+    int raw = static_cast<int>(value);
+    ar.io(name, raw);
+    if constexpr (Archive::isLoading) {
+        if (raw < 0 || raw > static_cast<int>(last))
+            fatal("snapshot config has ", ar.path(name), " = ", raw,
+                  ", which names no value of this build (0 to ",
+                  static_cast<int>(last), ")");
+        value = static_cast<Enum>(raw);
+    }
+}
+
+/**
  * Archive every result-relevant Node::Config field.  Enums travel as
  * their integer values; size_t fields widen to u64 on the wire.
  */
@@ -36,10 +55,7 @@ void
 serializeNodeConfig(Archive &ar, Node::Config &n)
 {
     ar.io("id", n.id);
-    int mode = static_cast<int>(n.mode);
-    ar.io("mode", mode);
-    if constexpr (Archive::isLoading)
-        n.mode = static_cast<OperatingMode>(mode);
+    ioEnum(ar, "mode", n.mode, OperatingMode::FiosNvMote);
     ar.io("cap", n.cap);
     ar.io("rtc", n.rtc);
     ar.io("sensor", n.sensor);
@@ -84,16 +100,15 @@ serializeScenario(Archive &ar, ScenarioConfig &cfg)
     ar.io("multiplexing", cfg.multiplexing);
     ar.io("horizon", cfg.horizon);
     ar.io("slot_interval", cfg.slotInterval);
-    int trace = static_cast<int>(cfg.traceKind);
-    ar.io("trace_kind", trace);
-    if constexpr (Archive::isLoading)
-        cfg.traceKind = static_cast<TraceKind>(trace);
+    ioEnum(ar, "trace_kind", cfg.traceKind, TraceKind::Constant);
     ar.io("profile_index", cfg.profileIndex);
+    if constexpr (Archive::isLoading) {
+        if (cfg.profileIndex < 0)
+            fatal("snapshot config has ", ar.path("profile_index"), " = ",
+                  cfg.profileIndex, ": day profiles count from 0");
+    }
     ar.io("mean_income", cfg.meanIncome);
-    int mode = static_cast<int>(cfg.mode);
-    ar.io("mode", mode);
-    if constexpr (Archive::isLoading)
-        cfg.mode = static_cast<OperatingMode>(mode);
+    ioEnum(ar, "mode", cfg.mode, OperatingMode::FiosNvMote);
     // The full balancer spec — policy name plus non-default
     // parameters, canonicalized by the FogSystem constructor — so a
     // resume under a differently *tuned* policy (not just a

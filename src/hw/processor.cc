@@ -1,35 +1,31 @@
 #include "hw/processor.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.hh"
 
 namespace neofog {
 
-SpendthriftPolicy::SpendthriftPolicy()
-    : SpendthriftPolicy(Config{})
+void
+SpendthriftPolicy::validate() const
 {
-}
-
-SpendthriftPolicy::SpendthriftPolicy(const Config &cfg)
-    : _cfg(cfg)
-{
-    if (_cfg.lowIncome >= _cfg.highIncome)
+    if (lowIncome >= highIncome)
         fatal("Spendthrift income corner points reversed");
-    if (_cfg.maxBenefit < _cfg.minBenefit || _cfg.minBenefit < 1.0)
+    if (maxBenefit < minBenefit || minBenefit < 1.0)
         fatal("Spendthrift benefits must satisfy max >= min >= 1");
 }
 
 double
 SpendthriftPolicy::benefit(Power income) const
 {
-    if (income <= _cfg.lowIncome)
-        return _cfg.maxBenefit;
-    if (income >= _cfg.highIncome)
-        return _cfg.minBenefit;
-    const double t = (income.watts() - _cfg.lowIncome.watts()) /
-                     (_cfg.highIncome.watts() - _cfg.lowIncome.watts());
-    return _cfg.maxBenefit + t * (_cfg.minBenefit - _cfg.maxBenefit);
+    if (income <= lowIncome)
+        return maxBenefit;
+    if (income >= highIncome)
+        return minBenefit;
+    const double t = (income.watts() - lowIncome.watts()) /
+                     (highIncome.watts() - lowIncome.watts());
+    return maxBenefit + t * (minBenefit - maxBenefit);
 }
 
 double
@@ -37,29 +33,74 @@ SpendthriftPolicy::frequencyScale(Power income) const
 {
     // Scale frequency with income between 25% and 100%: a node seeing a
     // trickle clocks down so conversion losses shrink.
-    if (income >= _cfg.highIncome)
+    if (income >= highIncome)
         return 1.0;
-    if (income <= _cfg.lowIncome)
+    if (income <= lowIncome)
         return 0.25;
-    const double t = (income.watts() - _cfg.lowIncome.watts()) /
-                     (_cfg.highIncome.watts() - _cfg.lowIncome.watts());
+    const double t = (income.watts() - lowIncome.watts()) /
+                     (highIncome.watts() - lowIncome.watts());
     return 0.25 + 0.75 * t;
 }
 
-Processor::Processor(const Config &cfg)
-    : _cfg(cfg)
+namespace {
+
+/** The 8051 core at @p mhz: active power scales with the clock, so the
+ *  energy per instruction stays at the measured 2.508 nJ. */
+Processor
+coreAt(double mhz)
 {
-    if (_cfg.frequencyHz <= 0.0)
-        fatal("processor frequency must be positive");
-    if (_cfg.cyclesPerInstruction <= 0.0)
-        fatal("cyclesPerInstruction must be positive");
+    if (!(mhz > 0.0) || !std::isfinite(mhz))
+        fatal("processor clock must be positive and finite, got ", mhz,
+              " MHz");
+    Processor p;
+    p.frequencyHz = mhz * 1e6;
+    p.activePower = Power::fromMilliwatts(0.209 * mhz);
+    return p;
+}
+
+} // namespace
+
+Processor
+Processor::volatileMcu(double mhz)
+{
+    Processor p = coreAt(mhz);
+    p.wakeLatency = 300 * kUs;
+    p.wakeExtraEnergy = Energy::fromMicrojoules(150.0);
+    return p;
+}
+
+Processor
+Processor::nosNvp(double mhz)
+{
+    Processor p = coreAt(mhz);
+    p.nonvolatile = true;
+    p.wakeLatency = 32 * kUs;
+    p.wakeExtraEnergy = Energy::fromNanojoules(80.0);
+    p.backupLatency = 10 * kUs;
+    p.backupEnergy = Energy::fromNanojoules(120.0);
+    p.spendthrift = SpendthriftPolicy{};
+    return p;
+}
+
+Processor
+Processor::fiosNvp(double mhz)
+{
+    Processor p = nosNvp(mhz);
+    p.wakeLatency = 7 * kUs;
+    return p;
+}
+
+Energy
+Processor::wakeEnergy() const
+{
+    return activePower * wakeLatency + wakeExtraEnergy;
 }
 
 Tick
 Processor::computeTime(std::uint64_t instructions) const
 {
     const double seconds = static_cast<double>(instructions) *
-                           _cfg.cyclesPerInstruction / _cfg.frequencyHz;
+                           cyclesPerInstruction / frequencyHz;
     return std::max<Tick>(ticksFromSeconds(seconds), 0);
 }
 
@@ -69,85 +110,16 @@ Processor::computeEnergy(std::uint64_t instructions) const
     // Computed analytically (not via integer ticks) so the per-
     // instruction energy is exact at any clock frequency.
     const double seconds = static_cast<double>(instructions) *
-                           _cfg.cyclesPerInstruction / _cfg.frequencyHz;
-    return Energy::fromJoules(_cfg.activePower.watts() * seconds);
+                           cyclesPerInstruction / frequencyHz;
+    return Energy::fromJoules(activePower.watts() * seconds);
 }
 
 Energy
-Processor::instructionEnergy() const
+Processor::effectiveComputeEnergy(std::uint64_t instructions,
+                                  Power income) const
 {
-    return computeEnergy(1);
-}
-
-VolatileProcessor::VolatileProcessor()
-    : VolatileProcessor(VpConfig{})
-{
-}
-
-VolatileProcessor::VolatileProcessor(const VpConfig &cfg)
-    : Processor(cfg.base), _vp(cfg)
-{
-}
-
-Tick
-VolatileProcessor::wakeLatency() const
-{
-    return _vp.restartLatency;
-}
-
-Energy
-VolatileProcessor::wakeEnergy() const
-{
-    return _cfg.activePower * _vp.restartLatency + _vp.restartExtraEnergy;
-}
-
-NvProcessor::NvProcessor()
-    : NvProcessor(NvpConfig{})
-{
-}
-
-NvProcessor::NvProcessor(const NvpConfig &cfg)
-    : Processor(cfg.base), _nvp(cfg), _policy(cfg.spendthrift)
-{
-}
-
-NvProcessor::NvpConfig
-NvProcessor::fiosConfig()
-{
-    NvpConfig cfg;
-    cfg.restoreLatency = 7 * kUs;
-    return cfg;
-}
-
-Tick
-NvProcessor::wakeLatency() const
-{
-    return _nvp.restoreLatency;
-}
-
-Energy
-NvProcessor::wakeEnergy() const
-{
-    return _cfg.activePower * _nvp.restoreLatency + _nvp.restoreEnergy;
-}
-
-Tick
-NvProcessor::backupLatency() const
-{
-    return _nvp.backupLatency;
-}
-
-Energy
-NvProcessor::backupEnergy() const
-{
-    return _nvp.backupEnergy;
-}
-
-Energy
-NvProcessor::effectiveComputeEnergy(std::uint64_t instructions,
-                                    Power income) const
-{
-    return computeEnergy(instructions) / _policy.benefit(income);
+    const Energy nominal = computeEnergy(instructions);
+    return spendthrift ? nominal / spendthrift->benefit(income) : nominal;
 }
 
 } // namespace neofog

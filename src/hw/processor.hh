@@ -1,6 +1,6 @@
 /**
  * @file
- * Processor models: volatile MCU vs nonvolatile processor (NVP).
+ * Processor parts: volatile MCU vs nonvolatile processor (NVP).
  *
  * Constants follow the paper's measured platform (§4): an 8051-class
  * core at 1 MHz drawing 0.209 mW.  The 8051 takes 12 clocks per machine
@@ -14,13 +14,16 @@
  * 7 us (FIOS parallel-restore parts) to 32 us (NOS parts), making
  * intermittent execution reliable.  The Spendthrift policy [49] further
  * scales frequency/resources to the incoming power level.
+ *
+ * A part is a value: its constants plus closed-form costs.  One
+ * factory per paper part builds it.
  */
 
 #ifndef NEOFOG_HW_PROCESSOR_HH
 #define NEOFOG_HW_PROCESSOR_HH
 
 #include <cstdint>
-#include <string>
+#include <optional>
 
 #include "sim/types.hh"
 #include "sim/units.hh"
@@ -31,30 +34,25 @@ namespace neofog {
 inline constexpr double kNvpInstructionEnergyNj = 2.508;
 
 /** Spendthrift [49] frequency & resource scaling policy. */
-class SpendthriftPolicy
+struct SpendthriftPolicy
 {
-  public:
-    struct Config
-    {
-        /** Income power below which the policy is at max benefit. */
-        Power lowIncome = Power::fromMilliwatts(0.5);
-        /** Income power above which the policy adds no benefit. */
-        Power highIncome = Power::fromMilliwatts(10.0);
-        /** Energy-conversion benefit at/below lowIncome. */
-        double maxBenefit = 1.6;
-        /** Benefit at/above highIncome. */
-        double minBenefit = 1.0;
-    };
+    /** Income power below which the policy is at max benefit. */
+    Power lowIncome = Power::fromMilliwatts(0.5);
+    /** Income power above which the policy adds no benefit. */
+    Power highIncome = Power::fromMilliwatts(10.0);
+    /** Energy-conversion benefit at/below lowIncome. */
+    double maxBenefit = 1.6;
+    /** Benefit at/above highIncome. */
+    double minBenefit = 1.0;
 
-    /** Construct with paper-default corner points. */
-    SpendthriftPolicy();
-    explicit SpendthriftPolicy(const Config &cfg);
+    /** Fatal on reversed corner points or benefits not max >= min >= 1. */
+    void validate() const;
 
     /**
      * Multiplicative efficiency benefit for computing under the given
      * income power: the fraction of nominal compute energy actually
-     * spent is 1/benefit.  Interpolates linearly between the config
-     * corner points.
+     * spent is 1/benefit.  Interpolates linearly between the corner
+     * points.
      */
     double benefit(Power income) const;
 
@@ -63,47 +61,42 @@ class SpendthriftPolicy
      * low income -> lower frequency (less static waste per op).
      */
     double frequencyScale(Power income) const;
-
-    const Config &config() const { return _cfg; }
-
-  private:
-    Config _cfg;
 };
 
-/**
- * Common processor interface used by node models.
- */
-class Processor
+/** One processor part: the §4 constants and their closed-form costs. */
+struct Processor
 {
-  public:
-    struct Config
-    {
-        double frequencyHz = 1.0e6;
-        Power activePower = Power::fromMilliwatts(0.209);
-        /** Clocks per machine cycle / instruction (8051: 12). */
-        double cyclesPerInstruction = 12.0;
-    };
-
-    explicit Processor(const Config &cfg);
-    virtual ~Processor() = default;
+    double frequencyHz = 1.0e6;
+    Power activePower = Power::fromMilliwatts(0.209);
+    /** Clocks per machine cycle / instruction (8051: 12). */
+    double cyclesPerInstruction = 12.0;
 
     /** Whether state survives power failure. */
-    virtual bool isNonvolatile() const = 0;
+    bool nonvolatile = false;
+    /** Time to become operational: the VP's restart, an NVP's restore. */
+    Tick wakeLatency = 0;
+    /**
+     * Wake energy beyond active power over wakeLatency: the VP reloads
+     * its configuration image from external flash on every boot; an
+     * NVP restores from integrated NV flip-flops.
+     */
+    Energy wakeExtraEnergy;
+    /** Time to checkpoint state at power failure (0 for a VP). */
+    Tick backupLatency = 0;
+    /** Energy of one distributed NV backup (0 for a VP). */
+    Energy backupEnergy;
+    /** The NVP's Spendthrift policy; a VP has none. */
+    std::optional<SpendthriftPolicy> spendthrift;
 
-    /** Time to become operational after power is (re)applied. */
-    virtual Tick wakeLatency() const = 0;
+    /** Volatile MCU in NOS style: 300 us restart + 150 uJ reload. */
+    static Processor volatileMcu(double mhz = 1.0);
+    /** NOS-mode NVP: 32 us restore, with Spendthrift. */
+    static Processor nosNvp(double mhz = 1.0);
+    /** FIOS NV-mote NVP: 7 us parallel restore, with Spendthrift. */
+    static Processor fiosNvp(double mhz = 1.0);
 
     /** Energy spent becoming operational. */
-    virtual Energy wakeEnergy() const = 0;
-
-    /** Time to checkpoint state at power failure (0 for VP). */
-    virtual Tick backupLatency() const { return 0; }
-
-    /** Energy to checkpoint state at power failure (0 for VP). */
-    virtual Energy backupEnergy() const { return Energy::zero(); }
-
-    /** Short model name for reports. */
-    virtual std::string name() const = 0;
+    Energy wakeEnergy() const;
 
     /** Execution time of @p instructions at nominal frequency. */
     Tick computeTime(std::uint64_t instructions) const;
@@ -111,94 +104,13 @@ class Processor
     /** Energy of executing @p instructions at nominal settings. */
     Energy computeEnergy(std::uint64_t instructions) const;
 
-    /** Energy per instruction. */
-    Energy instructionEnergy() const;
-
-    const Config &config() const { return _cfg; }
-
-  protected:
-    Config _cfg;
-};
-
-/** A conventional volatile MCU operating in NOS style. */
-class VolatileProcessor : public Processor
-{
-  public:
-    struct VpConfig
-    {
-        Processor::Config base;
-        /** Cold restart + software init time (paper: ~300 us). */
-        Tick restartLatency = 300 * kUs;
-        /**
-         * Extra energy of the restart beyond active power draw: a VP
-         * reloads its configuration image from external flash on every
-         * boot (the NVP restores from integrated NV flip-flops
-         * instead).
-         */
-        Energy restartExtraEnergy = Energy::fromMicrojoules(150.0);
-    };
-
-    /** Construct with paper-default constants. */
-    VolatileProcessor();
-    explicit VolatileProcessor(const VpConfig &cfg);
-
-    bool isNonvolatile() const override { return false; }
-    Tick wakeLatency() const override;
-    Energy wakeEnergy() const override;
-    std::string name() const override { return "VP"; }
-
-  private:
-    VpConfig _vp;
-};
-
-/** A nonvolatile processor with checkpoint/restore in NV flip-flops. */
-class NvProcessor : public Processor
-{
-  public:
-    struct NvpConfig
-    {
-        Processor::Config base;
-        /**
-         * Restore latency.  7 us with FIOS parallel restore, 32 us for
-         * the NOS-mode deployments (paper Fig 4).
-         */
-        Tick restoreLatency = 32 * kUs;
-        /** Backup latency on power failure. */
-        Tick backupLatency = 10 * kUs;
-        /** Energy of one distributed NV backup. */
-        Energy backupEnergy = Energy::fromNanojoules(120.0);
-        /** Energy of one restore. */
-        Energy restoreEnergy = Energy::fromNanojoules(80.0);
-        SpendthriftPolicy::Config spendthrift{};
-    };
-
-    /** Construct with paper-default (NOS, 32 us restore) constants. */
-    NvProcessor();
-    explicit NvProcessor(const NvpConfig &cfg);
-
-    /** Paper-default NVP as used in FIOS NV-motes (7 us restore). */
-    static NvpConfig fiosConfig();
-
-    bool isNonvolatile() const override { return true; }
-    Tick wakeLatency() const override;
-    Energy wakeEnergy() const override;
-    Tick backupLatency() const override;
-    Energy backupEnergy() const override;
-    std::string name() const override { return "NVP"; }
-
-    /** The Spendthrift frequency/resource scaling policy. */
-    const SpendthriftPolicy &spendthrift() const { return _policy; }
-
     /**
-     * Effective energy of executing @p instructions while harvesting
-     * @p income: nominal energy divided by the Spendthrift benefit.
+     * Energy of executing @p instructions while harvesting @p income:
+     * nominal energy divided by the Spendthrift benefit, or the
+     * nominal energy without Spendthrift.
      */
     Energy effectiveComputeEnergy(std::uint64_t instructions,
                                   Power income) const;
-
-  private:
-    NvpConfig _nvp;
-    SpendthriftPolicy _policy;
 };
 
 } // namespace neofog

@@ -4,131 +4,85 @@
 
 namespace neofog {
 
-RfModule::RfModule(const Config &cfg)
-    : _cfg(cfg)
+Radio
+Radio::software()
 {
-    if (_cfg.dataRateBps <= 0.0)
-        fatal("RF data rate must be positive");
+    Radio r;
+    r.initLatency = ticksFromMs(531.0);
+    r.rejoinLatency = ticksFromMs(200.0);
+    // 255 ms fixed, then 1.44 + 0.032 ms per byte.
+    r.txFixed = ticksFromMs(255.0);
+    r.txPerByteMs = 1.472;
+    return r;
+}
+
+Radio
+Radio::nvmDirect()
+{
+    Radio r = software();
+    // The NVP host restores the RF configuration image straight from
+    // integrated NVM: 33 ms instead of 531 ms (paper Fig 4).
+    r.initLatency = ticksFromMs(33.0);
+    r.rejoinLatency = ticksFromMs(50.0);
+    return r;
+}
+
+Radio
+Radio::nvrf()
+{
+    Radio r;
+    r.nonvolatile = true;
+    r.initLatency = ticksFromMs(1.2);
+    r.configureLatency = ticksFromMs(28.0);
+    // NVRF start + sync (1.74 + 0.156 ms), then 0.216 + 0.032 ms per
+    // byte.
+    r.txFixed = ticksFromMs(1.896);
+    r.txPerByteMs = 0.248;
+    return r;
 }
 
 RfPhase
-RfModule::rxCost(Tick duration) const
+Radio::initCost() const
+{
+    // Rejoining the network needs the receiver on; the NVRF keeps its
+    // association and has no rejoin.
+    return RfPhase{initLatency, initPower * initLatency} +
+           rxCost(rejoinLatency);
+}
+
+RfPhase
+Radio::configureCost() const
+{
+    return {configureLatency, initPower * configureLatency};
+}
+
+RfPhase
+Radio::txCost(std::size_t bytes) const
+{
+    const Tick t =
+        txFixed + ticksFromMs(txPerByteMs * static_cast<double>(bytes));
+    return {t, txPower * t};
+}
+
+RfPhase
+Radio::rxCost(Tick duration) const
 {
     NEOFOG_ASSERT(duration >= 0, "negative RX duration");
-    return {duration, _cfg.rxPower * duration};
+    return {duration, rxPower * duration};
 }
 
 RfPhase
-RfModule::idleCost(Tick duration) const
+Radio::idleCost(Tick duration) const
 {
     NEOFOG_ASSERT(duration >= 0, "negative idle duration");
-    return {duration, _cfg.idlePower * duration};
+    return {duration, idlePower * duration};
 }
 
 Tick
-RfModule::airtime(std::size_t bytes) const
+Radio::airtime(std::size_t bytes) const
 {
-    const double seconds =
-        static_cast<double>(bytes) * 8.0 / _cfg.dataRateBps;
+    const double seconds = static_cast<double>(bytes) * 8.0 / dataRateBps;
     return ticksFromSeconds(seconds);
-}
-
-SoftwareRf::SoftwareRf()
-    : SoftwareRf(SwConfig{})
-{
-}
-
-SoftwareRf::SoftwareRf(const SwConfig &cfg)
-    : RfModule(cfg.base), _sw(cfg)
-{
-}
-
-SoftwareRf::SwConfig
-SoftwareRf::nvmDirectConfig()
-{
-    SwConfig cfg;
-    // NVP host restores the RF configuration image straight from
-    // integrated NVM: 33 ms instead of 531 ms (paper Fig 4).
-    cfg.initLatency = ticksFromMs(33.0);
-    cfg.rejoinLatency = ticksFromMs(50.0);
-    return cfg;
-}
-
-RfPhase
-SoftwareRf::initCost() const
-{
-    RfPhase init{_sw.initLatency, _cfg.initPower * _sw.initLatency};
-    // Rejoining the network needs the receiver on.
-    RfPhase rejoin{_sw.rejoinLatency, _cfg.rxPower * _sw.rejoinLatency};
-    return init + rejoin;
-}
-
-RfPhase
-SoftwareRf::txCost(std::size_t bytes) const
-{
-    const Tick t = _sw.txFixed +
-                   ticksFromMs(_sw.txPerByteMs *
-                               static_cast<double>(bytes));
-    return {t, _cfg.txPower * t};
-}
-
-std::string
-SoftwareRf::name() const
-{
-    return _sw.initLatency <= ticksFromMs(50.0) ? "SW-RF(NVM)" : "SW-RF";
-}
-
-NvRfController::NvRfController()
-    : NvRfController(NvConfig{})
-{
-}
-
-NvRfController::NvRfController(const NvConfig &cfg)
-    : RfModule(cfg.base), _nv(cfg)
-{
-}
-
-RfPhase
-NvRfController::initCost() const
-{
-    const Tick t = _configured ? _nv.selfInitLatency
-                               : _nv.configureLatency;
-    return {t, _cfg.initPower * t};
-}
-
-RfPhase
-NvRfController::txCost(std::size_t bytes) const
-{
-    const Tick t = _nv.txFixed +
-                   ticksFromMs(_nv.txPerByteMs *
-                               static_cast<double>(bytes));
-    return {t, _cfg.txPower * t};
-}
-
-RfPhase
-NvRfController::configure()
-{
-    _configured = true;
-    return {_nv.configureLatency, _cfg.initPower * _nv.configureLatency};
-}
-
-RfPhase
-NvRfController::cloneFrom(const NvRfController &other)
-{
-    if (!other.configured())
-        fatal("cloning from an unconfigured NVRF");
-    _state = other._state;
-    _configured = true;
-    // State transfer: the register file + association list fits in a
-    // small frame; receiving it costs one short RX window plus the
-    // self-init to latch it.
-    const Tick rx_window =
-        airtime(64 + 4 * other._state.associatedDevList.size()) +
-        ticksFromMs(2.0);
-    RfPhase cost{rx_window, _cfg.rxPower * rx_window};
-    cost += RfPhase{_nv.selfInitLatency,
-                    _cfg.initPower * _nv.selfInitLatency};
-    return cost;
 }
 
 } // namespace neofog

@@ -1,6 +1,6 @@
 /**
  * @file
- * RF transceiver models: software-initialized Zigbee vs NVRF.
+ * RF transceiver parts: software-initialized Zigbee vs NVRF.
  *
  * Constants are the paper's ML7266 measurements (§4):
  *  - software init: 531 ms with the host MCU at 1 MHz (the MCU feeds
@@ -13,16 +13,17 @@
  *    software path vs (1.74 + 0.156 + 0.216N + 0.032N) ms via NVRF;
  *  - TX/RX 89.1 mW average, idle 14.93 mW.
  *
- * The NVRF additionally supports state cloning (copying the NV register
- * file and NVM-held network state from a neighbour), which is the
- * hardware hook the NVD4Q virtualization algorithm relies on.
+ * A part is a value: its constants plus closed-form costs.  One
+ * factory per paper part builds it.  The NVRF's register file
+ * (RfState) is what NVD4Q clones between physical nodes; the radio
+ * part holds none of it.
  */
 
 #ifndef NEOFOG_HW_RF_HH
 #define NEOFOG_HW_RF_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -77,40 +78,48 @@ struct RfState
     }
 };
 
-/**
- * Common transceiver interface.
- */
-class RfModule
+/** One transceiver part: the §4 constants and their closed-form costs. */
+struct Radio
 {
-  public:
-    struct Config
-    {
-        Power txPower = Power::fromMilliwatts(89.1);
-        Power rxPower = Power::fromMilliwatts(72.0);
-        Power idlePower = Power::fromMilliwatts(14.93);
-        /** Draw during (software) initialization: standby + baseband. */
-        Power initPower = Power::fromMilliwatts(24.93);
-        double dataRateBps = 250000.0;
-    };
-
-    explicit RfModule(const Config &cfg);
-    virtual ~RfModule() = default;
+    Power txPower = Power::fromMilliwatts(89.1);
+    Power rxPower = Power::fromMilliwatts(72.0);
+    Power idlePower = Power::fromMilliwatts(14.93);
+    /** Draw during (software) initialization: standby + baseband. */
+    Power initPower = Power::fromMilliwatts(24.93);
+    double dataRateBps = 250000.0;
 
     /** Whether configuration/network state survives power-off. */
-    virtual bool retainsState() const = 0;
-
+    bool nonvolatile = false;
     /**
-     * Cost to make the transceiver ready to transmit after power-on.
-     * For stateful modules this is the fast self-reinit path once the
-     * one-time configuration has happened.
+     * Time to become ready to transmit after power-on: the software
+     * init sequence, or the NVRF's self-init from its register file.
      */
-    virtual RfPhase initCost() const = 0;
+    Tick initLatency = 0;
+    /** Network (re)join after init, receiver on: scan + association. */
+    Tick rejoinLatency = 0;
+    /** The NVRF's one-time configuration by the host (0 otherwise). */
+    Tick configureLatency = 0;
+    /** Fixed per-transmission protocol overhead. */
+    Tick txFixed = 0;
+    /** Per-byte transmission cost. */
+    double txPerByteMs = 0.0;
+
+    /** Software RF behind a VP host: 531 ms init, 200 ms rejoin. */
+    static Radio software();
+    /** Software RF behind an NVP host reading its config straight from
+     *  NVM: 33 ms init, 50 ms rejoin. */
+    static Radio nvmDirect();
+    /** NVRF: 1.2 ms self-init after a one-time 28 ms configuration. */
+    static Radio nvrf();
+
+    /** Cost to become ready to transmit after power-on (init + rejoin). */
+    RfPhase initCost() const;
+
+    /** Cost of the NVRF's one-time host configuration. */
+    RfPhase configureCost() const;
 
     /** Cost of transmitting @p bytes of payload. */
-    virtual RfPhase txCost(std::size_t bytes) const = 0;
-
-    /** Model name for reports. */
-    virtual std::string name() const = 0;
+    RfPhase txCost(std::size_t bytes) const;
 
     /** Cost of listening for @p duration. */
     RfPhase rxCost(Tick duration) const;
@@ -118,111 +127,8 @@ class RfModule
     /** Cost of idling (powered, not TX/RX) for @p duration. */
     RfPhase idleCost(Tick duration) const;
 
-    /** Raw airtime of @p bytes at the configured data rate. */
+    /** Raw airtime of @p bytes at the data rate. */
     Tick airtime(std::size_t bytes) const;
-
-    /** Mutable network state (valid while powered or if NV). */
-    RfState &state() { return _state; }
-    const RfState &state() const { return _state; }
-
-    const Config &config() const { return _cfg; }
-
-  protected:
-    Config _cfg;
-    RfState _state;
-};
-
-/**
- * Software-initialized volatile transceiver.  After every power
- * failure the host re-runs the full SPI configuration sequence.
- */
-class SoftwareRf : public RfModule
-{
-  public:
-    struct SwConfig
-    {
-        RfModule::Config base;
-        /**
-         * Full software (re)initialization latency.  531 ms with a VP
-         * host reading from external flash; 33 ms when an NVP host
-         * restores the config image straight from integrated NVM.
-         */
-        Tick initLatency = ticksFromMs(531.0);
-        /** Fixed per-transmission protocol overhead. */
-        Tick txFixed = ticksFromMs(255.0);
-        /** Per-byte transmission cost (1.44 + 0.032 ms/byte). */
-        double txPerByteMs = 1.472;
-        /** Network (re)join after init: channel scan + association. */
-        Tick rejoinLatency = ticksFromMs(200.0);
-    };
-
-    /** Construct with paper-default (VP host, 531 ms init) constants. */
-    SoftwareRf();
-    explicit SoftwareRf(const SwConfig &cfg);
-
-    /** Config preset for an NVP host with NVM-direct initialization. */
-    static SwConfig nvmDirectConfig();
-
-    bool retainsState() const override { return false; }
-    RfPhase initCost() const override;
-    RfPhase txCost(std::size_t bytes) const override;
-    std::string name() const override;
-
-    const SwConfig &swConfig() const { return _sw; }
-
-  private:
-    SwConfig _sw;
-};
-
-/**
- * Nonvolatile RF controller (NVRF): an FSM plus NV register file that
- * initializes the transceiver without host involvement (direct
- * nonvolatile memory access) and keeps all network state across power
- * failures.
- */
-class NvRfController : public RfModule
-{
-  public:
-    struct NvConfig
-    {
-        RfModule::Config base;
-        /** One-time configuration by the host processor. */
-        Tick configureLatency = ticksFromMs(28.0);
-        /** Self-reinitialization from the NV register file (27x). */
-        Tick selfInitLatency = ticksFromMs(1.2);
-        /** NVRF start + sync per transmission (1.74 + 0.156 ms). */
-        Tick txFixed = ticksFromMs(1.896);
-        /** Per-byte transmission cost (0.216 + 0.032 ms/byte). */
-        double txPerByteMs = 0.248;
-    };
-
-    /** Construct with paper-default ML7266+NVRF constants. */
-    NvRfController();
-    explicit NvRfController(const NvConfig &cfg);
-
-    bool retainsState() const override { return true; }
-    RfPhase initCost() const override;
-    RfPhase txCost(std::size_t bytes) const override;
-    std::string name() const override { return "NVRF"; }
-
-    /** Whether the one-time host configuration has been performed. */
-    bool configured() const { return _configured; }
-
-    /** Cost of the one-time host configuration; marks configured. */
-    RfPhase configure();
-
-    /**
-     * Clone another NVRF's state (NVD4Q step: "copy its states of NVFF
-     * in NVRF controller and NVM").  Marks this controller configured.
-     * @return Cost of the state transfer over the air.
-     */
-    RfPhase cloneFrom(const NvRfController &other);
-
-    const NvConfig &nvConfig() const { return _nv; }
-
-  private:
-    NvConfig _nv;
-    bool _configured = false;
 };
 
 } // namespace neofog

@@ -25,11 +25,11 @@ class StepMachine
     {
         // Instructions executable per step while powered, and the
         // energy they need at the load.
-        const double inst_per_second = cpu.config().frequencyHz /
-                                       cpu.config().cyclesPerInstruction;
+        const double inst_per_second =
+            cpu.frequencyHz / cpu.cyclesPerInstruction;
         _instPerStep = static_cast<std::uint64_t>(
             inst_per_second * secondsFromTicks(cfg.step));
-        _loadPerStep = cpu.config().activePower * cfg.step;
+        _loadPerStep = cpu.activePower * cfg.step;
     }
 
     /** Advance over [t, min(t + step, horizon)). */
@@ -92,7 +92,7 @@ StepMachine::stepOnce(Tick t, Tick horizon)
                 _frontend.capCostForLoad(_cpu.wakeEnergy());
             if (cap().tryDischarge(wake)) {
                 _result.spent += wake;
-                _pendingOverhead = _cpu.wakeLatency();
+                _pendingOverhead = _cpu.wakeLatency;
                 _powered = true;
             }
         }
@@ -115,7 +115,7 @@ StepMachine::stepOnce(Tick t, Tick horizon)
     if (cap().tryDischarge(from_cap)) {
         _result.spent += from_cap + direct_available;
         _result.activeTime += _cfg.step;
-        if (_cpu.isNonvolatile()) {
+        if (_cpu.nonvolatile) {
             _result.instructionsCompleted += _instPerStep;
         } else {
             _uncommitted += _instPerStep;
@@ -131,12 +131,12 @@ StepMachine::stepOnce(Tick t, Tick horizon)
     // Brown-out check.
     if (cap().stored() < _cfg.offThreshold) {
         ++_result.powerCycles;
-        if (_cpu.isNonvolatile()) {
+        if (_cpu.nonvolatile) {
             // Distributed NV backup: small energy, state kept.
             const Energy backup =
-                _frontend.capCostForLoad(_cpu.backupEnergy());
+                _frontend.capCostForLoad(_cpu.backupEnergy);
             _result.spent += cap().drain(backup);
-            _result.overheadTime += _cpu.backupLatency();
+            _result.overheadTime += _cpu.backupLatency;
         } else {
             // All uncommitted work is lost.
             _result.instructionsWasted += _uncommitted;
@@ -187,8 +187,8 @@ IntermittentExecution::progressRatio(const PowerTrace &trace,
     // The paper's 2.2x-5x compares the *deployed alternatives*: a
     // volatile processor behind a NOS single-channel front end vs an
     // NVP behind the FIOS dual-channel front end (§2.2).
-    NvProcessor nvp{NvProcessor::fiosConfig()};
-    VolatileProcessor vp;
+    const Processor nvp = Processor::fiosNvp();
+    const Processor vp = Processor::volatileMcu();
     Config nv_cfg = cfg;
     nv_cfg.frontend = FrontEnd::makeFios().config();
     Config vp_cfg = cfg;

@@ -96,7 +96,7 @@ class IntermittentExecution
      * Config::step (the last one may be partial).  Fatal on reversed
      * thresholds, a non-positive step, or a zero task segment.
      *
-     * @param cpu Processor model (VolatileProcessor or NvProcessor).
+     * @param cpu Processor part (a VP or an NVP).
      * @param trace Ambient power income.
      * @param horizon Simulated duration.
      * @param cfg Storage/threshold configuration.

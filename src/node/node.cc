@@ -35,51 +35,31 @@ operatingModeName(OperatingMode mode)
 
 namespace {
 
-std::unique_ptr<const Processor>
+/** The processor of @p cfg's mode at its clock.  This and makeRadio are
+ *  the only places where a mode picks a part. */
+Processor
 makeProcessor(const Node::Config &cfg)
 {
-    Processor::Config base;
-    base.frequencyHz = cfg.processorMhz * 1e6;
-    // Active power scales with clock so energy/instruction stays at the
-    // measured 2.508 nJ.
-    base.activePower =
-        Power::fromMilliwatts(0.209 * cfg.processorMhz);
-
     switch (cfg.mode) {
-      case OperatingMode::NosVp: {
-        VolatileProcessor::VpConfig vp;
-        vp.base = base;
-        return std::make_unique<VolatileProcessor>(vp);
-      }
-      case OperatingMode::NosNvp: {
-        NvProcessor::NvpConfig nvp;
-        nvp.base = base;
-        return std::make_unique<NvProcessor>(nvp);
-      }
-      case OperatingMode::FiosNvMote: {
-        NvProcessor::NvpConfig nvp = NvProcessor::fiosConfig();
-        nvp.base = base;
-        return std::make_unique<NvProcessor>(nvp);
-      }
+      case OperatingMode::NosVp:
+        return Processor::volatileMcu(cfg.processorMhz);
+      case OperatingMode::NosNvp:
+        return Processor::nosNvp(cfg.processorMhz);
+      case OperatingMode::FiosNvMote:
+        return Processor::fiosNvp(cfg.processorMhz);
     }
     NEOFOG_PANIC("unknown operating mode");
 }
 
-std::unique_ptr<const RfModule>
-makeRadio(const Node::Config &cfg)
+/** The radio of @p mode.  An NVRF's one-time configuration happens at
+ *  deployment, before any slot, so no node pays it. */
+Radio
+makeRadio(OperatingMode mode)
 {
-    switch (cfg.mode) {
-      case OperatingMode::NosVp:
-        return std::make_unique<SoftwareRf>();
-      case OperatingMode::NosNvp:
-        return std::make_unique<SoftwareRf>(
-            SoftwareRf::nvmDirectConfig());
-      case OperatingMode::FiosNvMote: {
-        auto rf = std::make_unique<NvRfController>();
-        // Initial deployment performs the one-time configuration.
-        rf->configure();
-        return rf;
-      }
+    switch (mode) {
+      case OperatingMode::NosVp: return Radio::software();
+      case OperatingMode::NosNvp: return Radio::nvmDirect();
+      case OperatingMode::FiosNvMote: return Radio::nvrf();
     }
     NEOFOG_PANIC("unknown operating mode");
 }
@@ -99,7 +79,7 @@ freshState(const Node::Spec &spec)
     return NodeState(cfg.cap, cfg.rtc, cfg.buffer,
                      static_cast<std::size_t>(
                          std::max(1, cfg.packageDeadlineSlots)),
-                     spec.rf->retainsState());
+                     spec.rf.nonvolatile);
 }
 
 std::unique_ptr<PowerTrace>
@@ -117,17 +97,22 @@ constexpr std::uint64_t kControlInstructions = 1000;
 
 Node::Spec::Spec(const Config &config)
     : cfg(config), frontend(makeFrontEnd(config.mode)),
-      cpu(makeProcessor(config)), rf(makeRadio(config))
+      cpu(makeProcessor(config)), rf(makeRadio(config.mode)),
+      rfInit(rf.initCost())
 {
     if (cfg.rawPackageBytes == 0 || cfg.samplesPerPackage == 0)
         fatal("package shape must be nonzero");
     if (cfg.sensor.bytesPerSample == 0)
         fatal("sensor must produce at least one byte per sample");
+    // The summary's instruction count is cast from this fraction.
+    if (!(cfg.incidentalFraction >= 0.0 && cfg.incidentalFraction <= 1.0))
+        fatal("incidental fraction must be in [0, 1], got ",
+              cfg.incidentalFraction);
 
     // Pure functions of the config: the RF transmit cost, the
     // sensor/buffer sampling cost and the processor wake cost carry no
     // mutable state.
-    wakeCost = cpu->wakeEnergy() + cpu->computeEnergy(kControlInstructions);
+    wakeCost = cpu.wakeEnergy() + cpu.computeEnergy(kControlInstructions);
     const double samples = static_cast<double>(cfg.samplesPerPackage);
     sampleCost = cfg.sensor.initEnergy() +
                  cfg.sensor.sampleEnergy() * samples +
@@ -135,10 +120,14 @@ Node::Spec::Spec(const Config &config)
     const std::size_t payload = cfg.mode == OperatingMode::NosVp
         ? cfg.rawPackageBytes
         : cfg.compressedPackageBytes;
-    txPackageEnergy = rf->txCost(payload + kFrameOverheadBytes).energy;
+    txPackageEnergy = rf.txCost(payload + kFrameOverheadBytes).energy;
     txCompressedDuration =
-        rf->txCost(cfg.compressedPackageBytes + kFrameOverheadBytes)
+        rf.txCost(cfg.compressedPackageBytes + kFrameOverheadBytes)
             .duration;
+    incidentalInstructions = static_cast<std::uint64_t>(
+        cfg.incidentalFraction *
+        static_cast<double>(cfg.fogInstructionsPerPackage));
+    incidentalTime = cpu.computeTime(incidentalInstructions);
 }
 
 Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace)
@@ -310,23 +299,20 @@ Node::refreshSlotCosts() const
     NodeState &s = *_state;
     if (s.slotCostsValid)
         return;
-    if (_spec->cfg.mode == OperatingMode::NosVp) {
-        s.slotTaskCost =
-            _spec->cpu->computeEnergy(_spec->cfg.naiveInstructionsPerPackage);
-        s.slotTaskTime =
-            _spec->cpu->computeTime(_spec->cfg.naiveInstructionsPerPackage);
-    } else {
-        const auto *nvp = static_cast<const NvProcessor *>(_spec->cpu.get());
-        s.slotTaskCost = nvp->effectiveComputeEnergy(
-            _spec->cfg.fogInstructionsPerPackage, s.lastIncome);
-        Tick t = _spec->cpu->computeTime(_spec->cfg.fogInstructionsPerPackage);
-        if (_spec->cfg.enableFrequencyScaling) {
-            const double scale =
-                nvp->spendthrift().frequencyScale(s.lastIncome);
-            t = static_cast<Tick>(static_cast<double>(t) / scale);
-        }
-        s.slotTaskTime = t;
+    const Config &cfg = _spec->cfg;
+    const Processor &cpu = _spec->cpu;
+    // A NOS-VP node runs the naive on-node step and ships raw data;
+    // the NVP modes run the fog task.
+    const std::uint64_t inst = cfg.mode == OperatingMode::NosVp
+        ? cfg.naiveInstructionsPerPackage
+        : cfg.fogInstructionsPerPackage;
+    s.slotTaskCost = cpu.effectiveComputeEnergy(inst, s.lastIncome);
+    Tick t = cpu.computeTime(inst);
+    if (cfg.enableFrequencyScaling && cpu.spendthrift) {
+        const double scale = cpu.spendthrift->frequencyScale(s.lastIncome);
+        t = static_cast<Tick>(static_cast<double>(t) / scale);
     }
+    s.slotTaskTime = t;
     s.slotCostsValid = true;
 }
 
@@ -349,7 +335,7 @@ Node::packageTxCost() const
 {
     Energy e = _spec->txPackageEnergy;
     if (!_state->rfInitializedThisSlot)
-        e += _spec->rf->initCost().energy;
+        e += _spec->rfInit.energy;
     return e;
 }
 
@@ -360,22 +346,26 @@ Node::slotCost() const
 }
 
 bool
-Node::canCompleteOnePackage() const
+Node::canComplete(Energy task, Tick compute_time) const
 {
     const NodeState &s = *_state;
-    const Energy task = taskCost();
     const Energy tx = packageTxCost();
     // The task may draw the direct channel; the transmission may not.
-    const Energy direct_used =
-        std::min(task, s.directBudget);
+    const Energy direct_used = std::min(task, s.directBudget);
     const Energy cap_needed =
         _spec->frontend.capCostForLoad((task - direct_used) + tx);
     if (capView().stored() < cap_needed)
         return false;
-    const Tick need_time = taskComputeTime() + _spec->txCompressedDuration +
-                           (s.rfInitializedThisSlot
-                                ? 0 : _spec->rf->initCost().duration);
+    const Tick need_time =
+        compute_time + _spec->txCompressedDuration +
+        (s.rfInitializedThisSlot ? 0 : _spec->rfInit.duration);
     return s.slotTimeUsed + need_time <= s.slotLength;
+}
+
+bool
+Node::canCompleteOnePackage() const
+{
+    return canComplete(taskCost(), taskComputeTime());
 }
 
 void
@@ -463,8 +453,8 @@ Node::tryWake()
     }
     st.spentWake += wake;
     const Tick wake_start = s.slotStart + s.slotTimeUsed;
-    const Tick wake_time = _spec->cpu->wakeLatency() +
-                           _spec->cpu->computeTime(kControlInstructions);
+    const Tick wake_time = _spec->cpu.wakeLatency +
+                           _spec->cpu.computeTime(kControlInstructions);
     s.slotTimeUsed += wake_time;
     s.awake = true;
     st.wakeups.increment();
@@ -542,96 +532,61 @@ Node::popOldestPending(int n)
 }
 
 int
-Node::executeTasks(int count)
+Node::runTasks(int count, Energy e, Tick t, NodeObserver::Phase phase,
+               Counter &counter)
 {
     NodeState &s = *_state;
-    NodeStats &st = s.stats;
-    NEOFOG_ASSERT(s.awake, "executing tasks while asleep");
     int done = 0;
     while (done < count && s.pendingPackages > 0) {
-        const Tick t = taskComputeTime();
         if (s.slotTimeUsed + t > s.slotLength)
             break;
-        const Energy e = taskCost();
         if (!spend(e, /*direct_eligible=*/true))
             break;
-        st.spentCompute += e;
-        notifyPhase(NodeObserver::Phase::Compute,
-                    s.slotStart + s.slotTimeUsed, t, e);
+        s.stats.spentCompute += e;
+        notifyPhase(phase, s.slotStart + s.slotTimeUsed, t, e);
         s.slotTimeUsed += t;
         popOldestPending(1);
         s.buffer.pop(_spec->cfg.rawPackageBytes);
         ++done;
-        st.tasksExecuted.increment();
+        counter.increment();
     }
     return done;
+}
+
+int
+Node::executeTasks(int count)
+{
+    NEOFOG_ASSERT(_state->awake, "executing tasks while asleep");
+    // tryWake priced the slot, so the memo is fresh: pricing the task
+    // once here writes nothing a snapshot would not already hold.
+    return runTasks(count, taskCost(), taskComputeTime(),
+                    NodeObserver::Phase::Compute,
+                    _state->stats.tasksExecuted);
 }
 
 Energy
 Node::incidentalTaskCost() const
 {
-    const auto inst = static_cast<std::uint64_t>(
-        _spec->cfg.incidentalFraction *
-        static_cast<double>(_spec->cfg.fogInstructionsPerPackage));
-    if (_spec->cfg.mode == OperatingMode::NosVp)
-        return _spec->cpu->computeEnergy(inst);
-    const auto *nvp = static_cast<const NvProcessor *>(_spec->cpu.get());
-    return nvp->effectiveComputeEnergy(inst, _state->lastIncome);
+    return _spec->cpu.effectiveComputeEnergy(_spec->incidentalInstructions,
+                                             _state->lastIncome);
 }
 
 bool
 Node::canCompleteIncidental() const
 {
-    if (!_spec->cfg.enableIncidentalComputing)
-        return false;
-    const NodeState &s = *_state;
-    const Energy task = incidentalTaskCost();
-    const Energy tx = packageTxCost();
-    const Energy direct_used =
-        std::min(task, s.directBudget);
-    const Energy cap_needed =
-        _spec->frontend.capCostForLoad((task - direct_used) + tx);
-    if (capView().stored() < cap_needed)
-        return false;
-    const auto inst = static_cast<std::uint64_t>(
-        _spec->cfg.incidentalFraction *
-        static_cast<double>(_spec->cfg.fogInstructionsPerPackage));
-    const Tick need_time =
-        _spec->cpu->computeTime(inst) + _spec->txCompressedDuration +
-        (s.rfInitializedThisSlot
-             ? 0 : _spec->rf->initCost().duration);
-    return s.slotTimeUsed + need_time <= s.slotLength;
+    return _spec->cfg.enableIncidentalComputing &&
+           canComplete(incidentalTaskCost(), _spec->incidentalTime);
 }
 
 int
 Node::executeIncidentalTasks(int count)
 {
-    NodeState &s = *_state;
-    NodeStats &st = s.stats;
-    NEOFOG_ASSERT(s.awake, "incidental computing while asleep");
+    NEOFOG_ASSERT(_state->awake, "incidental computing while asleep");
     if (!_spec->cfg.enableIncidentalComputing)
         return 0;
-    int done = 0;
-    const auto inst = static_cast<std::uint64_t>(
-        _spec->cfg.incidentalFraction *
-        static_cast<double>(_spec->cfg.fogInstructionsPerPackage));
-    while (done < count && s.pendingPackages > 0) {
-        const Tick t = _spec->cpu->computeTime(inst);
-        if (s.slotTimeUsed + t > s.slotLength)
-            break;
-        const Energy e = incidentalTaskCost();
-        if (!spend(e, /*direct_eligible=*/true))
-            break;
-        st.spentCompute += e;
-        notifyPhase(NodeObserver::Phase::IncidentalCompute,
-                    s.slotStart + s.slotTimeUsed, t, e);
-        s.slotTimeUsed += t;
-        popOldestPending(1);
-        s.buffer.pop(_spec->cfg.rawPackageBytes);
-        ++done;
-        st.incidentalTasks.increment();
-    }
-    return done;
+    return runTasks(count, incidentalTaskCost(), _spec->incidentalTime,
+                    NodeObserver::Phase::IncidentalCompute,
+                    _state->stats.incidentalTasks);
 }
 
 bool
@@ -641,10 +596,10 @@ Node::payTransmit(std::size_t payload_bytes, int attempts)
     NEOFOG_ASSERT(s.awake, "transmitting while asleep");
     NEOFOG_ASSERT(attempts >= 1, "attempts >= 1");
     const RfPhase one =
-        _spec->rf->txCost(payload_bytes + kFrameOverheadBytes);
+        _spec->rf.txCost(payload_bytes + kFrameOverheadBytes);
     RfPhase init{};
     if (!s.rfInitializedThisSlot)
-        init = _spec->rf->initCost();
+        init = _spec->rfInit;
     const Tick time = init.duration + one.duration * attempts;
     if (s.slotTimeUsed + time > s.slotLength)
         return false;
@@ -666,11 +621,11 @@ Node::payReceive(std::size_t payload_bytes)
     NodeState &s = *_state;
     NEOFOG_ASSERT(s.awake, "receiving while asleep");
     const Tick window =
-        _spec->rf->airtime(payload_bytes + kFrameOverheadBytes) +
+        _spec->rf.airtime(payload_bytes + kFrameOverheadBytes) +
         ticksFromMs(3.0);
     if (s.slotTimeUsed + window > s.slotLength)
         return false;
-    const Energy e = _spec->rf->rxCost(window).energy;
+    const Energy e = _spec->rf.rxCost(window).energy;
     if (!spend(e, false))
         return false;
     s.stats.spentRx += e;
@@ -686,11 +641,11 @@ Node::payControlMessage(std::size_t payload_bytes)
     NodeState &s = *_state;
     NEOFOG_ASSERT(s.awake, "control message while asleep");
     const Tick time =
-        _spec->rf->airtime(payload_bytes + kFrameOverheadBytes) +
+        _spec->rf.airtime(payload_bytes + kFrameOverheadBytes) +
         ticksFromMs(1.0);
     if (s.slotTimeUsed + time > s.slotLength)
         return false;
-    const Energy e = _spec->rf->config().txPower * time;
+    const Energy e = _spec->rf.txPower * time;
     if (!spend(e, false))
         return false;
     s.stats.spentTx += e;
@@ -744,10 +699,8 @@ Node::spareTaskCapacity() const
 double
 Node::relativeTaskCost() const
 {
-    if (_spec->cfg.mode == OperatingMode::NosVp)
-        return 1.0;
-    const auto *nvp = static_cast<const NvProcessor *>(_spec->cpu.get());
-    return 1.0 / nvp->spendthrift().benefit(_state->lastIncome);
+    const std::optional<SpendthriftPolicy> &policy = _spec->cpu.spendthrift;
+    return policy ? 1.0 / policy->benefit(_state->lastIncome) : 1.0;
 }
 
 Tick

@@ -213,22 +213,29 @@ class Node
     /**
      * What the nodes of a chain share, built once and never changed:
      * the config (whose id only a standalone node uses), the front
-     * end, one processor, one radio and the cost constants.
+     * end, the processor and radio of its mode, and the cost
+     * constants.
      */
     struct Spec
     {
-        /** Fatal on a package or sensor shape no node can run. */
+        /** Fatal on a package or sensor shape no node can run, a
+         *  processor clock that is not positive and finite, or an
+         *  incidental fraction outside [0, 1]. */
         explicit Spec(const Config &config);
 
         Config cfg;
         FrontEnd frontend;
-        std::unique_ptr<const Processor> cpu;
-        /** Configured at deployment; no run changes it. */
-        std::unique_ptr<const RfModule> rf;
+        Processor cpu;
+        Radio rf;
+        RfPhase rfInit;               ///< rf.initCost(), once per slot
         Energy wakeCost;              ///< Node::wakeCost()
         Energy sampleCost;            ///< Node::sampleCost()
         Energy txPackageEnergy;       ///< mode-payload tx energy
         Tick txCompressedDuration = 0; ///< result-package tx airtime
+        /** Instructions of one incidental task (incidentalFraction
+         *  of a fog task) and their compute time. */
+        std::uint64_t incidentalInstructions = 0;
+        Tick incidentalTime = 0;
     };
 
     /**
@@ -476,6 +483,19 @@ class Node
 
     /** Remaining compute time in this slot. */
     Tick remainingSlotTime() const;
+
+    /**
+     * Whether a task of @p task energy and @p compute_time plus the
+     * transmission of its result fit the stored energy and the slot.
+     */
+    bool canComplete(Energy task, Tick compute_time) const;
+
+    /**
+     * Run up to @p count tasks of @p e energy and @p t time each,
+     * oldest pending package first, counting each in @p counter.
+     */
+    int runTasks(int count, Energy e, Tick t, NodeObserver::Phase phase,
+                 Counter &counter);
 
     /**
      * Recompute the per-slot cost memos (slotTaskCost, slotTaskTime)

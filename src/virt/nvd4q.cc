@@ -93,23 +93,32 @@ Nvd4qManager::formGroups(const ChainMesh &mesh, std::size_t n_logical,
 }
 
 JoinCost
-Nvd4qManager::joinCost(NvRfController &joiner,
-                       const NvRfController &source)
+Nvd4qManager::joinCost(const Radio &nvrf, RfState &joiner,
+                       const RfState &source)
 {
+    if (!nvrf.nonvolatile)
+        fatal("an NVD4Q join clones an NVRF register file; the radio "
+              "is not an NVRF");
     JoinCost cost;
     // Line 1-2: open the NVRF and listen for the closest node's beacon
     // (one slot-beacon listen window).
     const Tick listen = ticksFromMs(25.0);
     cost.duration += listen;
-    cost.energy += joiner.rxCost(listen).energy;
-    // Line 3: copy NVFF + NVM state over the air.
-    const RfPhase clone = joiner.cloneFrom(source);
+    cost.energy += nvrf.rxCost(listen).energy;
+    // Line 3: copy NVFF + NVM state over the air.  The register file
+    // and association list fit in a small frame: one short RX window,
+    // then the self-init that latches it.
+    joiner = source;
+    const Tick rx_window =
+        nvrf.airtime(64 + 4 * source.associatedDevList.size()) +
+        ticksFromMs(2.0);
+    const RfPhase clone = nvrf.rxCost(rx_window) + nvrf.initCost();
     cost.duration += clone.duration;
     cost.energy += clone.energy;
     // Line 4: timer sync (short beacon exchange), then NVRF off.
     const Tick sync = ticksFromMs(3.0);
     cost.duration += sync;
-    cost.energy += joiner.rxCost(sync).energy;
+    cost.energy += nvrf.rxCost(sync).energy;
     return cost;
 }
 

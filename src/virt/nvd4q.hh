@@ -104,13 +104,15 @@ class Nvd4qManager
 
     /**
      * Price the Algorithm 2 join: open NVRF, listen for the closest
-     * node, clone its state, sync timer, close NVRF.
+     * node, clone its state, sync timer, close NVRF.  The joiner's
+     * register file becomes a copy of the source's.
      *
-     * @param joiner The new node's NVRF (will be configured).
-     * @param source The closest node's NVRF (must be configured).
+     * @param nvrf The joiner's radio part; fatal unless an NVRF.
+     * @param joiner The new node's NVRF register file.
+     * @param source The closest node's NVRF register file.
      */
-    static JoinCost joinCost(NvRfController &joiner,
-                             const NvRfController &source);
+    static JoinCost joinCost(const Radio &nvrf, RfState &joiner,
+                             const RfState &source);
 
     /**
      * Slot-level QoS of a group over a horizon: fraction of logical

@@ -25,7 +25,7 @@ using namespace neofog::literals;
 
 TEST(Intermittent, RejectsBadConfig)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     ConstantTrace trace(1.0_mW);
     IntermittentExecution::Config cfg;
     cfg.onThreshold = 10.0_uJ;
@@ -43,7 +43,7 @@ TEST(Intermittent, RejectsZeroTaskSegment)
 {
     // A zero segment can never be committed: the VP commit loop
     // would subtract 0 forever instead of finishing the run.
-    VolatileProcessor vp;
+    const Processor vp = Processor::volatileMcu();
     ConstantTrace trace(2.0_mW);
     IntermittentExecution::Config cfg;
     cfg.taskSegmentInstructions = 0;
@@ -53,7 +53,7 @@ TEST(Intermittent, RejectsZeroTaskSegment)
 
 TEST(Intermittent, NoPowerNoProgress)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     ConstantTrace dark(Power::zero());
     const auto r = IntermittentExecution::run(nvp, dark, 10 * kSec);
     EXPECT_EQ(r.instructionsCompleted, 0u);
@@ -63,7 +63,7 @@ TEST(Intermittent, NoPowerNoProgress)
 
 TEST(Intermittent, AmplePowerRunsContinuously)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     ConstantTrace bright(10.0_mW);
     const auto r = IntermittentExecution::run(nvp, bright, 10 * kSec);
     // ~83333 instructions/s at 1 MHz / 12 cpi, minus the charge-up lag.
@@ -74,7 +74,7 @@ TEST(Intermittent, AmplePowerRunsContinuously)
 
 TEST(Intermittent, StarvedPowerCyclesRepeatedly)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     // Income below the processor draw: classic charge-run-die cycling.
     ConstantTrace trickle(Power::fromMicrowatts(60.0));
     const auto r = IntermittentExecution::run(nvp, trickle, 5 * kMin);
@@ -84,7 +84,7 @@ TEST(Intermittent, StarvedPowerCyclesRepeatedly)
 
 TEST(Intermittent, NvpNeverWastesInstructions)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     ConstantTrace trickle(Power::fromMicrowatts(80.0));
     const auto r = IntermittentExecution::run(nvp, trickle, 5 * kMin);
     EXPECT_EQ(r.instructionsWasted, 0u);
@@ -92,7 +92,7 @@ TEST(Intermittent, NvpNeverWastesInstructions)
 
 TEST(Intermittent, VpWastesUncommittedWork)
 {
-    VolatileProcessor vp;
+    const Processor vp = Processor::volatileMcu();
     ConstantTrace trickle(Power::fromMicrowatts(80.0));
     IntermittentExecution::Config cfg;
     cfg.taskSegmentInstructions = 1'000'000; // huge segments
@@ -105,7 +105,7 @@ TEST(Intermittent, VpWastesUncommittedWork)
 
 TEST(Intermittent, SmallerSegmentsWasteLess)
 {
-    VolatileProcessor vp;
+    const Processor vp = Processor::volatileMcu();
     ConstantTrace trickle(Power::fromMicrowatts(80.0));
     IntermittentExecution::Config small;
     small.taskSegmentInstructions = 1'000;
@@ -147,7 +147,7 @@ TEST(Intermittent, AdvantageShrinksWithAmplePower)
 
 TEST(Intermittent, EnergyConservation)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     ConstantTrace trace(0.5_mW);
     const auto r = IntermittentExecution::run(nvp, trace, kMin);
     // Spend cannot exceed harvest (both measured at their own sides;
@@ -189,16 +189,12 @@ moteName(Mote mote)
 IntermittentExecution::Result
 runMote(Mote mote, const PowerTrace &trace, Tick horizon)
 {
-    const NvProcessor fios_nvp{NvProcessor::fiosConfig()};
-    const NvProcessor nos_nvp;
-    const VolatileProcessor vp;
     IntermittentExecution::Config cfg;
     cfg.frontend = mote == Mote::NvpFios ? FrontEnd::makeFios().config()
                                          : FrontEnd::makeNos().config();
-    const Processor &cpu = mote == Mote::NvpFios
-        ? static_cast<const Processor &>(fios_nvp)
-        : mote == Mote::NvpNos ? static_cast<const Processor &>(nos_nvp)
-                               : static_cast<const Processor &>(vp);
+    const Processor cpu = mote == Mote::NvpFios ? Processor::fiosNvp()
+                          : mote == Mote::NvpNos ? Processor::nosNvp()
+                                                 : Processor::volatileMcu();
     return IntermittentExecution::run(cpu, trace, horizon, cfg);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -77,6 +78,21 @@ TEST(Node, RequiresSensorBytesPerSample)
     EXPECT_THROW(
         Node(cfg, std::make_unique<ConstantTrace>(1.0_mW)),
         FatalError);
+}
+
+// An incidental task's instruction count is cast from the fraction; a
+// NaN or negative one (a hostile snapshot config) would make that cast
+// undefined instead of failing.
+TEST(Node, RequiresIncidentalFractionInUnitInterval)
+{
+    for (const double fraction :
+         {-5.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        Node::Config cfg = baseConfig(OperatingMode::NosNvp);
+        cfg.incidentalFraction = fraction;
+        EXPECT_THROW(Node(cfg, std::make_unique<ConstantTrace>(1.0_mW)),
+                     FatalError)
+            << fraction;
+    }
 }
 
 /** Records the duration and energy of every Sample phase. */
@@ -545,8 +561,8 @@ TEST(Node, StandaloneNodesOwnTheirSpecs)
     Node a(cfg, std::make_unique<ConstantTrace>(1.0_mW));
     Node b(cfg, std::make_unique<ConstantTrace>(1.0_mW));
     EXPECT_NE(&a.spec(), &b.spec());
-    EXPECT_NE(a.spec().cpu.get(), b.spec().cpu.get());
-    EXPECT_NE(a.spec().rf.get(), b.spec().rf.get());
+    EXPECT_NE(&a.spec().cpu, &b.spec().cpu);
+    EXPECT_NE(&a.spec().rf, &b.spec().rf);
     EXPECT_EQ(a.id(), 7u);
     EXPECT_TRUE(a.state().nvrf);
 
@@ -675,6 +691,33 @@ TEST(Node, PackageTxCostLowerForNvrf)
               nvp->packageTxCost().joules());
     EXPECT_LT(nvp->packageTxCost().joules(),
               vp->packageTxCost().joules());
+}
+
+// A mode's parts come from its paper factories, and the spec prices
+// the radio's init once: a node pays it with the slot's first
+// transmission and not after.
+TEST(Node, SpecPricesRadioInitOnce)
+{
+    for (const OperatingMode mode :
+         {OperatingMode::NosVp, OperatingMode::NosNvp,
+          OperatingMode::FiosNvMote}) {
+        SCOPED_TRACE(operatingModeName(mode));
+        auto node = makeNode(mode, 10.0_mW);
+        const Node::Spec &spec = node->spec();
+        EXPECT_EQ(spec.cpu.nonvolatile, mode != OperatingMode::NosVp);
+        EXPECT_EQ(spec.cpu.spendthrift.has_value(),
+                  mode != OperatingMode::NosVp);
+        EXPECT_EQ(spec.rf.nonvolatile, mode == OperatingMode::FiosNvMote);
+        EXPECT_EQ(spec.rfInit.duration, spec.rf.initCost().duration);
+        EXPECT_EQ(spec.rfInit.energy, spec.rf.initCost().energy);
+
+        node->beginSlot(0, kSlot);
+        EXPECT_EQ(node->packageTxCost(),
+                  spec.txPackageEnergy + spec.rfInit.energy);
+        ASSERT_TRUE(node->tryWake());
+        ASSERT_TRUE(node->payTransmit(16));
+        EXPECT_EQ(node->packageTxCost(), spec.txPackageEnergy);
+    }
 }
 
 TEST(Node, SlotCostOrdering)

@@ -113,27 +113,42 @@ TEST(Nvd4q, FormGroupsRejectsMismatch)
 
 TEST(Nvd4q, JoinCostClonesState)
 {
-    NvRfController source;
-    source.configure();
-    source.state().channel = 21;
-    source.state().associatedDevList = {1, 2};
+    RfState source;
+    source.channel = 21;
+    source.panId = 0x3001;
+    source.routeVersion = 42;
+    source.associatedDevList = {1, 2, 5};
+    source.slotPhase = 2;
+    source.wakeIntervalMultiplier = 3;
 
-    NvRfController joiner;
-    const JoinCost cost = Nvd4qManager::joinCost(joiner, source);
-    EXPECT_GT(cost.duration, 0);
+    RfState joiner;
+    const Radio nvrf = Radio::nvrf();
+    const JoinCost cost = Nvd4qManager::joinCost(nvrf, joiner, source);
+    EXPECT_EQ(joiner, source);
+    // The 25 ms listen, the clone frame's RX window (64 B plus 4 B per
+    // neighbour, and a 2 ms guard) and the self-init that latches it,
+    // then the 3 ms sync.
+    const Tick window = nvrf.airtime(64 + 4 * 3) + ticksFromMs(2.0);
+    EXPECT_EQ(cost.duration, ticksFromMs(25.0) + window +
+                                 ticksFromMs(1.2) + ticksFromMs(3.0));
     EXPECT_GT(cost.energy.millijoules(), 0.0);
-    EXPECT_TRUE(joiner.configured());
-    EXPECT_EQ(joiner.state().channel, 21);
+}
+
+TEST(Nvd4q, JoinCostNeedsAnNvrf)
+{
+    RfState joiner;
+    EXPECT_THROW(
+        Nvd4qManager::joinCost(Radio::nvmDirect(), joiner, RfState{}),
+        FatalError);
 }
 
 TEST(Nvd4q, JoinCostIsMillisecondScale)
 {
     // The whole Algorithm 2 join is tens of milliseconds — far cheaper
     // than a software network (re)construction (hundreds of ms).
-    NvRfController source;
-    source.configure();
-    NvRfController joiner;
-    const JoinCost cost = Nvd4qManager::joinCost(joiner, source);
+    RfState joiner;
+    const JoinCost cost =
+        Nvd4qManager::joinCost(Radio::nvrf(), joiner, RfState{});
     EXPECT_LT(cost.duration, ticksFromMs(100.0));
 }
 

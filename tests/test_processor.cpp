@@ -1,9 +1,12 @@
 /**
  * @file
- * Tests for processor models and the Spendthrift policy.
+ * Tests for the processor parts and the Spendthrift policy.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <type_traits>
 
 #include "hw/processor.hh"
 #include "sim/logging.hh"
@@ -13,11 +16,14 @@ namespace {
 
 using namespace neofog::literals;
 
+// A part is a value: no vtable, nothing to downcast.
+static_assert(!std::is_polymorphic_v<Processor>);
+
 TEST(Processor, InstructionEnergyMatchesTable2)
 {
     // 0.209 mW 8051 @ 1 MHz, 12 clocks/instruction => 2.508 nJ/inst.
-    NvProcessor nvp;
-    EXPECT_NEAR(nvp.instructionEnergy().nanojoules(), 2.508, 1e-6);
+    const Processor nvp = Processor::nosNvp();
+    EXPECT_NEAR(nvp.computeEnergy(1).nanojoules(), 2.508, 1e-6);
     // Bridge health: 545 instructions -> 1366.86 nJ (Table 2).
     EXPECT_NEAR(nvp.computeEnergy(545).nanojoules(), 1366.86, 0.01);
     // Pattern matching: 1670 -> 4188.36 nJ.
@@ -26,7 +32,7 @@ TEST(Processor, InstructionEnergyMatchesTable2)
 
 TEST(Processor, ComputeTimeAtOneMegahertz)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     // 12 cycles per instruction at 1 MHz = 12 us per instruction.
     EXPECT_EQ(nvp.computeTime(1), 12);
     EXPECT_EQ(nvp.computeTime(1000), 12000);
@@ -34,13 +40,10 @@ TEST(Processor, ComputeTimeAtOneMegahertz)
 
 TEST(Processor, EnergyPerInstructionIndependentOfClock)
 {
-    NvProcessor::NvpConfig cfg;
-    cfg.base.frequencyHz = 50e6;
-    cfg.base.activePower = Power::fromMilliwatts(0.209 * 50.0);
-    NvProcessor fast(cfg);
-    EXPECT_NEAR(fast.instructionEnergy().nanojoules(), 2.508, 0.01);
+    const Processor fast = Processor::nosNvp(50.0);
+    EXPECT_NEAR(fast.computeEnergy(1).nanojoules(), 2.508, 0.01);
     // But 50x faster.
-    NvProcessor slow;
+    const Processor slow = Processor::nosNvp();
     EXPECT_NEAR(static_cast<double>(slow.computeTime(100000)) /
                     static_cast<double>(fast.computeTime(100000)),
                 50.0, 0.5);
@@ -48,18 +51,15 @@ TEST(Processor, EnergyPerInstructionIndependentOfClock)
 
 TEST(Processor, WakeLatenciesMatchPaper)
 {
-    VolatileProcessor vp;
-    NvProcessor nos_nvp;
-    NvProcessor fios_nvp{NvProcessor::fiosConfig()};
-    EXPECT_EQ(vp.wakeLatency(), 300 * kUs);
-    EXPECT_EQ(nos_nvp.wakeLatency(), 32 * kUs);
-    EXPECT_EQ(fios_nvp.wakeLatency(), 7 * kUs);
+    EXPECT_EQ(Processor::volatileMcu().wakeLatency, 300 * kUs);
+    EXPECT_EQ(Processor::nosNvp().wakeLatency, 32 * kUs);
+    EXPECT_EQ(Processor::fiosNvp().wakeLatency, 7 * kUs);
 }
 
 TEST(Processor, VpWakeIncludesFlashReload)
 {
-    VolatileProcessor vp;
-    NvProcessor nvp;
+    const Processor vp = Processor::volatileMcu();
+    const Processor nvp = Processor::nosNvp();
     // The VP reloads configuration from flash: orders of magnitude
     // more wake energy than an NVP restore.
     EXPECT_GT(vp.wakeEnergy().joules(), 100.0 * nvp.wakeEnergy().joules());
@@ -67,27 +67,33 @@ TEST(Processor, VpWakeIncludesFlashReload)
 
 TEST(Processor, NonvolatilityFlags)
 {
-    VolatileProcessor vp;
-    NvProcessor nvp;
-    EXPECT_FALSE(vp.isNonvolatile());
-    EXPECT_TRUE(nvp.isNonvolatile());
-    EXPECT_EQ(vp.backupLatency(), 0);
-    EXPECT_GT(nvp.backupLatency(), 0);
-    EXPECT_GT(nvp.backupEnergy().joules(), 0.0);
+    const Processor vp = Processor::volatileMcu();
+    const Processor nvp = Processor::nosNvp();
+    EXPECT_FALSE(vp.nonvolatile);
+    EXPECT_TRUE(nvp.nonvolatile);
+    EXPECT_TRUE(Processor::fiosNvp().nonvolatile);
+    EXPECT_EQ(vp.backupLatency, 0);
+    EXPECT_GT(nvp.backupLatency, 0);
+    EXPECT_GT(nvp.backupEnergy.joules(), 0.0);
+    // Spendthrift is an NVP policy.
+    EXPECT_FALSE(vp.spendthrift);
+    EXPECT_TRUE(nvp.spendthrift);
 }
 
 TEST(Processor, RejectsBadConfig)
 {
-    Processor::Config bad;
-    bad.frequencyHz = 0.0;
-    VolatileProcessor::VpConfig cfg;
-    cfg.base = bad;
-    EXPECT_THROW(VolatileProcessor{cfg}, FatalError);
+    for (const double mhz : {0.0, -16.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(Processor::volatileMcu(mhz), FatalError) << mhz;
+        EXPECT_THROW(Processor::nosNvp(mhz), FatalError) << mhz;
+        EXPECT_THROW(Processor::fiosNvp(mhz), FatalError) << mhz;
+    }
 }
 
 TEST(Spendthrift, BenefitMonotonicInIncome)
 {
-    SpendthriftPolicy policy;
+    const SpendthriftPolicy policy;
     double prev = 1e9;
     for (double mw = 0.1; mw <= 15.0; mw += 0.5) {
         const double b = policy.benefit(Power::fromMilliwatts(mw));
@@ -98,12 +104,12 @@ TEST(Spendthrift, BenefitMonotonicInIncome)
 
 TEST(Spendthrift, CornerValues)
 {
-    SpendthriftPolicy::Config cfg;
-    cfg.lowIncome = 1.0_mW;
-    cfg.highIncome = 10.0_mW;
-    cfg.maxBenefit = 2.0;
-    cfg.minBenefit = 1.0;
-    SpendthriftPolicy policy(cfg);
+    SpendthriftPolicy policy;
+    policy.lowIncome = 1.0_mW;
+    policy.highIncome = 10.0_mW;
+    policy.maxBenefit = 2.0;
+    policy.minBenefit = 1.0;
+    policy.validate();
     EXPECT_DOUBLE_EQ(policy.benefit(0.5_mW), 2.0);
     EXPECT_DOUBLE_EQ(policy.benefit(10.0_mW), 1.0);
     EXPECT_DOUBLE_EQ(policy.benefit(100.0_mW), 1.0);
@@ -112,7 +118,7 @@ TEST(Spendthrift, CornerValues)
 
 TEST(Spendthrift, FrequencyScaleBounds)
 {
-    SpendthriftPolicy policy;
+    const SpendthriftPolicy policy;
     const double lo = policy.frequencyScale(Power::fromMicrowatts(1.0));
     const double hi = policy.frequencyScale(Power::fromMilliwatts(50.0));
     EXPECT_NEAR(lo, 0.25, 1e-12);
@@ -122,7 +128,7 @@ TEST(Spendthrift, FrequencyScaleBounds)
 
 TEST(Spendthrift, EffectiveComputeEnergyScales)
 {
-    NvProcessor nvp;
+    const Processor nvp = Processor::nosNvp();
     const Energy nominal = nvp.computeEnergy(100000);
     const Energy at_low =
         nvp.effectiveComputeEnergy(100000, Power::fromMicrowatts(100.0));
@@ -131,19 +137,25 @@ TEST(Spendthrift, EffectiveComputeEnergyScales)
     EXPECT_LT(at_low, nominal);
     EXPECT_NEAR(at_high.joules(), nominal.joules(), 1e-15);
     EXPECT_NEAR(nominal.joules() / at_low.joules(),
-                nvp.spendthrift().config().maxBenefit, 1e-9);
+                nvp.spendthrift->maxBenefit, 1e-9);
+    // Without Spendthrift the cost is the nominal one at any income.
+    const Processor vp = Processor::volatileMcu();
+    EXPECT_EQ(vp.effectiveComputeEnergy(100000, Power::fromMicrowatts(100.0)),
+              vp.computeEnergy(100000));
 }
 
 TEST(Spendthrift, RejectsBadConfig)
 {
-    SpendthriftPolicy::Config cfg;
-    cfg.lowIncome = 10.0_mW;
-    cfg.highIncome = 1.0_mW;
-    EXPECT_THROW(SpendthriftPolicy{cfg}, FatalError);
+    EXPECT_NO_THROW(SpendthriftPolicy{}.validate());
 
-    SpendthriftPolicy::Config cfg2;
-    cfg2.minBenefit = 0.5;
-    EXPECT_THROW(SpendthriftPolicy{cfg2}, FatalError);
+    SpendthriftPolicy reversed;
+    reversed.lowIncome = 10.0_mW;
+    reversed.highIncome = 1.0_mW;
+    EXPECT_THROW(reversed.validate(), FatalError);
+
+    SpendthriftPolicy below_one;
+    below_one.minBenefit = 0.5;
+    EXPECT_THROW(below_one.validate(), FatalError);
 }
 
 } // namespace

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -1205,20 +1207,24 @@ twoSecondGrid()
     return grid;
 }
 
+/** The FatalError decoding config blob @p bytes raises ("" if none). */
+std::string
+decodeError(const std::string &bytes)
+{
+    try {
+        deserializeScenarioBlob(bytes);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
 // The energy cache is always on at a 1 s grid.  A config section that
 // records another value was integrated on a deleted path, so decoding
 // it names the record instead of resuming onto different income.
 TEST(ScenarioFingerprint, RetiredEnergyCacheValuesAreRejected)
 {
     const std::string blob = serializeScenarioBlob(ScenarioConfig{});
-    const auto decodeError = [](const std::string &bytes) {
-        try {
-            deserializeScenarioBlob(bytes);
-        } catch (const FatalError &err) {
-            return std::string(err.what());
-        }
-        return std::string();
-    };
     EXPECT_EQ(decodeError(blob), "");
 
     std::string off = blob;
@@ -1230,6 +1236,32 @@ TEST(ScenarioFingerprint, RetiredEnergyCacheValuesAreRejected)
                    twoSecondGrid());
     EXPECT_NE(decodeError(coarse).find("energy_cache"),
               std::string::npos);
+}
+
+// An enum travels as its integer and the day profile indexes a table,
+// so a config blob holding a value no build writes would abort the
+// engine (or be silently ignored) instead of being refused.  Decoding
+// names the record.
+TEST(ScenarioFingerprint, ValuesNoBuildWritesAreRejected)
+{
+    const std::string blob = serializeScenarioBlob(ScenarioConfig{});
+    for (const auto &[record, value] :
+         std::vector<std::pair<std::string, std::int32_t>>{
+             {"mode", 7},
+             {"mode", -1},
+             {"trace_kind", 9},
+             {"node_template.mode", 7},
+             {"profile_index", -1}}) {
+        std::string edited = blob;
+        std::string payload;
+        snapshot::appendLe32(payload, static_cast<std::uint32_t>(value));
+        edited.replace(payloadOffset(edited, record), payload.size(),
+                       payload);
+        const std::string err = decodeError(edited);
+        EXPECT_NE(err.find(record + " = " + std::to_string(value)),
+                  std::string::npos)
+            << record << " = " << value << ": " << err;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1476,6 +1508,36 @@ resumeErrorAfterEdit(const Snapshot &pristine, const std::string &name,
         return err.what();
     }
     return "";
+}
+
+// The node template's clock builds every processor of the run.  A
+// file holding a clock that is not positive and finite is refused on
+// resume: a NaN clock used to resume with exit 0 onto a wrong report.
+TEST(Resume, RefusesProcessorClockNotPositiveAndFinite)
+{
+    const ScratchDir dir("resume_processor_clock");
+    ScenarioConfig cfg = resumeScenario(1);
+    cfg.horizon = 10 * kMin;
+    cfg.snapshot.everySlots = 10;
+    cfg.snapshot.dir = dir.path();
+    FogSystem(cfg).run();
+    const Snapshot pristine =
+        snapshot::readSnapshot(dir.file(snapshot::snapshotFileName(10)));
+    for (const double mhz : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0,
+                             -16.0}) {
+        const std::string err = resumeErrorAfterEdit(
+            pristine, "config", dir, [&](std::string &data) {
+                std::string bits;
+                snapshot::appendLe64(bits,
+                                     std::bit_cast<std::uint64_t>(mhz));
+                data.replace(
+                    payloadOffset(data, "node_template.processor_mhz"),
+                    bits.size(), bits);
+            });
+        EXPECT_NE(err.find("processor clock"), std::string::npos)
+            << mhz << ": " << err;
+    }
 }
 
 // A probe ring whose head points past its buffer would be written
