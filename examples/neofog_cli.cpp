@@ -11,9 +11,9 @@
  *
  * Every result flows through the report_io exporter: text (aligned
  * tables), json (schema-tagged, machine-readable), or csv.  --probes
- * enables the per-chain time-series probes and exports their streams;
- * --dump-energy exports one node's stored-energy series the same way,
- * over the slots this process runs (a resumed run starts at its
+ * attaches a ChainProbeLog to every chain and exports its streams;
+ * --dump-energy exports one node's stored-energy series the same way.
+ * Both cover the slots this process runs (a resumed run starts at its
  * snapshot's slot).
  */
 
@@ -26,6 +26,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "balance/policy_registry.hh"
 #include "dist/coordinator.hh"
@@ -91,7 +92,11 @@ usage(const char *argv0)
         "  --probes                  per-chain time-series probes "
         "(stored\n"
         "                            energy, yield, balancer, "
-        "depletion)\n"
+        "depletion) over\n"
+        "                            the slots this process runs "
+        "(after\n"
+        "                            --resume, from the snapshot's "
+        "slot)\n"
         "  --probe-cap N             probe ring capacity "
         "(default 4096)\n"
         "  --dump-energy I           export node I's stored-energy "
@@ -247,6 +252,8 @@ main(int argc, char **argv)
     cfg.seed = 1;
 
     int dump_energy = -1;
+    bool probes = false;
+    std::size_t probe_cap = 4096;
     report_io::Format format = report_io::Format::Text;
     std::string out_path;
     std::string resume_path;
@@ -348,9 +355,9 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--probes") {
-            cfg.probes.enabled = true;
+            probes = true;
         } else if (arg == "--probe-cap") {
-            cfg.probes.capacity = count();
+            probe_cap = count();
         } else if (arg == "--dump-energy") {
             dump_energy = parseNumber<int>(arg, next(), 0, kMax<int>,
                                            "an integer >= 0");
@@ -380,7 +387,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (use_workers && (cfg.probes.enabled || dump_energy >= 0)) {
+    if (use_workers && (probes || dump_energy >= 0)) {
         // Series live inside the worker processes; only report shards
         // travel the wire.
         std::fprintf(stderr, "--probes/--dump-energy need an "
@@ -414,14 +421,22 @@ main(int argc, char **argv)
             // the checkpoint schedule) carry over from the command
             // line.
             StoredEnergyLog energy_log;
+            std::vector<ChainProbeLog> probe_logs;
             std::unique_ptr<FogSystem> system = resume_path.empty()
                 ? std::make_unique<FogSystem>(cfg)
                 : FogSystem::resume(resume_path, cfg.threads,
                                     cfg.snapshot);
             cfg = system->config();
-            // The log watches the slots this process runs: a history
-            // is not restart state, so a resumed run's starts at the
+            // The logs watch the slots this process runs: a history
+            // is not restart state, so a resumed run's start at the
             // snapshot's slot.
+            if (probes) {
+                const std::size_t chains = system->chains().size();
+                probe_logs.reserve(chains); // the chains point into it
+                for (std::size_t c = 0; c < chains; ++c)
+                    system->setProbeLog(c,
+                                        &probe_logs.emplace_back(probe_cap));
+            }
             if (dump_energy >= 0) {
                 const auto idx = static_cast<std::size_t>(dump_energy);
                 if (idx >= system->physicalPerChain()) {
@@ -434,7 +449,9 @@ main(int argc, char **argv)
 
             // Collect every requested time-series stream; they all
             // leave through the same exporter as the report.
-            series = system->probeSeries();
+            for (std::size_t c = 0; c < probe_logs.size(); ++c)
+                for (auto &s : probe_logs[c].series(c))
+                    series.push_back(std::move(s));
             if (dump_energy >= 0)
                 series.push_back({"chain0.node" +
                                       std::to_string(dump_energy) +

@@ -7,6 +7,11 @@
 #   golden.sh check BUILD_DIR [KIND NAME]   every entry, or the one named
 #   golden.sh regen BUILD_DIR               rewrite every corpus file
 #
+# KIND is report, bench, snapshot or series (see the manifest header).
+# A series entry prints time series (--probes, --dump-energy), which
+# --workers refuses, so it runs at --threads 1 and 4 only, in each of
+# the json, csv and text formats.
+#
 # `check` exits 1 if any output differs, naming the first metric (for
 # JSON) or the first snapshot field (through neofog_replay) that moved.
 # `regen` is for a change that means to move bytes: review the diff it
@@ -17,7 +22,7 @@
 set -u
 
 usage() {
-    echo "usage: $0 check BUILD_DIR [report|bench|snapshot NAME]" >&2
+    echo "usage: $0 check BUILD_DIR [report|bench|snapshot|series NAME]" >&2
     echo "       $0 regen BUILD_DIR" >&2
     exit 2
 }
@@ -121,6 +126,25 @@ snapshot() {
     done
 }
 
+series() {
+    local name=$1 want got f t
+    shift
+    for f in json csv text; do
+        want=$corpus/series-$name.$f
+        for t in 1 4; do
+            got=$work/series-$name-$t.$f
+            "$cli" "$@" --threads "$t" --format "$f" > "$got" < /dev/null ||
+                { fail "series $name ($f, $t): neofog_cli exited $?"
+                  continue; }
+            if [ "$t" = 1 ]; then
+                put "$got" "$want" "series $name ($f, --threads $t)"
+            else
+                same "$want" "$got" "series $name ($f, --threads $t)"
+            fi
+        done
+    done
+}
+
 [ -x "$cli" ] || { echo "no neofog_cli under $build/examples" >&2; exit 2; }
 
 matched=0
@@ -137,6 +161,7 @@ while read -r kind name rest <&3; do
         report) report "$name" $rest ;;
         bench) bench "$name" ;;
         snapshot) snapshot "$name" $rest ;;
+        series) series "$name" $rest ;;
         *) echo "manifest: unknown kind '$kind'" >&2; exit 2 ;;
     esac
 done 3< "$corpus/manifest"

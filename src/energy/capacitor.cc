@@ -1,6 +1,7 @@
 #include "energy/capacitor.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.hh"
 
@@ -9,12 +10,16 @@ namespace neofog {
 SuperCapacitor::State
 SuperCapacitor::initialState(const Config &cfg)
 {
-    if (cfg.capacity.joules() <= 0.0)
-        fatal("super-capacitor capacity must be positive");
-    if (cfg.initial > cfg.capacity)
-        fatal("super-capacitor initial charge exceeds capacity");
-    if (cfg.initial.joules() < 0.0)
-        fatal("super-capacitor initial charge negative");
+    // Written so NaN fails them too.
+    const double capacity = cfg.capacity.joules();
+    if (!(capacity > 0.0 && std::isfinite(capacity)))
+        fatal("super-capacitor capacity must be positive and finite, "
+              "got ", capacity, " J");
+    if (!(cfg.initial.joules() >= 0.0 && cfg.initial <= cfg.capacity))
+        fatal("super-capacitor initial charge must be in [0, capacity], "
+              "got ", cfg.initial.joules(), " J");
+    requireFiniteNonNegative(cfg.leakage.watts(),
+                             "super-capacitor leakage (W)");
     State state;
     state.stored = cfg.initial;
     return state;

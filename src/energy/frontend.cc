@@ -8,7 +8,7 @@ FrontEnd::FrontEnd(const Config &cfg)
     : _cfg(cfg)
 {
     auto check = [](double v, const char *name) {
-        if (v <= 0.0 || v > 1.0)
+        if (!(v > 0.0 && v <= 1.0)) // NaN fails it too
             fatal("front-end efficiency out of (0,1]: ", name, "=", v);
     };
     check(_cfg.harvestEfficiency, "harvestEfficiency");

@@ -10,6 +10,23 @@
 
 namespace neofog {
 
+ChainProbeLog::ChainProbeLog(std::size_t capacity)
+    : storedEnergyMj(capacity), yieldFrac(capacity),
+      balancedTasks(capacity), depletionFailures(capacity)
+{
+}
+
+std::vector<report_io::LabeledSeries>
+ChainProbeLog::series(std::size_t chain_index) const
+{
+    const std::string prefix = "chain" + std::to_string(chain_index) + ".";
+    return {{prefix + "stored_mj", "mJ", storedEnergyMj.snapshot()},
+            {prefix + "yield", "ratio", yieldFrac.snapshot()},
+            {prefix + "balanced_tasks", "", balancedTasks.snapshot()},
+            {prefix + "depletion_failures", "",
+             depletionFailures.snapshot()}};
+}
+
 void
 ChainState::checkAliveLength(const std::string &path,
                              std::size_t logical) const
@@ -70,14 +87,6 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     _lbOutcome.moves.reserve(_cfg.nodesPerChain);
     _windowMemo.reserve(4);
     _balancerIsNoop = _balancer->name() == "none";
-
-    if (_cfg.probes.enabled) {
-        ChainProbe &probe = _state.probe;
-        probe.storedEnergyMj.reset(_cfg.probes.capacity);
-        probe.yieldFrac.reset(_cfg.probes.capacity);
-        probe.balancedTasks.reset(_cfg.probes.capacity);
-        probe.depletionFailures.reset(_cfg.probes.capacity);
-    }
 }
 
 std::unique_ptr<PowerTrace>
@@ -191,8 +200,8 @@ ChainEngine::runSlot(std::int64_t slot_index)
         executeAndTransmit(*scheduled[l], scheduled, l);
     }
 
-    if (_cfg.probes.enabled)
-        sampleProbe(slot_index, t);
+    if (_probeLog)
+        sampleProbe(t);
 }
 
 void
@@ -232,13 +241,8 @@ ChainEngine::beginSlotBatch(const std::vector<Node *> &scheduled, Tick t)
 }
 
 void
-ChainEngine::sampleProbe(std::int64_t slot_index, Tick now)
+ChainEngine::sampleProbe(Tick now)
 {
-    const std::int64_t every =
-        _cfg.probes.everySlots < 1 ? 1 : _cfg.probes.everySlots;
-    if (slot_index % every != 0)
-        return;
-
     // Everything read here is owned by this engine: node state, the
     // report shard, and cumulative node counters.  No RNG draws.
     double stored_mj = 0.0;
@@ -253,12 +257,12 @@ ChainEngine::sampleProbe(std::int64_t slot_index, Tick now)
     const double delivered = static_cast<double>(
         _state.report.packagesToCloud + _state.report.packagesInFog);
 
-    _state.probe.storedEnergyMj.push(now, stored_mj);
-    _state.probe.yieldFrac.push(
+    _probeLog->storedEnergyMj.push(now, stored_mj);
+    _probeLog->yieldFrac.push(
         now, chain_ideal > 0.0 ? delivered / chain_ideal : 0.0);
-    _state.probe.balancedTasks.push(
+    _probeLog->balancedTasks.push(
         now, static_cast<double>(_state.report.tasksBalancedAway));
-    _state.probe.depletionFailures.push(
+    _probeLog->depletionFailures.push(
         now, static_cast<double>(depletions));
 }
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "balance/balancer.hh"
@@ -31,35 +32,37 @@
 #include "net/loss.hh"
 #include "node/node.hh"
 #include "sim/metrics.hh"
+#include "sim/report_io.hh"
 
 namespace neofog {
 
 /**
- * Opt-in ring-buffered time-series samplers for one chain (see
- * ScenarioConfig::probes).  Fed at the end of each sampled slot from
- * chain-local state only — no RNG draws, no cross-chain reads — so
- * the samples are bit-identical for any thread count and enabling the
- * probe never perturbs the simulation.
+ * Host-local time series of one chain, the chain-level counterpart of
+ * a node's StoredEnergyLog: attached through FogSystem::setProbeLog,
+ * it takes one sample at the end of every slot the chain runs from
+ * then on.  Sampling reads chain-local state only and draws no
+ * randomness, so a log never perturbs the simulation or its
+ * thread-count determinism.  It is not restart state: a snapshot holds
+ * none of it, and a resumed run's log covers the slots that process
+ * ran.
  */
-struct ChainProbe
+struct ChainProbeLog
 {
+    /** Four empty rings of @p capacity samples each. */
+    explicit ChainProbeLog(std::size_t capacity = 4096);
+
     RingSeries storedEnergyMj;     ///< total stored energy, all nodes
     RingSeries yieldFrac;          ///< cumulative delivered / chain ideal
     RingSeries balancedTasks;      ///< cumulative balancer shipments
     RingSeries depletionFailures;  ///< cumulative failed wakes
 
-    bool operator==(const ChainProbe &other) const = default;
-
-    /** Snapshot support (see src/snapshot/). */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("stored_energy_mj", storedEnergyMj);
-        ar.io("yield_frac", yieldFrac);
-        ar.io("balanced_tasks", balancedTasks);
-        ar.io("depletion_failures", depletionFailures);
-    }
+    /**
+     * The four rings for export, named for chain @p chain_index:
+     * chain<i>.stored_mj (mJ), .yield (ratio), .balanced_tasks and
+     * .depletion_failures.
+     */
+    std::vector<report_io::LabeledSeries>
+    series(std::size_t chain_index) const;
 };
 
 /**
@@ -86,7 +89,6 @@ struct ChainState
     int rotation = 0;
     /** The chain's report shard. */
     SystemReport report;
-    ChainProbe probe;
     /** Physical nodes' states, in id order. */
     NodeShard nodes;
 
@@ -94,7 +96,10 @@ struct ChainState
      * Snapshot support (see src/snapshot/).  The rotation is written
      * once per logical node, as group<i>.rotation.  Loading rejects an
      * alive_last_slot of another length than the chain's logical
-     * nodes, and group records that disagree with group0.
+     * nodes, and group records that disagree with group0.  Older
+     * files hold probe rings under probe.*; a probe history is not
+     * restart state, so a save writes them empty and a load drops
+     * them.
      */
     template <class Archive>
     void
@@ -119,12 +124,33 @@ struct ChainState
             }
         }
         ar.io("shard", report);
-        ar.io("probe", probe);
+        ar.pushScope("probe");
+        for (const char *ring : {"stored_energy_mj", "yield_frac",
+                                 "balanced_tasks", "depletion_failures"})
+            ioEmptyRing(ar, ring);
+        ar.popScope();
         for (std::size_t i = 0; i < nodes.rows(); ++i)
             ar.io("node" + std::to_string(i), nodes[i]);
     }
 
   private:
+    /** The records of an empty probe ring, under @p scope. */
+    template <class Archive>
+    static void
+    ioEmptyRing(Archive &ar, std::string_view scope)
+    {
+        std::vector<TimeSeries::Point> buf;
+        std::uint64_t capacity = 0;
+        std::uint64_t head = 0;
+        std::uint64_t pushed = 0;
+        ar.pushScope(scope);
+        ar.io("buf", buf);
+        ar.io("capacity", capacity);
+        ar.io("head", head);
+        ar.io("pushed", pushed);
+        ar.popScope();
+    }
+
     /** Fatal unless aliveLastSlot has @p logical entries. */
     void checkAliveLength(const std::string &path,
                           std::size_t logical) const;
@@ -170,9 +196,6 @@ class ChainEngine
     /** This engine's report shard (valid after finalizeShard). */
     const SystemReport &shard() const { return _state.report; }
 
-    /** This chain's probe series (empty unless cfg.probes.enabled). */
-    const ChainProbe &probe() const { return _state.probe; }
-
     std::size_t chainIndex() const { return _chainIndex; }
 
     /** Physical nodes, in id order. */
@@ -187,6 +210,9 @@ class ChainEngine
     /** See FogSystem::setObserver. */
     void setObserver(std::size_t physical_idx, NodeObserver *observer)
     { _nodes.at(physical_idx)->setObserver(observer); }
+
+    /** See FogSystem::setProbeLog. */
+    void setProbeLog(ChainProbeLog *log) { _probeLog = log; }
 
     /**
      * Everything a snapshot archives of this chain.  The config, the
@@ -241,8 +267,8 @@ class ChainEngine
     bool relayToSink(const std::vector<Node *> &scheduled,
                      std::size_t src, std::size_t payload_bytes);
 
-    /** Feed the probe rings from this slot's chain-local state. */
-    void sampleProbe(std::int64_t slot_index, Tick now);
+    /** Feed the probe log from this slot's chain-local state. */
+    void sampleProbe(Tick now);
 
     const ScenarioConfig &_cfg;
     std::size_t _chainIndex;
@@ -286,6 +312,9 @@ class ChainEngine
     };
     /** Windows integrated this slot (scratch for beginSlotBatch). */
     std::vector<IncomeWindow> _windowMemo;
+
+    /** Attached probe log (not owned), or null. */
+    ChainProbeLog *_probeLog = nullptr;
 };
 
 } // namespace neofog

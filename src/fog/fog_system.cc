@@ -25,6 +25,13 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
         fatal("multiplexing must be >= 1");
     if (_cfg.slotInterval <= 0 || _cfg.horizon < _cfg.slotInterval)
         fatal("bad slot interval / horizon");
+    // The CLI parser's ranges, checked here too so a resumed
+    // scenario meets them; written so NaN fails them.
+    requireFiniteNonNegative(_cfg.meanIncome.watts(), "mean income (W)");
+    if (!(_cfg.realTimeRequestChance >= 0.0 &&
+          _cfg.realTimeRequestChance <= 1.0))
+        fatal("real-time request chance must be in [0, 1], got ",
+              _cfg.realTimeRequestChance);
     if (_chainLo >= _chainHi || _chainHi > _cfg.chains)
         fatal("chain partition [", _chainLo, ", ", _chainHi,
               ") is not a non-empty subrange of ", _cfg.chains,
@@ -327,29 +334,6 @@ FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
     return system;
 }
 
-std::vector<report_io::LabeledSeries>
-FogSystem::probeSeries() const
-{
-    std::vector<report_io::LabeledSeries> out;
-    if (!_cfg.probes.enabled)
-        return out;
-    out.reserve(_engines.size() * 4);
-    for (std::size_t c = 0; c < _engines.size(); ++c) {
-        const ChainProbe &p = _engines[c]->probe();
-        const std::string prefix =
-            "chain" + std::to_string(_engines[c]->chainIndex()) + ".";
-        out.push_back({prefix + "stored_mj", "mJ",
-                       p.storedEnergyMj.snapshot()});
-        out.push_back({prefix + "yield", "ratio",
-                       p.yieldFrac.snapshot()});
-        out.push_back({prefix + "balanced_tasks", "",
-                       p.balancedTasks.snapshot()});
-        out.push_back({prefix + "depletion_failures", "",
-                       p.depletionFailures.snapshot()});
-    }
-    return out;
-}
-
 const Node &
 FogSystem::node(std::size_t chain, std::size_t physical_idx) const
 {
@@ -363,6 +347,13 @@ FogSystem::setObserver(std::size_t chain, std::size_t physical_idx,
 {
     NEOFOG_ASSERT(chain < _engines.size(), "chain index");
     _engines[chain]->setObserver(physical_idx, observer);
+}
+
+void
+FogSystem::setProbeLog(std::size_t chain, ChainProbeLog *log)
+{
+    NEOFOG_ASSERT(chain < _engines.size(), "chain index");
+    _engines[chain]->setProbeLog(log);
 }
 
 std::size_t

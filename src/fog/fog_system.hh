@@ -26,7 +26,6 @@
 #include "fog/chain_engine.hh"
 #include "fog/scenario.hh"
 #include "fog/system_report.hh"
-#include "sim/report_io.hh"
 #include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
 
@@ -158,6 +157,14 @@ class FogSystem
     void setObserver(std::size_t chain, std::size_t physical_idx,
                      NodeObserver *observer);
 
+    /**
+     * Attach @p log (not owned; nullptr detaches) to the @p chain-th
+     * chain this system runs (counted from chainLo()) for the slots
+     * run() executes from here on: one sample at the end of each.
+     * The chain's thread feeds it.
+     */
+    void setProbeLog(std::size_t chain, ChainProbeLog *log);
+
     /** Number of physical nodes per chain. */
     std::size_t physicalPerChain() const;
 
@@ -166,13 +173,6 @@ class FogSystem
     /** The per-chain engines, in chain order. */
     const std::vector<std::unique_ptr<ChainEngine>> &chains() const
     { return _engines; }
-
-    /**
-     * Snapshot every chain's probe series for export, in chain order
-     * (names like "chain0.stored_mj").  Empty unless the scenario
-     * enabled probes (ScenarioConfig::probes).
-     */
-    std::vector<report_io::LabeledSeries> probeSeries() const;
 
   private:
     /**

@@ -16,7 +16,6 @@
 
 #include "net/loss.hh"
 #include "node/node.hh"
-#include "sim/metrics.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
 
@@ -96,15 +95,6 @@ struct ScenarioConfig
      * "mimics communication by direct data transmission").
      */
     bool hopByHopRelay = false;
-
-    /**
-     * Opt-in per-chain time-series probes (stored energy, yield,
-     * balancer shipments, depletion), ring-buffered and sampled on
-     * the slot grid.  Chain-local by construction, so enabling them
-     * never changes simulation results or their thread-count
-     * determinism (probes never touch the RNG streams).
-     */
-    ProbeConfig probes{};
 
     /**
      * Prefix-sum energy-trace cache (see energy/trace_cache.hh): the

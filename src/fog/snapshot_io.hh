@@ -83,7 +83,8 @@ serializeNodeConfig(Archive &ar, Node::Config &n)
 
 /**
  * Archive every result-relevant ScenarioConfig field (everything
- * except the host-local `threads` and `snapshot` knobs).
+ * except the host-local `threads` and `snapshot` knobs), plus the
+ * fixed records of retired fields.
  */
 template <class Archive>
 void
@@ -121,7 +122,17 @@ serializeScenario(Archive &ar, ScenarioConfig &cfg)
     ar.io("membership_update_interval", cfg.membershipUpdateInterval);
     ar.io("real_time_request_chance", cfg.realTimeRequestChance);
     ar.io("hop_by_hop_relay", cfg.hopByHopRelay);
-    ar.io("probes", cfg.probes);
+    // Probes are a host-local ChainProbeLog now.  The records keep
+    // their neofog-snapshot-v1 bytes (probes off, capacity 4096, every
+    // slot), and a load drops what an older file holds there.
+    bool probes_enabled = false;
+    std::uint64_t probe_capacity = 4096;
+    std::int64_t probe_every = 1;
+    ar.pushScope("probes");
+    ar.io("enabled", probes_enabled);
+    ar.io("capacity", probe_capacity);
+    ar.io("every_slots", probe_every);
+    ar.popScope();
     // The energy cache is always on at its fixed grid, and the records
     // keep their neofog-snapshot-v1 bytes.  Any other value was
     // integrated on a deleted path and cannot resume bit-identically.

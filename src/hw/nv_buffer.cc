@@ -11,8 +11,14 @@ NvBuffer::NvBuffer(const Config &cfg)
 {
     if (_cfg.capacityBytes == 0)
         fatal("NV buffer capacity must be positive");
-    if (_cfg.interruptThreshold <= 0.0 || _cfg.interruptThreshold > 1.0)
-        fatal("NV buffer interrupt threshold must be in (0,1]");
+    // Written so NaN fails them too.
+    if (!(_cfg.interruptThreshold > 0.0 && _cfg.interruptThreshold <= 1.0))
+        fatal("NV buffer interrupt threshold must be in (0,1], got ",
+              _cfg.interruptThreshold);
+    requireFiniteNonNegative(_cfg.writeEnergyPerByte.joules(),
+                             "NV buffer write energy per byte (J)");
+    requireFiniteNonNegative(_cfg.readEnergyPerByte.joules(),
+                             "NV buffer read energy per byte (J)");
 }
 
 bool

@@ -104,6 +104,10 @@ Node::Spec::Spec(const Config &config)
         fatal("package shape must be nonzero");
     if (cfg.sensor.bytesPerSample == 0)
         fatal("sensor must produce at least one byte per sample");
+    requireFiniteNonNegative(cfg.sensor.initPower.watts(),
+                             "sensor init power (W)");
+    requireFiniteNonNegative(cfg.sensor.samplePower.watts(),
+                             "sensor sample power (W)");
     // The summary's instruction count is cast from this fraction.
     if (!(cfg.incidentalFraction >= 0.0 && cfg.incidentalFraction <= 1.0))
         fatal("incidental fraction must be in [0, 1], got ",

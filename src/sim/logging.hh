@@ -11,6 +11,7 @@
 #ifndef NEOFOG_SIM_LOGGING_HH
 #define NEOFOG_SIM_LOGGING_HH
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -94,6 +95,18 @@ template <typename... Args>
 fatal(Args &&...args)
 {
     throw FatalError(detail::concat(std::forward<Args>(args)...));
+}
+
+/**
+ * Fatal unless @p value is finite and >= 0, as every energy and power
+ * constant must be; NaN fails too.  @p what names it in the message.
+ * Inline: parts check their constants once per node they build.
+ */
+inline void
+requireFiniteNonNegative(double value, const char *what)
+{
+    if (!(value >= 0.0 && std::isfinite(value)))
+        fatal(what, " must be finite and >= 0, got ", value);
 }
 
 /**

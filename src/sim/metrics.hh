@@ -13,10 +13,11 @@
  * below fog/: the sim library knows how to iterate metrics, the report
  * type owns which metrics exist.
  *
- * RingSeries + ProbeConfig are the opt-in time-series probe
- * primitives: fixed-capacity ring buffers a chain engine can feed
- * every slot without unbounded memory growth, exported as CSV/JSON
- * streams through report_io.
+ * RingSeries is the storage of a host-local probe log (see
+ * fog/ChainProbeLog): a fixed-capacity ring buffer a chain engine can
+ * feed every slot without unbounded memory growth, exported as
+ * CSV/JSON streams through report_io.  It is never restart state, so
+ * it has no snapshot support.
  */
 
 #ifndef NEOFOG_SIM_METRICS_HH
@@ -224,20 +225,19 @@ class MetricRegistry
 };
 
 /**
- * Fixed-capacity (tick, value) ring buffer: the storage behind an
- * opt-in probe.  Keeps the newest `capacity` samples; older ones are
+ * Fixed-capacity (tick, value) ring buffer: the storage behind a
+ * probe log.  Keeps the newest `capacity` samples; older ones are
  * overwritten and counted as dropped, so a probe can run for any
- * horizon without unbounded growth.  Capacity 0 disables the ring
- * (pushes are dropped immediately).
+ * horizon without unbounded growth.  Memory grows with the samples
+ * held, not with the capacity.  Capacity 0 disables the ring (pushes
+ * are dropped immediately).
  */
 class RingSeries
 {
   public:
-    RingSeries() = default;
-    explicit RingSeries(std::size_t capacity) { reset(capacity); }
-
-    /** Clear and (re)size the ring. */
-    void reset(std::size_t capacity);
+    explicit RingSeries(std::size_t capacity)
+        : _capacity(capacity)
+    {}
 
     /** Append a sample, evicting the oldest when full. */
     void push(Tick when, double value);
@@ -256,76 +256,11 @@ class RingSeries
     /** Held samples, oldest first. */
     std::vector<TimeSeries::Point> snapshot() const;
 
-    /** Exact equality of history (determinism checks). */
-    bool operator==(const RingSeries &other) const;
-
-    /**
-     * Snapshot support (see src/snapshot/).  Loading rejects a
-     * capacity other than the ring's own and a ring no push sequence
-     * produces: more samples than capacity, fewer pushes than samples,
-     * or a head off the ring's write position.
-     */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        const std::size_t configured = _capacity;
-        ar.io("buf", _buf);
-        std::uint64_t capacity = _capacity;
-        std::uint64_t head = _head;
-        ar.io("capacity", capacity);
-        ar.io("head", head);
-        ar.io("pushed", _pushed);
-        if constexpr (Archive::isLoading) {
-            _capacity = static_cast<std::size_t>(capacity);
-            _head = static_cast<std::size_t>(head);
-            checkLoaded(ar.path(""), configured);
-        }
-    }
-
   private:
-    /**
-     * Fatal unless the loaded cells are a reachable state of a ring of
-     * @p configured samples: that capacity, at most that many samples,
-     * at least as many pushes as samples, head 0 until the ring is
-     * full and below capacity once it is.  @p scope prefixes the
-     * record names in the message.
-     */
-    void checkLoaded(const std::string &scope,
-                     std::size_t configured) const;
-
     std::vector<TimeSeries::Point> _buf;
-    std::size_t _capacity = 0;
+    std::size_t _capacity;
     std::size_t _head = 0; ///< next write position once full
     std::uint64_t _pushed = 0;
-};
-
-/**
- * Opt-in time-series probe configuration (see ScenarioConfig::probes).
- * Probes sample per-chain state on the slot grid, chain-locally, so
- * enabling them never perturbs simulation results or their
- * thread-count determinism.
- */
-struct ProbeConfig
-{
-    bool enabled = false;
-    /** Ring capacity per probe series (newest samples win). */
-    std::size_t capacity = 4096;
-    /** Sample every Nth slot (decimation; min 1). */
-    std::int64_t everySlots = 1;
-
-    /** Snapshot support (see src/snapshot/). */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("enabled", enabled);
-        std::uint64_t cap = capacity;
-        ar.io("capacity", cap);
-        if constexpr (Archive::isLoading)
-            capacity = static_cast<std::size_t>(cap);
-        ar.io("every_slots", everySlots);
-    }
 };
 
 } // namespace neofog

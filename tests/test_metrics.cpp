@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,7 +26,6 @@
 #include "sim/metrics.hh"
 #include "sim/report_io.hh"
 #include "sim/rng.hh"
-#include "snapshot/archive.hh"
 
 namespace neofog {
 namespace {
@@ -237,100 +237,17 @@ TEST(RingSeries, WrapsKeepingNewestSamples)
     EXPECT_EQ(disabled.dropped(), 1u);
 }
 
-/**
- * A ring's records under "ring." as a snapshot carries them, with
- * @p held zero samples in the buffer and the given cells.
- */
-std::string
-ringRecords(std::size_t held, std::uint64_t capacity, std::uint64_t head,
-            std::uint64_t pushed)
+// A ring allocates for the samples it holds, not for its capacity:
+// neofog_cli --probe-cap takes any count, and reserving the largest
+// one up front aborted with std::length_error.
+TEST(RingSeries, CapacityAllocatesNothingUpFront)
 {
-    snapshot::OutArchive out;
-    out.pushScope("ring");
-    std::vector<TimeSeries::Point> buf(held, TimeSeries::Point{0, 0.0});
-    out.io("buf", buf);
-    out.io("capacity", capacity);
-    out.io("head", head);
-    out.io("pushed", pushed);
-    return out.take();
-}
-
-/**
- * Load @p blob into a ring of @p capacity samples; the FatalError's
- * message, or "".
- */
-std::string
-ringLoadError(const std::string &blob, std::size_t capacity)
-{
-    RingSeries ring(capacity);
-    try {
-        snapshot::InArchive in{std::string_view(blob)};
-        in.io("ring", ring);
-    } catch (const FatalError &err) {
-        return err.what();
-    }
-    return "";
-}
-
-// Every state a push sequence reaches loads back, and the loaded ring
-// keeps evolving exactly like the original.
-TEST(RingSeriesLoad, AcceptsEveryPushSequence)
-{
-    for (const std::size_t capacity : {0u, 1u, 4u}) {
-        for (int pushes = 0; pushes <= 10; ++pushes) {
-            RingSeries ring(capacity);
-            for (int i = 0; i < pushes; ++i)
-                ring.push(i, static_cast<double>(i));
-            snapshot::OutArchive out;
-            out.io("ring", ring);
-            const std::string blob = out.take();
-            RingSeries loaded(capacity);
-            snapshot::InArchive in{std::string_view(blob)};
-            ASSERT_NO_THROW(in.io("ring", loaded))
-                << capacity << "/" << pushes;
-            ring.push(99, 99.0);
-            loaded.push(99, 99.0);
-            EXPECT_TRUE(loaded == ring) << capacity << "/" << pushes;
-        }
-    }
-}
-
-// The probe's configured capacity bounds the ring; a snapshot cannot
-// widen or narrow it.
-TEST(RingSeriesLoad, RejectsAnotherCapacity)
-{
-    EXPECT_EQ(ringLoadError(ringRecords(4, 4, 0, 4), 4), "");
-    for (const std::size_t configured : {0u, 3u, 1000u}) {
-        const std::string err =
-            ringLoadError(ringRecords(4, 4, 0, 4), configured);
-        EXPECT_NE(err.find("'ring.capacity'"), std::string::npos) << err;
-    }
-}
-
-TEST(RingSeriesLoad, RejectsMoreSamplesThanCapacity)
-{
-    const std::string err = ringLoadError(ringRecords(5, 4, 0, 5), 4);
-    EXPECT_NE(err.find("'ring.buf'"), std::string::npos) << err;
-}
-
-TEST(RingSeriesLoad, RejectsFewerPushesThanSamples)
-{
-    const std::string err = ringLoadError(ringRecords(3, 4, 0, 2), 4);
-    EXPECT_NE(err.find("'ring.pushed'"), std::string::npos) << err;
-}
-
-// The head moves only once the ring is full, and stays below capacity.
-TEST(RingSeriesLoad, RejectsHeadOffTheWritePosition)
-{
-    EXPECT_EQ(ringLoadError(ringRecords(4, 4, 3, 9), 4), "");
-    for (const std::string &blob :
-         {ringRecords(3, 4, 1, 3), ringRecords(4, 4, 4, 9),
-          ringRecords(4, 4, 1000000, 40)}) {
-        const std::string err = ringLoadError(blob, 4);
-        EXPECT_NE(err.find("'ring.head'"), std::string::npos) << err;
-    }
-    const std::string err = ringLoadError(ringRecords(0, 0, 1, 5), 0);
-    EXPECT_NE(err.find("'ring.head'"), std::string::npos) << err;
+    RingSeries ring(std::numeric_limits<std::size_t>::max());
+    for (int i = 0; i < 3; ++i)
+        ring.push(i, static_cast<double>(i));
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(ring.snapshot().back().value, 2.0);
 }
 
 /** Small multi-chain scenario for aggregation / probe tests. */
@@ -342,9 +259,31 @@ probeScenario(unsigned threads)
     cfg.horizon = 30 * kMin;
     cfg.threads = threads;
     cfg.seed = 11;
-    cfg.probes.enabled = true;
-    cfg.probes.capacity = 64;
     return cfg;
+}
+
+/**
+ * Attach a ChainProbeLog of @p capacity to every chain of @p sys;
+ * @p logs holds them and must outlive the run.
+ */
+void
+attachProbeLogs(FogSystem &sys, std::vector<ChainProbeLog> &logs,
+                std::size_t capacity)
+{
+    logs.assign(sys.chains().size(), ChainProbeLog(capacity));
+    for (std::size_t c = 0; c < logs.size(); ++c)
+        sys.setProbeLog(c, &logs[c]);
+}
+
+/** Every log's series, in chain order (as neofog_cli prints them). */
+std::vector<report_io::LabeledSeries>
+seriesOf(const std::vector<ChainProbeLog> &logs)
+{
+    std::vector<report_io::LabeledSeries> out;
+    for (std::size_t c = 0; c < logs.size(); ++c)
+        for (auto &s : logs[c].series(c))
+            out.push_back(std::move(s));
+    return out;
 }
 
 TEST(Aggregation, MatchesManualScalarStatExactly)
@@ -376,24 +315,31 @@ TEST(Aggregation, MatchesManualScalarStatExactly)
 
 TEST(Probes, DoNotPerturbSimulationResults)
 {
-    ScenarioConfig with = probeScenario(1);
-    ScenarioConfig without = with;
-    without.probes.enabled = false;
-    const SystemReport a = FogSystem(with).run();
-    const SystemReport b = FogSystem(without).run();
+    FogSystem with(probeScenario(1));
+    std::vector<ChainProbeLog> logs;
+    attachProbeLogs(with, logs, 64);
+    const SystemReport a = with.run();
+    const SystemReport b = FogSystem(probeScenario(1)).run();
     EXPECT_TRUE(a == b);
+    for (const ChainProbeLog &log : logs)
+        EXPECT_EQ(log.storedEnergyMj.pushed(),
+                  static_cast<std::uint64_t>(with.config().slotCount()));
 }
 
 TEST(Probes, BitIdenticalAcrossThreadCounts)
 {
     FogSystem serial(probeScenario(1));
     FogSystem threaded(probeScenario(4));
+    std::vector<ChainProbeLog> serial_logs;
+    std::vector<ChainProbeLog> threaded_logs;
+    attachProbeLogs(serial, serial_logs, 64);
+    attachProbeLogs(threaded, threaded_logs, 64);
     const SystemReport ra = serial.run();
     const SystemReport rb = threaded.run();
     EXPECT_TRUE(ra == rb);
 
-    const auto sa = serial.probeSeries();
-    const auto sb = threaded.probeSeries();
+    const auto sa = seriesOf(serial_logs);
+    const auto sb = seriesOf(threaded_logs);
     ASSERT_EQ(sa.size(), sb.size());
     ASSERT_EQ(sa.size(), 3u * 4u); // 3 chains x 4 probe streams
     for (std::size_t i = 0; i < sa.size(); ++i) {
@@ -410,21 +356,30 @@ TEST(Probes, BitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(Probes, DecimationAndCapacityBoundTheRings)
+// A ring keeps the newest samples: at capacity 8 every series holds
+// the run's last 8 slots, one point per slot.
+TEST(Probes, CapacityBoundsTheRings)
 {
-    ScenarioConfig cfg = probeScenario(1);
-    cfg.probes.capacity = 8;
-    cfg.probes.everySlots = 4;
+    const ScenarioConfig cfg = probeScenario(1);
     FogSystem sys(cfg);
+    std::vector<ChainProbeLog> logs;
+    attachProbeLogs(sys, logs, 8);
     sys.run();
-    for (const auto &s : sys.probeSeries()) {
-        EXPECT_LE(s.points.size(), 8u) << s.name;
-        ASSERT_GE(s.points.size(), 2u) << s.name;
-        // Samples land on the decimated slot grid.
-        EXPECT_EQ((s.points[1].when - s.points[0].when) %
-                      (4 * cfg.slotInterval),
-                  0)
-            << s.name;
+    const auto series = seriesOf(logs);
+    ASSERT_EQ(series.size(), 3u * 4u);
+    EXPECT_EQ(series[4].name, "chain1.stored_mj");
+    EXPECT_EQ(series[4].unit, "mJ");
+    EXPECT_EQ(series[5].name, "chain1.yield");
+    EXPECT_EQ(series[5].unit, "ratio");
+    EXPECT_EQ(series[6].name, "chain1.balanced_tasks");
+    EXPECT_EQ(series[7].name, "chain1.depletion_failures");
+    const Tick last = (cfg.slotCount() - 1) * cfg.slotInterval;
+    for (const auto &s : series) {
+        ASSERT_EQ(s.points.size(), 8u) << s.name;
+        for (std::size_t k = 0; k < 8; ++k)
+            EXPECT_EQ(s.points[k].when,
+                      last - static_cast<Tick>(7 - k) * cfg.slotInterval)
+                << s.name << " point " << k;
     }
 }
 

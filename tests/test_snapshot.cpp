@@ -477,21 +477,18 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
 {
     EXPECT_EQ(sizeof(Rng), 48u);
     EXPECT_EQ(sizeof(Counter), 8u);
-    EXPECT_EQ(sizeof(RingSeries), 48u);
-    EXPECT_EQ(sizeof(ProbeConfig), 24u);
     EXPECT_EQ(sizeof(NvBuffer), 56u);
     EXPECT_EQ(sizeof(SensorSpec), 72u);
     EXPECT_EQ(sizeof(RfState), 48u);
     EXPECT_EQ(sizeof(LossModel), 40u);
-    EXPECT_EQ(sizeof(ChainProbe), 192u);
     EXPECT_EQ(sizeof(NodeStats), 144u);
     EXPECT_EQ(sizeof(SuperCapacitor::State), 40u);
     EXPECT_EQ(sizeof(Rtc::State), 56u);
     EXPECT_EQ(sizeof(NodeState), 400u);
-    EXPECT_EQ(sizeof(ChainState), 568u);
+    EXPECT_EQ(sizeof(ChainState), 376u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
-    EXPECT_EQ(sizeof(ScenarioConfig), 496u);
+    EXPECT_EQ(sizeof(ScenarioConfig), 472u);
 }
 
 // ---------------------------------------------------------------------
@@ -1540,33 +1537,6 @@ TEST(Resume, RefusesProcessorClockNotPositiveAndFinite)
     }
 }
 
-// A probe ring whose head points past its buffer would be written
-// through on the next push once the ring is full.
-TEST(Resume, RefusesProbeRingHeadPastCapacity)
-{
-    const ScratchDir dir("resume_probe_head");
-    ScenarioConfig cfg = cliDefaults();
-    cfg.traceKind = TraceKind::RainLow;
-    cfg.chains = 2;
-    cfg.horizon = kHour;
-    cfg.seed = 13;
-    cfg.probes.enabled = true;
-    cfg.probes.capacity = 4;
-    const Snapshot pristine = slot40Snapshot(cfg, dir);
-    EXPECT_EQ(FogSystem::resume(dir.file(snapshot::snapshotFileName(40)))
-                  ->resumeSlot(),
-              40);
-
-    const std::string record = "chain0.probe.stored_energy_mj.head";
-    const std::string err = resumeErrorAfterEdit(
-        pristine, "chain0", dir, [&](std::string &data) {
-            std::string head;
-            snapshot::appendLe64(head, 1000000);
-            data.replace(payloadOffset(data, record), head.size(), head);
-        });
-    EXPECT_NE(err.find(record), std::string::npos) << err;
-}
-
 /** Flag set A: FIOS rain chains at multiplexing 3, NVRF radios. */
 ScenarioConfig
 flagSetA()
@@ -1634,6 +1604,173 @@ TEST(Resume, FilesWithNodeHistoryAndStreamsResume)
     const auto resumed = FogSystem::resume(path);
     EXPECT_EQ(resumed->resumeSlot(), 40);
     EXPECT_EQ(resumed->run(), uninterrupted);
+}
+
+// Older builds archived probe rings in the chain sections and the
+// probe switch in the config section.  Neither is restart state, so a
+// file with probes.enabled = true and a ring holding samples under a
+// head that once crashed resume (past the ring) resumes at its slot
+// and finishes on the uninterrupted report.
+TEST(Resume, ProbeRecordsAreDiscarded)
+{
+    const ScratchDir dir("resume_probe_records");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    const SystemReport uninterrupted = FogSystem(flagSetA()).run();
+
+    OutArchive ar;
+    ar.pushScope("chain0.probe.stored_energy_mj");
+    std::vector<TimeSeries::Point> ring;
+    for (int k = 0; k < 4; ++k)
+        ring.push_back({(36 + k) * 12 * kSec, 60.0 + k});
+    std::uint64_t capacity = 4;
+    std::uint64_t head = 1000000;
+    std::uint64_t pushed = 40;
+    ar.io("buf", ring);
+    ar.io("capacity", capacity);
+    ar.io("head", head);
+    ar.io("pushed", pushed);
+    const std::string records = ar.take();
+
+    Snapshot older = pristine;
+    for (snapshot::Section &section : older.sections) {
+        if (section.name == "config")
+            section.data[payloadOffset(section.data, "probes.enabled")] = 1;
+        if (section.name == "chain0")
+            replaceRecords(section.data, records);
+    }
+    const std::string path = dir.file("older.nfsnap");
+    snapshot::writeSnapshot(path, older);
+    const auto resumed = FogSystem::resume(path);
+    EXPECT_EQ(resumed->resumeSlot(), 40);
+    EXPECT_EQ(resumed->run(), uninterrupted);
+}
+
+/** Whether @p a and @p b hold the same points, bit for bit. */
+bool
+samePoints(const std::vector<TimeSeries::Point> &a,
+           const std::vector<TimeSeries::Point> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t k = 0; k < a.size(); ++k)
+        if (a[k].when != b[k].when ||
+            std::bit_cast<std::uint64_t>(a[k].value) !=
+                std::bit_cast<std::uint64_t>(b[k].value))
+            return false;
+    return true;
+}
+
+/** Chain 0's probe log of capacity @p capacity over @p sys's run. */
+ChainProbeLog
+chain0ProbeLog(FogSystem &sys, std::size_t capacity)
+{
+    ChainProbeLog log(capacity);
+    sys.setProbeLog(0, &log);
+    sys.run();
+    return log;
+}
+
+// A probe log is host-local: attached after a resume, it holds exactly
+// the slots that process runs, and a ring that wraps after the resume
+// slot equals the uninterrupted run's.
+TEST(Resume, ProbeLogCoversTheResumedSlots)
+{
+    const ScratchDir dir("resume_probe_log");
+    flagSetASnapshot(dir);
+    const std::string file = dir.file(snapshot::snapshotFileName(40));
+    const ScenarioConfig cfg = flagSetA();
+    const std::int64_t slots = cfg.slotCount();
+
+    const auto all = chain0ProbeLog(*FogSystem::resume(file),
+                                    static_cast<std::size_t>(slots));
+    ASSERT_EQ(all.storedEnergyMj.pushed(),
+              static_cast<std::uint64_t>(slots - 40));
+    for (const auto &s : all.series(0)) {
+        ASSERT_EQ(s.points.size(), static_cast<std::size_t>(slots - 40))
+            << s.name;
+        EXPECT_EQ(s.points.front().when, 40 * cfg.slotInterval) << s.name;
+        EXPECT_EQ(s.points.back().when, (slots - 1) * cfg.slotInterval)
+            << s.name;
+    }
+
+    FogSystem whole(cfg);
+    const auto want = chain0ProbeLog(whole, 8).series(0);
+    const auto got = chain0ProbeLog(*FogSystem::resume(file), 8).series(0);
+    ASSERT_EQ(got.size(), 4u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].name, want[i].name);
+        EXPECT_TRUE(samePoints(got[i].points, want[i].points))
+            << got[i].name;
+    }
+}
+
+// Attached probe logs leave the snapshot alone: flag set A's files at
+// slots 40 and 280 hold the same sections, byte for byte, with and
+// without a log on every chain.
+TEST(SnapshotSchema, ProbeLogsLeaveSnapshotsUnchanged)
+{
+    const ScratchDir plain("snapshot_without_probe_logs");
+    const ScratchDir probed("snapshot_with_probe_logs");
+    ScenarioConfig cfg = flagSetA();
+    cfg.snapshot.everySlots = 40;
+    cfg.snapshot.dir = plain.path();
+    FogSystem(cfg).run();
+    cfg.snapshot.dir = probed.path();
+    FogSystem sys(cfg);
+    std::vector<ChainProbeLog> logs(cfg.chains, ChainProbeLog(4096));
+    for (std::size_t c = 0; c < logs.size(); ++c)
+        sys.setProbeLog(c, &logs[c]);
+    sys.run();
+    EXPECT_EQ(logs[5].yieldFrac.size(),
+              static_cast<std::size_t>(cfg.slotCount()));
+
+    for (const std::int64_t slot : {40, 280}) {
+        const Snapshot want = snapshot::readSnapshot(
+            plain.file(snapshot::snapshotFileName(slot)));
+        const Snapshot got = snapshot::readSnapshot(
+            probed.file(snapshot::snapshotFileName(slot)));
+        ASSERT_EQ(got.sections.size(), want.sections.size());
+        for (const snapshot::Section &section : want.sections) {
+            const snapshot::Section *other = got.find(section.name);
+            ASSERT_NE(other, nullptr) << section.name;
+            EXPECT_EQ(other->data, section.data)
+                << section.name << " at slot " << slot;
+        }
+    }
+}
+
+// Every f64 of the config section is a rate, fraction, clock, energy
+// or power of the scenario, and none may be NaN, negative or
+// infinite.  Each such edit of flag set A's slot-40 file is refused on
+// resume; they used to abort the run or resume onto another report.
+TEST(Resume, RefusesNonFiniteOrNegativeScenarioConstants)
+{
+    const ScratchDir dir("resume_hostile_constants");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    EXPECT_EQ(resumeErrorAfterEdit(pristine, "config", dir,
+                                   [](std::string &) {}),
+              "");
+
+    std::vector<std::string> records;
+    for (const auto &[path, type] : configSectionSchema(flagSetA()))
+        if (type == "f64")
+            records.push_back(path);
+    ASSERT_EQ(records.size(), 20u);
+    for (const std::string &record : records) {
+        for (const double value :
+             {std::numeric_limits<double>::quiet_NaN(), -1.0,
+              std::numeric_limits<double>::infinity()}) {
+            const std::string err = resumeErrorAfterEdit(
+                pristine, "config", dir, [&](std::string &data) {
+                    std::string bits;
+                    snapshot::appendLe64(
+                        bits, std::bit_cast<std::uint64_t>(value));
+                    data.replace(payloadOffset(data, record), bits.size(),
+                                 bits);
+                });
+            EXPECT_NE(err, "") << record << " = " << value;
+        }
+    }
 }
 
 // A node's records do not grow with the slot index: flag set A's
