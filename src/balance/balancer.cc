@@ -32,6 +32,22 @@ LbOutcome::apply(const std::vector<int> &pending) const
     return out;
 }
 
+bool
+RoundScratch::fill(const std::vector<LbNodeState> &nodes)
+{
+    const std::size_t n = nodes.size();
+    load.resize(n);
+    spare.resize(n);
+    bool any_receiver = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        load[i] = nodes[i].pendingTasks;
+        spare[i] = nodes[i].alive
+            ? std::max(0.0, nodes[i].capacityTasks - load[i]) : 0.0;
+        any_receiver |= spare[i] >= 1.0;
+    }
+    return any_receiver;
+}
+
 void
 NoBalancer::balanceInto(const std::vector<LbNodeState> &nodes, Rng &rng,
                         LbOutcome &out)
@@ -116,7 +132,9 @@ TreeBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
 {
     (void)rng;
     out.reset();
-    std::vector<double> load(nodes.size());
+    // Member scratch, every entry rewritten.
+    std::vector<double> &load = _load;
+    load.resize(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i)
         load[i] = nodes[i].pendingTasks;
     balanceRegion(nodes, load, 0, nodes.size(), out);
@@ -142,13 +160,12 @@ DistributedBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
 {
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n);
-    std::vector<double> spare(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        load[i] = nodes[i].pendingTasks;
-        spare[i] = nodes[i].alive
-            ? std::max(0.0, nodes[i].capacityTasks - load[i]) : 0.0;
-    }
+    // Spare only shrinks within a call, so without a receiver at the
+    // start no probe can find one and no round moves a task.
+    const bool any_receiver = _scratch.fill(nodes);
+    std::vector<double> &load = _scratch.load;
+    std::vector<double> &spare = _scratch.spare;
+    const auto window = static_cast<std::size_t>(_cfg.neighborWindow);
 
     auto quantize = [&](double cost) {
         return std::max<std::int64_t>(
@@ -170,6 +187,15 @@ DistributedBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
             // the region then skips balancing this interval.
             if (rng.chance(_cfg.interruptChance)) {
                 ++out.failedRegions;
+                continue;
+            }
+
+            // The probe walk below would find no receiver: count its
+            // messages without walking.  Nothing moves, so this is the
+            // last round.
+            if (!any_receiver) {
+                out.messagesExchanged += static_cast<int>(
+                    std::min(window, i) + std::min(window, n - 1 - i));
                 continue;
             }
 
@@ -266,7 +292,9 @@ ClusterBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
     (void)rng;
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n);
+    // Member scratch, every entry rewritten.
+    std::vector<double> &load = _load;
+    load.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         load[i] = nodes[i].pendingTasks;
 

@@ -73,6 +73,25 @@ struct LbOutcome
 };
 
 /**
+ * The per-round view of a chain a policy keeps as a member, so that a
+ * round allocates nothing once its chain has run one.
+ */
+struct RoundScratch
+{
+    /** Tasks each node holds. */
+    std::vector<double> load;
+    /** Spare task capacity of each alive node; 0 for a dead one. */
+    std::vector<double> spare;
+
+    /**
+     * Rewrite every entry for @p nodes.
+     * @return Whether some node is a receiver: alive with at least
+     *         one task of spare.
+     */
+    bool fill(const std::vector<LbNodeState> &nodes);
+};
+
+/**
  * Abstract balancing policy over one chain.
  */
 class LoadBalancer
@@ -144,6 +163,8 @@ class TreeBalancer : public LoadBalancer
                        std::size_t hi, LbOutcome &out) const;
 
     Config _cfg;
+    /** Round scratch: tasks held per node. */
+    std::vector<double> _load;
 };
 
 /**
@@ -185,6 +206,7 @@ class DistributedBalancer : public LoadBalancer
 
   private:
     Config _cfg;
+    RoundScratch _scratch;
 };
 
 /**
@@ -217,6 +239,8 @@ class ClusterBalancer : public LoadBalancer
 
   private:
     Config _cfg;
+    /** Round scratch: tasks held per node. */
+    std::vector<double> _load;
 };
 
 } // namespace neofog

@@ -65,12 +65,9 @@ GreedyNearestRichBalancer::balanceInto(
     (void)rng; // deterministic policy
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n), spare(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        load[i] = nodes[i].pendingTasks;
-        spare[i] = nodes[i].alive
-            ? std::max(0.0, nodes[i].capacityTasks - load[i]) : 0.0;
-    }
+    _scratch.fill(nodes);
+    std::vector<double> &load = _scratch.load;
+    std::vector<double> &spare = _scratch.spare;
 
     const std::size_t limit = _cfg.maxHops > 0
         ? static_cast<std::size_t>(_cfg.maxHops) : n;
@@ -120,12 +117,9 @@ DelayEnergyBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
     (void)rng; // deterministic policy
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n), spare(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        load[i] = nodes[i].pendingTasks;
-        spare[i] = nodes[i].alive
-            ? std::max(0.0, nodes[i].capacityTasks - load[i]) : 0.0;
-    }
+    _scratch.fill(nodes);
+    std::vector<double> &load = _scratch.load;
+    std::vector<double> &spare = _scratch.spare;
 
     const auto w = static_cast<std::size_t>(_cfg.window);
     for (std::size_t i = 0; i < n; ++i) {
@@ -205,12 +199,9 @@ RfCostAwareBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
     (void)rng; // deterministic policy
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n), spare(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        load[i] = nodes[i].pendingTasks;
-        spare[i] = nodes[i].alive
-            ? std::max(0.0, nodes[i].capacityTasks - load[i]) : 0.0;
-    }
+    _scratch.fill(nodes);
+    std::vector<double> &load = _scratch.load;
+    std::vector<double> &spare = _scratch.spare;
 
     const auto w = static_cast<std::size_t>(_cfg.window);
     const auto radio = [this](std::size_t dist) {

@@ -56,6 +56,7 @@ class GreedyNearestRichBalancer : public LoadBalancer
 
   private:
     Config _cfg;
+    RoundScratch _scratch;
 };
 
 /**
@@ -102,6 +103,7 @@ class DelayEnergyBalancer : public LoadBalancer
 
   private:
     Config _cfg;
+    RoundScratch _scratch;
 };
 
 /**
@@ -139,6 +141,7 @@ class RfCostAwareBalancer : public LoadBalancer
 
   private:
     Config _cfg;
+    RoundScratch _scratch;
 };
 
 } // namespace neofog

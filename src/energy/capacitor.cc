@@ -1,6 +1,5 @@
 #include "energy/capacitor.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -23,54 +22,6 @@ SuperCapacitor::initialState(const Config &cfg)
     State state;
     state.stored = cfg.initial;
     return state;
-}
-
-Energy
-CapacitorView::charge(Energy amount)
-{
-    NEOFOG_ASSERT(amount.joules() >= -1e-15, "charging negative energy");
-    SuperCapacitor::State &s = *_state;
-    const Energy amt = amount.clampedNonNegative();
-    const Energy accepted = std::min(amt, _cfg->capacity - s.stored);
-    s.stored += accepted;
-    s.chargedTotal += accepted;
-    s.overflowTotal += amt - accepted;
-    return accepted;
-}
-
-bool
-CapacitorView::tryDischarge(Energy amount)
-{
-    NEOFOG_ASSERT(amount.joules() >= -1e-15,
-                  "discharging negative energy");
-    SuperCapacitor::State &s = *_state;
-    const Energy amt = amount.clampedNonNegative();
-    if (s.stored < amt)
-        return false;
-    s.stored -= amt;
-    s.dischargedTotal += amt;
-    return true;
-}
-
-Energy
-CapacitorView::drain(Energy amount)
-{
-    NEOFOG_ASSERT(amount.joules() >= -1e-15, "draining negative energy");
-    SuperCapacitor::State &s = *_state;
-    const Energy removed = std::min(amount.clampedNonNegative(), s.stored);
-    s.stored -= removed;
-    s.dischargedTotal += removed;
-    return removed;
-}
-
-void
-CapacitorView::leak(Tick duration)
-{
-    NEOFOG_ASSERT(duration >= 0, "negative leak duration");
-    SuperCapacitor::State &s = *_state;
-    const Energy loss = std::min(_cfg->leakage * duration, s.stored);
-    s.stored -= loss;
-    s.leakedTotal += loss;
 }
 
 } // namespace neofog

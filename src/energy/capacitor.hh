@@ -13,6 +13,9 @@
 #ifndef NEOFOG_ENERGY_CAPACITOR_HH
 #define NEOFOG_ENERGY_CAPACITOR_HH
 
+#include <algorithm>
+
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
 
@@ -148,6 +151,58 @@ class CapacitorView
     const SuperCapacitor::Config *_cfg;
     SuperCapacitor::State *_state;
 };
+
+// The arithmetic below runs several times per node-slot from other
+// libraries, so it lives here, inline (see DESIGN.md, "Performance:
+// hot paths").
+
+inline Energy
+CapacitorView::charge(Energy amount)
+{
+    NEOFOG_ASSERT(amount.joules() >= -1e-15, "charging negative energy");
+    SuperCapacitor::State &s = *_state;
+    const Energy amt = amount.clampedNonNegative();
+    const Energy accepted = std::min(amt, _cfg->capacity - s.stored);
+    s.stored += accepted;
+    s.chargedTotal += accepted;
+    s.overflowTotal += amt - accepted;
+    return accepted;
+}
+
+inline bool
+CapacitorView::tryDischarge(Energy amount)
+{
+    NEOFOG_ASSERT(amount.joules() >= -1e-15,
+                  "discharging negative energy");
+    SuperCapacitor::State &s = *_state;
+    const Energy amt = amount.clampedNonNegative();
+    if (s.stored < amt)
+        return false;
+    s.stored -= amt;
+    s.dischargedTotal += amt;
+    return true;
+}
+
+inline Energy
+CapacitorView::drain(Energy amount)
+{
+    NEOFOG_ASSERT(amount.joules() >= -1e-15, "draining negative energy");
+    SuperCapacitor::State &s = *_state;
+    const Energy removed = std::min(amount.clampedNonNegative(), s.stored);
+    s.stored -= removed;
+    s.dischargedTotal += removed;
+    return removed;
+}
+
+inline void
+CapacitorView::leak(Tick duration)
+{
+    NEOFOG_ASSERT(duration >= 0, "negative leak duration");
+    SuperCapacitor::State &s = *_state;
+    const Energy loss = std::min(_cfg->leakage * duration, s.stored);
+    s.stored -= loss;
+    s.leakedTotal += loss;
+}
 
 } // namespace neofog
 

@@ -17,26 +17,6 @@ FrontEnd::FrontEnd(const Config &cfg)
     check(_cfg.directEfficiency, "directEfficiency");
 }
 
-Energy
-FrontEnd::incomeToCap(Energy ambient) const
-{
-    return ambient * (_cfg.harvestEfficiency * _cfg.chargeEfficiency);
-}
-
-Energy
-FrontEnd::capCostForLoad(Energy load_energy) const
-{
-    return load_energy / _cfg.dischargeEfficiency;
-}
-
-Energy
-FrontEnd::incomeToLoadDirect(Energy ambient) const
-{
-    if (_cfg.kind != FrontEndKind::Fios)
-        return Energy::zero();
-    return ambient * (_cfg.harvestEfficiency * _cfg.directEfficiency);
-}
-
 double
 FrontEnd::directAdvantage() const
 {

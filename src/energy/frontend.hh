@@ -92,6 +92,30 @@ class FrontEnd
     Config _cfg;
 };
 
+// The per-slot conversions below are called from other libraries on
+// every node-slot, so they live here, inline (see DESIGN.md,
+// "Performance: hot paths").
+
+inline Energy
+FrontEnd::incomeToCap(Energy ambient) const
+{
+    return ambient * (_cfg.harvestEfficiency * _cfg.chargeEfficiency);
+}
+
+inline Energy
+FrontEnd::capCostForLoad(Energy load_energy) const
+{
+    return load_energy / _cfg.dischargeEfficiency;
+}
+
+inline Energy
+FrontEnd::incomeToLoadDirect(Energy ambient) const
+{
+    if (_cfg.kind != FrontEndKind::Fios)
+        return Energy::zero();
+    return ambient * (_cfg.harvestEfficiency * _cfg.directEfficiency);
+}
+
 } // namespace neofog
 
 #endif // NEOFOG_ENERGY_FRONTEND_HH

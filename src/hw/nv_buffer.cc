@@ -1,7 +1,5 @@
 #include "hw/nv_buffer.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace neofog {
@@ -27,37 +25,6 @@ NvBuffer::interruptPending() const
     return static_cast<double>(_size) >=
            _cfg.interruptThreshold *
                static_cast<double>(_cfg.capacityBytes);
-}
-
-std::size_t
-NvBuffer::push(std::size_t bytes)
-{
-    const std::size_t stored = std::min(bytes, freeSpace());
-    _size += stored;
-    _accepted += stored;
-    _dropped += bytes - stored;
-    return stored;
-}
-
-std::size_t
-NvBuffer::pop(std::size_t bytes)
-{
-    const std::size_t removed = std::min(bytes, _size);
-    _size -= removed;
-    return removed;
-}
-
-void
-NvBuffer::discardAll()
-{
-    _dropped += _size;
-    _size = 0;
-}
-
-Energy
-NvBuffer::writeEnergy(std::size_t bytes) const
-{
-    return _cfg.writeEnergyPerByte * static_cast<double>(bytes);
 }
 
 Energy

@@ -14,6 +14,7 @@
 #ifndef NEOFOG_HW_NV_BUFFER_HH
 #define NEOFOG_HW_NV_BUFFER_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -113,6 +114,41 @@ class NvBuffer
     std::uint64_t _accepted = 0;
     std::uint64_t _dropped = 0;
 };
+
+// The occupancy updates below run on every sample and task of the
+// slot path, from the node library, so they live here, inline (see
+// DESIGN.md, "Performance: hot paths").
+
+inline std::size_t
+NvBuffer::push(std::size_t bytes)
+{
+    const std::size_t stored = std::min(bytes, freeSpace());
+    _size += stored;
+    _accepted += stored;
+    _dropped += bytes - stored;
+    return stored;
+}
+
+inline std::size_t
+NvBuffer::pop(std::size_t bytes)
+{
+    const std::size_t removed = std::min(bytes, _size);
+    _size -= removed;
+    return removed;
+}
+
+inline void
+NvBuffer::discardAll()
+{
+    _dropped += _size;
+    _size = 0;
+}
+
+inline Energy
+NvBuffer::writeEnergy(std::size_t bytes) const
+{
+    return _cfg.writeEnergyPerByte * static_cast<double>(bytes);
+}
 
 } // namespace neofog
 

@@ -1,6 +1,5 @@
 #include "hw/processor.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -14,18 +13,6 @@ SpendthriftPolicy::validate() const
         fatal("Spendthrift income corner points reversed");
     if (maxBenefit < minBenefit || minBenefit < 1.0)
         fatal("Spendthrift benefits must satisfy max >= min >= 1");
-}
-
-double
-SpendthriftPolicy::benefit(Power income) const
-{
-    if (income <= lowIncome)
-        return maxBenefit;
-    if (income >= highIncome)
-        return minBenefit;
-    const double t = (income.watts() - lowIncome.watts()) /
-                     (highIncome.watts() - lowIncome.watts());
-    return maxBenefit + t * (minBenefit - maxBenefit);
 }
 
 double
@@ -94,32 +81,6 @@ Energy
 Processor::wakeEnergy() const
 {
     return activePower * wakeLatency + wakeExtraEnergy;
-}
-
-Tick
-Processor::computeTime(std::uint64_t instructions) const
-{
-    const double seconds = static_cast<double>(instructions) *
-                           cyclesPerInstruction / frequencyHz;
-    return std::max<Tick>(ticksFromSeconds(seconds), 0);
-}
-
-Energy
-Processor::computeEnergy(std::uint64_t instructions) const
-{
-    // Computed analytically (not via integer ticks) so the per-
-    // instruction energy is exact at any clock frequency.
-    const double seconds = static_cast<double>(instructions) *
-                           cyclesPerInstruction / frequencyHz;
-    return Energy::fromJoules(activePower.watts() * seconds);
-}
-
-Energy
-Processor::effectiveComputeEnergy(std::uint64_t instructions,
-                                  Power income) const
-{
-    const Energy nominal = computeEnergy(instructions);
-    return spendthrift ? nominal / spendthrift->benefit(income) : nominal;
 }
 
 } // namespace neofog

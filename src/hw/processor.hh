@@ -22,6 +22,7 @@
 #ifndef NEOFOG_HW_PROCESSOR_HH
 #define NEOFOG_HW_PROCESSOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -112,6 +113,48 @@ struct Processor
     Energy effectiveComputeEnergy(std::uint64_t instructions,
                                   Power income) const;
 };
+
+// The compute costs below run once per node-slot from the node
+// library, so they live here, inline (see DESIGN.md, "Performance:
+// hot paths").
+
+inline double
+SpendthriftPolicy::benefit(Power income) const
+{
+    if (income <= lowIncome)
+        return maxBenefit;
+    if (income >= highIncome)
+        return minBenefit;
+    const double t = (income.watts() - lowIncome.watts()) /
+                     (highIncome.watts() - lowIncome.watts());
+    return maxBenefit + t * (minBenefit - maxBenefit);
+}
+
+inline Tick
+Processor::computeTime(std::uint64_t instructions) const
+{
+    const double seconds = static_cast<double>(instructions) *
+                           cyclesPerInstruction / frequencyHz;
+    return std::max<Tick>(ticksFromSeconds(seconds), 0);
+}
+
+inline Energy
+Processor::computeEnergy(std::uint64_t instructions) const
+{
+    // Computed analytically (not via integer ticks) so the per-
+    // instruction energy is exact at any clock frequency.
+    const double seconds = static_cast<double>(instructions) *
+                           cyclesPerInstruction / frequencyHz;
+    return Energy::fromJoules(activePower.watts() * seconds);
+}
+
+inline Energy
+Processor::effectiveComputeEnergy(std::uint64_t instructions,
+                                  Power income) const
+{
+    const Energy nominal = computeEnergy(instructions);
+    return spendthrift ? nominal / spendthrift->benefit(income) : nominal;
+}
 
 } // namespace neofog
 

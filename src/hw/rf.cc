@@ -57,32 +57,10 @@ Radio::configureCost() const
 }
 
 RfPhase
-Radio::txCost(std::size_t bytes) const
-{
-    const Tick t =
-        txFixed + ticksFromMs(txPerByteMs * static_cast<double>(bytes));
-    return {t, txPower * t};
-}
-
-RfPhase
-Radio::rxCost(Tick duration) const
-{
-    NEOFOG_ASSERT(duration >= 0, "negative RX duration");
-    return {duration, rxPower * duration};
-}
-
-RfPhase
 Radio::idleCost(Tick duration) const
 {
     NEOFOG_ASSERT(duration >= 0, "negative idle duration");
     return {duration, idlePower * duration};
-}
-
-Tick
-Radio::airtime(std::size_t bytes) const
-{
-    const double seconds = static_cast<double>(bytes) * 8.0 / dataRateBps;
-    return ticksFromSeconds(seconds);
 }
 
 } // namespace neofog

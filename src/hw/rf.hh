@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
 
@@ -130,6 +131,32 @@ struct Radio
     /** Raw airtime of @p bytes at the data rate. */
     Tick airtime(std::size_t bytes) const;
 };
+
+// The per-transmission costs below are called from the node and fog
+// libraries several times per node-slot, so they live here, inline
+// (see DESIGN.md, "Performance: hot paths").
+
+inline RfPhase
+Radio::txCost(std::size_t bytes) const
+{
+    const Tick t =
+        txFixed + ticksFromMs(txPerByteMs * static_cast<double>(bytes));
+    return {t, txPower * t};
+}
+
+inline RfPhase
+Radio::rxCost(Tick duration) const
+{
+    NEOFOG_ASSERT(duration >= 0, "negative RX duration");
+    return {duration, rxPower * duration};
+}
+
+inline Tick
+Radio::airtime(std::size_t bytes) const
+{
+    const double seconds = static_cast<double>(bytes) * 8.0 / dataRateBps;
+    return ticksFromSeconds(seconds);
+}
 
 } // namespace neofog
 

@@ -21,21 +21,4 @@ Rtc::initialState(const Config &cfg)
     return state;
 }
 
-void
-RtcView::advance(Tick duration, Energy income)
-{
-    NEOFOG_ASSERT(duration >= 0, "negative RTC advance");
-    CapacitorView rtc_cap = cap();
-    rtc_cap.charge(income);
-    rtc_cap.leak(duration);
-    const Energy need = _cfg->draw * duration;
-    if (!rtc_cap.tryDischarge(need)) {
-        rtc_cap.drain(need);
-        if (_state->synchronized) {
-            _state->synchronized = false;
-            ++_state->desyncs;
-        }
-    }
-}
-
 } // namespace neofog

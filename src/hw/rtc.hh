@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "energy/capacitor.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "sim/units.hh"
 
@@ -136,6 +137,25 @@ class RtcView
     const Rtc::Config *_cfg;
     Rtc::State *_state;
 };
+
+// Runs once per node-slot from the node library, so it lives here,
+// inline (see DESIGN.md, "Performance: hot paths").
+inline void
+RtcView::advance(Tick duration, Energy income)
+{
+    NEOFOG_ASSERT(duration >= 0, "negative RTC advance");
+    CapacitorView rtc_cap = cap();
+    rtc_cap.charge(income);
+    rtc_cap.leak(duration);
+    const Energy need = _cfg->draw * duration;
+    if (!rtc_cap.tryDischarge(need)) {
+        rtc_cap.drain(need);
+        if (_state->synchronized) {
+            _state->synchronized = false;
+            ++_state->desyncs;
+        }
+    }
+}
 
 } // namespace neofog
 

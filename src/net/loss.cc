@@ -1,7 +1,5 @@
 #include "net/loss.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace neofog {
@@ -23,32 +21,6 @@ LossModel::LossModel(const Config &cfg)
               _cfg.weatherFactor);
     if (_cfg.maxRetries < 0)
         fatal("negative retry count");
-}
-
-double
-LossModel::effectiveRate() const
-{
-    return _cfg.successRate * _cfg.weatherFactor;
-}
-
-bool
-LossModel::attempt(Rng &rng) const
-{
-    ++_attempts;
-    const bool ok = rng.chance(effectiveRate());
-    if (!ok)
-        ++_losses;
-    return ok;
-}
-
-LossModel::Delivery
-LossModel::deliver(Rng &rng) const
-{
-    for (int tries = 1; tries <= _cfg.maxRetries + 1; ++tries) {
-        if (attempt(rng))
-            return {tries, true};
-    }
-    return {_cfg.maxRetries + 1, false};
 }
 
 } // namespace neofog

@@ -88,6 +88,36 @@ class LossModel
     mutable std::uint64_t _losses = 0;
 };
 
+// Every transfer of the slot path draws through these, from the fog
+// library, so they live here, inline (see DESIGN.md, "Performance:
+// hot paths").
+
+inline double
+LossModel::effectiveRate() const
+{
+    return _cfg.successRate * _cfg.weatherFactor;
+}
+
+inline bool
+LossModel::attempt(Rng &rng) const
+{
+    ++_attempts;
+    const bool ok = rng.chance(effectiveRate());
+    if (!ok)
+        ++_losses;
+    return ok;
+}
+
+inline LossModel::Delivery
+LossModel::deliver(Rng &rng) const
+{
+    for (int tries = 1; tries <= _cfg.maxRetries + 1; ++tries) {
+        if (attempt(rng))
+            return {tries, true};
+    }
+    return {_cfg.maxRetries + 1, false};
+}
+
 } // namespace neofog
 
 #endif // NEOFOG_NET_LOSS_HH

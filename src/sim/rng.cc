@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,29 +30,6 @@ Rng::Rng(std::uint64_t seed)
     // cannot produce four zero words, but guard anyway.
     if (_state[0] == 0 && _state[1] == 0 && _state[2] == 0 && _state[3] == 0)
         _state[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(_state[1] * 5, 7) * 9;
-    const std::uint64_t t = _state[1] << 17;
-
-    _state[2] ^= _state[0];
-    _state[3] ^= _state[1];
-    _state[1] ^= _state[2];
-    _state[0] ^= _state[3];
-    _state[2] ^= t;
-    _state[3] = rotl(_state[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -114,16 +85,6 @@ Rng::exponential(double rate)
         u = uniform();
     } while (u <= 1e-300);
     return -std::log(u) / rate;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 Rng

@@ -72,10 +72,53 @@ class Rng
     }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> _state{};
     bool _haveSpareNormal = false;
     double _spareNormal = 0.0;
 };
+
+// Every stochastic draw of the slot path goes through these three, from
+// other libraries, so they live here, inline (see DESIGN.md,
+// "Performance: hot paths").
+
+inline std::uint64_t
+Rng::next()
+{
+    const std::uint64_t result = rotl(_state[1] * 5, 7) * 9;
+    const std::uint64_t t = _state[1] << 17;
+
+    _state[2] ^= _state[0];
+    _state[3] ^= _state[1];
+    _state[1] ^= _state[2];
+    _state[0] ^= _state[3];
+    _state[2] ^= t;
+    _state[3] = rotl(_state[3], 45);
+
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::chance(double p)
+{
+    if (p <= 0.0)
+        return false;
+    if (p >= 1.0)
+        return true;
+    return uniform() < p;
+}
 
 } // namespace neofog
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "balance/balancer.hh"
@@ -185,6 +187,194 @@ TEST(DistributedBalancer, ConservationUnderRandomStates)
         EXPECT_EQ(totalPending(after), totalPending(pending));
         for (int p : after)
             EXPECT_GE(p, 0);
+    }
+}
+
+LbNodeState
+live(int pending, double capacity, double cost = 1.0)
+{
+    return {true, pending, capacity, cost};
+}
+
+LbNodeState
+dead(int pending = 2, double capacity = 9.0)
+{
+    return {false, pending, capacity, 1.0};
+}
+
+/** One crafted chain and what one distributed round made of it. */
+struct PinnedRound
+{
+    const char *name;
+    int window;
+    double interruptChance;
+    std::uint64_t seed;
+    std::vector<LbNodeState> chain;
+    std::vector<TaskMove> moves;
+    int messages;
+    int failedRegions;
+    /** The caller's stream after the round: pins its draws. */
+    std::uint64_t rngNext;
+};
+
+// Every literal below was computed by the balancer as it stood before
+// the no-receiver exit and the member scratch; they pin what a round
+// moves, counts and draws.  Seed 1's untouched stream reads
+// 0xb3f2af6d0fc710c5: interrupt chances 0 and 1 draw nothing.
+std::vector<PinnedRound>
+pinnedRounds()
+{
+    return {
+        {"len1_alone", 1, 0.0, 1,
+         {live(3, 0.5)},
+         {}, 0, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len2_right_receiver", 1, 0.0, 1,
+         {live(3, 0.5), live(0, 4.0)},
+         {{0, 1, 3}}, 2, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len2_left_receiver_w2", 2, 0.0, 1,
+         {live(0, 4.0), live(3, 0.5)},
+         {{1, 0, 3}}, 2, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len2_dead_receiver", 1, 0.0, 1,
+         {live(3, 0.5), dead(0)},
+         {}, 1, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len3_split_w1", 1, 0.0, 1,
+         {live(0, 3.0, 0.8), live(4, 0.0), live(0, 3.0, 1.2)},
+         {{1, 0, 3}, {1, 2, 1}}, 6, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len3_split_w3", 3, 0.0, 1,
+         {live(0, 2.0, 1.0), live(5, 0.5), live(0, 2.5, 1.0)},
+         {{1, 0, 2}, {1, 2, 2}}, 8, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len3_interrupted", 2, 1.0, 1,
+         {live(0, 3.0, 0.8), live(4, 0.0), live(0, 3.0, 1.2)},
+         {}, 0, 1, 0xb3f2af6d0fc710c5ULL},
+        {"len5_dead_w1", 1, 0.0, 1,
+         {dead(), live(4, 0.5), dead(), live(0, 5.0), dead()},
+         {}, 2, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len5_dead_w2", 2, 0.0, 1,
+         {dead(), live(4, 0.5), dead(), live(0, 5.0), dead()},
+         {{1, 3, 4}}, 4, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len5_dead_w3", 3, 0.0, 1,
+         {dead(), live(4, 0.5), dead(), live(3, 0.5), dead()},
+         {}, 8, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len5_two_donors_share", 1, 0.0, 1,
+         {dead(), live(3, 0.5), live(0, 2.0), live(3, 0.5), dead()},
+         {{1, 2, 2}}, 9, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len10_receiver_end_w1", 1, 0.0, 1,
+         {live(2, 0.5), live(2, 0.5), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), live(2, 0.5), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), live(0, 6.0)},
+         {{8, 9, 2}}, 33, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len10_receiver_end_w2", 2, 0.0, 1,
+         {live(2, 0.5), live(2, 0.5), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), live(2, 0.5), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), live(0, 6.0)},
+         {{7, 9, 2}, {8, 9, 2}}, 59, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len10_receiver_end_w3", 3, 0.0, 1,
+         {live(2, 0.5), live(2, 0.5), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), live(2, 0.5), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), live(0, 6.0)},
+         {{6, 9, 2}, {7, 9, 2}, {8, 9, 2}}, 78, 0,
+         0xb3f2af6d0fc710c5ULL},
+        {"len10_receiver_start_w3", 3, 0.0, 1,
+         {live(0, 6.0), live(2, 0.5), live(2, 0.5), dead(), live(2, 0.5),
+          live(2, 0.5), live(2, 0.5), dead(), live(2, 0.5),
+          live(2, 0.5)},
+         {{1, 0, 2}, {2, 0, 2}}, 61, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len10_no_receiver_w3", 3, 0.0, 1,
+         {dead(), live(2, 0.5), live(1, 1.5), live(2, 0.5), dead(0),
+          live(3, 2.9), live(2, 0.5), dead(), live(0, 0.5),
+          live(2, 0.5)},
+         {}, 25, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len10_no_receiver_w2", 2, 0.0, 1,
+         {live(2, 0.5), live(2, 0.5), dead(), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), dead(), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5)},
+         {}, 26, 0, 0xb3f2af6d0fc710c5ULL},
+        {"len10_interrupt_all", 2, 1.0, 1,
+         {live(2, 0.5), live(2, 0.5), dead(), live(2, 0.5), live(0, 6.0),
+          live(2, 0.5), dead(), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5)},
+         {}, 0, 7, 0xb3f2af6d0fc710c5ULL},
+        {"len10_interrupt_half", 2, 0.5, 42,
+         {live(2, 0.5), live(2, 0.5), dead(), live(2, 0.5), live(0, 6.0),
+          live(2, 0.5), dead(), live(2, 0.5), live(0, 3.0),
+          live(2, 0.5)},
+         {{3, 4, 2}, {5, 4, 2}, {7, 8, 2}, {9, 8, 1}}, 21, 2,
+         0x9556615f775fbc3dULL},
+        {"len10_interrupt_half_no_receiver", 3, 0.5, 43,
+         {live(2, 0.5), live(2, 0.5), dead(), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5), dead(), live(2, 0.5), live(2, 0.5),
+          live(2, 0.5)},
+         {}, 17, 4, 0x180ce3f7f297c5cdULL},
+    };
+}
+
+TEST(DistributedBalancer, PinnedRoundsOnCraftedChains)
+{
+    for (const PinnedRound &p : pinnedRounds()) {
+        SCOPED_TRACE(p.name);
+        DistributedBalancer::Config cfg;
+        cfg.neighborWindow = p.window;
+        cfg.interruptChance = p.interruptChance;
+        DistributedBalancer bal(cfg);
+        Rng rng(p.seed);
+        LbOutcome out;
+        // Twice through one balancer: its scratch carries nothing
+        // from one round into the next.
+        for (int pass = 0; pass < 2; ++pass) {
+            Rng pass_rng = rng;
+            bal.balanceInto(p.chain, pass_rng, out);
+            ASSERT_EQ(out.moves.size(), p.moves.size());
+            for (std::size_t k = 0; k < p.moves.size(); ++k) {
+                EXPECT_EQ(out.moves[k].from, p.moves[k].from);
+                EXPECT_EQ(out.moves[k].to, p.moves[k].to);
+                EXPECT_EQ(out.moves[k].tasks, p.moves[k].tasks);
+            }
+            EXPECT_EQ(out.messagesExchanged, p.messages);
+            EXPECT_EQ(out.failedRegions, p.failedRegions);
+            EXPECT_EQ(pass_rng.next(), p.rngNext);
+        }
+    }
+}
+
+TEST(DistributedBalancer, NoReceiverCountsEveryProbeAndMovesNothing)
+{
+    // Without a receiver (an alive node with at least one task of
+    // spare), each uninterrupted donor probes its whole window and
+    // finds nothing: min(w, i) messages to the left, min(w, n-1-i) to
+    // the right.
+    Rng gen(2024);
+    for (int trial = 0; trial < 400; ++trial) {
+        const auto n = static_cast<std::size_t>(gen.uniformInt(0, 14));
+        const auto w = static_cast<std::size_t>(gen.uniformInt(1, 4));
+        std::vector<LbNodeState> states(n);
+        for (LbNodeState &s : states) {
+            s.alive = gen.chance(0.8);
+            s.pendingTasks = static_cast<int>(gen.uniformInt(0, 6));
+            // Alive nodes keep their spare below one task; dead ones
+            // may hold any capacity, which must not make them
+            // receivers.
+            s.capacityTasks = s.alive
+                ? gen.uniform(0.0, s.pendingTasks + 0.99)
+                : gen.uniform(0.0, 9.0);
+            s.taskCost = gen.uniform(0.5, 1.5);
+        }
+        int expected = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (states[i].alive &&
+                states[i].pendingTasks > states[i].capacityTasks)
+                expected += static_cast<int>(std::min(w, i) +
+                                             std::min(w, n - 1 - i));
+        }
+        DistributedBalancer::Config cfg;
+        cfg.neighborWindow = static_cast<int>(w);
+        cfg.interruptChance = 0.0;
+        DistributedBalancer bal(cfg);
+        Rng rng(static_cast<std::uint64_t>(trial));
+        const LbOutcome out = bal.balance(states, rng);
+        SCOPED_TRACE(trial);
+        EXPECT_TRUE(out.moves.empty());
+        EXPECT_EQ(out.messagesExchanged, expected);
+        EXPECT_EQ(out.failedRegions, 0);
     }
 }
 
