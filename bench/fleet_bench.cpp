@@ -254,10 +254,10 @@ main(int argc, char **argv)
                 t_t.runSecs, r == fleet ? "yes" : "NO");
         }
         // Amdahl-style scaling quality: (4-thread throughput over
-        // 1-thread throughput) / 4.  1.0 = perfect scaling; the
-        // memory-bound slot sweep lands well below that, and the gate
-        // watches it so locality regressions show up at the PR that
-        // caused them.
+        // 1-thread throughput) / 4.  1.0 = perfect scaling; threads
+        // sharing the host's memory bandwidth and caches land well
+        // below that, and the gate watches it so locality regressions
+        // show up at the PR that caused them.
         const double efficiency_4t =
             fleet_t.runSecs / (4.0 * four_thread_secs);
         out("  parallel efficiency at 4 threads: %.2f\n",

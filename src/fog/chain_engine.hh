@@ -12,9 +12,10 @@
  * and a SystemReport shard.  What of that a snapshot keeps is one
  * ChainState; the rest is rebuilt from the scenario or is per-slot
  * scratch.  Because no two engines share mutable state,
- * FogSystem can run the engines of one slot on any number of threads
- * and still produce bit-identical results (see DESIGN.md, "Threading
- * and determinism model").
+ * FogSystem can run each engine through a whole window of slots, the
+ * engines on any number of threads and in any interleaving, and still
+ * produce bit-identical results (see DESIGN.md, "Threading and
+ * determinism model").
  */
 
 #ifndef NEOFOG_FOG_CHAIN_ENGINE_HH

@@ -28,7 +28,7 @@ namespace neofog {
 /**
  * How to replay a scenario across seeds.  Seeds run one after another
  * in seed order; ScenarioConfig::threads parallelizes each run's
- * per-slot chain loop.
+ * chain loop (FogSystem::runWindow).
  */
 struct RunOptions
 {

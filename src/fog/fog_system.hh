@@ -12,9 +12,10 @@
  *
  * The per-chain simulation lives in ChainEngine; FogSystem is the
  * orchestrator: it forks one RNG stream per chain (in chain order),
- * steps the slot grid, dispatches the chains of each slot across
- * a ThreadPool, and merges the per-chain report shards in chain order
- * so results are bit-identical for any thread count.
+ * steps the slot grid in windows, dispatches each window's chains
+ * across a ThreadPool (each chain runs the whole window), and merges
+ * the per-chain report shards in chain order so results are
+ * bit-identical for any thread count.
  */
 
 #ifndef NEOFOG_FOG_FOG_SYSTEM_HH
@@ -110,9 +111,13 @@ class FogSystem
     SystemReport run();
 
     /**
-     * Run slots [from, to) over this system's chain range.  run()
-     * steps the horizon through this loop between checkpoints; it is
-     * also the distributed worker's stepping primitive (the
+     * Run slots [from, to) over this system's chain range, chain-major:
+     * one pool dispatch, in which each chain runs every slot of the
+     * window in order before its thread moves to the next chain.
+     * Chains share no mutable state, so this gives the bits of a
+     * slot-by-slot sweep.  run() steps the horizon through this loop
+     * between checkpoints; it is also the distributed worker's
+     * stepping primitive between coordinator barriers (the
      * coordinator drives barriers and checkpoints explicitly).
      * Leaves the report un-merged; see shardBlob().
      */
@@ -205,7 +210,7 @@ class FogSystem
     /** One engine per chain; no two share mutable state. */
     std::vector<std::unique_ptr<ChainEngine>> _engines;
 
-    /** Worker pool for the per-slot chain loop (null when serial). */
+    /** Worker pool that runs each window's chains (null when serial). */
     std::unique_ptr<ThreadPool> _pool;
 
     SystemReport _report;

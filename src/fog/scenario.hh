@@ -126,8 +126,9 @@ struct ScenarioConfig
     SnapshotConfig snapshot{};
 
     /**
-     * Worker threads for the per-slot chain loop: chains of a slot run
-     * concurrently on this many threads (0 = all hardware threads).
+     * Worker threads for the chain loop: the chains of each window
+     * (each running every slot of it) run concurrently on this many
+     * threads (0 = all hardware threads).
      * Results are bit-identical for any value — every chain draws from
      * its own pre-forked RNG stream and shards merge in chain order
      * (see DESIGN.md, "Threading and determinism model").

@@ -2,7 +2,8 @@
  * @file
  * Fixed-size worker pool for data-parallel simulation loops.
  *
- * The system layer runs many independent chain simulators per slot.
+ * The system layer runs many independent chain simulators, each
+ * through a window of slots per loop.
  * ThreadPool::parallelForChunked distributes such an index range over
  * a fixed set of worker threads in a static partition; the calling
  * thread participates, so a pool of size 1 degenerates to the plain

@@ -3,7 +3,8 @@
  * Tests for the ThreadPool and the parallel execution model: same
  * seed must yield a byte-identical SystemReport no matter how many
  * threads run the chains, in one run or across the multi-seed
- * experiment runner's seeds.  Registered under the
+ * experiment runner's seeds, and chain-major windows must leave the
+ * bits of a slot-by-slot sweep.  Registered under the
  * "parallel" ctest label so the suite can run under TSan
  * (-DNEOFOG_SANITIZE=thread; ctest -L parallel) to prove the
  * ChainEngine boundary is race-free.
@@ -23,7 +24,9 @@
 #include "fog/experiment.hh"
 #include "fog/fog_system.hh"
 #include "fog/presets.hh"
+#include "sim/report_io.hh"
 #include "sim/thread_pool.hh"
+#include "snapshot/archive.hh"
 
 namespace neofog {
 namespace {
@@ -350,6 +353,158 @@ TEST(ParallelDeterminism, RunSeedsIdenticalAcrossThreadCounts)
               totals.stddev());
     EXPECT_EQ(parallel.stat("yield").mean(),
               serial.stat("yield").mean());
+}
+
+// ---------------------------------------------------------------------
+// Stepping order.  runWindow runs each chain through every slot of a
+// window before the next chain starts (chain-major).  Chains share no
+// mutable state, so that must leave the bits an explicit slot-major
+// sweep leaves, with an energy observer and a probe log attached.
+
+/** What one stepping of a system leaves behind. */
+struct SteppedRun
+{
+    SystemReport report;
+    std::vector<std::string> chainStates;          ///< archive bytes
+    std::vector<TimeSeries::Point> energy;         ///< chain 1, node 0
+    std::vector<report_io::LabeledSeries> probes;  ///< chain 1
+};
+
+/** Finalize @p sys's shards and merge them in chain order. */
+SystemReport
+mergedShards(FogSystem &sys)
+{
+    sys.finalizeShards();
+    SystemReport report;
+    report.idealPackages = sys.config().idealPackages();
+    for (const auto &engine : sys.chains())
+        report.merge(engine->shard());
+    return report;
+}
+
+/**
+ * Build @p cfg on @p threads, watch chain 1, and let @p step run the
+ * horizon and return the merged report.
+ */
+template <typename Step>
+SteppedRun
+stepRun(ScenarioConfig cfg, unsigned threads, Step step)
+{
+    cfg.threads = threads;
+    FogSystem sys(cfg);
+    StoredEnergyLog energy;
+    ChainProbeLog probes;
+    sys.setObserver(1, 0, &energy);
+    sys.setProbeLog(1, &probes);
+
+    SteppedRun out;
+    out.report = step(sys);
+    for (const auto &engine : sys.chains()) {
+        snapshot::OutArchive ar;
+        ar.io("chain", engine->state());
+        out.chainStates.push_back(ar.take());
+    }
+    out.energy = energy.series().points();
+    out.probes = probes.series(1);
+    return out;
+}
+
+void
+expectPointsEqual(const std::vector<TimeSeries::Point> &want,
+                  const std::vector<TimeSeries::Point> &got)
+{
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t p = 0; p < want.size(); ++p) {
+        EXPECT_EQ(want[p].when, got[p].when) << "point " << p;
+        EXPECT_EQ(want[p].value, got[p].value) << "point " << p;
+    }
+}
+
+void
+expectSameRun(const SteppedRun &want, const SteppedRun &got)
+{
+    EXPECT_TRUE(want.report == got.report);
+    EXPECT_EQ(want.chainStates, got.chainStates);
+    EXPECT_FALSE(want.energy.empty());
+    expectPointsEqual(want.energy, got.energy);
+    ASSERT_EQ(want.probes.size(), got.probes.size());
+    for (std::size_t i = 0; i < want.probes.size(); ++i) {
+        SCOPED_TRACE(want.probes[i].name);
+        EXPECT_EQ(want.probes[i].name, got.probes[i].name);
+        EXPECT_FALSE(want.probes[i].points.empty());
+        expectPointsEqual(want.probes[i].points, got.probes[i].points);
+    }
+}
+
+TEST(ParallelDeterminism, WindowsMatchSlotMajorStepping)
+{
+    std::vector<std::pair<std::string, ScenarioConfig>> scenarios;
+    {
+        ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 1);
+        cfg.balancerPolicy = "distributed";
+        cfg.seed = 31;
+        scenarios.emplace_back("fios rain", cfg);
+    }
+    {
+        ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
+        cfg.nodesPerChain = 40;
+        cfg.hopByHopRelay = true;
+        cfg.realTimeRequestChance = 0.05;
+        cfg.membershipUpdateInterval = 10 * kMin;
+        cfg.seed = 32;
+        scenarios.emplace_back("relay mux", cfg);
+    }
+    {
+        ScenarioConfig cfg = presets::fig10(presets::nosVp(), 0);
+        cfg.balancerPolicy = "greedy";
+        cfg.seed = 33;
+        scenarios.emplace_back("vp forest", cfg);
+    }
+    {
+        ScenarioConfig cfg = presets::fig11(presets::nosNvpBaseline(), 0);
+        cfg.balancerPolicy = "tree";
+        cfg.nodeTemplate.enableIncidentalComputing = true;
+        cfg.multiplexing = 2;
+        cfg.seed = 34;
+        scenarios.emplace_back("nvp bridge incidental", cfg);
+    }
+
+    for (auto &[name, cfg] : scenarios) {
+        SCOPED_TRACE(name);
+        cfg.chains = 5;
+        cfg.horizon = 60 * cfg.slotInterval;
+        const std::int64_t slots = cfg.slotCount();
+        ASSERT_EQ(slots, 60);
+
+        const SteppedRun want = stepRun(cfg, 1, [&](FogSystem &sys) {
+            for (std::int64_t s = 0; s < slots; ++s)
+                for (const auto &engine : sys.chains())
+                    engine->runSlot(s);
+            return mergedShards(sys);
+        });
+        // The probe log samples chain 1 at the end of every slot.
+        ASSERT_EQ(want.probes.size(), 4u);
+        for (const auto &series : want.probes)
+            EXPECT_EQ(series.points.size(), 60u) << series.name;
+
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            {
+                SCOPED_TRACE("run()");
+                expectSameRun(want, stepRun(cfg, threads,
+                                            [](FogSystem &sys) {
+                    return sys.run();
+                }));
+            }
+            SCOPED_TRACE("windows [0, 7) [7, 8) [8, 60)");
+            expectSameRun(want, stepRun(cfg, threads, [&](FogSystem &sys) {
+                sys.runWindow(0, 7);
+                sys.runWindow(7, 8);
+                sys.runWindow(8, slots);
+                return mergedShards(sys);
+            }));
+        }
+    }
 }
 
 } // namespace

@@ -7,7 +7,8 @@
  * a fig-13 rain FogSystem (the perfbench rain-fleet shape, a few
  * chains), runs slot 0 on every chain so each engine sizes its
  * scratch, then counts heap allocations while every chain runs the
- * next slots.  The count must be 0.
+ * next slots.  The count must be 0.  FogSystem::runWindow, which runs
+ * those slots chain by chain through one pool dispatch, must add none.
  *
  * The one known allocating path left is assignTasks (the Algorithm 1
  * DP table), reached only when a distributed donor splits its surplus
@@ -137,17 +138,24 @@ TEST(SlotAllocation, CountingOperatorNewSeesVectors)
     EXPECT_GE(g_allocations.load() - before, 2u);
 }
 
+/** A serial fig-13 rain scenario under @p policy. */
+ScenarioConfig
+rainScenario(const std::string &policy)
+{
+    ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 1);
+    cfg.balancerPolicy = policy;
+    cfg.chains = kChains;
+    cfg.threads = 1;
+    return cfg;
+}
+
 TEST(SlotAllocation, EveryPolicyRunsSlotsWithoutHeapTraffic)
 {
     if (!kCountsAllocations)
         GTEST_SKIP() << "ThreadSanitizer owns operator new";
     for (const std::string &policy : PolicyRegistry::instance().names()) {
         SCOPED_TRACE(policy);
-        ScenarioConfig cfg =
-            presets::fig13(presets::fiosNeofog(), 1);
-        cfg.balancerPolicy = policy;
-        cfg.chains = kChains;
-        cfg.threads = 1;
+        const ScenarioConfig cfg = rainScenario(policy);
         ASSERT_GT(cfg.slotCount(), kCountedSlots);
         FogSystem sys(cfg);
 
@@ -159,6 +167,28 @@ TEST(SlotAllocation, EveryPolicyRunsSlotsWithoutHeapTraffic)
             for (const auto &chain : sys.chains())
                 chain->runSlot(s);
         }
+        EXPECT_EQ(g_allocations.load() - before, 0u);
+    }
+}
+
+// A window's body fits std::function's in-place buffer (16 bytes in
+// libstdc++), so stepping through runWindow allocates nothing either.
+// Only a serial system is counted: a pooled window also allocates the
+// pool's Job once per call (ThreadPool::parallelForChunked).
+TEST(SlotAllocation, RunWindowIsAllocationFree)
+{
+    if (!kCountsAllocations)
+        GTEST_SKIP() << "ThreadSanitizer owns operator new";
+    for (const std::string &policy : PolicyRegistry::instance().names()) {
+        SCOPED_TRACE(policy);
+        const ScenarioConfig cfg = rainScenario(policy);
+        ASSERT_GT(cfg.slotCount(), kCountedSlots);
+        FogSystem sys(cfg);
+
+        sys.runWindow(0, 1);
+
+        const std::uint64_t before = g_allocations.load();
+        sys.runWindow(1, 1 + kCountedSlots);
         EXPECT_EQ(g_allocations.load() - before, 0u);
     }
 }
