@@ -27,7 +27,15 @@
 
 namespace neofog {
 
-/** Load-balance-relevant state of one chain node at a round. */
+/**
+ * Load-balance-relevant state of one chain node at a round.
+ *
+ * A node that is not alive takes no part: every policy tests alive
+ * before it reads a node's capacityTasks or taskCost, so a dead entry's
+ * two values may hold anything (a caller need not fill them) and a
+ * round gives the same moves, counts and stream draws whatever they
+ * hold.  Its pendingTasks are still read: they are the tasks it keeps.
+ */
 struct LbNodeState
 {
     /** Whether the node can participate at all this round. */

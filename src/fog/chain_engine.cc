@@ -4,8 +4,6 @@
 
 #include "balance/policy_registry.hh"
 #include "energy/power_trace.hh"
-#include "net/mac.hh"
-#include "net/packet.hh"
 #include "sim/logging.hh"
 
 namespace neofog {
@@ -276,13 +274,13 @@ ChainEngine::maybeServeRealTimeRequest(
         return;
     // The control node wants this node's current sample immediately:
     // raw, unbuffered, no fog processing (paper §5.1).
-    const std::size_t raw = _cfg.nodeTemplate.rawPackageBytes;
+    const Node::Spec::Frame &raw = _spec.rawPackage;
     if (node.pendingPackages() == 0) {
         ++_state.report.rtRequestsMissed;
         return;
     }
     const auto tx = _state.loss.deliver(_state.rng);
-    if (!node.payTransmit(raw, tx.paid) || !tx.delivered) {
+    if (!node.payTransmit(raw.send, tx.paid) || !tx.delivered) {
         ++_state.report.rtRequestsMissed;
         return;
     }
@@ -298,7 +296,7 @@ ChainEngine::maybeServeRealTimeRequest(
 
 bool
 ChainEngine::relayToSink(const std::vector<Node *> &scheduled,
-                         std::size_t src, std::size_t payload_bytes)
+                         std::size_t src, const Node::Spec::Frame &frame)
 {
     if (!_cfg.hopByHopRelay || src == 0)
         return true; // MAC-abstracted direct delivery (paper default)
@@ -312,8 +310,8 @@ ChainEngine::relayToSink(const std::vector<Node *> &scheduled,
         Node *relay = scheduled[hop];
         if (!relay->awake())
             continue; // bypassed
-        if (!relay->payReceive(payload_bytes) ||
-            !relay->payTransmit(payload_bytes)) {
+        if (!relay->payListen(frame.listen) ||
+            !relay->payTransmit(frame.send)) {
             ++_state.report.relayDrops;
             return false;
         }
@@ -333,8 +331,12 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
     // broadcasts orphan_scan, C confirms, and the AssociatedDevList
     // updates so traffic bypasses B.  When B recovers it broadcasts
     // and the neighbours re-associate it.  Both handshakes cost the
-    // *neighbours* (and the recovering node) short control exchanges.
+    // *neighbours* (and the recovering node) short control exchanges,
+    // at the prices of the chain's spec.
     const std::size_t n = scheduled.size();
+    const Node::Spec::Frame &scan = _spec.orphanScan;
+    const Node::Spec::Frame &confirm = _spec.scanConfirm;
+    const Node::Spec::Frame &dev_list = _spec.devListEntry;
 
     auto neighbor = [&](std::size_t idx, int dir) -> Node * {
         // Nearest awake neighbour in the given direction.
@@ -359,21 +361,21 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
             Node *left = neighbor(l, -1);
             Node *right = neighbor(l, +1);
             if (left && right) {
-                left->payControlMessage(kOrphanScanBytes);
-                left->payReceive(kScanConfirmBytes);
-                right->payReceive(kOrphanScanBytes);
-                right->payControlMessage(kScanConfirmBytes);
+                left->payControl(scan.send);
+                left->payListen(confirm.listen);
+                right->payListen(scan.listen);
+                right->payControl(confirm.send);
                 ++_state.report.orphanScans;
             }
         } else if (!before && now) {
             // Recovered: broadcast presence, neighbours re-associate.
             Node *left = neighbor(l, -1);
-            scheduled[l]->payControlMessage(kOrphanScanBytes);
+            scheduled[l]->payControl(scan.send);
             if (left) {
-                left->payReceive(kOrphanScanBytes);
-                left->payControlMessage(kDevListEntryBytes);
+                left->payListen(scan.listen);
+                left->payControl(dev_list.send);
             }
-            scheduled[l]->payReceive(kDevListEntryBytes);
+            scheduled[l]->payListen(dev_list.listen);
             ++_state.report.rejoins;
         }
         _state.aliveLastSlot[l] = now;
@@ -387,14 +389,24 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
     if (_balancerIsNoop)
         return;
 
-    // Engine-owned scratch: reuse the capacity, reset the values.
+    // Engine-owned scratch: reuse the capacity.  One pass reads each
+    // node's state and then pays its beacon: a beacon changes only its
+    // own node, whose state was already read.
     std::vector<LbNodeState> &states = _lbStates;
-    states.assign(scheduled.size(), LbNodeState{});
+    states.resize(scheduled.size());
     for (std::size_t i = 0; i < scheduled.size(); ++i) {
         Node *n = scheduled[i];
         LbNodeState &s = states[i];
         s.alive = n->awake();
         s.pendingTasks = n->pendingPackages();
+        if (!s.alive) {
+            // No policy reads a dead node's capacity or task cost (see
+            // LbNodeState).  Its task is still priced for the slot, as
+            // every scheduled node's is here: the cost memo is restart
+            // state (NodeState::slotCostsValid).
+            (void)n->taskCost();
+            continue;
+        }
         // Capacity = own queued work the node can actually complete
         // right now, plus headroom for received tasks.  A node only
         // becomes a donor when it genuinely cannot fund its own queue.
@@ -409,15 +421,11 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
             n->spareTaskCapacity() +
             (can_own ? static_cast<double>(n->pendingPackages()) : 0.0);
         s.taskCost = n->relativeTaskCost();
-    }
-
-    // Every awake participant shares its state once per round.  The
-    // share piggybacks on the slot-synchronization beacon the node
-    // already exchanges, so it costs one short control transmission.
-    for (Node *n : scheduled) {
-        if (!n->awake())
-            continue;
-        n->payControlMessage(4);
+        // Every awake participant shares its state once per round.
+        // The share piggybacks on the slot-synchronization beacon the
+        // node already exchanges, so it costs one short control
+        // transmission.
+        n->payControl(_spec.beacon);
     }
 
     Rng lb_rng = _state.rng.fork();
@@ -430,7 +438,7 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
     _state.report.lbFailedRegions +=
         static_cast<std::uint64_t>(outcome.failedRegions);
 
-    const std::size_t raw = _cfg.nodeTemplate.rawPackageBytes;
+    const Node::Spec::Frame &raw = _spec.rawPackage;
     for (const TaskMove &m : outcome.moves) {
         Node *from = scheduled[m.from];
         Node *to = scheduled[m.to];
@@ -443,7 +451,7 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
             // Ship the raw package over the chain (virtual buffers,
             // loss applies per transfer).
             const auto tx = _state.loss.deliver(_state.rng);
-            if (!from->payTransmit(raw, tx.paid))
+            if (!from->payTransmit(raw.send, tx.paid))
                 break;
             if (!tx.delivered) {
                 ++_state.report.txLost;
@@ -451,7 +459,7 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
                 from->addPendingPackages(-1);
                 continue; // raw data lost in transit
             }
-            if (!to->payReceive(raw))
+            if (!to->payListen(raw.listen))
                 break;
             from->addPendingPackages(-1);
             to->addPendingPackages(1);
@@ -474,9 +482,7 @@ ChainEngine::executeAndTransmit(Node &node,
                                 std::size_t logical_idx)
 {
     const bool vp = _cfg.mode == OperatingMode::NosVp;
-    const std::size_t result_bytes = vp
-        ? _cfg.nodeTemplate.rawPackageBytes
-        : _cfg.nodeTemplate.compressedPackageBytes;
+    const Node::Spec::Frame &result = _spec.resultPackage;
 
     // Process as many queued packages as energy and slot time allow,
     // transmitting each result.  The node only starts a task when the
@@ -488,7 +494,7 @@ ChainEngine::executeAndTransmit(Node &node,
         if (node.executeTasks(1) == 0)
             break;
         const auto tx = _state.loss.deliver(_state.rng);
-        if (!node.payTransmit(result_bytes, tx.paid)) {
+        if (!node.payTransmit(result.send, tx.paid)) {
             // Processed but unshippable this slot.
             ++_state.report.txAborted;
             break;
@@ -498,7 +504,7 @@ ChainEngine::executeAndTransmit(Node &node,
             ++_state.report.txLost;
             continue;
         }
-        if (!relayToSink(scheduled, logical_idx, result_bytes))
+        if (!relayToSink(scheduled, logical_idx, result))
             continue;
         if (vp) {
             node.stats().packagesToCloud.increment();
@@ -517,7 +523,7 @@ ChainEngine::executeAndTransmit(Node &node,
         if (node.executeIncidentalTasks(1) == 0)
             break;
         const auto tx = _state.loss.deliver(_state.rng);
-        if (!node.payTransmit(result_bytes, tx.paid)) {
+        if (!node.payTransmit(result.send, tx.paid)) {
             ++_state.report.txAborted;
             break;
         }
@@ -526,7 +532,7 @@ ChainEngine::executeAndTransmit(Node &node,
             ++_state.report.txLost;
             continue;
         }
-        if (!relayToSink(scheduled, logical_idx, result_bytes))
+        if (!relayToSink(scheduled, logical_idx, result))
             continue;
         ++_state.report.packagesIncidental;
     }
@@ -540,10 +546,9 @@ ChainEngine::executeAndTransmit(Node &node,
         node.classify() == EnergyClass::Extra &&
         !node.canCompleteOnePackage()) {
         const auto tx = _state.loss.deliver(_state.rng);
-        if (node.payTransmit(_cfg.nodeTemplate.rawPackageBytes, tx.paid) &&
+        if (node.payTransmit(_spec.rawPackage.send, tx.paid) &&
             tx.delivered &&
-            relayToSink(scheduled, logical_idx,
-                        _cfg.nodeTemplate.rawPackageBytes)) {
+            relayToSink(scheduled, logical_idx, _spec.rawPackage)) {
             node.addPendingPackages(-1);
             node.stats().packagesToCloud.increment();
             ++_state.report.packagesToCloud;

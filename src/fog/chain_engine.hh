@@ -260,13 +260,14 @@ class ChainEngine
                             std::size_t logical_idx);
 
     /**
-     * Deliver @p payload_bytes from logical node @p src toward the
-     * sink: direct (MAC-abstracted) by default, hop-by-hop when
-     * configured.  The sender has already paid its own transmission.
+     * Deliver @p frame from logical node @p src toward the sink:
+     * direct (MAC-abstracted) by default, hop-by-hop when configured,
+     * each awake relay paying the frame's listen window and one
+     * transmission.  The sender has already paid its own transmission.
      * @return true if the packet reached the sink.
      */
     bool relayToSink(const std::vector<Node *> &scheduled,
-                     std::size_t src, std::size_t payload_bytes);
+                     std::size_t src, const Node::Spec::Frame &frame);
 
     /** Feed the probe log from this slot's chain-local state. */
     void sampleProbe(Tick now);

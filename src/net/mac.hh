@@ -1,6 +1,7 @@
 /**
  * @file
- * Slotted MAC control payloads: the orphan-scan bypass and the rejoin.
+ * Slotted MAC control payloads: the orphan-scan bypass, the rejoin and
+ * the load balancer's beacon.
  *
  * The RTC gives all nodes a common slot grid (§2.3); within a slot,
  * adjacent chain nodes exchange frames.  §4 models two Zigbee control
@@ -10,8 +11,11 @@
  *    then A->C directly);
  *  - the rejoin when a dead node recovers.
  *
- * ChainEngine::heal prices both with Node::payControlMessage and
- * Node::payReceive over the payload sizes below.
+ * A chain's Node::Spec prices each frame below once, as a control
+ * frame and the listen window that receives it, and ChainEngine::heal
+ * pays those prices (Node::payControl, Node::payListen).  The load
+ * balancer's state share rides the slot beacon as one more control
+ * frame, priced the same way.
  */
 
 #ifndef NEOFOG_NET_MAC_HH
@@ -27,6 +31,8 @@ inline constexpr std::size_t kOrphanScanBytes = 12;
 inline constexpr std::size_t kScanConfirmBytes = 16;
 /** Payload of an AssociatedDevList update entry. */
 inline constexpr std::size_t kDevListEntryBytes = 4;
+/** Payload of a node's load-balance state share on the slot beacon. */
+inline constexpr std::size_t kLbBeaconBytes = 4;
 
 } // namespace neofog
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/mac.hh"
 #include "net/packet.hh"
 #include "sim/logging.hh"
 
@@ -93,6 +94,48 @@ checkedTrace(std::unique_ptr<PowerTrace> trace, std::uint32_t id)
 /** Instructions of "control & basic computing" at every wake (Fig 1). */
 constexpr std::uint64_t kControlInstructions = 1000;
 
+// The radio prices below are the only copies of their expressions: the
+// spec prices its fixed frames with them, and the byte-count pay
+// methods price their frame with them before paying it.
+
+/** One transmission attempt of a @p payload-byte data frame. */
+RfPhase
+dataFrame(const Radio &rf, std::size_t payload)
+{
+    return rf.txCost(payload + kFrameOverheadBytes);
+}
+
+/** A @p payload-byte control frame: airtime plus a 1 ms guard, at TX
+ *  power. */
+RfPhase
+controlFrame(const Radio &rf, std::size_t payload)
+{
+    const Tick time =
+        rf.airtime(payload + kFrameOverheadBytes) + ticksFromMs(1.0);
+    return {time, rf.txPower * time};
+}
+
+/** The listen window that receives a @p payload-byte frame: airtime
+ *  plus a 3 ms guard, at RX power. */
+RfPhase
+listenWindow(const Radio &rf, std::size_t payload)
+{
+    return rf.rxCost(rf.airtime(payload + kFrameOverheadBytes) +
+                     ticksFromMs(3.0));
+}
+
+Node::Spec::Frame
+controlFramePair(const Radio &rf, std::size_t payload)
+{
+    return {controlFrame(rf, payload), listenWindow(rf, payload)};
+}
+
+Node::Spec::Frame
+dataFramePair(const Radio &rf, std::size_t payload)
+{
+    return {dataFrame(rf, payload), listenWindow(rf, payload)};
+}
+
 } // namespace
 
 Node::Spec::Spec(const Config &config)
@@ -113,21 +156,40 @@ Node::Spec::Spec(const Config &config)
         fatal("incidental fraction must be in [0, 1], got ",
               cfg.incidentalFraction);
 
-    // Pure functions of the config: the RF transmit cost, the
-    // sensor/buffer sampling cost and the processor wake cost carry no
-    // mutable state.
+    // Pure functions of the config: the wake, the sensor/buffer
+    // sampling and every fixed-size frame carry no mutable state.
     wakeCost = cpu.wakeEnergy() + cpu.computeEnergy(kControlInstructions);
+    wakeTime = cpu.wakeLatency + cpu.computeTime(kControlInstructions);
+
+    // One package: the sensor's initialization (zero once the sensor
+    // is initialized), its samples and the NV buffer write.
+    const SensorSpec &sensor = cfg.sensor;
     const double samples = static_cast<double>(cfg.samplesPerPackage);
-    sampleCost = cfg.sensor.initEnergy() +
-                 cfg.sensor.sampleEnergy() * samples +
-                 NvBuffer(cfg.buffer).writeEnergy(cfg.rawPackageBytes);
-    const std::size_t payload = cfg.mode == OperatingMode::NosVp
-        ? cfg.rawPackageBytes
-        : cfg.compressedPackageBytes;
-    txPackageEnergy = rf.txCost(payload + kFrameOverheadBytes).energy;
+    const Energy write =
+        NvBuffer(cfg.buffer).writeEnergy(cfg.rawPackageBytes);
+    const auto price_sample = [&](Tick init_time, Energy init_energy,
+                                  Tick &time, Energy &energy) {
+        energy = init_energy + sensor.sampleEnergy() * samples + write;
+        time = init_time +
+               static_cast<Tick>(samples *
+                                 static_cast<double>(sensor.sampleLatency));
+    };
+    price_sample(sensor.initLatency, sensor.initEnergy(), sampleTime,
+                 sampleCost);
+    price_sample(0, Energy::zero(), warmSampleTime, warmSampleCost);
+    bufferPackages = static_cast<int>(cfg.buffer.capacityBytes /
+                                      cfg.rawPackageBytes);
+
+    beacon = controlFrame(rf, kLbBeaconBytes);
+    orphanScan = controlFramePair(rf, kOrphanScanBytes);
+    scanConfirm = controlFramePair(rf, kScanConfirmBytes);
+    devListEntry = controlFramePair(rf, kDevListEntryBytes);
+    rawPackage = dataFramePair(rf, cfg.rawPackageBytes);
+    resultPackage = cfg.mode == OperatingMode::NosVp
+        ? rawPackage
+        : dataFramePair(rf, cfg.compressedPackageBytes);
     txCompressedDuration =
-        rf.txCost(cfg.compressedPackageBytes + kFrameOverheadBytes)
-            .duration;
+        dataFrame(rf, cfg.compressedPackageBytes).duration;
     incidentalInstructions = static_cast<std::uint64_t>(
         cfg.incidentalFraction *
         static_cast<double>(cfg.fogInstructionsPerPackage));
@@ -337,7 +399,7 @@ Node::taskComputeTime() const
 Energy
 Node::packageTxCost() const
 {
-    Energy e = _spec->txPackageEnergy;
+    Energy e = _spec->resultPackage.send.energy;
     if (!_state->rfInitializedThisSlot)
         e += _spec->rfInit.energy;
     return e;
@@ -430,10 +492,15 @@ Node::tryWake()
     NodeStats &st = s.stats;
     NEOFOG_ASSERT(!s.awake, "tryWake called twice in a slot");
 
-    if (classify() == EnergyClass::Dead) {
+    // The Dead class of classify().
+    if (!canAfford(activationCost(), false)) {
         st.depletionFailures.increment();
         return false;
     }
+    // A node that passes has its task priced for the slot, whether or
+    // not its mode's activation cost priced it: the memo is restart
+    // state (NodeState::slotCostsValid).
+    refreshSlotCosts();
 
     // A desynchronized RTC means the node must first listen long
     // enough to re-acquire the network's slot grid.
@@ -457,12 +524,11 @@ Node::tryWake()
     }
     st.spentWake += wake;
     const Tick wake_start = s.slotStart + s.slotTimeUsed;
-    const Tick wake_time = _spec->cpu.wakeLatency +
-                           _spec->cpu.computeTime(kControlInstructions);
-    s.slotTimeUsed += wake_time;
+    s.slotTimeUsed += _spec->wakeTime;
     s.awake = true;
     st.wakeups.increment();
-    notifyPhase(NodeObserver::Phase::Wake, wake_start, wake_time, wake);
+    notifyPhase(NodeObserver::Phase::Wake, wake_start, _spec->wakeTime,
+                wake);
     return true;
 }
 
@@ -471,22 +537,12 @@ Node::samplePackage()
 {
     NodeState &s = *_state;
     NodeStats &st = s.stats;
-    const SensorSpec &sensor = _spec->cfg.sensor;
     NEOFOG_ASSERT(s.awake, "sampling while asleep");
     // The first sample since the last power failure also pays the
     // sensor's initialization; the latch commits only on success.
-    Tick init_time = 0;
-    Energy init_energy = Energy::zero();
-    if (!s.sensorInitialized) {
-        init_time = sensor.initLatency;
-        init_energy = sensor.initEnergy();
-    }
-    const double n = static_cast<double>(_spec->cfg.samplesPerPackage);
-    const Energy total = init_energy + sensor.sampleEnergy() * n +
-                         s.buffer.writeEnergy(_spec->cfg.rawPackageBytes);
-    const Tick time =
-        init_time +
-        static_cast<Tick>(n * static_cast<double>(sensor.sampleLatency));
+    const bool warm = s.sensorInitialized;
+    const Energy total = warm ? _spec->warmSampleCost : _spec->sampleCost;
+    const Tick time = warm ? _spec->warmSampleTime : _spec->sampleTime;
     if (s.slotTimeUsed + time > s.slotLength)
         return false;
     // A full NV buffer discards the new sample (paper §5.1: data are
@@ -594,77 +650,76 @@ Node::executeIncidentalTasks(int count)
 }
 
 bool
-Node::payTransmit(std::size_t payload_bytes, int attempts)
+Node::payRadio(const RfPhase &p, Energy &spent, NodeObserver::Phase phase)
+{
+    NodeState &s = *_state;
+    if (s.slotTimeUsed + p.duration > s.slotLength)
+        return false;
+    if (!spend(p.energy, false))
+        return false;
+    spent += p.energy;
+    notifyPhase(phase, s.slotStart + s.slotTimeUsed, p.duration,
+                p.energy);
+    s.slotTimeUsed += p.duration;
+    return true;
+}
+
+bool
+Node::payTransmit(const RfPhase &one, int attempts)
 {
     NodeState &s = *_state;
     NEOFOG_ASSERT(s.awake, "transmitting while asleep");
     NEOFOG_ASSERT(attempts >= 1, "attempts >= 1");
-    const RfPhase one =
-        _spec->rf.txCost(payload_bytes + kFrameOverheadBytes);
     RfPhase init{};
     if (!s.rfInitializedThisSlot)
         init = _spec->rfInit;
-    const Tick time = init.duration + one.duration * attempts;
-    if (s.slotTimeUsed + time > s.slotLength)
-        return false;
-    const Energy e =
-        init.energy + one.energy * static_cast<double>(attempts);
-    if (!spend(e, false))
+    const RfPhase all{
+        init.duration + one.duration * attempts,
+        init.energy + one.energy * static_cast<double>(attempts)};
+    if (!payRadio(all, s.stats.spentTx, NodeObserver::Phase::Transmit))
         return false;
     s.rfInitializedThisSlot = true;
-    s.stats.spentTx += e;
-    notifyPhase(NodeObserver::Phase::Transmit,
-                s.slotStart + s.slotTimeUsed, time, e);
-    s.slotTimeUsed += time;
     return true;
+}
+
+bool
+Node::payListen(const RfPhase &window)
+{
+    NEOFOG_ASSERT(_state->awake, "receiving while asleep");
+    return payRadio(window, _state->stats.spentRx,
+                    NodeObserver::Phase::Receive);
+}
+
+bool
+Node::payControl(const RfPhase &frame)
+{
+    NEOFOG_ASSERT(_state->awake, "control message while asleep");
+    return payRadio(frame, _state->stats.spentTx,
+                    NodeObserver::Phase::Control);
+}
+
+bool
+Node::payTransmit(std::size_t payload_bytes, int attempts)
+{
+    return payTransmit(dataFrame(_spec->rf, payload_bytes), attempts);
 }
 
 bool
 Node::payReceive(std::size_t payload_bytes)
 {
-    NodeState &s = *_state;
-    NEOFOG_ASSERT(s.awake, "receiving while asleep");
-    const Tick window =
-        _spec->rf.airtime(payload_bytes + kFrameOverheadBytes) +
-        ticksFromMs(3.0);
-    if (s.slotTimeUsed + window > s.slotLength)
-        return false;
-    const Energy e = _spec->rf.rxCost(window).energy;
-    if (!spend(e, false))
-        return false;
-    s.stats.spentRx += e;
-    notifyPhase(NodeObserver::Phase::Receive,
-                s.slotStart + s.slotTimeUsed, window, e);
-    s.slotTimeUsed += window;
-    return true;
+    return payListen(listenWindow(_spec->rf, payload_bytes));
 }
 
 bool
 Node::payControlMessage(std::size_t payload_bytes)
 {
-    NodeState &s = *_state;
-    NEOFOG_ASSERT(s.awake, "control message while asleep");
-    const Tick time =
-        _spec->rf.airtime(payload_bytes + kFrameOverheadBytes) +
-        ticksFromMs(1.0);
-    if (s.slotTimeUsed + time > s.slotLength)
-        return false;
-    const Energy e = _spec->rf.txPower * time;
-    if (!spend(e, false))
-        return false;
-    s.stats.spentTx += e;
-    notifyPhase(NodeObserver::Phase::Control,
-                s.slotStart + s.slotTimeUsed, time, e);
-    s.slotTimeUsed += time;
-    return true;
+    return payControl(controlFrame(_spec->rf, payload_bytes));
 }
 
 int
 Node::pendingCapacity() const
 {
-    const auto max_packages = static_cast<int>(
-        _state->buffer.capacity() / _spec->cfg.rawPackageBytes);
-    return std::max(0, max_packages - _state->pendingPackages);
+    return std::max(0, _spec->bufferPackages - _state->pendingPackages);
 }
 
 double

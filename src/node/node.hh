@@ -31,7 +31,7 @@
  * Node is a facade over one NodeState (see node_state.hh and
  * DESIGN.md, "Memory layout: one NodeState per node"): every field
  * that mutates after construction lives there.  What all nodes of a
- * chain share — config, processor, radio, front end, cost constants —
+ * chain share — config, processor, radio, front end, phase prices —
  * is one immutable Node::Spec.  The facade keeps its id, trace,
  * observer, the trace cursor scratch and pointers to its spec and
  * state.  A standalone Node (tests, single-node experiments) owns its
@@ -213,8 +213,15 @@ class Node
     /**
      * What the nodes of a chain share, built once and never changed:
      * the config (whose id only a standalone node uses), the front
-     * end, the processor and radio of its mode, and the cost
-     * constants.
+     * end, the processor and radio of its mode, and the prices of
+     * every fixed-cost phase of the slot path.
+     *
+     * §4 prices each phase from fixed part constants, so within one
+     * chain a wake, a sample or a fixed-size frame costs the same in
+     * every slot.  The spec computes each price once, with the same
+     * expression the byte-count pay methods use, so a priced phase and
+     * its byte-count twin are bit-identical.  Only the fog task's cost
+     * depends on the slot's income; Node memoizes it per slot.
      */
     struct Spec
     {
@@ -223,15 +230,39 @@ class Node
          *  incidental fraction outside [0, 1]. */
         explicit Spec(const Config &config);
 
+        /**
+         * A frame priced at both ends: its sender's transmission (a
+         * control frame for the beacon and heal frames, one data
+         * transmission attempt for packages) and the listen window of
+         * the node that receives it.
+         */
+        struct Frame
+        {
+            RfPhase send;
+            RfPhase listen;
+        };
+
         Config cfg;
         FrontEnd frontend;
         Processor cpu;
         Radio rf;
         RfPhase rfInit;               ///< rf.initCost(), once per slot
         Energy wakeCost;              ///< Node::wakeCost()
-        Energy sampleCost;            ///< Node::sampleCost()
-        Energy txPackageEnergy;       ///< mode-payload tx energy
+        Tick wakeTime = 0;            ///< restore/restart + control code
+        /** Node::sampleCost(): one package, sensor init included. */
+        Energy sampleCost;
+        Tick sampleTime = 0;          ///< its time, sensor init included
+        Energy warmSampleCost;        ///< one package, sensor initialized
+        Tick warmSampleTime = 0;      ///< its time
+        int bufferPackages = 0;       ///< raw packages the NV buffer holds
         Tick txCompressedDuration = 0; ///< result-package tx airtime
+        RfPhase beacon;               ///< balancer state share (control)
+        Frame orphanScan;             ///< heal frames (net/mac.hh sizes)
+        Frame scanConfirm;
+        Frame devListEntry;
+        Frame rawPackage;             ///< a raw package
+        /** The mode's result: raw for NOS-VP, compressed otherwise. */
+        Frame resultPackage;
         /** Instructions of one incidental task (incidentalFraction
          *  of a fog task) and their compute time. */
         std::uint64_t incidentalInstructions = 0;
@@ -295,8 +326,11 @@ class Node
     EnergyClass classify() const;
 
     /**
-     * Attempt to wake for this slot: pays processor restore/restart
-     * and radio initialization.  Counts wakeups/depletion failures.
+     * Attempt to wake for this slot: a node whose classify() would be
+     * Dead stays asleep; otherwise it pays an RTC resync if needed and
+     * the processor restore/restart plus control computing (the radio
+     * initialization comes with the slot's first transmission).
+     * Counts wakeups/depletion failures.
      * @return true if the node is now awake.
      */
     bool tryWake();
@@ -334,21 +368,33 @@ class Node
     bool canCompleteIncidental() const;
 
     /**
-     * Pay for transmitting @p payload_bytes.  @p attempts > 1 repeats
-     * the TX cost for MAC retries.
-     * @return true if the energy was available (and was spent).
+     * Pay for @p attempts transmissions of one data frame whose single
+     * attempt costs @p one (a Spec price; @p attempts > 1 repeats it
+     * for MAC retries), plus the radio initialization if this slot has
+     * not paid it.
+     * @return true if the energy and slot time were available (and
+     *         were spent).
      */
-    bool payTransmit(std::size_t payload_bytes, int attempts = 1);
+    bool payTransmit(const RfPhase &one, int attempts = 1);
 
-    /** Pay for receiving @p payload_bytes (listen window + frame). */
-    bool payReceive(std::size_t payload_bytes);
+    /** Pay for the listen window @p window that receives a frame. */
+    bool payListen(const RfPhase &window);
 
     /**
-     * Pay for a short control beacon (load-balance state share).
-     * Control frames piggyback on the slot beacon exchange: they cost
-     * airtime at TX power plus a small guard, but not the full data-
-     * connection setup.
+     * Pay for a short control frame @p frame (the balancer beacon, a
+     * heal frame).  Control frames piggyback on the slot beacon
+     * exchange: they cost airtime at TX power plus a small guard, but
+     * not the full data-connection setup.
      */
+    bool payControl(const RfPhase &frame);
+
+    /** payTransmit of a @p payload_bytes data frame. */
+    bool payTransmit(std::size_t payload_bytes, int attempts = 1);
+
+    /** payListen for a @p payload_bytes frame. */
+    bool payReceive(std::size_t payload_bytes);
+
+    /** payControl of a @p payload_bytes control frame. */
     bool payControlMessage(std::size_t payload_bytes);
 
     /** Pending packages the NV buffer can still absorb. */
@@ -480,6 +526,14 @@ class Node
 
     /** Whether @p e is affordable right now. */
     bool canAfford(Energy e, bool direct_eligible) const;
+
+    /**
+     * Pay radio phase @p p from the capacitor within the slot's time,
+     * adding its energy to @p spent and reporting it as @p phase.
+     * @return true if paid; false leaves state unchanged.
+     */
+    bool payRadio(const RfPhase &p, Energy &spent,
+                  NodeObserver::Phase phase);
 
     /** Remaining compute time in this slot. */
     Tick remainingSlotTime() const;

@@ -7,7 +7,7 @@
  * buffer, the slot-lifecycle scalars, the per-slot cost memos, the
  * pending-package age queue and the statistics.  Everything else a
  * Node uses — its chain's Node::Spec (config, processor, radio, front
- * end, cost constants), power trace, observer, trace cursor — is
+ * end, phase prices), power trace, observer, trace cursor — is
  * rebuilt from the scenario, so a resume reconstructs the Node and
  * overwrites only its NodeState.  NodeState::serialize is therefore
  * the one place a snapshot's node records land, and it rejects states

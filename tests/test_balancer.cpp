@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "balance/balancer.hh"
 #include "balance/policy_registry.hh"
@@ -375,6 +377,57 @@ TEST(DistributedBalancer, NoReceiverCountsEveryProbeAndMovesNothing)
         EXPECT_TRUE(out.moves.empty());
         EXPECT_EQ(out.messagesExchanged, expected);
         EXPECT_EQ(out.failedRegions, 0);
+    }
+}
+
+// LbNodeState's dead-node contract: whatever a dead entry's capacity
+// and task cost hold, every registered policy gives the round it gives
+// with honest values, down to the caller's next draw.
+TEST(LoadBalancer, DeadNodesCapacityAndCostAreNeverRead)
+{
+    const double junk_values[] = {
+        std::numeric_limits<double>::quiet_NaN(), -5.0, 1e9};
+    Rng gen(725);
+    for (const std::string &name : PolicyRegistry::instance().names()) {
+        SCOPED_TRACE(name);
+        const auto bal = PolicyRegistry::instance().make(name);
+        for (int trial = 0; trial < 300; ++trial) {
+            const auto n = static_cast<std::size_t>(gen.uniformInt(0, 14));
+            std::vector<LbNodeState> honest(n);
+            for (LbNodeState &s : honest) {
+                s.alive = !gen.chance(0.3);
+                s.pendingTasks = static_cast<int>(gen.uniformInt(0, 6));
+                s.capacityTasks = gen.uniform(0.0, 8.0);
+                s.taskCost = gen.uniform(0.5, 1.5);
+            }
+            const std::uint64_t seed = gen.next();
+            Rng want_rng(seed);
+            const LbOutcome want = bal->balance(honest, want_rng);
+            const std::uint64_t want_next = want_rng.next();
+            for (const double junk : junk_values) {
+                SCOPED_TRACE(testing::Message()
+                             << "trial " << trial << ", dead entries "
+                             << junk);
+                std::vector<LbNodeState> states = honest;
+                for (LbNodeState &s : states) {
+                    if (!s.alive) {
+                        s.capacityTasks = junk;
+                        s.taskCost = junk;
+                    }
+                }
+                Rng rng(seed);
+                const LbOutcome got = bal->balance(states, rng);
+                EXPECT_EQ(rng.next(), want_next);
+                EXPECT_EQ(got.messagesExchanged, want.messagesExchanged);
+                EXPECT_EQ(got.failedRegions, want.failedRegions);
+                ASSERT_EQ(got.moves.size(), want.moves.size());
+                for (std::size_t k = 0; k < got.moves.size(); ++k) {
+                    EXPECT_EQ(got.moves[k].from, want.moves[k].from);
+                    EXPECT_EQ(got.moves[k].to, want.moves[k].to);
+                    EXPECT_EQ(got.moves[k].tasks, want.moves[k].tasks);
+                }
+            }
+        }
     }
 }
 

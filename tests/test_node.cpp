@@ -713,10 +713,158 @@ TEST(Node, SpecPricesRadioInitOnce)
 
         node->beginSlot(0, kSlot);
         EXPECT_EQ(node->packageTxCost(),
-                  spec.txPackageEnergy + spec.rfInit.energy);
+                  spec.resultPackage.send.energy + spec.rfInit.energy);
         ASSERT_TRUE(node->tryWake());
         ASSERT_TRUE(node->payTransmit(16));
-        EXPECT_EQ(node->packageTxCost(), spec.txPackageEnergy);
+        EXPECT_EQ(node->packageTxCost(), spec.resultPackage.send.energy);
+    }
+}
+
+/** One phase price: its duration and its energy in joules. */
+struct PinnedPrice
+{
+    Tick duration;
+    double joules;
+};
+
+void
+expectPrice(const char *what, Tick duration, Energy energy,
+            const PinnedPrice &want)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(duration, want.duration);
+    EXPECT_EQ(energy.joules(), want.joules);
+}
+
+// Every fixed price of a spec, pinned bit for bit to what the
+// byte-count pay path and the per-call sample and wake arithmetic
+// paid before the spec priced them: durations in ticks, energies as
+// hex-floats.  A drift in a shared cost expression fails here first.
+TEST(Node, SpecPricesArePinned)
+{
+    struct Case
+    {
+        const char *name;
+        Node::Config cfg;
+        PinnedPrice wake, sample, warmSample, txRaw, txResult, control4,
+            control12, control16, listen4, listen12, listen16, listenRaw,
+            listenResult;
+    };
+    Node::Config vp;
+    vp.mode = OperatingMode::NosVp;
+    Node::Config nvp;
+    nvp.mode = OperatingMode::NosNvp;
+    Node::Config fios;
+    fios.mode = OperatingMode::FiosNvMote;
+    Node::Config lupa;
+    lupa.sensor = sensors::lupa1399();
+    lupa.rawPackageBytes = 256;
+    lupa.compressedPackageBytes = 32;
+    // Control frames and listen windows of equal size cost the same on
+    // every radio: both are priced from airtime.
+    const PinnedPrice c4{1608, 0x1.2c76ffb168a7cp-13};
+    const PinnedPrice c12{1864, 0x1.5c4ccf3f01986p-13};
+    const PinnedPrice c16{1992, 0x1.7437b705ce10bp-13};
+    const PinnedPrice l4{3608, 0x1.106516c9dfcc5p-12};
+    const PinnedPrice l12{3864, 0x1.23b8e42f0b7dbp-12};
+    const PinnedPrice l16{3992, 0x1.2d62cae1a1567p-12};
+    const PinnedPrice l128{7576, 0x1.1dfc033502851p-11};
+    const PinnedPrice tmp101{584112, 0x1.04c740efffefcp-14};
+    const PinnedPrice tmp101_warm{18112, 0x1.76177678b41a1p-18};
+    const PinnedPrice sw_tx128{465496, 0x1.53c4d572e8c9cp-5};
+    const Case cases[] = {
+        {"NOS-VP", vp, {1050, 0x1.41efb2ac9a653p-13}, tmp101, tmp101_warm,
+         sw_tx128, sw_tx128, c4, c12, c16, l4, l12, l16, l128, l128},
+        {"NOS-NVP", nvp, {782, 0x1.69b7c51047beap-19}, tmp101,
+         tmp101_warm, sw_tx128, {300632, 0x1.b6ddeea568189p-6}, c4, c12,
+         c16, l4, l12, l16, l128, l16},
+        {"FIOS", fios, {757, 0x1.5e7f4bafdb2dbp-19}, tmp101, tmp101_warm,
+         {37360, 0x1.b44f301c85fb3p-9}, {9584, 0x1.bfb52291436c9p-11},
+         c4, c12, c16, l4, l12, l16, l128, l16},
+        {"FIOS LUPA1399 256/32 B", lupa, {757, 0x1.5e7f4bafdb2dbp-19},
+         {517000, 0x1.e32a9d92967dep-5}, {512000, 0x1.e258e67b3d9bcp-5},
+         {69104, 0x1.93841c52f3a23p-8}, {13552, 0x1.3c88d36afa089p-10},
+         c4, c12, c16, l4, l12, l16, {11672, 0x1.b89a6e5e60105p-11},
+         {4504, 0x1.540a65abf8b94p-12}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const Node::Spec spec(c.cfg);
+        expectPrice("wake", spec.wakeTime, spec.wakeCost, c.wake);
+        expectPrice("sample", spec.sampleTime, spec.sampleCost, c.sample);
+        expectPrice("warm sample", spec.warmSampleTime,
+                    spec.warmSampleCost, c.warmSample);
+        expectPrice("raw tx", spec.rawPackage.send.duration,
+                    spec.rawPackage.send.energy, c.txRaw);
+        expectPrice("result tx", spec.resultPackage.send.duration,
+                    spec.resultPackage.send.energy, c.txResult);
+        expectPrice("beacon", spec.beacon.duration, spec.beacon.energy,
+                    c.control4);
+        expectPrice("dev-list control", spec.devListEntry.send.duration,
+                    spec.devListEntry.send.energy, c.control4);
+        expectPrice("orphan-scan control", spec.orphanScan.send.duration,
+                    spec.orphanScan.send.energy, c.control12);
+        expectPrice("scan-confirm control",
+                    spec.scanConfirm.send.duration,
+                    spec.scanConfirm.send.energy, c.control16);
+        expectPrice("dev-list listen", spec.devListEntry.listen.duration,
+                    spec.devListEntry.listen.energy, c.listen4);
+        expectPrice("orphan-scan listen",
+                    spec.orphanScan.listen.duration,
+                    spec.orphanScan.listen.energy, c.listen12);
+        expectPrice("scan-confirm listen",
+                    spec.scanConfirm.listen.duration,
+                    spec.scanConfirm.listen.energy, c.listen16);
+        expectPrice("raw listen", spec.rawPackage.listen.duration,
+                    spec.rawPackage.listen.energy, c.listenRaw);
+        expectPrice("result listen", spec.resultPackage.listen.duration,
+                    spec.resultPackage.listen.energy, c.listenResult);
+        EXPECT_EQ(spec.bufferPackages,
+                  static_cast<int>(c.cfg.buffer.capacityBytes /
+                                   c.cfg.rawPackageBytes));
+    }
+}
+
+// The byte-count pay methods price their frame with the spec's
+// expressions, so paying a spec price and paying its byte count are
+// the same phase.
+TEST(Node, ByteCountPaymentsMatchSpecPrices)
+{
+    struct Last : NodeObserver
+    {
+        Tick duration = -1;
+        Energy energy;
+        void onPhase(std::uint32_t, Phase, Tick, Tick d, Energy e) override
+        {
+            duration = d;
+            energy = e;
+        }
+    };
+    for (const OperatingMode mode :
+         {OperatingMode::NosVp, OperatingMode::NosNvp,
+          OperatingMode::FiosNvMote}) {
+        SCOPED_TRACE(operatingModeName(mode));
+        auto node = makeNode(mode, 10.0_mW);
+        const Node::Spec &spec = node->spec();
+        Last last;
+        node->setObserver(&last);
+        node->beginSlot(0, 60 * kSec);
+        ASSERT_TRUE(node->tryWake());
+        ASSERT_TRUE(node->payTransmit(1)); // the slot's radio init
+        const auto paid = [&](const RfPhase &want) {
+            EXPECT_EQ(last.duration, want.duration);
+            EXPECT_EQ(last.energy, want.energy);
+        };
+        ASSERT_TRUE(node->payTransmit(spec.cfg.rawPackageBytes, 2));
+        paid(spec.rawPackage.send + spec.rawPackage.send);
+        ASSERT_TRUE(node->payReceive(spec.cfg.rawPackageBytes));
+        paid(spec.rawPackage.listen);
+        ASSERT_TRUE(node->payControlMessage(12));
+        paid(spec.orphanScan.send);
+        ASSERT_TRUE(node->payReceive(16));
+        paid(spec.scanConfirm.listen);
+        ASSERT_TRUE(node->payControlMessage(4));
+        paid(spec.beacon);
     }
 }
 
