@@ -75,10 +75,7 @@ runNode(OperatingMode mode, std::uint32_t id, const char *label)
                node.canCompleteOnePackage()) {
             if (node.executeTasks(1) == 0)
                 break;
-            if (node.payTransmit(
-                    mode == OperatingMode::NosVp
-                        ? cfg.rawPackageBytes
-                        : cfg.compressedPackageBytes))
+            if (node.payTransmit(node.spec().resultPackage.send))
                 ++delivered;
         }
     }

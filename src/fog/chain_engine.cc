@@ -41,28 +41,13 @@ ChainState::rejectRotation(const std::string &path, std::int32_t r) const
           rotation, ": a chain's clone groups rotate together");
 }
 
-namespace {
-
-/** The node config a scenario gives every node of a chain. */
-Node::Config
-chainNodeConfig(const ScenarioConfig &cfg)
-{
-    Node::Config ncfg = cfg.nodeTemplate;
-    ncfg.mode = cfg.mode;
-    ncfg.rtc.interval = cfg.slotInterval;
-    return ncfg;
-}
-
-} // namespace
-
-ChainEngine::ChainEngine(const ScenarioConfig &cfg,
+ChainEngine::ChainEngine(const ScenarioConfig &cfg, const Node::Spec &spec,
                          std::size_t chain_index,
                          std::uint32_t first_node_id, Rng rng,
                          std::shared_ptr<const PowerTrace> shared_trace)
     : _cfg(cfg), _chainIndex(chain_index),
       _balancer(PolicyRegistry::instance().make(cfg.balancerPolicy)),
-      _sharedTrace(std::move(shared_trace)), _spec(chainNodeConfig(cfg)),
-      _state(rng, cfg.loss)
+      _sharedTrace(std::move(shared_trace)), _spec(spec), _state(rng)
 {
     const auto mux = static_cast<std::size_t>(_cfg.multiplexing);
     std::uint32_t next_id = first_node_id;
@@ -279,7 +264,7 @@ ChainEngine::maybeServeRealTimeRequest(
         ++_state.report.rtRequestsMissed;
         return;
     }
-    const auto tx = _state.loss.deliver(_state.rng);
+    const auto tx = _state.loss.deliver(_cfg.loss, _state.rng);
     if (!node.payTransmit(raw.send, tx.paid) || !tx.delivered) {
         ++_state.report.rtRequestsMissed;
         return;
@@ -315,7 +300,7 @@ ChainEngine::relayToSink(const std::vector<Node *> &scheduled,
             ++_state.report.relayDrops;
             return false;
         }
-        if (!_state.loss.attempt(_state.rng)) {
+        if (!_state.loss.attempt(_cfg.loss, _state.rng)) {
             ++_state.report.relayDrops;
             return false;
         }
@@ -450,7 +435,7 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
                 break;
             // Ship the raw package over the chain (virtual buffers,
             // loss applies per transfer).
-            const auto tx = _state.loss.deliver(_state.rng);
+            const auto tx = _state.loss.deliver(_cfg.loss, _state.rng);
             if (!from->payTransmit(raw.send, tx.paid))
                 break;
             if (!tx.delivered) {
@@ -493,7 +478,7 @@ ChainEngine::executeAndTransmit(Node &node,
             break;
         if (node.executeTasks(1) == 0)
             break;
-        const auto tx = _state.loss.deliver(_state.rng);
+        const auto tx = _state.loss.deliver(_cfg.loss, _state.rng);
         if (!node.payTransmit(result.send, tx.paid)) {
             // Processed but unshippable this slot.
             ++_state.report.txAborted;
@@ -522,7 +507,7 @@ ChainEngine::executeAndTransmit(Node &node,
            node.canCompleteIncidental()) {
         if (node.executeIncidentalTasks(1) == 0)
             break;
-        const auto tx = _state.loss.deliver(_state.rng);
+        const auto tx = _state.loss.deliver(_cfg.loss, _state.rng);
         if (!node.payTransmit(result.send, tx.paid)) {
             ++_state.report.txAborted;
             break;
@@ -545,7 +530,7 @@ ChainEngine::executeAndTransmit(Node &node,
     if (!vp && node.pendingPackages() > 0 &&
         node.classify() == EnergyClass::Extra &&
         !node.canCompleteOnePackage()) {
-        const auto tx = _state.loss.deliver(_state.rng);
+        const auto tx = _state.loss.deliver(_cfg.loss, _state.rng);
         if (node.payTransmit(_spec.rawPackage.send, tx.paid) &&
             tx.delivered &&
             relayToSink(scheduled, logical_idx, _spec.rawPackage)) {

@@ -11,11 +11,12 @@
  * in chain order, private LossModel state, a private LoadBalancer,
  * and a SystemReport shard.  What of that a snapshot keeps is one
  * ChainState; the rest is rebuilt from the scenario or is per-slot
- * scratch.  Because no two engines share mutable state,
- * FogSystem can run each engine through a whole window of slots, the
- * engines on any number of threads and in any interleaving, and still
- * produce bit-identical results (see DESIGN.md, "Threading and
- * determinism model").
+ * scratch.  The scenario and the Node::Spec its nodes share belong to
+ * the FogSystem and are read-only.  Because no two engines share
+ * mutable state, FogSystem can run each engine through a whole window
+ * of slots, the engines on any number of threads and in any
+ * interleaving, and still produce bit-identical results (see
+ * DESIGN.md, "Threading and determinism model").
  */
 
 #ifndef NEOFOG_FOG_CHAIN_ENGINE_HH
@@ -73,13 +74,10 @@ struct ChainProbeLog
 struct ChainState
 {
     /** A fresh chain: @p stream, clean loss accounting, no nodes yet. */
-    ChainState(Rng stream, const LossModel::Config &loss_cfg)
-        : rng(stream), loss(loss_cfg)
-    {
-    }
+    explicit ChainState(Rng stream) : rng(stream) {}
 
     Rng rng;
-    LossModel loss;
+    LossModel::State loss;
     /** Whether each logical position was alive last slot. */
     std::vector<bool> aliveLastSlot;
     /**
@@ -172,6 +170,8 @@ class ChainEngine
      * physical nodes [l*mux, (l+1)*mux).
      *
      * @param cfg Scenario shared by all chains (must outlive this).
+     * @param spec What every node of the scenario shares, built from
+     *        cfg.nodeConfig() (must outlive this).
      * @param chain_index Position of this chain in the scenario.
      * @param first_node_id Global id of this chain's first physical
      *        node (ids stay contiguous across chains).
@@ -181,9 +181,9 @@ class ChainEngine
      * @param shared_trace The scenario's shared rain stream (see
      *        FogSystem::_sharedTrace); null for per-node trace kinds.
      */
-    ChainEngine(const ScenarioConfig &cfg, std::size_t chain_index,
-                std::uint32_t first_node_id, Rng rng,
-                std::shared_ptr<const PowerTrace> shared_trace);
+    ChainEngine(const ScenarioConfig &cfg, const Node::Spec &spec,
+                std::size_t chain_index, std::uint32_t first_node_id,
+                Rng rng, std::shared_ptr<const PowerTrace> shared_trace);
 
     ChainEngine(const ChainEngine &) = delete;
     ChainEngine &operator=(const ChainEngine &) = delete;
@@ -216,10 +216,11 @@ class ChainEngine
     void setProbeLog(ChainProbeLog *log) { _probeLog = log; }
 
     /**
-     * Everything a snapshot archives of this chain.  The config, the
-     * balancer, the shared trace, the node spec, the Node facades and
-     * the per-slot scratch are rebuilt by constructing the engine, so
-     * a resume constructs it and then overwrites this.
+     * Everything a snapshot archives of this chain.  The balancer, the
+     * Node facades and the per-slot scratch are rebuilt by
+     * constructing the engine, and the config, node spec and shared
+     * trace are the system's, so a resume constructs it and then
+     * overwrites this.
      */
     ChainState &state() { return _state; }
     const ChainState &state() const { return _state; }
@@ -284,8 +285,8 @@ class ChainEngine
      */
     std::shared_ptr<const PowerTrace> _sharedTrace;
 
-    /** What every node of the chain shares; declared before _nodes. */
-    const Node::Spec _spec;
+    /** What every node of the system shares (the FogSystem's). */
+    const Node::Spec &_spec;
 
     /**
      * Must be declared before _nodes: the Node facades point into

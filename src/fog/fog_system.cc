@@ -12,31 +12,33 @@
 
 namespace neofog {
 
-FogSystem::FogSystem(const ScenarioConfig &cfg)
-    : FogSystem(cfg, 0, cfg.chains)
-{}
+namespace {
 
-FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
-                     std::size_t chain_hi)
-    : _cfg(cfg), _chainLo(chain_lo), _chainHi(chain_hi)
+/**
+ * @p cfg after the checks a system makes of its scenario and of its
+ * chain range [chain_lo, chain_hi), with its balancer spec
+ * canonicalized.
+ */
+ScenarioConfig
+checkedScenario(ScenarioConfig cfg, std::size_t chain_lo,
+                std::size_t chain_hi)
 {
-    if (_cfg.nodesPerChain == 0 || _cfg.chains == 0)
+    if (cfg.nodesPerChain == 0 || cfg.chains == 0)
         fatal("scenario needs at least one node and one chain");
-    if (_cfg.multiplexing < 1)
+    if (cfg.multiplexing < 1)
         fatal("multiplexing must be >= 1");
-    if (_cfg.slotInterval <= 0 || _cfg.horizon < _cfg.slotInterval)
+    if (cfg.slotInterval <= 0 || cfg.horizon < cfg.slotInterval)
         fatal("bad slot interval / horizon");
     // The CLI parser's ranges, checked here too so a resumed
     // scenario meets them; written so NaN fails them.
-    requireFiniteNonNegative(_cfg.meanIncome.watts(), "mean income (W)");
-    if (!(_cfg.realTimeRequestChance >= 0.0 &&
-          _cfg.realTimeRequestChance <= 1.0))
+    requireFiniteNonNegative(cfg.meanIncome.watts(), "mean income (W)");
+    if (!(cfg.realTimeRequestChance >= 0.0 &&
+          cfg.realTimeRequestChance <= 1.0))
         fatal("real-time request chance must be in [0, 1], got ",
-              _cfg.realTimeRequestChance);
-    if (_chainLo >= _chainHi || _chainHi > _cfg.chains)
-        fatal("chain partition [", _chainLo, ", ", _chainHi,
-              ") is not a non-empty subrange of ", _cfg.chains,
-              " chains");
+              cfg.realTimeRequestChance);
+    if (chain_lo >= chain_hi || chain_hi > cfg.chains)
+        fatal("chain partition [", chain_lo, ", ", chain_hi,
+              ") is not a non-empty subrange of ", cfg.chains, " chains");
 
     // Canonicalize the balancer spec up front: one registry walk
     // validates the policy name and every parameter (failing with
@@ -45,8 +47,25 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
     // serializeScenario() then carries into the snapshot config
     // fingerprint, so a resume under a differently tuned policy is
     // rejected loudly instead of silently diverging.
-    _cfg.balancerPolicy =
-        PolicyRegistry::instance().canonicalSpec(_cfg.balancerPolicy);
+    cfg.balancerPolicy =
+        PolicyRegistry::instance().canonicalSpec(cfg.balancerPolicy);
+    return cfg;
+}
+
+} // namespace
+
+FogSystem::FogSystem(const ScenarioConfig &cfg)
+    : FogSystem(cfg, 0, cfg.chains)
+{}
+
+FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
+                     std::size_t chain_hi)
+    : _cfg(checkedScenario(cfg, chain_lo, chain_hi)),
+      // Built after the scenario's own checks, which a scenario with
+      // several errors fails first.
+      _spec(_cfg.nodeConfig()), _chainLo(chain_lo), _chainHi(chain_hi)
+{
+    LossModel::check(_cfg.loss);
 
     // The deployment-wide rain stream is built once here and shared
     // read-only by every chain: the rain front is the same for all
@@ -86,8 +105,9 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
 
     // Engine construction is chain-parallel for the same reason the
     // window loop is: engine c writes only its own slot (distinct
-    // unique_ptr elements), reads only the shared config, the
-    // read-only shared trace, and its own pre-forked RNG stream.
+    // unique_ptr elements), reads only the shared config and node
+    // spec, the read-only shared trace, and its own pre-forked RNG
+    // stream.
     // Node ids stay globally contiguous (first id derives from the
     // global chain index), so a partition's chain c is
     // indistinguishable from the full system's.
@@ -98,7 +118,7 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
         const auto first_id =
             static_cast<std::uint32_t>(c * _cfg.nodesPerChain * mux);
         _engines[i] = std::make_unique<ChainEngine>(
-            _cfg, c, first_id, streams[c], _sharedTrace);
+            _cfg, _spec, c, first_id, streams[c], _sharedTrace);
     });
 }
 
@@ -334,6 +354,15 @@ FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
         if (!ar.atEnd())
             fatal("snapshot ", file, " section '", name,
                   "' has trailing records (format/version skew?)");
+        // The node records hold no capacity; the system's spec does.
+        const std::size_t capacity = system->_spec.cfg.buffer.capacityBytes;
+        const NodeShard &nodes = engine.state().nodes;
+        for (std::size_t p = 0; p < nodes.rows(); ++p)
+            if (nodes[p].buffer.size > capacity)
+                fatal("snapshot field '", name, ".node", p,
+                      ".buffer.size' holds ", nodes[p].buffer.size,
+                      " bytes, more than the ", capacity,
+                      "-byte buffer capacity");
     });
     system->_resumeSlot = snap.slot;
     return system;

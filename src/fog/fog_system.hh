@@ -40,6 +40,9 @@ class FogSystem
   public:
     explicit FogSystem(const ScenarioConfig &cfg);
 
+    FogSystem(const FogSystem &) = delete;
+    FogSystem &operator=(const FogSystem &) = delete;
+
     /**
      * Partition constructor (the distributed worker's entry point,
      * see src/dist/): build engines only for the contiguous global
@@ -192,6 +195,11 @@ class FogSystem
             std::size_t chain_hi);
 
     ScenarioConfig _cfg;
+    /**
+     * What every node of the system shares, built once from
+     * _cfg.nodeConfig(); the engines and their nodes point at it.
+     */
+    const Node::Spec _spec;
 
     /** Global chain range simulated here (full system: [0, chains)). */
     std::size_t _chainLo = 0;

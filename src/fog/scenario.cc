@@ -28,4 +28,13 @@ ScenarioConfig::slotCount() const
     return horizon / slotInterval;
 }
 
+Node::Config
+ScenarioConfig::nodeConfig() const
+{
+    Node::Config node = nodeTemplate;
+    node.mode = mode;
+    node.rtc.interval = slotInterval;
+    return node;
+}
+
 } // namespace neofog

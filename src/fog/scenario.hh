@@ -139,6 +139,11 @@ struct ScenarioConfig
     std::uint64_t idealPackages() const;
     /** Slots in the horizon. */
     std::int64_t slotCount() const;
+    /**
+     * The config every node of the scenario shares: the node template
+     * in the scenario's mode, its RTC on the slot grid.
+     */
+    Node::Config nodeConfig() const;
 };
 
 } // namespace neofog

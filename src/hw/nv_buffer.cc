@@ -4,33 +4,26 @@
 
 namespace neofog {
 
-NvBuffer::NvBuffer(const Config &cfg)
-    : _cfg(cfg)
+void
+NvBuffer::check(const Config &cfg)
 {
-    if (_cfg.capacityBytes == 0)
+    if (cfg.capacityBytes == 0)
         fatal("NV buffer capacity must be positive");
     // Written so NaN fails them too.
-    if (!(_cfg.interruptThreshold > 0.0 && _cfg.interruptThreshold <= 1.0))
+    if (!(cfg.interruptThreshold > 0.0 && cfg.interruptThreshold <= 1.0))
         fatal("NV buffer interrupt threshold must be in (0,1], got ",
-              _cfg.interruptThreshold);
-    requireFiniteNonNegative(_cfg.writeEnergyPerByte.joules(),
+              cfg.interruptThreshold);
+    requireFiniteNonNegative(cfg.writeEnergyPerByte.joules(),
                              "NV buffer write energy per byte (J)");
-    requireFiniteNonNegative(_cfg.readEnergyPerByte.joules(),
+    requireFiniteNonNegative(cfg.readEnergyPerByte.joules(),
                              "NV buffer read energy per byte (J)");
 }
 
 bool
-NvBuffer::interruptPending() const
+NvBuffer::State::interruptPending(const Config &cfg) const
 {
-    return static_cast<double>(_size) >=
-           _cfg.interruptThreshold *
-               static_cast<double>(_cfg.capacityBytes);
-}
-
-Energy
-NvBuffer::readEnergy(std::size_t bytes) const
-{
-    return _cfg.readEnergyPerByte * static_cast<double>(bytes);
+    return static_cast<double>(size) >=
+           cfg.interruptThreshold * static_cast<double>(cfg.capacityBytes);
 }
 
 } // namespace neofog

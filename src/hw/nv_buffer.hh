@@ -23,9 +23,12 @@
 namespace neofog {
 
 /**
- * Byte-counting nonvolatile FIFO.  Contents survive power failure by
- * construction; the model tracks occupancy and loss accounting rather
- * than payload bytes (payload content lives in the workload layer).
+ * Byte-counting nonvolatile FIFO: its configuration and its archived
+ * State.  Contents survive power failure by construction; the model
+ * tracks occupancy and loss accounting rather than payload bytes
+ * (payload content lives in the workload layer).  A node's State lives
+ * in its NodeState and its Config in its Node::Spec, whose capacity
+ * bounds every push.
  */
 class NvBuffer
 {
@@ -39,6 +42,14 @@ class NvBuffer
         Energy writeEnergyPerByte = Energy::fromNanojoules(1.1);
         /** Energy per byte read. */
         Energy readEnergyPerByte = Energy::fromNanojoules(0.3);
+
+        /** NV write energy of storing @p bytes. */
+        Energy writeEnergy(std::size_t bytes) const
+        { return writeEnergyPerByte * static_cast<double>(bytes); }
+
+        /** NV read energy of retrieving @p bytes. */
+        Energy readEnergy(std::size_t bytes) const
+        { return readEnergyPerByte * static_cast<double>(bytes); }
 
         /** Snapshot support (see src/snapshot/). */
         template <class Archive>
@@ -55,64 +66,52 @@ class NvBuffer
         }
     };
 
-    explicit NvBuffer(const Config &cfg);
-
-    std::size_t capacity() const { return _cfg.capacityBytes; }
-    std::size_t size() const { return _size; }
-    std::size_t freeSpace() const { return _cfg.capacityBytes - _size; }
-    bool empty() const { return _size == 0; }
-    bool full() const { return _size >= _cfg.capacityBytes; }
-
-    /** Whether occupancy has reached the interrupt threshold. */
-    bool interruptPending() const;
-
-    /**
-     * Append up to @p bytes; excess beyond capacity is dropped and
-     * counted.
-     * @return Bytes actually stored.
-     */
-    std::size_t push(std::size_t bytes);
-
-    /**
-     * Remove up to @p bytes from the head.
-     * @return Bytes actually removed.
-     */
-    std::size_t pop(std::size_t bytes);
-
-    /** Discard the whole contents, counting them as dropped. */
-    void discardAll();
-
-    /** NV write energy of storing @p bytes. */
-    Energy writeEnergy(std::size_t bytes) const;
-
-    /** NV read energy of retrieving @p bytes. */
-    Energy readEnergy(std::size_t bytes) const;
-
-    /** Total bytes ever accepted. */
-    std::uint64_t acceptedTotal() const { return _accepted; }
-    /** Total bytes ever dropped (overflow + discard). */
-    std::uint64_t droppedTotal() const { return _dropped; }
-
-    const Config &config() const { return _cfg; }
-
-    /** Snapshot support: occupancy and loss accounting. */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
+    /** Occupancy plus lifetime accounting: what a snapshot keeps. */
+    struct State
     {
-        std::uint64_t size = _size;
-        ar.io("size", size);
-        if constexpr (Archive::isLoading)
-            _size = static_cast<std::size_t>(size);
-        ar.io("accepted", _accepted);
-        ar.io("dropped", _dropped);
-    }
+        std::size_t size = 0;       ///< bytes held
+        std::uint64_t accepted = 0; ///< bytes ever stored
+        std::uint64_t dropped = 0;  ///< bytes ever overflowed or discarded
 
-  private:
-    Config _cfg; // neofog-lint: allow(snapshot): construction-time configuration, rebuilt from the scenario on resume
-    std::size_t _size = 0;
-    std::uint64_t _accepted = 0;
-    std::uint64_t _dropped = 0;
+        /**
+         * Append up to @p bytes to a buffer of @p cfg; the excess
+         * beyond its capacity is dropped and counted.
+         * @return Bytes actually stored.
+         */
+        std::size_t push(const Config &cfg, std::size_t bytes);
+
+        /**
+         * Remove up to @p bytes from the head.
+         * @return Bytes actually removed.
+         */
+        std::size_t pop(std::size_t bytes);
+
+        /** Discard the whole contents, counting them as dropped. */
+        void discardAll();
+
+        /** Whether occupancy has reached @p cfg's interrupt threshold. */
+        bool interruptPending(const Config &cfg) const;
+
+        /** Snapshot support (see src/snapshot/). */
+        template <class Archive>
+        void
+        serialize(Archive &ar)
+        {
+            std::uint64_t bytes = size;
+            ar.io("size", bytes);
+            if constexpr (Archive::isLoading)
+                size = static_cast<std::size_t>(bytes);
+            ar.io("accepted", accepted);
+            ar.io("dropped", dropped);
+        }
+    };
+
+    /**
+     * Fatal on a config no buffer can run: a zero capacity, an
+     * interrupt threshold outside (0, 1], or a per-byte energy that is
+     * negative or not finite.
+     */
+    static void check(const Config &cfg);
 };
 
 // The occupancy updates below run on every sample and task of the
@@ -120,34 +119,28 @@ class NvBuffer
 // DESIGN.md, "Performance: hot paths").
 
 inline std::size_t
-NvBuffer::push(std::size_t bytes)
+NvBuffer::State::push(const Config &cfg, std::size_t bytes)
 {
-    const std::size_t stored = std::min(bytes, freeSpace());
-    _size += stored;
-    _accepted += stored;
-    _dropped += bytes - stored;
+    const std::size_t stored = std::min(bytes, cfg.capacityBytes - size);
+    size += stored;
+    accepted += stored;
+    dropped += bytes - stored;
     return stored;
 }
 
 inline std::size_t
-NvBuffer::pop(std::size_t bytes)
+NvBuffer::State::pop(std::size_t bytes)
 {
-    const std::size_t removed = std::min(bytes, _size);
-    _size -= removed;
+    const std::size_t removed = std::min(bytes, size);
+    size -= removed;
     return removed;
 }
 
 inline void
-NvBuffer::discardAll()
+NvBuffer::State::discardAll()
 {
-    _dropped += _size;
-    _size = 0;
-}
-
-inline Energy
-NvBuffer::writeEnergy(std::size_t bytes) const
-{
-    return _cfg.writeEnergyPerByte * static_cast<double>(bytes);
+    dropped += size;
+    size = 0;
 }
 
 } // namespace neofog

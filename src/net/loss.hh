@@ -19,7 +19,9 @@
 namespace neofog {
 
 /**
- * Per-hop Bernoulli packet loss with retries.
+ * Per-hop Bernoulli packet loss with retries: its configuration and
+ * its archived State of attempt/loss accounting.  A chain's State
+ * lives in its ChainState and its Config in the scenario.
  */
 class LossModel
 {
@@ -35,6 +37,10 @@ class LossModel
          *  so the default is 0. */
         int maxRetries = 0;
 
+        /** Effective per-attempt success probability. */
+        double effectiveRate() const
+        { return successRate * weatherFactor; }
+
         /** Snapshot support (see src/snapshot/). */
         template <class Archive>
         void
@@ -46,12 +52,6 @@ class LossModel
         }
     };
 
-    LossModel();
-    explicit LossModel(const Config &cfg);
-
-    /** Single-attempt success draw. */
-    bool attempt(Rng &rng) const;
-
     /** What one delivery with retries cost and whether it arrived. */
     struct Delivery
     {
@@ -59,63 +59,61 @@ class LossModel
         bool delivered; ///< whether one of them got through
     };
 
-    /**
-     * Deliver with retries: attempt until one succeeds or all
-     * maxRetries+1 fail.  A failed delivery paid for every attempt.
-     */
-    Delivery deliver(Rng &rng) const;
-
-    /** Effective per-attempt success probability. */
-    double effectiveRate() const;
-
-    std::uint64_t attemptsTotal() const { return _attempts; }
-    std::uint64_t lossesTotal() const { return _losses; }
-
-    const Config &config() const { return _cfg; }
-
-    /** Snapshot support: the accounting (config is rebuilt). */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
+    /** Attempt and loss accounting: what a snapshot keeps. */
+    struct State
     {
-        ar.io("attempts", _attempts);
-        ar.io("losses", _losses);
-    }
+        std::uint64_t attempts = 0;
+        std::uint64_t losses = 0;
 
-  private:
-    Config _cfg; // neofog-lint: allow(snapshot): construction-time configuration, rebuilt from the scenario on resume; only the attempt/loss accounting mutates
-    mutable std::uint64_t _attempts = 0;
-    mutable std::uint64_t _losses = 0;
+        /** Single-attempt success draw on a link of @p cfg. */
+        bool attempt(const Config &cfg, Rng &rng);
+
+        /**
+         * Deliver with retries: attempt until one succeeds or all
+         * cfg.maxRetries+1 fail.  A failed delivery paid for every
+         * attempt.
+         */
+        Delivery deliver(const Config &cfg, Rng &rng);
+
+        /** Snapshot support (see src/snapshot/). */
+        template <class Archive>
+        void
+        serialize(Archive &ar)
+        {
+            ar.io("attempts", attempts);
+            ar.io("losses", losses);
+        }
+    };
+
+    /**
+     * Fatal on a config no link can run: a success rate or weather
+     * factor outside (0, 1], or a negative retry count.
+     */
+    static void check(const Config &cfg);
 };
 
 // Every transfer of the slot path draws through these, from the fog
 // library, so they live here, inline (see DESIGN.md, "Performance:
 // hot paths").
 
-inline double
-LossModel::effectiveRate() const
-{
-    return _cfg.successRate * _cfg.weatherFactor;
-}
-
 inline bool
-LossModel::attempt(Rng &rng) const
+LossModel::State::attempt(const Config &cfg, Rng &rng)
 {
-    ++_attempts;
-    const bool ok = rng.chance(effectiveRate());
+    ++attempts;
+    const bool ok = rng.chance(cfg.effectiveRate());
     if (!ok)
-        ++_losses;
+        ++losses;
     return ok;
 }
 
 inline LossModel::Delivery
-LossModel::deliver(Rng &rng) const
+LossModel::State::deliver(const Config &cfg, Rng &rng)
 {
-    for (int tries = 1; tries <= _cfg.maxRetries + 1; ++tries) {
-        if (attempt(rng))
+    for (int tries = 1; tries <= cfg.maxRetries + 1; ++tries) {
+        if (attempt(cfg, rng))
             return {tries, true};
     }
-    return {_cfg.maxRetries + 1, false};
+    return {cfg.maxRetries + 1, false};
 }
 
 } // namespace neofog

@@ -1,6 +1,7 @@
 #include "node/node.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "net/mac.hh"
 #include "net/packet.hh"
@@ -77,7 +78,7 @@ NodeState
 freshState(const Node::Spec &spec)
 {
     const Node::Config &cfg = spec.cfg;
-    return NodeState(cfg.cap, cfg.rtc, cfg.buffer,
+    return NodeState(cfg.cap, cfg.rtc,
                      static_cast<std::size_t>(
                          std::max(1, cfg.packageDeadlineSlots)),
                      spec.rf.nonvolatile);
@@ -95,8 +96,7 @@ checkedTrace(std::unique_ptr<PowerTrace> trace, std::uint32_t id)
 constexpr std::uint64_t kControlInstructions = 1000;
 
 // The radio prices below are the only copies of their expressions: the
-// spec prices its fixed frames with them, and the byte-count pay
-// methods price their frame with them before paying it.
+// spec prices its fixed frames with them.
 
 /** One transmission attempt of a @p payload-byte data frame. */
 RfPhase
@@ -155,6 +155,16 @@ Node::Spec::Spec(const Config &config)
     if (!(cfg.incidentalFraction >= 0.0 && cfg.incidentalFraction <= 1.0))
         fatal("incidental fraction must be in [0, 1], got ",
               cfg.incidentalFraction);
+    NvBuffer::check(cfg.buffer);
+    // A node counts its buffered packages in an int.
+    const std::size_t packages =
+        cfg.buffer.capacityBytes / cfg.rawPackageBytes;
+    constexpr int most = std::numeric_limits<int>::max();
+    if (packages > static_cast<std::size_t>(most))
+        fatal("NV buffer of ", cfg.buffer.capacityBytes, " bytes holds ",
+              packages, " raw packages, more than a node counts (", most,
+              ")");
+    bufferPackages = static_cast<int>(packages);
 
     // Pure functions of the config: the wake, the sensor/buffer
     // sampling and every fixed-size frame carry no mutable state.
@@ -165,8 +175,7 @@ Node::Spec::Spec(const Config &config)
     // is initialized), its samples and the NV buffer write.
     const SensorSpec &sensor = cfg.sensor;
     const double samples = static_cast<double>(cfg.samplesPerPackage);
-    const Energy write =
-        NvBuffer(cfg.buffer).writeEnergy(cfg.rawPackageBytes);
+    const Energy write = cfg.buffer.writeEnergy(cfg.rawPackageBytes);
     const auto price_sample = [&](Tick init_time, Energy init_energy,
                                   Tick &time, Energy &energy) {
         energy = init_energy + sensor.sampleEnergy() * samples + write;
@@ -177,8 +186,6 @@ Node::Spec::Spec(const Config &config)
     price_sample(sensor.initLatency, sensor.initEnergy(), sampleTime,
                  sampleCost);
     price_sample(0, Energy::zero(), warmSampleTime, warmSampleCost);
-    bufferPackages = static_cast<int>(cfg.buffer.capacityBytes /
-                                      cfg.rawPackageBytes);
 
     beacon = controlFrame(rf, kLbBeaconBytes);
     orphanScan = controlFramePair(rf, kOrphanScanBytes);
@@ -560,7 +567,7 @@ Node::samplePackage()
     notifyPhase(NodeObserver::Phase::Sample,
                 s.slotStart + s.slotTimeUsed, time, total);
     s.slotTimeUsed += time;
-    s.buffer.push(_spec->cfg.rawPackageBytes);
+    s.buffer.push(_spec->cfg.buffer, _spec->cfg.rawPackageBytes);
     pushPending(1);
     st.packagesSampled.increment();
     return true;
@@ -696,24 +703,6 @@ Node::payControl(const RfPhase &frame)
     NEOFOG_ASSERT(_state->awake, "control message while asleep");
     return payRadio(frame, _state->stats.spentTx,
                     NodeObserver::Phase::Control);
-}
-
-bool
-Node::payTransmit(std::size_t payload_bytes, int attempts)
-{
-    return payTransmit(dataFrame(_spec->rf, payload_bytes), attempts);
-}
-
-bool
-Node::payReceive(std::size_t payload_bytes)
-{
-    return payListen(listenWindow(_spec->rf, payload_bytes));
-}
-
-bool
-Node::payControlMessage(std::size_t payload_bytes)
-{
-    return payControl(controlFrame(_spec->rf, payload_bytes));
 }
 
 int

@@ -31,11 +31,12 @@
  * Node is a facade over one NodeState (see node_state.hh and
  * DESIGN.md, "Memory layout: one NodeState per node"): every field
  * that mutates after construction lives there.  What all nodes of a
- * chain share — config, processor, radio, front end, phase prices —
+ * system share — config, processor, radio, front end, phase prices —
  * is one immutable Node::Spec.  The facade keeps its id, trace,
  * observer, the trace cursor scratch and pointers to its spec and
  * state.  A standalone Node (tests, single-node experiments) owns its
- * Spec and NodeState; chain nodes point into their ChainEngine's.
+ * Spec and NodeState; chain nodes point at their FogSystem's spec and
+ * into their ChainEngine's node shard.
  */
 
 #ifndef NEOFOG_NODE_NODE_HH
@@ -211,23 +212,23 @@ class Node
     };
 
     /**
-     * What the nodes of a chain share, built once and never changed:
-     * the config (whose id only a standalone node uses), the front
-     * end, the processor and radio of its mode, and the prices of
-     * every fixed-cost phase of the slot path.
+     * What the nodes of a system share, built once and never
+     * changed: the config (whose id only a standalone node uses), the
+     * front end, the processor and radio of its mode, and the prices
+     * of every fixed-cost phase of the slot path.
      *
-     * §4 prices each phase from fixed part constants, so within one
-     * chain a wake, a sample or a fixed-size frame costs the same in
-     * every slot.  The spec computes each price once, with the same
-     * expression the byte-count pay methods use, so a priced phase and
-     * its byte-count twin are bit-identical.  Only the fog task's cost
-     * depends on the slot's income; Node memoizes it per slot.
+     * §4 prices each phase from fixed part constants, so a wake, a
+     * sample or a fixed-size frame costs the same at every node in
+     * every slot.  The spec computes each price once.  Only the fog
+     * task's cost depends on the slot's income; Node memoizes it per
+     * slot.
      */
     struct Spec
     {
         /** Fatal on a package or sensor shape no node can run, a
-         *  processor clock that is not positive and finite, or an
-         *  incidental fraction outside [0, 1]. */
+         *  processor clock that is not positive and finite, an
+         *  incidental fraction outside [0, 1], or an NV buffer config
+         *  no buffer can run or whose raw packages overflow an int. */
         explicit Spec(const Config &config);
 
         /**
@@ -278,8 +279,9 @@ class Node
 
     /**
      * Chain node @p id: points at @p spec and appends its NodeState to
-     * @p shard.  Both must outlive the node (the owning ChainEngine
-     * declares them first), and the shard must be reserved for the
+     * @p shard.  Both must outlive the node (the owning FogSystem
+     * declares its spec before its engines, and a ChainEngine its
+     * shard before its nodes), and the shard must be reserved for the
      * full chain beforehand.
      */
     Node(const Spec &spec, std::uint32_t id,
@@ -287,7 +289,7 @@ class Node
 
     std::uint32_t id() const { return _id; }
 
-    /** The spec this node shares with its chain (or owns). */
+    /** The spec this node shares with its system (or owns). */
     const Spec &spec() const { return *_spec; }
 
     // ------------------------------------------------------------------
@@ -388,15 +390,6 @@ class Node
      */
     bool payControl(const RfPhase &frame);
 
-    /** payTransmit of a @p payload_bytes data frame. */
-    bool payTransmit(std::size_t payload_bytes, int attempts = 1);
-
-    /** payListen for a @p payload_bytes frame. */
-    bool payReceive(std::size_t payload_bytes);
-
-    /** payControl of a @p payload_bytes control frame. */
-    bool payControlMessage(std::size_t payload_bytes);
-
     /** Pending packages the NV buffer can still absorb. */
     int pendingCapacity() const;
 
@@ -464,9 +457,6 @@ class Node
 
     /** Relative task cost for the balancer (Spendthrift-scaled). */
     double relativeTaskCost() const;
-
-    /** Income power averaged over the last slot. */
-    Power lastSlotIncome() const { return _state->lastIncome; }
 
     /** The RTC (for virtualization phase queries). */
     RtcView rtc() const { return rtcView(); }
@@ -570,7 +560,7 @@ class Node
 
     /** Spec of a standalone node (null for chain nodes). */
     std::unique_ptr<const Spec> _ownSpec;
-    /** _ownSpec, or the spec of this node's chain. */
+    /** _ownSpec, or the spec of this node's system. */
     const Spec *_spec = nullptr;
     std::unique_ptr<PowerTrace> _trace;
     /**

@@ -5,12 +5,11 @@
 namespace neofog {
 
 NodeState::NodeState(const SuperCapacitor::Config &cap_cfg,
-                     const Rtc::Config &rtc_cfg,
-                     const NvBuffer::Config &buffer_cfg,
-                     std::size_t pending_depth, bool nvrf_radio)
+                     const Rtc::Config &rtc_cfg, std::size_t pending_depth,
+                     bool nvrf_radio)
     : cap(SuperCapacitor::initialState(cap_cfg)),
-      rtc(Rtc::initialState(rtc_cfg)), buffer(buffer_cfg),
-      nvrf(nvrf_radio), pendingByAge(pending_depth, 0)
+      rtc(Rtc::initialState(rtc_cfg)), nvrf(nvrf_radio),
+      pendingByAge(pending_depth, 0)
 {
     NEOFOG_ASSERT(pending_depth >= 1, "pending queue needs depth >= 1");
 }

@@ -3,16 +3,18 @@
  * The archived state of a node, and the per-chain store of it.
  *
  * A NodeState is exactly what a snapshot keeps of one node: the
- * capacitor and RTC state, the sensor's configuration latch, the NV
- * buffer, the slot-lifecycle scalars, the per-slot cost memos, the
+ * capacitor, RTC and NV buffer state, the sensor's configuration
+ * latch, the slot-lifecycle scalars, the per-slot cost memos, the
  * pending-package age queue and the statistics.  Everything else a
- * Node uses — its chain's Node::Spec (config, processor, radio, front
+ * Node uses — its system's Node::Spec (config, processor, radio, front
  * end, phase prices), power trace, observer, trace cursor — is
  * rebuilt from the scenario, so a resume reconstructs the Node and
  * overwrites only its NodeState.  NodeState::serialize is therefore
  * the one place a snapshot's node records land, and it rejects states
- * no run can produce.  It holds no random stream (its chain's feeds
- * every draw) and no capacitor history (see StoredEnergyLog).
+ * no run can produce (FogSystem::restore, which also has the spec,
+ * checks the buffer against its capacity).  It holds no random stream
+ * (its chain's feeds every draw) and no capacitor history (see
+ * StoredEnergyLog).
  *
  * A NodeShard holds the NodeStates of one chain in one vector,
  * reserved for the whole chain up front: each chain Node keeps a
@@ -104,13 +106,12 @@ struct NodeState
      * @param nvrf Whether the node's radio is an NVRF.
      */
     NodeState(const SuperCapacitor::Config &cap_cfg,
-              const Rtc::Config &rtc_cfg,
-              const NvBuffer::Config &buffer_cfg,
-              std::size_t pending_depth, bool nvrf);
+              const Rtc::Config &rtc_cfg, std::size_t pending_depth,
+              bool nvrf);
 
     SuperCapacitor::State cap;
     Rtc::State rtc;
-    NvBuffer buffer;
+    NvBuffer::State buffer;
 
     Tick lastAccrual = 0;  ///< end of the window income accrued up to
     Tick slotStart = 0;
@@ -141,11 +142,11 @@ struct NodeState
      * Snapshot support (see src/snapshot/).  No run changes a node's
      * radio, so its records are constants: the default RfState, and an
      * NVRF's configured latch.  Loading rejects any other radio value,
-     * a buffer filled past its capacity, a queue depth other than the
-     * configured one, and age counts that are negative or do not sum
-     * to pendingPackages.  Older files hold a node stream in rng and a
-     * history in stored_energy_mj.points; neither is restart state, so
-     * a load discards them, and a save writes a default Rng and none.
+     * a queue depth other than the configured one, and age counts that
+     * are negative or do not sum to pendingPackages.  Older files hold
+     * a node stream in rng and a history in stored_energy_mj.points;
+     * neither is restart state, so a load discards them, and a save
+     * writes a default Rng and none.
      */
     template <class Archive>
     void
@@ -157,12 +158,6 @@ struct NodeState
         ar.io("rtc", rtc);
         ar.io("sensor.initialized", sensorInitialized);
         ar.io("buffer", buffer);
-        if constexpr (Archive::isLoading) {
-            if (buffer.size() > buffer.capacity())
-                fatal("snapshot field '", ar.path("buffer.size"),
-                      "' holds ", buffer.size(), " bytes, more than the ",
-                      buffer.capacity(), "-byte buffer capacity");
-        }
         RfState radio;
         ar.io("rf_state", radio);
         bool configured = true;

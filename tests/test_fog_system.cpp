@@ -362,23 +362,37 @@ spent_wake_mj 22.12506136
 harvested_mj 241402.276725)");
 }
 
-// A chain builds what its nodes share once: every node points at one
-// spec, whose config is the scenario's template in the scenario's mode
-// and slot interval, and the node ids run on from the first one.
+// A system builds what its nodes share once: every node of every
+// chain, in a full system and in a partition, points at its system's
+// one spec, whose config is the scenario's template in the scenario's
+// mode and slot interval, and the node ids run on across the chains.
 TEST(ChainEngine, NodesShareOneSpec)
 {
     ScenarioConfig cfg = smallScenario(OperatingMode::NosNvp, "none");
     cfg.multiplexing = 2;
-    const ChainEngine engine(cfg, 1, 20, Rng(3), nullptr);
-    ASSERT_EQ(engine.nodes().size(), 20u);
-    const Node::Spec &spec = engine.node(0).spec();
-    EXPECT_EQ(spec.cfg.mode, OperatingMode::NosNvp);
-    EXPECT_EQ(spec.cfg.rtc.interval, cfg.slotInterval);
-    EXPECT_FALSE(engine.soa()[0].nvrf);
-    for (std::size_t p = 0; p < engine.nodes().size(); ++p) {
-        EXPECT_EQ(&engine.node(p).spec(), &spec) << p;
-        EXPECT_EQ(engine.node(p).id(), 20u + p) << p;
+    cfg.chains = 4;
+    const FogSystem full(cfg);
+    const FogSystem part(cfg, 1, 3);
+    for (const FogSystem *sys : {&full, &part}) {
+        const std::size_t physical = sys->physicalPerChain();
+        ASSERT_EQ(physical, 20u);
+        const Node::Spec &spec = sys->node(0, 0).spec();
+        EXPECT_EQ(spec.cfg.mode, OperatingMode::NosNvp);
+        EXPECT_EQ(spec.cfg.rtc.interval, cfg.slotInterval);
+        ASSERT_EQ(sys->chains().size(), sys->chainHi() - sys->chainLo());
+        for (std::size_t c = 0; c < sys->chains().size(); ++c) {
+            const ChainEngine &engine = *sys->chains()[c];
+            ASSERT_EQ(engine.nodes().size(), physical);
+            EXPECT_FALSE(engine.soa()[0].nvrf);
+            for (std::size_t p = 0; p < physical; ++p) {
+                EXPECT_EQ(&engine.node(p).spec(), &spec) << c << ' ' << p;
+                EXPECT_EQ(engine.node(p).id(),
+                          (sys->chainLo() + c) * physical + p)
+                    << c << ' ' << p;
+            }
+        }
     }
+    EXPECT_NE(&part.node(0, 0).spec(), &full.node(0, 0).spec());
 }
 
 // The chain stream gives each node one draw it discards and then its
@@ -388,8 +402,9 @@ TEST(ChainEngine, RainGainsReplayTheChainStream)
     ScenarioConfig cfg = smallScenario(OperatingMode::FiosNvMote, "none");
     cfg.traceKind = TraceKind::RainLow;
     cfg.multiplexing = 3;
+    const Node::Spec spec(cfg.nodeConfig());
     const ChainEngine engine(
-        cfg, 0, 0, Rng(41),
+        cfg, spec, 0, 0, Rng(41),
         std::make_shared<ConstantTrace>(Power::fromWatts(1.0)));
     Rng replay(41);
     for (std::size_t p = 0; p < engine.nodes().size(); ++p) {

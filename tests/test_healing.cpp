@@ -126,7 +126,8 @@ TEST_P(ChainSchedule, ServesTheMemberCloneGroupPicks)
     cfg.horizon = 40 * cfg.slotInterval;
     if (rotating)
         cfg.membershipUpdateInterval = kEvery * cfg.slotInterval;
-    ChainEngine engine(cfg, 0, 0, Rng(cfg.seed), nullptr);
+    const Node::Spec spec(cfg.nodeConfig());
+    ChainEngine engine(cfg, spec, 0, 0, Rng(cfg.seed), nullptr);
 
     // Logical node l's clones are physical nodes [l*mux, (l+1)*mux).
     std::vector<CloneGroup> groups;

@@ -36,52 +36,57 @@ TEST(Sensor, CatalogIsDistinct)
 
 TEST(NvBuffer, PushPopAccounting)
 {
-    NvBuffer buf({1024, 1.0, Energy::fromNanojoules(1.0),
-                  Energy::fromNanojoules(0.5)});
-    EXPECT_TRUE(buf.empty());
-    EXPECT_EQ(buf.push(600), 600u);
-    EXPECT_EQ(buf.size(), 600u);
-    EXPECT_EQ(buf.push(600), 424u); // 176 dropped
-    EXPECT_TRUE(buf.full());
-    EXPECT_EQ(buf.droppedTotal(), 176u);
+    const NvBuffer::Config cfg{1024, 1.0, Energy::fromNanojoules(1.0),
+                               Energy::fromNanojoules(0.5)};
+    NvBuffer::State buf;
+    EXPECT_EQ(buf.push(cfg, 600), 600u);
+    EXPECT_EQ(buf.size, 600u);
+    EXPECT_EQ(buf.push(cfg, 600), 424u); // 176 dropped
+    EXPECT_EQ(buf.size, cfg.capacityBytes);
+    EXPECT_EQ(buf.dropped, 176u);
     EXPECT_EQ(buf.pop(1000), 1000u);
     EXPECT_EQ(buf.pop(1000), 24u);
-    EXPECT_TRUE(buf.empty());
-    EXPECT_EQ(buf.acceptedTotal(), 1024u);
+    EXPECT_EQ(buf.size, 0u);
+    EXPECT_EQ(buf.accepted, 1024u);
 }
 
 TEST(NvBuffer, InterruptThreshold)
 {
-    NvBuffer buf({1000, 0.5, Energy::zero(), Energy::zero()});
-    buf.push(499);
-    EXPECT_FALSE(buf.interruptPending());
-    buf.push(1);
-    EXPECT_TRUE(buf.interruptPending());
+    const NvBuffer::Config cfg{1000, 0.5, Energy::zero(), Energy::zero()};
+    NvBuffer::State buf;
+    buf.push(cfg, 499);
+    EXPECT_FALSE(buf.interruptPending(cfg));
+    buf.push(cfg, 1);
+    EXPECT_TRUE(buf.interruptPending(cfg));
 }
 
 TEST(NvBuffer, DiscardAllCountsDrops)
 {
-    NvBuffer buf({1000, 1.0, Energy::zero(), Energy::zero()});
-    buf.push(300);
+    const NvBuffer::Config cfg{1000, 1.0, Energy::zero(), Energy::zero()};
+    NvBuffer::State buf;
+    buf.push(cfg, 300);
     buf.discardAll();
-    EXPECT_TRUE(buf.empty());
-    EXPECT_EQ(buf.droppedTotal(), 300u);
+    EXPECT_EQ(buf.size, 0u);
+    EXPECT_EQ(buf.dropped, 300u);
 }
 
 TEST(NvBuffer, WriteReadEnergy)
 {
-    NvBuffer buf({64 * 1024, 1.0, Energy::fromNanojoules(1.1),
-                  Energy::fromNanojoules(0.3)});
-    EXPECT_NEAR(buf.writeEnergy(1000).nanojoules(), 1100.0, 1e-9);
-    EXPECT_NEAR(buf.readEnergy(1000).nanojoules(), 300.0, 1e-9);
+    const NvBuffer::Config cfg{64 * 1024, 1.0, Energy::fromNanojoules(1.1),
+                               Energy::fromNanojoules(0.3)};
+    EXPECT_NEAR(cfg.writeEnergy(1000).nanojoules(), 1100.0, 1e-9);
+    EXPECT_NEAR(cfg.readEnergy(1000).nanojoules(), 300.0, 1e-9);
 }
 
 TEST(NvBuffer, RejectsBadConfig)
 {
-    EXPECT_THROW(NvBuffer({0, 1.0, Energy::zero(), Energy::zero()}),
-                 FatalError);
-    EXPECT_THROW(NvBuffer({10, 0.0, Energy::zero(), Energy::zero()}),
-                 FatalError);
+    EXPECT_NO_THROW(NvBuffer::check(NvBuffer::Config{}));
+    EXPECT_THROW(
+        NvBuffer::check({0, 1.0, Energy::zero(), Energy::zero()}),
+        FatalError);
+    EXPECT_THROW(
+        NvBuffer::check({10, 0.0, Energy::zero(), Energy::zero()}),
+        FatalError);
 }
 
 TEST(Rtc, StaysSyncedWhilePowered)

@@ -58,15 +58,15 @@ TEST_P(NodeFuzzTest, RandomDrivesNeverBreakInvariants)
         if (rng.chance(0.9))
             node.samplePackage();
         if (rng.chance(0.3))
-            node.payControlMessage(8);
+            node.payControl(node.spec().beacon);
         if (rng.chance(0.5))
             node.executeTasks(static_cast<int>(rng.uniformInt(1, 3)));
         if (rng.chance(0.3))
             node.executeIncidentalTasks(1);
         if (rng.chance(0.5))
-            node.payTransmit(cfg.compressedPackageBytes);
+            node.payTransmit(node.spec().resultPackage.send);
         if (rng.chance(0.2))
-            node.payReceive(cfg.rawPackageBytes);
+            node.payListen(node.spec().rawPackage.listen);
         if (rng.chance(0.1))
             node.discardPendingPackages();
         EXPECT_GE(node.pendingPackages(), 0);

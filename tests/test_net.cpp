@@ -15,23 +15,23 @@ namespace {
 
 TEST(LossModel, DefaultMatchesPaperRate)
 {
-    LossModel loss;
-    EXPECT_DOUBLE_EQ(loss.config().successRate, 0.9925);
-    EXPECT_EQ(loss.config().maxRetries, 0);
+    const LossModel::Config cfg;
+    EXPECT_DOUBLE_EQ(cfg.successRate, 0.9925);
+    EXPECT_EQ(cfg.maxRetries, 0);
 }
 
 TEST(LossModel, LossFrequencyConverges)
 {
-    LossModel loss;
+    const LossModel::Config cfg;
+    LossModel::State loss;
     Rng rng(5);
     const int n = 200000;
     int delivered = 0;
     for (int i = 0; i < n; ++i)
-        delivered += loss.attempt(rng) ? 1 : 0;
+        delivered += loss.attempt(cfg, rng) ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(delivered) / n, 0.9925, 0.002);
-    EXPECT_EQ(loss.attemptsTotal(), static_cast<std::uint64_t>(n));
-    EXPECT_NEAR(static_cast<double>(loss.lossesTotal()) / n, 0.0075,
-                0.002);
+    EXPECT_EQ(loss.attempts, static_cast<std::uint64_t>(n));
+    EXPECT_NEAR(static_cast<double>(loss.losses) / n, 0.0075, 0.002);
 }
 
 TEST(LossModel, RetriesReduceEndToEndLoss)
@@ -39,12 +39,12 @@ TEST(LossModel, RetriesReduceEndToEndLoss)
     LossModel::Config cfg;
     cfg.successRate = 0.8;
     cfg.maxRetries = 2;
-    LossModel loss(cfg);
+    LossModel::State loss;
     Rng rng(7);
     int failures = 0;
     const int n = 100000;
     for (int i = 0; i < n; ++i) {
-        if (!loss.deliver(rng).delivered)
+        if (!loss.deliver(cfg, rng).delivered)
             ++failures;
     }
     // P(3 consecutive failures) = 0.2^3 = 0.008.
@@ -55,18 +55,18 @@ TEST(LossModel, WeatherFactorDegrades)
 {
     LossModel::Config cfg;
     cfg.weatherFactor = 0.5;
-    LossModel loss(cfg);
-    EXPECT_NEAR(loss.effectiveRate(), 0.9925 * 0.5, 1e-12);
+    EXPECT_NEAR(cfg.effectiveRate(), 0.9925 * 0.5, 1e-12);
 }
 
 TEST(LossModel, RejectsBadConfig)
 {
+    EXPECT_NO_THROW(LossModel::check(LossModel::Config{}));
     LossModel::Config cfg;
     cfg.successRate = 0.0;
-    EXPECT_THROW(LossModel{cfg}, FatalError);
+    EXPECT_THROW(LossModel::check(cfg), FatalError);
     LossModel::Config cfg2;
     cfg2.maxRetries = -1;
-    EXPECT_THROW(LossModel{cfg2}, FatalError);
+    EXPECT_THROW(LossModel::check(cfg2), FatalError);
 }
 
 TEST(Topology, DistanceAndRssi)

@@ -129,7 +129,7 @@ sampleCosts(const Node::Config &cfg)
     const SensorSpec &sensor = cfg.sensor;
     const double n = static_cast<double>(cfg.samplesPerPackage);
     const Energy burst = sensor.sampleEnergy() * n;
-    const Energy write = NvBuffer(cfg.buffer).writeEnergy(cfg.rawPackageBytes);
+    const Energy write = cfg.buffer.writeEnergy(cfg.rawPackageBytes);
     const Tick burst_time =
         static_cast<Tick>(n * static_cast<double>(sensor.sampleLatency));
     return {{burst_time, burst + write},
@@ -339,9 +339,9 @@ TEST(Node, TransmitPaysInitOncePerSlot)
     node->beginSlot(0, kSlot);
     ASSERT_TRUE(node->tryWake());
     const Energy before = node->stored();
-    ASSERT_TRUE(node->payTransmit(16));
+    ASSERT_TRUE(node->payTransmit(node->spec().resultPackage.send));
     const Energy after_first = node->stored();
-    ASSERT_TRUE(node->payTransmit(16));
+    ASSERT_TRUE(node->payTransmit(node->spec().resultPackage.send));
     const Energy after_second = node->stored();
     // Second TX is cheaper: no init.
     EXPECT_LT(before.joules() - after_first.joules() -
@@ -359,7 +359,7 @@ TEST(Node, TransmitFailsWhenBroke)
     node->beginSlot(0, kSlot);
     ASSERT_TRUE(node->tryWake()); // VP boot is cheap
     // Full VP software-RF TX needs tens of mJ.
-    EXPECT_FALSE(node->payTransmit(256));
+    EXPECT_FALSE(node->payTransmit(node->spec().rawPackage.send));
 }
 
 TEST(Node, VpDiscardsPendingOnPowerOff)
@@ -611,8 +611,7 @@ NodeState
 plainState(const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
            std::size_t pending_depth = 1)
 {
-    return NodeState(cap, rtc, NvBuffer::Config{}, pending_depth,
-                     /*nvrf=*/false);
+    return NodeState(cap, rtc, pending_depth, /*nvrf=*/false);
 }
 
 // A new row starts from the configs' initial charges with clean
@@ -715,7 +714,7 @@ TEST(Node, SpecPricesRadioInitOnce)
         EXPECT_EQ(node->packageTxCost(),
                   spec.resultPackage.send.energy + spec.rfInit.energy);
         ASSERT_TRUE(node->tryWake());
-        ASSERT_TRUE(node->payTransmit(16));
+        ASSERT_TRUE(node->payTransmit(spec.resultPackage.send));
         EXPECT_EQ(node->packageTxCost(), spec.resultPackage.send.energy);
     }
 }
@@ -739,7 +738,7 @@ expectPrice(const char *what, Tick duration, Energy energy,
 // Every fixed price of a spec, pinned bit for bit to what the
 // byte-count pay path and the per-call sample and wake arithmetic
 // paid before the spec priced them: durations in ticks, energies as
-// hex-floats.  A drift in a shared cost expression fails here first.
+// hex-floats.  A drift in a cost expression fails here first.
 TEST(Node, SpecPricesArePinned)
 {
     struct Case
@@ -825,9 +824,8 @@ TEST(Node, SpecPricesArePinned)
     }
 }
 
-// The byte-count pay methods price their frame with the spec's
-// expressions, so paying a spec price and paying its byte count are
-// the same phase.
+// A transmission of several attempts (MAC retries) pays its
+// one-attempt price once per attempt, in one phase.
 TEST(Node, ByteCountPaymentsMatchSpecPrices)
 {
     struct Last : NodeObserver
@@ -850,21 +848,11 @@ TEST(Node, ByteCountPaymentsMatchSpecPrices)
         node->setObserver(&last);
         node->beginSlot(0, 60 * kSec);
         ASSERT_TRUE(node->tryWake());
-        ASSERT_TRUE(node->payTransmit(1)); // the slot's radio init
-        const auto paid = [&](const RfPhase &want) {
-            EXPECT_EQ(last.duration, want.duration);
-            EXPECT_EQ(last.energy, want.energy);
-        };
-        ASSERT_TRUE(node->payTransmit(spec.cfg.rawPackageBytes, 2));
-        paid(spec.rawPackage.send + spec.rawPackage.send);
-        ASSERT_TRUE(node->payReceive(spec.cfg.rawPackageBytes));
-        paid(spec.rawPackage.listen);
-        ASSERT_TRUE(node->payControlMessage(12));
-        paid(spec.orphanScan.send);
-        ASSERT_TRUE(node->payReceive(16));
-        paid(spec.scanConfirm.listen);
-        ASSERT_TRUE(node->payControlMessage(4));
-        paid(spec.beacon);
+        ASSERT_TRUE(node->payTransmit(RfPhase{})); // the slot's radio init
+        ASSERT_TRUE(node->payTransmit(spec.rawPackage.send, 2));
+        const RfPhase twice = spec.rawPackage.send + spec.rawPackage.send;
+        EXPECT_EQ(last.duration, twice.duration);
+        EXPECT_EQ(last.energy, twice.energy);
     }
 }
 

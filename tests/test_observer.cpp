@@ -56,7 +56,7 @@ TEST(Observer, PhasesArriveInExecutionOrder)
     ASSERT_TRUE(node->tryWake());
     ASSERT_TRUE(node->samplePackage());
     ASSERT_GT(node->executeTasks(1), 0);
-    ASSERT_TRUE(node->payTransmit(16));
+    ASSERT_TRUE(node->payTransmit(node->spec().resultPackage.send));
 
     ASSERT_GE(obs.events.size(), 4u);
     EXPECT_EQ(obs.events[0].phase, NodeObserver::Phase::Wake);
@@ -139,8 +139,8 @@ TEST(Observer, ControlAndReceivePhasesReported)
     auto node = makeNode(&obs);
     node->beginSlot(0, 12 * kSec);
     ASSERT_TRUE(node->tryWake());
-    ASSERT_TRUE(node->payControlMessage(4));
-    ASSERT_TRUE(node->payReceive(16));
+    ASSERT_TRUE(node->payControl(node->spec().beacon));
+    ASSERT_TRUE(node->payListen(node->spec().resultPackage.listen));
     EXPECT_EQ(obs.events.back().phase, NodeObserver::Phase::Receive);
     EXPECT_EQ(obs.events[obs.events.size() - 2].phase,
               NodeObserver::Phase::Control);

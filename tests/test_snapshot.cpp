@@ -477,15 +477,15 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
 {
     EXPECT_EQ(sizeof(Rng), 48u);
     EXPECT_EQ(sizeof(Counter), 8u);
-    EXPECT_EQ(sizeof(NvBuffer), 56u);
+    EXPECT_EQ(sizeof(NvBuffer::State), 24u);
     EXPECT_EQ(sizeof(SensorSpec), 72u);
     EXPECT_EQ(sizeof(RfState), 48u);
-    EXPECT_EQ(sizeof(LossModel), 40u);
+    EXPECT_EQ(sizeof(LossModel::State), 16u);
     EXPECT_EQ(sizeof(NodeStats), 144u);
     EXPECT_EQ(sizeof(SuperCapacitor::State), 40u);
     EXPECT_EQ(sizeof(Rtc::State), 56u);
-    EXPECT_EQ(sizeof(NodeState), 400u);
-    EXPECT_EQ(sizeof(ChainState), 376u);
+    EXPECT_EQ(sizeof(NodeState), 368u);
+    EXPECT_EQ(sizeof(ChainState), 352u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
     EXPECT_EQ(sizeof(ScenarioConfig), 472u);
@@ -843,14 +843,12 @@ TEST(SnapshotSchema, ConfigSectionRecordsArePinned)
 // names the offending record.
 // ---------------------------------------------------------------------
 
-/** A fresh node state with a @p buffer_bytes NV buffer. */
+/** A fresh node state with a @p depth-slot pending queue. */
 NodeState
-freshNodeState(std::size_t buffer_bytes = 1024, std::size_t depth = 2)
+freshNodeState(std::size_t depth = 2)
 {
-    NvBuffer::Config buffer;
-    buffer.capacityBytes = buffer_bytes;
-    return NodeState(SuperCapacitor::Config{}, Rtc::Config{}, buffer,
-                     depth, /*nvrf=*/false);
+    return NodeState(SuperCapacitor::Config{}, Rtc::Config{}, depth,
+                     /*nvrf=*/false);
 }
 
 /** @p state archived as node1 of chain0. */
@@ -873,22 +871,6 @@ nodeLoadError(const std::string &blob, NodeState &into)
         return err.what();
     }
     return "";
-}
-
-TEST(NodeStateLoad, RejectsBufferFilledPastCapacity)
-{
-    NodeState big = freshNodeState(4096);
-    big.buffer.push(2048);
-    const std::string blob = nodeBlob(big);
-
-    NodeState same = freshNodeState(4096);
-    EXPECT_EQ(nodeLoadError(blob, same), "");
-    EXPECT_EQ(same.buffer.size(), 2048u);
-
-    NodeState small = freshNodeState(1024);
-    EXPECT_NE(nodeLoadError(blob, small).find("chain0.node1.buffer.size"),
-              std::string::npos)
-        << nodeLoadError(blob, small);
 }
 
 TEST(NodeStateLoad, RejectsNegativeAgeCount)
@@ -928,8 +910,8 @@ TEST(NodeStateLoad, RejectsQueueDepthMismatch)
     // a 2-slot one, and the other way round.
     for (const auto &[from_depth, into_depth] :
          {std::pair{2u, 3u}, std::pair{3u, 2u}}) {
-        NodeState from = freshNodeState(1024, from_depth);
-        NodeState into = freshNodeState(1024, into_depth);
+        NodeState from = freshNodeState(from_depth);
+        NodeState into = freshNodeState(into_depth);
         const std::string err = nodeLoadError(nodeBlob(from), into);
         EXPECT_NE(err.find("chain0.node1.pending_by_age"),
                   std::string::npos)
@@ -1919,6 +1901,60 @@ TEST(Resume, RefusesRadioStateNoRunWrites)
         pristine, "chain0", dir,
         [&](std::string &data) { replaceRecord(data, record, list); });
     EXPECT_NE(err.find(record), std::string::npos) << err;
+}
+
+// A node's records hold no buffer capacity: the resume checks each
+// loaded buffer against the system's spec, so a buffer filled past the
+// capacity is refused by record name and one filled exactly to it
+// resumes.
+TEST(Resume, RefusesBufferFilledPastCapacity)
+{
+    const ScratchDir dir("resume_buffer_size");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    const std::uint64_t capacity =
+        flagSetA().nodeConfig().buffer.capacityBytes;
+    const std::string record = "chain0.node1.buffer.size";
+    const auto resume_filled = [&](std::uint64_t size) {
+        return resumeErrorAfterEdit(
+            pristine, "chain0", dir, [&](std::string &data) {
+                std::string bytes;
+                snapshot::appendLe64(bytes, size);
+                data.replace(payloadOffset(data, record), bytes.size(),
+                             bytes);
+            });
+    };
+    EXPECT_EQ(resume_filled(capacity), "");
+    const std::string err = resume_filled(capacity + 1);
+    EXPECT_NE(err.find(record), std::string::npos) << err;
+}
+
+// A node counts the raw packages its NV buffer holds in an int.  A
+// capacity of 2^31 packages used to give INT_MIN of them and 2^32
+// none, and either file resumed onto nodes that never sampled.  Both
+// are refused, and the largest capacity an int counts resumes.
+TEST(Resume, RefusesBufferPackagesPastInt)
+{
+    const ScratchDir dir("resume_buffer_packages");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    const std::uint64_t raw = flagSetA().nodeConfig().rawPackageBytes;
+    const auto resume_with = [&](std::uint64_t packages) {
+        return resumeErrorAfterEdit(
+            pristine, "config", dir, [&](std::string &data) {
+                std::string bytes;
+                snapshot::appendLe64(bytes, raw * packages);
+                data.replace(
+                    payloadOffset(data,
+                                  "node_template.buffer.capacity_bytes"),
+                    bytes.size(), bytes);
+            });
+    };
+    const std::uint64_t most = std::numeric_limits<int>::max();
+    EXPECT_EQ(resume_with(most), "");
+    for (const std::uint64_t packages : {most + 1, 2 * (most + 1)}) {
+        const std::string err = resume_with(packages);
+        EXPECT_NE(err.find("raw packages"), std::string::npos)
+            << packages << ": " << err;
+    }
 }
 
 // A mux-3 fleet rotating its clones every 5 slots, checkpointed after
