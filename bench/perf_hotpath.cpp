@@ -4,7 +4,9 @@
  *
  * Two sections:
  *  - integrate: slot-shaped windows/sec for {cached, reference} x
- *    {constant, piecewise, interpolated, rain composite};
+ *    {constant, piecewise, interpolated, rain composite, forest}; the
+ *    reference is the stepped integrator (TraceCursor), which is how
+ *    every forest, bridge and mountain node integrates its own trace;
  *  - a 1/2/4-thread bit-identity check of the headline low-power
  *    (fig 13) scenario with the shared cache.
  *
@@ -45,7 +47,7 @@ seconds(const std::chrono::steady_clock::time_point &start)
         .count();
 }
 
-/** The four integration subjects of the micro section. */
+/** The integration subjects of the micro section. */
 struct MicroTrace
 {
     const char *label;
@@ -77,6 +79,12 @@ microTraces(Tick span)
     set.push_back({"rain composite",
                    std::shared_ptr<const PowerTrace>(
                        traces::makeRainUnitStream(7, span + kMin))});
+    // A per-node trace: fleck/shade segments x its own day envelope.
+    Rng node(23);
+    set.push_back({"forest",
+                   std::shared_ptr<const PowerTrace>(
+                       traces::makeForestTrace(node, span + kMin,
+                                               2.6_mW))});
     return set;
 }
 

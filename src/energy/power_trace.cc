@@ -15,6 +15,14 @@ PowerTrace::integrate(Tick from, Tick to) const
     return integrateStepped(from, to);
 }
 
+void
+PowerTrace::sampleGrid(Tick first, Tick step, std::size_t n,
+                       Power *out) const
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = at(first + static_cast<Tick>(i) * step);
+}
+
 Energy
 PowerTrace::integrateStepped(Tick from, Tick to, Tick grid) const
 {
@@ -38,14 +46,33 @@ TraceCursor::advance(Tick to)
     // the substeps to the absolute grid — instead of to `from` — makes
     // every call over the same span sum the same cells, which is what
     // lets CumulativeTrace replace this loop with a prefix difference.
+    //
+    // The grid boundaries in (_at, to] come in batches: the first cell
+    // may start off-grid (its width is then short), every later one is
+    // a whole cell.  An off-grid `to` closes the window with one more
+    // partial cell.
     Energy total = Energy::zero();
-    while (_at < to) {
-        const Tick next =
-            std::min<Tick>((_at / _grid + 1) * _grid, to);
-        const Power cur = _trace->at(next);
-        total += 0.5 * (_sample + cur) * (next - _at);
+    Tick boundaries = to / _grid - _at / _grid;
+    Tick first = (_at / _grid + 1) * _grid;
+    Power samples[kBatch];
+    while (boundaries > 0) {
+        const auto n = static_cast<std::size_t>(
+            std::min<Tick>(boundaries, static_cast<Tick>(kBatch)));
+        _trace->sampleGrid(first, _grid, n, samples);
+        for (std::size_t i = 0; i < n; ++i) {
+            const Tick next = first + static_cast<Tick>(i) * _grid;
+            total += trapezoid(_sample, samples[i], next - _at);
+            _sample = samples[i];
+            _at = next;
+        }
+        boundaries -= static_cast<Tick>(n);
+        first = _at + _grid;
+    }
+    if (_at < to) {
+        const Power cur = _trace->at(to);
+        total += trapezoid(_sample, cur, to - _at);
         _sample = cur;
-        _at = next;
+        _at = to;
     }
     return total;
 }
@@ -175,7 +202,7 @@ InterpolatedTrace::integrate(Tick from, Tick to) const
             seg_end = std::min<Tick>(to, it->at);
         if (seg_end == t)
             seg_end = to; // t sits on the last knot boundary
-        total += 0.5 * (at(t) + at(seg_end)) * (seg_end - t);
+        total += trapezoid(at(t), at(seg_end), seg_end - t);
         t = seg_end;
     }
     return total;
@@ -189,16 +216,40 @@ InterpolatedTrace::describe() const
     return oss.str();
 }
 
+namespace {
+
+/**
+ * The diurnal envelope of @p cfg at tick @p t: the one copy of its
+ * expression, inlined into DiurnalSolarTrace::at, its sampler and the
+ * enveloped traces' sampler.
+ */
+inline Power
+envelopeAt(const DiurnalSolarTrace::Config &cfg, Tick t)
+{
+    const Tick since_sunrise = t + cfg.sunriseOffset;
+    if (since_sunrise < 0 || since_sunrise >= cfg.dayLength)
+        return Power::zero();
+    const double phase = static_cast<double>(since_sunrise) /
+                         static_cast<double>(cfg.dayLength);
+    const double hump = std::sin(M_PI * phase);
+    return cfg.peak * (hump * cfg.attenuation);
+}
+
+} // namespace
+
 Power
 DiurnalSolarTrace::at(Tick t) const
 {
-    const Tick since_sunrise = t + _cfg.sunriseOffset;
-    if (since_sunrise < 0 || since_sunrise >= _cfg.dayLength)
-        return Power::zero();
-    const double phase = static_cast<double>(since_sunrise) /
-                         static_cast<double>(_cfg.dayLength);
-    const double hump = std::sin(M_PI * phase);
-    return _cfg.peak * (hump * _cfg.attenuation);
+    return envelopeAt(_cfg, t);
+}
+
+void
+DiurnalSolarTrace::sampleGrid(Tick first, Tick step, std::size_t n,
+                              Power *out) const
+{
+    Tick t = first;
+    for (std::size_t i = 0; i < n; ++i, t += step)
+        out[i] = envelopeAt(_cfg, t);
 }
 
 std::string
@@ -249,7 +300,34 @@ class EnvelopedTrace : public PowerTrace
         // The fast trace stores relative multipliers encoded as watts;
         // the envelope supplies the physical scale.
         const double mult = _fast.at(t).watts();
-        return _envelope.at(t) * mult;
+        return envelopeAt(_envelope, t) * mult;
+    }
+
+    /**
+     * at() over a run of points with one segment search: `next` is the
+     * first segment starting after the current point, as at()'s
+     * upper_bound finds it, and walks forward with the points.  Before
+     * the first segment the multiplier is zero; after the last start
+     * the last level holds.
+     */
+    void
+    sampleGrid(Tick first, Tick step, std::size_t n,
+               Power *out) const override
+    {
+        const std::vector<PiecewiseTrace::Segment> &segs = _fast.segments();
+        auto next = std::upper_bound(
+            segs.begin(), segs.end(), first,
+            [](Tick v, const PiecewiseTrace::Segment &s) {
+                return v < s.start;
+            });
+        Tick t = first;
+        for (std::size_t i = 0; i < n; ++i, t += step) {
+            while (next != segs.end() && next->start <= t)
+                ++next;
+            const double mult =
+                next == segs.begin() ? 0.0 : (next - 1)->level.watts();
+            out[i] = envelopeAt(_envelope, t) * mult;
+        }
     }
 
     std::string
@@ -260,7 +338,7 @@ class EnvelopedTrace : public PowerTrace
 
   private:
     PiecewiseTrace _fast;
-    DiurnalSolarTrace _envelope;
+    DiurnalSolarTrace::Config _envelope;
     std::string _label;
 };
 

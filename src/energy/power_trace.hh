@@ -15,6 +15,7 @@
 #ifndef NEOFOG_ENERGY_POWER_TRACE_HH
 #define NEOFOG_ENERGY_POWER_TRACE_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,18 @@
 namespace neofog {
 
 /**
+ * One cell of the canonical stepped integrator: the trapezoid between
+ * samples @p a and @p b over @p width ticks.  TraceCursor's cells,
+ * CumulativeTrace's table cells and its edge terms all call this, so
+ * the expression (and with it every rounding) exists once.
+ */
+inline Energy
+trapezoid(Power a, Power b, Tick width)
+{
+    return 0.5 * (a + b) * width;
+}
+
+/**
  * Abstract ambient power income as a function of simulated time.
  */
 class PowerTrace
@@ -35,6 +48,17 @@ class PowerTrace
 
     /** Instantaneous harvested power at tick @p t. */
     virtual Power at(Tick t) const = 0;
+
+    /**
+     * Write at(first + i * step) to out[i] for every i < n (step > 0).
+     * The stepped integrator pulls whole runs of grid points through
+     * this, so a trace whose at() searches a segment table or pays a
+     * virtual call per point can pay them once per run.  The default
+     * loops over at(); an override must equal at() bit for bit at
+     * every point.
+     */
+    virtual void sampleGrid(Tick first, Tick step, std::size_t n,
+                            Power *out) const;
 
     /**
      * Energy delivered over [from, to).  The default evaluates the
@@ -64,15 +88,26 @@ class PowerTrace
 };
 
 /**
- * Streaming evaluator of the canonical stepped integrator: advancing
- * over adjacent windows reuses the boundary sample the previous window
- * already computed, so a slot sequence samples each grid point exactly
- * once (instead of twice at every window boundary).  Produces values
- * bit-identical to integrateStepped() on the same windows.
+ * Streaming evaluator of the canonical stepped integrator, and its only
+ * implementation: advancing over adjacent windows reuses the boundary
+ * sample the previous window already computed, so a slot sequence
+ * samples each grid point exactly once (instead of twice at every
+ * window boundary).  Produces values bit-identical to
+ * integrateStepped() on the same windows.
+ *
+ * The grid points a window crosses are sampled through
+ * PowerTrace::sampleGrid, up to kBatch per call, and an off-grid window
+ * end adds one at() call.  Each cell (partial at an off-grid start or
+ * end) is one trapezoid(), summed left to right: the same points, the
+ * same per-cell arithmetic and the same order as one at() call per
+ * cell, without a division per cell.
  */
 class TraceCursor
 {
   public:
+    /** Grid points sampled per sampleGrid call (a stack buffer). */
+    static constexpr std::size_t kBatch = 32;
+
     explicit TraceCursor(const PowerTrace &trace, Tick start,
                          Tick grid = kSec);
 
@@ -183,6 +218,8 @@ class DiurnalSolarTrace : public PowerTrace
     explicit DiurnalSolarTrace(const Config &cfg) : _cfg(cfg) {}
 
     Power at(Tick t) const override;
+    void sampleGrid(Tick first, Tick step, std::size_t n,
+                    Power *out) const override;
     std::string describe() const override;
 
     const Config &config() const { return _cfg; }

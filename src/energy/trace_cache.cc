@@ -24,16 +24,23 @@ CumulativeTrace::CumulativeTrace(std::shared_ptr<const PowerTrace> base,
         static_cast<std::size_t>((span + _grid - 1) / _grid);
     _span = static_cast<Tick>(n) * _grid;
 
-    // One at() sample per grid point, each cell accumulated with the
-    // exact arithmetic of the canonical stepped integrator, so
-    // _prefix[k] is bit-identical to integrateStepped(0, k*grid).
+    // One sweep over the grid points, sampled through sampleGrid a
+    // batch at a time.  Each cell is the stepped integrator's
+    // trapezoid, added to the running sum left to right, so _prefix[k]
+    // is bit-identical to integrateStepped(0, k*grid).
     _prefix.resize(n + 1);
     _prefix[0] = 0.0;
-    TraceCursor cursor(*_base, 0, _grid);
+    Power samples[TraceCursor::kBatch];
+    Power prev = _base->at(0);
     Energy acc = Energy::zero();
-    for (std::size_t k = 1; k <= n; ++k) {
-        acc += cursor.advance(static_cast<Tick>(k) * _grid);
-        _prefix[k] = acc.joules();
+    for (std::size_t k = 1; k <= n; k += TraceCursor::kBatch) {
+        const std::size_t m = std::min(TraceCursor::kBatch, n + 1 - k);
+        _base->sampleGrid(static_cast<Tick>(k) * _grid, _grid, m, samples);
+        for (std::size_t i = 0; i < m; ++i) {
+            acc += trapezoid(prev, samples[i], _grid);
+            prev = samples[i];
+            _prefix[k + i] = acc.joules();
+        }
     }
 }
 
@@ -64,7 +71,7 @@ CumulativeTrace::integrate(Tick from, Tick to) const
     if (lo_cell == hi_cell) {
         // Window inside one cell: the same single trapezoid the
         // stepped reference computes — bit-identical to it.
-        return 0.5 * (_base->at(from) + _base->at(to)) * (to - from);
+        return trapezoid(_base->at(from), _base->at(to), to - from);
     }
 
     Energy total = Energy::zero();
@@ -72,17 +79,15 @@ CumulativeTrace::integrate(Tick from, Tick to) const
     if (mid_lo != from) {
         // Partial edge up to the next grid boundary.
         mid_lo = (lo_cell + 1) * _grid;
-        total +=
-            0.5 * (_base->at(from) + _base->at(mid_lo)) * (mid_lo - from);
+        total += trapezoid(_base->at(from), _base->at(mid_lo),
+                           mid_lo - from);
     }
     const Tick mid_hi = hi_cell * _grid;
     total += Energy::fromJoules(
         _prefix[static_cast<std::size_t>(mid_hi / _grid)] -
         _prefix[static_cast<std::size_t>(mid_lo / _grid)]);
-    if (mid_hi != to) {
-        total +=
-            0.5 * (_base->at(mid_hi) + _base->at(to)) * (to - mid_hi);
-    }
+    if (mid_hi != to)
+        total += trapezoid(_base->at(mid_hi), _base->at(to), to - mid_hi);
     return total;
 }
 

@@ -10,7 +10,12 @@
  * delivered over [0, k*grid) under the canonical stepped integrator
  * (PowerTrace::integrateStepped) — after which any grid-aligned
  * integrate(from, to) is an O(1) prefix difference and unaligned
- * windows add at most two exact partial-trapezoid edge terms.
+ * windows add at most two exact partial-trapezoid edge terms.  The
+ * table is built in one sweep that samples the base trace through
+ * PowerTrace::sampleGrid, TraceCursor::kBatch grid points per call, and
+ * adds each cell's trapezoid() to the running sum: one at()-equivalent
+ * evaluation per grid point (one std::sin per point for the rain
+ * stream), no division per cell.
  *
  * Numerical contract (tested by tests/test_trace_cache.cpp, spelled
  * out in DESIGN.md):

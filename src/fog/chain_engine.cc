@@ -42,7 +42,7 @@ ChainState::rejectRotation(const std::string &path, std::int32_t r) const
 }
 
 ChainEngine::ChainEngine(const ScenarioConfig &cfg, const Node::Spec &spec,
-                         std::size_t chain_index,
+                         const NodeState &fresh, std::size_t chain_index,
                          std::uint32_t first_node_id, Rng rng,
                          std::shared_ptr<const PowerTrace> shared_trace)
     : _cfg(cfg), _chainIndex(chain_index),
@@ -62,7 +62,7 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg, const Node::Spec &spec,
         // draw keeps its value.
         _state.rng.next();
         _nodes.push_back(std::make_unique<Node>(
-            _spec, next_id++, makeTrace(), _state.nodes));
+            _spec, next_id++, makeTrace(), _state.nodes.add(fresh)));
     }
     _state.aliveLastSlot.assign(_cfg.nodesPerChain, true);
     _scheduled.reserve(_cfg.nodesPerChain);

@@ -172,6 +172,8 @@ class ChainEngine
      * @param cfg Scenario shared by all chains (must outlive this).
      * @param spec What every node of the scenario shares, built from
      *        cfg.nodeConfig() (must outlive this).
+     * @param fresh Node::freshState(spec), checked once by the
+     *        system; every node's row starts as a copy of it.
      * @param chain_index Position of this chain in the scenario.
      * @param first_node_id Global id of this chain's first physical
      *        node (ids stay contiguous across chains).
@@ -182,8 +184,9 @@ class ChainEngine
      *        FogSystem::_sharedTrace); null for per-node trace kinds.
      */
     ChainEngine(const ScenarioConfig &cfg, const Node::Spec &spec,
-                std::size_t chain_index, std::uint32_t first_node_id,
-                Rng rng, std::shared_ptr<const PowerTrace> shared_trace);
+                const NodeState &fresh, std::size_t chain_index,
+                std::uint32_t first_node_id, Rng rng,
+                std::shared_ptr<const PowerTrace> shared_trace);
 
     ChainEngine(const ChainEngine &) = delete;
     ChainEngine &operator=(const ChainEngine &) = delete;

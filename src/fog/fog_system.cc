@@ -66,6 +66,11 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
       _spec(_cfg.nodeConfig()), _chainLo(chain_lo), _chainHi(chain_hi)
 {
     LossModel::check(_cfg.loss);
+    // The capacitor and RTC configs every node shares, checked once
+    // for the system, after the loss model: a scenario with several
+    // bad fields reports the node's own first, then the loss model,
+    // then these.
+    const NodeState fresh = Node::freshState(_spec);
 
     // The deployment-wide rain stream is built once here and shared
     // read-only by every chain: the rain front is the same for all
@@ -105,9 +110,9 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
 
     // Engine construction is chain-parallel for the same reason the
     // window loop is: engine c writes only its own slot (distinct
-    // unique_ptr elements), reads only the shared config and node
-    // spec, the read-only shared trace, and its own pre-forked RNG
-    // stream.
+    // unique_ptr elements), reads only the shared config, node spec
+    // and fresh node state, the read-only shared trace, and its own
+    // pre-forked RNG stream.
     // Node ids stay globally contiguous (first id derives from the
     // global chain index), so a partition's chain c is
     // indistinguishable from the full system's.
@@ -118,7 +123,7 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
         const auto first_id =
             static_cast<std::uint32_t>(c * _cfg.nodesPerChain * mux);
         _engines[i] = std::make_unique<ChainEngine>(
-            _cfg, _spec, c, first_id, streams[c], _sharedTrace);
+            _cfg, _spec, fresh, c, first_id, streams[c], _sharedTrace);
     });
 }
 

@@ -73,17 +73,6 @@ makeFrontEnd(OperatingMode mode)
                                              : FrontEnd::makeNos();
 }
 
-/** A node's fresh state; the spec's processor and radio stay shared. */
-NodeState
-freshState(const Node::Spec &spec)
-{
-    const Node::Config &cfg = spec.cfg;
-    return NodeState(cfg.cap, cfg.rtc,
-                     static_cast<std::size_t>(
-                         std::max(1, cfg.packageDeadlineSlots)),
-                     spec.rf.nonvolatile);
-}
-
 std::unique_ptr<PowerTrace>
 checkedTrace(std::unique_ptr<PowerTrace> trace, std::uint32_t id)
 {
@@ -203,6 +192,20 @@ Node::Spec::Spec(const Config &config)
     incidentalTime = cpu.computeTime(incidentalInstructions);
 }
 
+NodeState
+Node::freshState(const Spec &spec)
+{
+    const Config &cfg = spec.cfg;
+    // Sequenced, so the capacitor's error is reported before the RTC's
+    // (argument evaluation order is unspecified).
+    const SuperCapacitor::State cap = SuperCapacitor::initialState(cfg.cap);
+    const Rtc::State rtc = Rtc::initialState(cfg.rtc);
+    return NodeState(cap, rtc,
+                     static_cast<std::size_t>(
+                         std::max(1, cfg.packageDeadlineSlots)),
+                     spec.rf.nonvolatile);
+}
+
 Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace)
     : _ownSpec(std::make_unique<const Spec>(cfg)), _spec(_ownSpec.get()),
       _trace(checkedTrace(std::move(trace), cfg.id)),
@@ -215,9 +218,9 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace)
 }
 
 Node::Node(const Spec &spec, std::uint32_t id,
-           std::unique_ptr<PowerTrace> trace, NodeShard &shard)
+           std::unique_ptr<PowerTrace> trace, NodeState &state)
     : _spec(&spec), _trace(checkedTrace(std::move(trace), id)),
-      _state(&shard.add(freshState(spec))), _id(id),
+      _state(&state), _id(id),
       _traceFast(_trace->hasFastIntegrate())
 {
 }

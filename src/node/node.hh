@@ -278,14 +278,23 @@ class Node
     Node(const Config &cfg, std::unique_ptr<PowerTrace> trace);
 
     /**
-     * Chain node @p id: points at @p spec and appends its NodeState to
-     * @p shard.  Both must outlive the node (the owning FogSystem
-     * declares its spec before its engines, and a ChainEngine its
-     * shard before its nodes), and the shard must be reserved for the
-     * full chain beforehand.
+     * Chain node @p id: points at @p spec and at @p state, its row of
+     * its chain's NodeShard.  Both must outlive the node and stay in
+     * place (the owning FogSystem declares its spec before its
+     * engines, and a ChainEngine its shard before its nodes, reserved
+     * for the full chain before the first row is added).
      */
     Node(const Spec &spec, std::uint32_t id,
-         std::unique_ptr<PowerTrace> trace, NodeShard &shard);
+         std::unique_ptr<PowerTrace> trace, NodeState &state);
+
+    /**
+     * The state every node of @p spec starts in: capacitor and RTC at
+     * their configs' initial charges, everything else zero.  Fatal on
+     * an invalid capacitor or RTC config, so a FogSystem calls it once
+     * and copies the result into every row (a standalone node calls it
+     * once for itself).
+     */
+    static NodeState freshState(const Spec &spec);
 
     std::uint32_t id() const { return _id; }
 

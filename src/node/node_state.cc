@@ -4,11 +4,10 @@
 
 namespace neofog {
 
-NodeState::NodeState(const SuperCapacitor::Config &cap_cfg,
-                     const Rtc::Config &rtc_cfg, std::size_t pending_depth,
+NodeState::NodeState(const SuperCapacitor::State &cap_start,
+                     const Rtc::State &rtc_start, std::size_t pending_depth,
                      bool nvrf_radio)
-    : cap(SuperCapacitor::initialState(cap_cfg)),
-      rtc(Rtc::initialState(rtc_cfg)), nvrf(nvrf_radio),
+    : cap(cap_start), rtc(rtc_start), nvrf(nvrf_radio),
       pendingByAge(pending_depth, 0)
 {
     NEOFOG_ASSERT(pending_depth >= 1, "pending queue needs depth >= 1");

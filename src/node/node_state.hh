@@ -99,14 +99,17 @@ struct NodeStats
 struct NodeState
 {
     /**
-     * A fresh node: capacitor and RTC at their configs' initial
-     * charges (fatal on an invalid config), everything else zero.
+     * A fresh node: capacitor and RTC in the given initial states,
+     * everything else zero.
+     * @param cap_start, rtc_start SuperCapacitor::initialState and
+     *        Rtc::initialState of the node's configs, which check them
+     *        (a system checks its configs once; see Node::freshState).
      * @param pending_depth Freshness-deadline depth of the pending
      *        queue (>= 1).
      * @param nvrf Whether the node's radio is an NVRF.
      */
-    NodeState(const SuperCapacitor::Config &cap_cfg,
-              const Rtc::Config &rtc_cfg, std::size_t pending_depth,
+    NodeState(const SuperCapacitor::State &cap_start,
+              const Rtc::State &rtc_start, std::size_t pending_depth,
               bool nvrf);
 
     SuperCapacitor::State cap;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "energy/power_trace.hh"
 #include "fog/chain_engine.hh"
@@ -65,6 +66,71 @@ TEST(FogSystem, RejectsBadConfigs)
 
     ScenarioConfig cfg3 = smallScenario(OperatingMode::NosVp, "bogus");
     EXPECT_THROW(FogSystem{cfg3}, FatalError);
+}
+
+/** The FatalError building a system of @p cfg raises, or "". */
+std::string
+buildError(const ScenarioConfig &cfg)
+{
+    try {
+        const FogSystem sys(cfg);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// A scenario with several bad fields reports the first in a fixed
+// order: the node's own fields, then the loss model, then the
+// capacitor config and the RTC's (its own fields before its cap's).
+TEST(FogSystem, SeveralBadFieldsReportTheFirst)
+{
+    using Edit = void (*)(ScenarioConfig &);
+    const Edit bad_node = [](ScenarioConfig &c) {
+        c.nodeTemplate.incidentalFraction = 2.0;
+    };
+    const Edit bad_loss = [](ScenarioConfig &c) {
+        c.loss.successRate = 0.0;
+    };
+    const Edit bad_cap = [](ScenarioConfig &c) {
+        c.nodeTemplate.cap.capacity = Energy::zero();
+    };
+    const Edit bad_rtc = [](ScenarioConfig &c) {
+        c.nodeTemplate.rtc.chargePriority = 2.0;
+    };
+    const Edit bad_rtc_cap = [](ScenarioConfig &c) {
+        c.nodeTemplate.rtc.cap.leakage = Power::fromWatts(-1.0);
+    };
+    const auto error = [](std::initializer_list<Edit> edits) {
+        ScenarioConfig cfg =
+            smallScenario(OperatingMode::FiosNvMote, "distributed");
+        cfg.horizon = 10 * cfg.slotInterval;
+        for (const Edit edit : edits)
+            edit(cfg);
+        return buildError(cfg);
+    };
+    ASSERT_EQ(error({}), "");
+    const std::string node = error({bad_node});
+    const std::string loss = error({bad_loss});
+    const std::string cap = error({bad_cap});
+    const std::string rtc = error({bad_rtc});
+    const std::string rtc_cap = error({bad_rtc_cap});
+    EXPECT_NE(node.find("incidental fraction"), std::string::npos);
+    EXPECT_NE(loss.find("success rate"), std::string::npos);
+    EXPECT_NE(cap.find("capacity"), std::string::npos);
+    EXPECT_NE(rtc.find("RTC charge priority"), std::string::npos);
+    EXPECT_NE(rtc_cap.find("leakage"), std::string::npos);
+
+    EXPECT_EQ(error({bad_loss, bad_node}), node);
+    EXPECT_EQ(error({bad_cap, bad_node}), node);
+    EXPECT_EQ(error({bad_cap, bad_loss}), loss);
+    EXPECT_EQ(error({bad_rtc, bad_loss}), loss);
+    EXPECT_EQ(error({bad_rtc_cap, bad_loss}), loss);
+    EXPECT_EQ(error({bad_rtc, bad_cap}), cap);
+    EXPECT_EQ(error({bad_rtc_cap, bad_cap}), cap);
+    EXPECT_EQ(error({bad_rtc_cap, bad_rtc}), rtc);
+    EXPECT_EQ(error({bad_rtc_cap, bad_rtc, bad_cap, bad_loss, bad_node}),
+              node);
 }
 
 TEST(FogSystem, ReportInvariants)
@@ -404,7 +470,7 @@ TEST(ChainEngine, RainGainsReplayTheChainStream)
     cfg.multiplexing = 3;
     const Node::Spec spec(cfg.nodeConfig());
     const ChainEngine engine(
-        cfg, spec, 0, 0, Rng(41),
+        cfg, spec, Node::freshState(spec), 0, 0, Rng(41),
         std::make_shared<ConstantTrace>(Power::fromWatts(1.0)));
     Rng replay(41);
     for (std::size_t p = 0; p < engine.nodes().size(); ++p) {

@@ -127,7 +127,8 @@ TEST_P(ChainSchedule, ServesTheMemberCloneGroupPicks)
     if (rotating)
         cfg.membershipUpdateInterval = kEvery * cfg.slotInterval;
     const Node::Spec spec(cfg.nodeConfig());
-    ChainEngine engine(cfg, spec, 0, 0, Rng(cfg.seed), nullptr);
+    ChainEngine engine(cfg, spec, Node::freshState(spec), 0, 0,
+                       Rng(cfg.seed), nullptr);
 
     // Logical node l's clones are physical nodes [l*mux, (l+1)*mux).
     std::vector<CloneGroup> groups;

@@ -522,10 +522,13 @@ TEST(Node, IncomeHoistMatchesPerNodeIntegration)
 TEST(Node, FacadesBindTheirOwnShardRow)
 {
     const Node::Spec spec(baseConfig(OperatingMode::FiosNvMote));
+    const NodeState fresh = Node::freshState(spec);
     NodeShard shard;
     shard.reserve(2);
-    Node a(spec, 1, std::make_unique<ConstantTrace>(3.0_mW), shard);
-    Node b(spec, 2, std::make_unique<ConstantTrace>(1.0_mW), shard);
+    Node a(spec, 1, std::make_unique<ConstantTrace>(3.0_mW),
+           shard.add(fresh));
+    Node b(spec, 2, std::make_unique<ConstantTrace>(1.0_mW),
+           shard.add(fresh));
     ASSERT_EQ(shard.rows(), 2u);
     EXPECT_EQ(&a.state(), &shard[0]);
     EXPECT_EQ(&b.state(), &shard[1]);
@@ -611,7 +614,9 @@ NodeState
 plainState(const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
            std::size_t pending_depth = 1)
 {
-    return NodeState(cap, rtc, pending_depth, /*nvrf=*/false);
+    return NodeState(SuperCapacitor::initialState(cap),
+                     Rtc::initialState(rtc), pending_depth,
+                     /*nvrf=*/false);
 }
 
 // A new row starts from the configs' initial charges with clean

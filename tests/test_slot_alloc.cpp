@@ -10,10 +10,17 @@
  * next slots.  The count must be 0.  FogSystem::runWindow, which runs
  * those slots chain by chain through one pool dispatch, must add none.
  *
+ * Two more scenarios cover the per-node trace path the rain chains
+ * never reach (their income is hoisted from one shared prefix table):
+ * fig-10 forest chains under the three compared systems, and fig-11
+ * bridge chains at mux 2, whose sleeping clones integrate gap windows.
+ * Each node there integrates its own trace through its TraceCursor,
+ * which samples whole grid cells into a stack buffer.
+ *
  * The one known allocating path left is assignTasks (the Algorithm 1
  * DP table), reached only when a distributed donor splits its surplus
- * between two receivers.  None does in this window; one would show in
- * the count.
+ * between two receivers.  None does in these windows; one would show
+ * in the count.
  */
 
 #include <gtest/gtest.h>
@@ -149,26 +156,66 @@ rainScenario(const std::string &policy)
     return cfg;
 }
 
+/**
+ * Heap allocations while every chain of @p cfg runs slots 1 to
+ * kCountedSlots, after each has run slot 0.
+ */
+std::uint64_t
+allocationsAfterFirstSlot(const ScenarioConfig &cfg)
+{
+    EXPECT_GT(cfg.slotCount(), kCountedSlots);
+    FogSystem sys(cfg);
+
+    for (const auto &chain : sys.chains())
+        chain->runSlot(0);
+
+    const std::uint64_t before = g_allocations.load();
+    for (std::int64_t s = 1; s <= kCountedSlots; ++s) {
+        for (const auto &chain : sys.chains())
+            chain->runSlot(s);
+    }
+    return g_allocations.load() - before;
+}
+
 TEST(SlotAllocation, EveryPolicyRunsSlotsWithoutHeapTraffic)
 {
     if (!kCountsAllocations)
         GTEST_SKIP() << "ThreadSanitizer owns operator new";
     for (const std::string &policy : PolicyRegistry::instance().names()) {
         SCOPED_TRACE(policy);
-        const ScenarioConfig cfg = rainScenario(policy);
-        ASSERT_GT(cfg.slotCount(), kCountedSlots);
-        FogSystem sys(cfg);
-
-        for (const auto &chain : sys.chains())
-            chain->runSlot(0);
-
-        const std::uint64_t before = g_allocations.load();
-        for (std::int64_t s = 1; s <= kCountedSlots; ++s) {
-            for (const auto &chain : sys.chains())
-                chain->runSlot(s);
-        }
-        EXPECT_EQ(g_allocations.load() - before, 0u);
+        EXPECT_EQ(allocationsAfterFirstSlot(rainScenario(policy)), 0u);
     }
+}
+
+// The fig-10 systems as perfbench's forest-sweep runs them: NOS-VP
+// with `none`, NOS-NVP with `tree` and FIOS with `distributed`, each
+// node integrating its own forest trace.
+TEST(SlotAllocation, ForestChainsRunSlotsWithoutHeapTraffic)
+{
+    if (!kCountsAllocations)
+        GTEST_SKIP() << "ThreadSanitizer owns operator new";
+    for (const presets::SystemUnderTest &sut :
+         {presets::nosVp(), presets::nosNvpBaseline(),
+          presets::fiosNeofog()}) {
+        SCOPED_TRACE(sut.label);
+        ScenarioConfig cfg = presets::fig10(sut, 0);
+        ASSERT_EQ(cfg.traceKind, TraceKind::ForestIndependent);
+        cfg.threads = 1;
+        EXPECT_EQ(allocationsAfterFirstSlot(cfg), 0u);
+    }
+}
+
+// Bridge chains at mux 2: each clone sleeps through every other slot,
+// so its cursor integrates a gap window before each slot it serves.
+TEST(SlotAllocation, BridgeGapWindowsRunWithoutHeapTraffic)
+{
+    if (!kCountsAllocations)
+        GTEST_SKIP() << "ThreadSanitizer owns operator new";
+    ScenarioConfig cfg = presets::fig11(presets::fiosNeofog(), 2);
+    ASSERT_EQ(cfg.traceKind, TraceKind::BridgeDependent);
+    cfg.multiplexing = 2;
+    cfg.threads = 1;
+    EXPECT_EQ(allocationsAfterFirstSlot(cfg), 0u);
 }
 
 // A window's body fits std::function's in-place buffer (16 bytes in

@@ -847,8 +847,8 @@ TEST(SnapshotSchema, ConfigSectionRecordsArePinned)
 NodeState
 freshNodeState(std::size_t depth = 2)
 {
-    return NodeState(SuperCapacitor::Config{}, Rtc::Config{}, depth,
-                     /*nvrf=*/false);
+    return NodeState(SuperCapacitor::initialState({}),
+                     Rtc::initialState({}), depth, /*nvrf=*/false);
 }
 
 /** @p state archived as node1 of chain0. */
