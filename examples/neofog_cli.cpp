@@ -133,7 +133,8 @@ printVersion()
                 "  neofog-aggregate-v1\n"
                 "  neofog-run-v1\n"
                 "  neofog-bench-v1\n"
-                "  neofog-snapshot-v1\n",
+                "  neofog-snapshot-v2 (written and read)\n"
+                "  neofog-snapshot-v1 (read)\n",
                 NEOFOG_VERSION);
 }
 

@@ -7,10 +7,12 @@
 #   golden.sh check BUILD_DIR [KIND NAME]   every entry, or the one named
 #   golden.sh regen BUILD_DIR               rewrite every corpus file
 #
-# KIND is report, bench, snapshot or series (see the manifest header).
-# A series entry prints time series (--probes, --dump-energy), which
-# --workers refuses, so it runs at --threads 1 and 4 only, in each of
-# the json, csv and text formats.
+# KIND is report, bench, snapshot, series or migrate (see the manifest
+# header).  A series entry prints time series (--probes,
+# --dump-energy), which --workers refuses, so it runs at --threads 1
+# and 4 only, in each of the json, csv and text formats.  A migrate
+# entry reads a committed neofog-snapshot-v1 file, which no build
+# writes any more, so regen checks it and writes nothing.
 #
 # `check` exits 1 if any output differs, naming the first metric (for
 # JSON) or the first snapshot field (through neofog_replay) that moved.
@@ -22,7 +24,7 @@
 set -u
 
 usage() {
-    echo "usage: $0 check BUILD_DIR [report|bench|snapshot|series NAME]" >&2
+    echo "usage: $0 check BUILD_DIR [report|bench|snapshot|series|migrate NAME]" >&2
     echo "       $0 regen BUILD_DIR" >&2
     exit 2
 }
@@ -145,6 +147,24 @@ series() {
     done
 }
 
+migrate() {
+    local name=$1 want=$corpus/snapshot-$1 dir=$work/migrate-$1 t
+    for t in 1 4; do
+        "$cli" --resume "$want.v1.nfsnap" --threads "$t" --format json \
+            > "$dir-resumed-$t.json" < /dev/null ||
+            { fail "migrate $name: resume exited $?"; continue; }
+        same "$want.json" "$dir-resumed-$t.json" \
+            "migrate $name: v1 file resumed at --threads $t"
+    done
+    [ -x "$replay" ] || { fail "migrate $name: no neofog_replay"; return; }
+    if "$replay" "$want.v1.nfsnap" "$want.nfsnap" > "$dir-replay.txt"; then
+        echo "ok   migrate $name: v1 and v2 files hold the same fields"
+    else
+        fail "migrate $name: v1 and v2 files differ"
+        cat "$dir-replay.txt" >&2
+    fi
+}
+
 [ -x "$cli" ] || { echo "no neofog_cli under $build/examples" >&2; exit 2; }
 
 matched=0
@@ -162,6 +182,7 @@ while read -r kind name rest <&3; do
         bench) bench "$name" ;;
         snapshot) snapshot "$name" $rest ;;
         series) series "$name" $rest ;;
+        migrate) migrate "$name" ;;
         *) echo "manifest: unknown kind '$kind'" >&2; exit 2 ;;
     esac
 done 3< "$corpus/manifest"

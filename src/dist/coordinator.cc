@@ -243,21 +243,43 @@ class Coordinator
         }
     }
 
-    /** Have every worker standing exactly at @p slot checkpoint it. */
+    /**
+     * Have every worker standing exactly at @p slot checkpoint it:
+     * broadcast the SNAPSHOTs first so the workers save concurrently,
+     * then collect the acks, as barrier() does.  A death in either
+     * phase is recovered synchronously: recovery re-runs the worker to
+     * the barrier, and the missed checkpoint only costs recompute on a
+     * later death.
+     */
     void
     checkpoint(std::int64_t slot)
     {
+        // A worker resumed ahead of this barrier already holds a newer
+        // checkpoint; asking it to archive an older slot would be
+        // wrong, so it is skipped until barriers pass it.
+        std::vector<bool> asked(_workers.size(), false);
+        std::vector<bool> dead(_workers.size(), false);
+        SnapshotMsg req;
+        req.slot = slot;
+        const std::string payload = encodeMsg(req);
         for (std::size_t w = 0; w < _workers.size(); ++w) {
-            // A worker resumed ahead of this barrier already holds a
-            // newer checkpoint; asking it to archive an older slot
-            // would be wrong, so it is skipped until barriers pass it.
             if (_workers[w].slot != slot)
                 continue;
+            asked[w] = true;
             try {
-                SnapshotMsg req;
-                req.slot = slot;
-                _workers[w].conn->send(MsgType::Snapshot,
-                                       encodeMsg(req));
+                _workers[w].conn->send(MsgType::Snapshot, payload);
+            } catch (const WireClosed &) {
+                dead[w] = true;
+            }
+        }
+        for (std::size_t w = 0; w < _workers.size(); ++w) {
+            if (!asked[w])
+                continue;
+            if (dead[w]) {
+                recover(w, slot);
+                continue;
+            }
+            try {
                 const auto ok = decodeMsg<SnapshotMsg>(
                     _workers[w].conn->expect(
                         MsgType::SnapshotOk).payload);
@@ -265,8 +287,6 @@ class Coordinator
                     fatal("worker ", w, " checkpointed slot ",
                           ok.slot, ", asked for ", slot);
             } catch (const WireClosed &) {
-                // Recovery re-runs to the barrier; the missed
-                // checkpoint only costs recompute on a later death.
                 recover(w, slot);
             }
         }

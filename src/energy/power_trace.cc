@@ -101,13 +101,18 @@ PiecewiseTrace::PiecewiseTrace(std::vector<Segment> segments)
     }
 }
 
+std::vector<PiecewiseTrace::Segment>::const_iterator
+PiecewiseTrace::firstAfter(Tick t) const
+{
+    return std::upper_bound(
+        _segments.begin(), _segments.end(), t,
+        [](Tick v, const Segment &s) { return v < s.start; });
+}
+
 std::size_t
 PiecewiseTrace::segmentIndex(Tick t) const
 {
-    // First segment with start > t, minus one.
-    auto it = std::upper_bound(
-        _segments.begin(), _segments.end(), t,
-        [](Tick v, const Segment &s) { return v < s.start; });
+    const auto it = firstAfter(t);
     if (it == _segments.begin())
         return static_cast<std::size_t>(-1);
     return static_cast<std::size_t>(it - _segments.begin() - 1);
@@ -120,6 +125,23 @@ PiecewiseTrace::at(Tick t) const
     if (idx == static_cast<std::size_t>(-1))
         return Power::zero();
     return _segments[idx].level;
+}
+
+void
+PiecewiseTrace::sampleGrid(Tick first, Tick step, std::size_t n,
+                           Power *out) const
+{
+    // One search for the run: `next` is the first segment starting
+    // after the current point, as at() finds it, and walks forward
+    // with the points.
+    auto next = firstAfter(first);
+    Tick t = first;
+    for (std::size_t i = 0; i < n; ++i, t += step) {
+        while (next != _segments.end() && next->start <= t)
+            ++next;
+        out[i] = next == _segments.begin() ? Power::zero()
+                                           : (next - 1)->level;
+    }
 }
 
 Energy
@@ -304,30 +326,17 @@ class EnvelopedTrace : public PowerTrace
     }
 
     /**
-     * at() over a run of points with one segment search: `next` is the
-     * first segment starting after the current point, as at()'s
-     * upper_bound finds it, and walks forward with the points.  Before
-     * the first segment the multiplier is zero; after the last start
-     * the last level holds.
+     * at() over a run of points: the fast trace's one-search walk
+     * writes the multipliers, and each point then takes its envelope.
      */
     void
     sampleGrid(Tick first, Tick step, std::size_t n,
                Power *out) const override
     {
-        const std::vector<PiecewiseTrace::Segment> &segs = _fast.segments();
-        auto next = std::upper_bound(
-            segs.begin(), segs.end(), first,
-            [](Tick v, const PiecewiseTrace::Segment &s) {
-                return v < s.start;
-            });
+        _fast.sampleGrid(first, step, n, out);
         Tick t = first;
-        for (std::size_t i = 0; i < n; ++i, t += step) {
-            while (next != segs.end() && next->start <= t)
-                ++next;
-            const double mult =
-                next == segs.begin() ? 0.0 : (next - 1)->level.watts();
-            out[i] = envelopeAt(_envelope, t) * mult;
-        }
+        for (std::size_t i = 0; i < n; ++i, t += step)
+            out[i] = envelopeAt(_envelope, t) * out[i].watts();
     }
 
     std::string

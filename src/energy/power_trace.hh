@@ -155,6 +155,9 @@ class PiecewiseTrace : public PowerTrace
     explicit PiecewiseTrace(std::vector<Segment> segments);
 
     Power at(Tick t) const override;
+    /** One segment search per run, then a forward walk. */
+    void sampleGrid(Tick first, Tick step, std::size_t n,
+                    Power *out) const override;
     Energy integrate(Tick from, Tick to) const override;
     bool hasFastIntegrate() const override { return true; }
     std::string describe() const override;
@@ -162,6 +165,8 @@ class PiecewiseTrace : public PowerTrace
     const std::vector<Segment> &segments() const { return _segments; }
 
   private:
+    /** First segment starting after @p t (end() if none). */
+    std::vector<Segment>::const_iterator firstAfter(Tick t) const;
     /** Index of the segment active at t, or npos if before the first. */
     std::size_t segmentIndex(Tick t) const;
 

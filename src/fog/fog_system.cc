@@ -224,6 +224,14 @@ FogSystem::rotationDigest() const
     return snapshot::fnv1a(bytes);
 }
 
+snapshot::FieldTable
+FogSystem::chainTable(ChainState &state)
+{
+    snapshot::OutArchive ar;
+    state.serialize(ar);
+    return snapshot::FieldTable::of(ar.data());
+}
+
 void
 FogSystem::saveSnapshot(std::int64_t slot)
 {
@@ -246,20 +254,24 @@ FogSystem::saveSnapshot(std::int64_t slot)
         system.data = ar.take();
     }
 
-    // Chain states serialize concurrently — each walk touches only
-    // its own engine's state, draws nothing from any RNG, and writes
-    // into its own buffer — then land in the snapshot in chain order,
-    // so the byte stream is identical for any thread count.  Sections
-    // are named by *global* chain index: a partition system
-    // (distributed worker) writes exactly its [chainLo, chainHi)
-    // slice, and the union of the workers' files covers the same
-    // sections a single-process snapshot holds.
+    // Every chain of a system walks the same fields, so the file names
+    // them once, in its table, and each chain section holds only type
+    // tags and payloads.  Chain states serialize concurrently — each
+    // walk touches only its own engine's state, draws nothing from any
+    // RNG, and writes into its own buffer — then land in the snapshot
+    // in chain order, so the byte stream is identical for any thread
+    // count.  Sections are named by *global* chain index: a partition
+    // system (distributed worker) writes exactly its [chainLo,
+    // chainHi) slice, and the union of the workers' files covers the
+    // same sections a single-process snapshot holds.
+    if (!_engines.empty())
+        snap.table = chainTable(_engines.front()->state());
     std::vector<snapshot::Section> chain_sections(_engines.size());
     parallelForChunked(_pool.get(), _engines.size(),
                        [&](std::size_t i) {
         const std::string name =
             "chain" + std::to_string(_engines[i]->chainIndex());
-        snapshot::OutArchive ar;
+        snapshot::OutArchive ar(snapshot::Layout::Payloads);
         ar.io(name, _engines[i]->state());
         chain_sections[i].name = name;
         chain_sections[i].data = ar.take();
@@ -340,11 +352,21 @@ FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
     // Reconstruct-then-overwrite: the constructor deterministically
     // rebuilds traces, engines, and nodes exactly as the original run
     // did (same seed, same fork order), and each chain's archived
-    // ChainState then replaces all of its mutable state.  Restoring
-    // is chain-parallel for the same reason serializing is; a corrupt
-    // section throws out of parallelForChunked and the half-built
-    // system is discarded whole.
+    // ChainState then replaces all of its mutable state.  A v2 file's
+    // table is checked once against the fields a fresh chain walks;
+    // its chain sections then need only their type tags checked, while
+    // a v1 file's chain sections carry and check their own paths.
+    // Restoring is chain-parallel for the same reason serializing is;
+    // a corrupt section throws out of parallelForChunked and the
+    // half-built system is discarded whole.
     auto system = std::make_unique<FogSystem>(cfg, chain_lo, chain_hi);
+    const snapshot::Layout layout = snap.version >= 2
+        ? snapshot::Layout::Payloads
+        : snapshot::Layout::Paths;
+    if (layout == snapshot::Layout::Payloads && !system->_engines.empty())
+        snapshot::checkTable(
+            snap.table, chainTable(system->_engines.front()->state()),
+            "snapshot " + file + " table");
     parallelForChunked(system->_pool.get(), system->_engines.size(),
                        [&](std::size_t i) {
         ChainEngine &engine = *system->_engines[i];
@@ -354,8 +376,12 @@ FogSystem::restore(const snapshot::LoadedSnapshot &loaded,
         if (sec == nullptr)
             fatal("snapshot ", file, " is missing section '", name,
                   "' (written for a different chain range?)");
-        snapshot::InArchive ar(sec->data);
+        snapshot::InArchive ar(sec->data, layout);
         ar.io(name, engine.state());
+        if (!ar.atEnd() && layout == snapshot::Layout::Payloads)
+            fatal("snapshot ", file, " section '", name,
+                  "' has records past its table's last field '", name,
+                  ".", snap.table.path(snap.table.size() - 1), "'");
         if (!ar.atEnd())
             fatal("snapshot ", file, " section '", name,
                   "' has trailing records (format/version skew?)");

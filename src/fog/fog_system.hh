@@ -96,10 +96,11 @@ class FogSystem
 
     /**
      * Write a full-state checkpoint into the configured snapshot
-     * directory.  @p slot is the first slot a resume will execute, so
-     * the archived state is "after slots [0, slot)".  Chain shards
-     * serialize in parallel (read-only, no RNG draws) and land in the
-     * file in chain order, so the bytes are thread-count independent.
+     * directory, as a neofog-snapshot-v2 file.  @p slot is the first
+     * slot a resume will execute, so the archived state is "after
+     * slots [0, slot)".  Chain shards serialize in parallel
+     * (read-only, no RNG draws) and land in the file in chain order,
+     * so the bytes are thread-count independent.
      */
     void saveSnapshot(std::int64_t slot);
 
@@ -193,6 +194,12 @@ class FogSystem
     restore(const snapshot::LoadedSnapshot &loaded,
             const ScenarioConfig &cfg, std::size_t chain_lo,
             std::size_t chain_hi);
+
+    /**
+     * The fields @p state walks, paths relative to its chain: the
+     * table of a v2 file, which every chain of the system shares.
+     */
+    static snapshot::FieldTable chainTable(ChainState &state);
 
     ScenarioConfig _cfg;
     /**

@@ -202,9 +202,103 @@ doubleFromBits(std::uint64_t bits)
 
 // ------------------------------------------------------- RecordReader
 
+std::string_view
+RecordReader::takePayload(FieldType type, std::string_view scope,
+                          std::string_view name)
+{
+    const auto *base =
+        reinterpret_cast<const unsigned char *>(_data.data());
+    const auto need = [&](std::size_t n) {
+        if (_data.size() - _pos < n)
+            fatal("snapshot record ", quoted(std::string(scope) +
+                                             std::string(name)),
+                  " is truncated at byte ", _pos);
+    };
+    std::size_t payload = 0;
+    switch (type) {
+      case FieldType::Bool:
+        payload = 1;
+        break;
+      case FieldType::I32:
+      case FieldType::U32:
+        payload = 4;
+        break;
+      case FieldType::I64:
+      case FieldType::U64:
+      case FieldType::F64:
+        payload = 8;
+        break;
+      case FieldType::Str: {
+        need(4);
+        payload = 4 + readLe32(base + _pos);
+        break;
+      }
+      default: { // vectors
+        need(8);
+        const std::uint64_t count = readLe64(base + _pos);
+        const std::uint64_t elem = fieldElementSize(type);
+        if (count > (_data.size() - _pos) / (elem ? elem : 1))
+            fatal("snapshot record ",
+                  quoted(std::string(scope) + std::string(name)),
+                  " claims ", count, " elements past end of stream");
+        payload = 8 + static_cast<std::size_t>(count * elem);
+        break;
+      }
+    }
+    need(payload);
+    const std::string_view out = _data.substr(_pos, payload);
+    _pos += payload;
+    return out;
+}
+
+bool
+RecordReader::nextPayload(Record &out, FieldType type,
+                          std::string_view scope, std::string_view name)
+{
+    if (_pos >= _data.size())
+        return false;
+    const auto tag = static_cast<std::uint8_t>(_data[_pos]);
+    if (tag != static_cast<std::uint8_t>(type)) {
+        const std::string path = std::string(scope) + std::string(name);
+        if (!validType(tag))
+            fatal("snapshot record ", quoted(path),
+                  " has invalid type tag ", static_cast<int>(tag));
+        fatal("snapshot field '", path, "' has type ",
+              fieldTypeName(static_cast<FieldType>(tag)), ", expected ",
+              fieldTypeName(type));
+    }
+    ++_pos;
+    out.type = type;
+    out.payload = takePayload(type, scope, name);
+    return true;
+}
+
 bool
 RecordReader::next(Record &out)
 {
+    if (_table != nullptr) {
+        if (_index == _table->size()) {
+            if (_pos == _data.size())
+                return false;
+            const std::string_view section =
+                std::string_view(_scope).substr(0, _scope.size() - 1);
+            if (_table->size() == 0)
+                fatal("snapshot section '", section,
+                      "' has records, but its table lists no field");
+            fatal("snapshot section '", section,
+                  "' has a record past its table's last field ",
+                  quoted(_scope + std::string(_table->path(_index - 1))));
+        }
+        const std::string_view rel = _table->path(_index);
+        if (!nextPayload(out, _table->type(_index), _scope, rel))
+            fatal("snapshot stream ended while expecting field '",
+                  _scope, rel, "'");
+        ++_index;
+        _path.assign(_scope).append(rel);
+        out.path = _path;
+        return true;
+    }
+
     if (_pos >= _data.size())
         return false;
     const auto need = [&](std::size_t n) {
@@ -226,41 +320,96 @@ RecordReader::next(Record &out)
         fatal("snapshot record ", quoted(out.path),
               " has invalid type tag ", static_cast<int>(tag));
     out.type = static_cast<FieldType>(tag);
-
-    std::size_t payload = 0;
-    switch (out.type) {
-      case FieldType::Bool:
-        payload = 1;
-        break;
-      case FieldType::I32:
-      case FieldType::U32:
-        payload = 4;
-        break;
-      case FieldType::I64:
-      case FieldType::U64:
-      case FieldType::F64:
-        payload = 8;
-        break;
-      case FieldType::Str: {
-        need(4);
-        payload = 4 + readLe32(base + _pos);
-        break;
-      }
-      default: { // vectors
-        need(8);
-        const std::uint64_t count = readLe64(base + _pos);
-        const std::uint64_t elem = fieldElementSize(out.type);
-        if (count > (_data.size() - _pos) / (elem ? elem : 1))
-            fatal("snapshot record ", quoted(out.path), " claims ",
-                  count, " elements past end of stream");
-        payload = 8 + static_cast<std::size_t>(count * elem);
-        break;
-      }
-    }
-    need(payload);
-    out.payload = _data.substr(_pos, payload);
-    _pos += payload;
+    out.payload = takePayload(out.type, {}, out.path);
     return true;
+}
+
+// --------------------------------------------------------- FieldTable
+
+FieldTable
+FieldTable::of(std::string_view path_records)
+{
+    FieldTable table; // its count is patched below
+    std::string &bytes = table._bytes;
+    RecordReader reader(path_records);
+    Record rec;
+    while (reader.next(rec)) {
+        appendLe16(bytes, static_cast<std::uint16_t>(rec.path.size()));
+        table._entries.push_back(
+            {static_cast<std::uint32_t>(bytes.size()),
+             static_cast<std::uint16_t>(rec.path.size()), rec.type});
+        bytes.append(rec.path);
+        bytes.push_back(static_cast<char>(rec.type));
+    }
+    storeLe<4>(bytes.data(), table._entries.size());
+    return table;
+}
+
+FieldTable
+FieldTable::decode(std::string_view bytes)
+{
+    // Entries address the table with 32-bit offsets.
+    if (bytes.size() > 0xFFFFFFFFULL)
+        fatal("snapshot table of ", bytes.size(), " bytes is too long");
+    FieldTable table;
+    table._bytes.assign(bytes);
+    const auto *base = reinterpret_cast<const unsigned char *>(bytes.data());
+    if (bytes.size() < 4)
+        fatal("snapshot table is truncated (", bytes.size(),
+              " bytes, need at least 4 for its entry count)");
+    const std::uint32_t count = readLe32(base);
+    // Each entry takes at least 3 bytes: a u16 length and a type tag.
+    if (count > (bytes.size() - 4) / 3)
+        fatal("snapshot table claims ", count,
+              " entries past the end of its ", bytes.size(), " bytes");
+    table._entries.reserve(count);
+    std::size_t pos = 4;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        if (bytes.size() - pos < 2)
+            fatal("snapshot table is truncated in entry ", i, " of ",
+                  count);
+        const std::uint16_t len = readLe16(base + pos);
+        pos += 2;
+        if (bytes.size() - pos < static_cast<std::size_t>(len) + 1)
+            fatal("snapshot table entry ", i, " has a path length of ",
+                  len, " past the end of the table");
+        const std::string_view path = bytes.substr(pos, len);
+        const std::uint8_t tag = base[pos + len];
+        if (!validType(tag))
+            fatal("snapshot table entry ", i, " ", quoted(path),
+                  " has invalid type tag ", static_cast<int>(tag));
+        table._entries.push_back({static_cast<std::uint32_t>(pos), len,
+                                  static_cast<FieldType>(tag)});
+        pos += static_cast<std::size_t>(len) + 1;
+    }
+    if (pos != bytes.size())
+        fatal("snapshot table has ", bytes.size() - pos,
+              " bytes past its last entry");
+    return table;
+}
+
+void
+checkTable(const FieldTable &file, const FieldTable &loader,
+           std::string_view what)
+{
+    if (file == loader)
+        return;
+    const auto entry = [](const FieldTable &t, std::size_t i) {
+        return quoted(t.path(i)) + " (" + fieldTypeName(t.type(i)) + ")";
+    };
+    const std::size_t common = std::min(file.size(), loader.size());
+    for (std::size_t i = 0; i < common; ++i) {
+        if (file.path(i) != loader.path(i) || file.type(i) != loader.type(i))
+            fatal(what, " lists ", entry(file, i), " as field ", i,
+                  " where the loader expects ", entry(loader, i),
+                  " (format/version skew?)");
+    }
+    if (file.size() < loader.size())
+        fatal(what, " ends after ", file.size(),
+              " fields where the loader expects ",
+              entry(loader, file.size()));
+    fatal(what, " lists ", entry(file, loader.size()), " past the ",
+          loader.size(), " fields the loader expects");
 }
 
 std::string
@@ -335,6 +484,10 @@ ScopedArchive::path(std::string_view name) const
 void
 OutArchive::begin(std::string_view name, FieldType type)
 {
+    if (_layout == Layout::Payloads) {
+        _buf.push_back(static_cast<char>(type));
+        return;
+    }
     const std::string_view scope = prefix();
     const std::size_t len = scope.size() + name.size();
     if (len > 0xFFFF)
@@ -497,6 +650,12 @@ Record
 InArchive::expect(std::string_view name, FieldType type)
 {
     Record rec;
+    if (_layout == Layout::Payloads) {
+        if (!_reader.nextPayload(rec, type, prefix(), name))
+            fatal("snapshot stream ended while expecting field '",
+                  path(name), "'");
+        return rec;
+    }
     if (!_reader.next(rec))
         fatal("snapshot stream ended while expecting field '",
               path(name), "'");

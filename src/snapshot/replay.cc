@@ -78,9 +78,14 @@ DiffResult
 diffSections(const std::string &where, const std::string &a,
              const std::string &b)
 {
+    return diffRecords(where, RecordReader(a), RecordReader(b));
+}
+
+DiffResult
+diffRecords(const std::string &where, RecordReader reader_a,
+            RecordReader reader_b)
+{
     DiffResult d;
-    RecordReader reader_a(a);
-    RecordReader reader_b(b);
     Record ra;
     Record rb;
     while (true) {
@@ -161,8 +166,8 @@ diffSnapshots(const Snapshot &a, const Snapshot &b)
             d.detail = "'" + sa.name + "' vs '" + sb.name + "'";
             return d;
         }
-        const DiffResult sec = diffSections(sa.name, sa.data,
-                                            sb.data);
+        const DiffResult sec =
+            diffRecords(sa.name, a.records(sa), b.records(sb));
         if (sec.diverged)
             return sec;
     }

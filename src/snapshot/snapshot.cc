@@ -75,6 +75,20 @@ Snapshot::find(std::string_view name) const
     return nullptr;
 }
 
+bool
+Snapshot::tabled(const Section &sec) const
+{
+    return version >= 2 && sec.name != "config" && sec.name != "system";
+}
+
+RecordReader
+Snapshot::records(const Section &sec) const
+{
+    if (!tabled(sec))
+        return RecordReader(sec.data);
+    return RecordReader(sec.data, table, sec.name + ".");
+}
+
 std::string
 snapshotFileName(std::int64_t slot)
 {
@@ -87,10 +101,23 @@ snapshotFileName(std::int64_t slot)
 void
 writeSnapshot(const std::string &path, const Snapshot &snap)
 {
+    if (snap.version != 2)
+        fatal("cannot write ", path, ": this build writes ", kSchema,
+              " only, and the snapshot holds version ", snap.version,
+              " sections");
+    if (snap.find(kTableSection) != nullptr)
+        fatal("cannot write ", path, ": a section is named '",
+              kTableSection, "', which names the chain table");
     std::uint64_t config_hash = snap.configHash;
     if (const Section *cfg = snap.find("config"))
         config_hash = fnv1a(cfg->data);
-    const std::vector<std::uint64_t> hashes = sectionHashes(snap.sections);
+    // The table is the last section.
+    std::vector<std::string_view> parts;
+    parts.reserve(snap.sections.size() + 1);
+    for (const Section &s : snap.sections)
+        parts.emplace_back(s.data);
+    parts.emplace_back(snap.table.bytes());
+    const std::vector<std::uint64_t> hashes = fnv1aEach(parts);
 
     // Header JSON with per-section offsets (relative to header end).
     std::ostringstream header;
@@ -104,16 +131,17 @@ writeSnapshot(const std::string &path, const Snapshot &snap)
         w.key("chains").value(snap.chains);
         w.key("sections").beginArray();
         std::uint64_t offset = 0;
-        for (std::size_t i = 0; i < snap.sections.size(); ++i) {
-            const Section &s = snap.sections[i];
+        for (std::size_t i = 0; i < parts.size(); ++i) {
             w.beginObject();
-            w.key("name").value(s.name);
+            w.key("name").value(i < snap.sections.size()
+                                    ? snap.sections[i].name
+                                    : std::string(kTableSection));
             w.key("offset").value(offset);
             w.key("size").value(
-                static_cast<std::uint64_t>(s.data.size()));
+                static_cast<std::uint64_t>(parts[i].size()));
             w.key("hash").value(toHex64(hashes[i]));
             w.endObject();
-            offset += s.data.size();
+            offset += parts[i].size();
         }
         w.endArray();
         w.endObject();
@@ -142,9 +170,9 @@ writeSnapshot(const std::string &path, const Snapshot &snap)
                   tmp.string());
         os.write(blob.data(),
                  static_cast<std::streamsize>(blob.size()));
-        for (const Section &s : snap.sections)
-            os.write(s.data.data(),
-                     static_cast<std::streamsize>(s.data.size()));
+        for (const std::string_view part : parts)
+            os.write(part.data(),
+                     static_cast<std::streamsize>(part.size()));
         os.flush();
         if (!os)
             fatal("write failed for snapshot file: ", tmp.string());
@@ -208,11 +236,13 @@ readSnapshot(const std::string &path)
         }
     }();
     const std::string &schema = member(doc, "schema").asString();
-    if (schema != kSchema)
+    if (schema != kSchema && schema != kSchemaV1)
         fatal("snapshot file ", path, " has schema '", schema,
-              "', this build reads '", kSchema, "'");
+              "', this build reads '", kSchema, "' and '", kSchemaV1,
+              "'");
 
     Snapshot snap;
+    snap.version = schema == kSchema ? 2 : 1;
     snap.slot =
         static_cast<std::int64_t>(member(doc, "slot").asU64());
     snap.configHash =
@@ -251,6 +281,21 @@ readSnapshot(const std::string &path)
             fatal("snapshot file ", path,
                   " config_hash does not match its config section "
                   "— header/config mismatch");
+    }
+
+    if (snap.version >= 2) {
+        const auto table = std::find_if(
+            snap.sections.begin(), snap.sections.end(),
+            [](const Section &s) { return s.name == kTableSection; });
+        if (table == snap.sections.end())
+            fatal("snapshot file ", path, " (", kSchema,
+                  ") has no '", kTableSection, "' section");
+        try {
+            snap.table = FieldTable::decode(table->data);
+        } catch (const FatalError &err) {
+            fatal("snapshot file ", path, ": ", err.what());
+        }
+        snap.sections.erase(table);
     }
     return snap;
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * The neofog-snapshot-v1 checkpoint container.
+ * The neofog-snapshot-v2 checkpoint container (which also reads
+ * neofog-snapshot-v1 files).
  *
  * On-disk layout (all integers little-endian):
  *
@@ -12,7 +13,7 @@
  *
  * The JSON header is self-describing:
  *
- *     {"schema": "neofog-snapshot-v1", "slot": S,
+ *     {"schema": "neofog-snapshot-v2", "slot": S,
  *      "config_hash": "<16 hex>", "seed": N, "chains": C,
  *      "sections": [{"name": "config", "offset": 0, "size": N,
  *                    "hash": "<16 hex>"}, ...]}
@@ -24,6 +25,15 @@
  * endianness, schema tag, section bounds, and every checksum before
  * returning — a corrupt or truncated file is rejected with a
  * FatalError and never yields a partial snapshot.
+ *
+ * The "config" and "system" sections hold path records (see
+ * archive.hh).  In a v2 file every "chain<i>" section holds payload
+ * records, and the last section, "table", holds the FieldTable that
+ * names them: the (path relative to "chain<i>.", type) list all chain
+ * sections of a system share.  readSnapshot() decodes the table into
+ * Snapshot::table.  A v1 file has no table; its chain sections hold
+ * path records, which the loader checks as it always did.  Only v2 is
+ * written.
  *
  * Files are written atomically (temp file + rename) so a crash during
  * a checkpoint leaves at most a stale "<name>.tmp", never a torn
@@ -39,10 +49,18 @@
 #include <string_view>
 #include <vector>
 
+#include "snapshot/archive.hh"
+
 namespace neofog::snapshot {
 
-/** Schema tag of the snapshot container format. */
-inline constexpr const char *kSchema = "neofog-snapshot-v1";
+/** Schema tag of the snapshot container this build writes. */
+inline constexpr const char *kSchema = "neofog-snapshot-v2";
+
+/** Schema tag of the older container this build still reads. */
+inline constexpr const char *kSchemaV1 = "neofog-snapshot-v1";
+
+/** Name of a v2 file's chain-table section. */
+inline constexpr const char *kTableSection = "table";
 
 /** File magic (8 bytes at offset 0). */
 inline constexpr const char *kMagic = "NFSNAP01";
@@ -64,26 +82,50 @@ struct Snapshot
     std::uint64_t configHash = 0; ///< FNV-1a of the config section
     std::uint64_t seed = 0;       ///< scenario seed (convenience copy)
     std::uint64_t chains = 0;     ///< chain count (shard sections)
+    /**
+     * Container version: 2 for every snapshot this build writes, 1 for
+     * a neofog-snapshot-v1 file read back.
+     */
+    int version = 2;
+    /** Names the payload records of every chain section (v2 only). */
+    FieldTable table;
+    /** config, system and the chain sections; never the table. */
     std::vector<Section> sections;
 
     /** Section by name; nullptr when absent. */
     const Section *find(std::string_view name) const;
+
+    /**
+     * Whether @p sec holds payload records named by the table: a chain
+     * section of a v2 snapshot.
+     */
+    bool tabled(const Section &sec) const;
+
+    /**
+     * The record walker of @p sec, one of this snapshot's sections:
+     * (path, type, payload) for both versions, a tabled section's
+     * paths named "<section>." + its table entry.  The snapshot must
+     * outlive the walker.
+     */
+    RecordReader records(const Section &sec) const;
 };
 
 /** Canonical file name for a slot: "snap-0000000042.nfsnap". */
 std::string snapshotFileName(std::int64_t slot);
 
 /**
- * Serialize and atomically write @p snap to @p path, creating parent
- * directories as needed.  configHash is recomputed from the "config"
- * section when one is present.
+ * Serialize and atomically write @p snap to @p path as a v2 file (its
+ * sections, then its table), creating parent directories as needed.
+ * configHash is recomputed from the "config" section when one is
+ * present.  Fatal for a v1 snapshot: v1 files are read, never written.
  */
 void writeSnapshot(const std::string &path, const Snapshot &snap);
 
 /**
- * Read and fully validate a snapshot file.  Throws FatalError on any
- * corruption: bad magic, foreign endianness, truncation, schema
- * mismatch, out-of-range sections, or checksum failures.
+ * Read and fully validate a v1 or v2 snapshot file.  Throws FatalError
+ * on any corruption: bad magic, foreign endianness, truncation, an
+ * unknown schema, out-of-range sections, checksum failures, or a v2
+ * file whose table is missing or does not decode.
  */
 Snapshot readSnapshot(const std::string &path);
 

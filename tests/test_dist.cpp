@@ -17,9 +17,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/coordinator.hh"
@@ -33,6 +36,7 @@
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
 #include "snapshot/archive.hh"
+#include "snapshot/replay.hh"
 
 namespace neofog {
 namespace {
@@ -200,6 +204,105 @@ TEST(Wire, MessageCodecRejectsTrailingBytes)
     expectFatalContaining(
         [&] { dist::decodeMsg<dist::AssignMsg>(blob + blob); },
         "trailing");
+}
+
+/**
+ * One frame of every message type, in MsgType order, built from fixed
+ * values.  The SHARD frame carries the report shard of a real chain
+ * (distScenario's chain 0 over its whole horizon).
+ */
+std::string
+pinnedFrames()
+{
+    dist::HelloMsg hello;
+    hello.worker = 1;
+    hello.fingerprint = 0x0123456789ABCDEFULL;
+    dist::AssignMsg assign;
+    assign.chainLo = 2;
+    assign.chainHi = 5;
+    assign.resume = true;
+    assign.snapshotDir = "snapshots/worker1";
+    dist::AssignOkMsg assign_ok;
+    assign_ok.startSlot = 40;
+    dist::StepMsg step;
+    step.target = 80;
+    dist::StepOkMsg step_ok;
+    step_ok.slot = 80;
+    step_ok.rotationDigest = 0xFEDCBA9876543210ULL;
+    dist::SnapshotMsg snap;
+    snap.slot = 80;
+
+    ScenarioConfig cfg = distScenario();
+    cfg.chains = 1;
+    FogSystem sys(cfg);
+    sys.run();
+    dist::ShardMsg shard;
+    shard.chain = 0;
+    shard.blob = sys.shardBlob(0);
+
+    std::string out;
+    out += dist::encodeFrame(MsgType::Hello, dist::encodeMsg(hello));
+    out += dist::encodeFrame(MsgType::Assign, dist::encodeMsg(assign));
+    out += dist::encodeFrame(MsgType::AssignOk,
+                             dist::encodeMsg(assign_ok));
+    out += dist::encodeFrame(MsgType::Step, dist::encodeMsg(step));
+    out += dist::encodeFrame(MsgType::StepOk, dist::encodeMsg(step_ok));
+    out += dist::encodeFrame(MsgType::Snapshot, dist::encodeMsg(snap));
+    out += dist::encodeFrame(MsgType::SnapshotOk, dist::encodeMsg(snap));
+    out += dist::encodeFrame(MsgType::ShardRequest, {});
+    out += dist::encodeFrame(MsgType::Shard, dist::encodeMsg(shard));
+    out += dist::encodeFrame(MsgType::Shutdown, {});
+    out += dist::encodeFrame(MsgType::Bye, {});
+    return out;
+}
+
+/** The frames of @p bytes, decoded back to back. */
+std::vector<Frame>
+splitFrames(std::string_view bytes)
+{
+    std::vector<Frame> frames;
+    while (!bytes.empty()) {
+        std::size_t consumed = 0;
+        frames.push_back(dist::decodeFrame(bytes, consumed));
+        bytes.remove_prefix(consumed);
+    }
+    return frames;
+}
+
+// neofog-wire-v1 bytes are a compatibility contract between a
+// coordinator and its workers: golden/wire-v1.frames holds one frame
+// of each message type, and the encoder must reproduce them byte for
+// byte.  A change that means to move them copies the frames this test
+// writes next to the build's temporary files over the committed file
+// and names it in CHANGES.md.
+TEST(Wire, FramesArePinned)
+{
+    const std::string built = pinnedFrames();
+    const std::string pinned_path =
+        std::string(NEOFOG_GOLDEN_DIR) + "/wire-v1.frames";
+    std::ifstream is(pinned_path, std::ios::binary);
+    const std::string pinned{std::istreambuf_iterator<char>(is),
+                             std::istreambuf_iterator<char>()};
+    if (built == pinned)
+        return;
+
+    const fs::path got = fs::temp_directory_path() / "wire-v1.frames";
+    std::ofstream(got, std::ios::binary)
+        .write(built.data(), static_cast<std::streamsize>(built.size()));
+    ASSERT_TRUE(static_cast<bool>(is)) << "cannot read " << pinned_path;
+    const std::vector<Frame> want = splitFrames(pinned);
+    const std::vector<Frame> have = splitFrames(built);
+    ASSERT_EQ(have.size(), want.size()) << "frames written to " << got;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(have[i].type, want[i].type) << "frame " << i;
+        const snapshot::DiffResult diff = snapshot::diffSections(
+            dist::msgTypeName(want[i].type), want[i].payload,
+            have[i].payload);
+        EXPECT_FALSE(diff.diverged)
+            << diff.where << " " << diff.path << ": " << diff.detail;
+    }
+    FAIL() << "wire frames differ from " << pinned_path
+           << "; this build's frames are in " << got;
 }
 
 TEST(Wire, CheckHelloRejectsEveryMismatch)

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "node/node_state.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
+#include "sim/report_io.hh"
 #include "sim/rng.hh"
 #include "snapshot/archive.hh"
 #include "snapshot/replay.hh"
@@ -442,6 +444,225 @@ TEST(Archive, EncoderBytesArePinned)
     EXPECT_EQ(again.take(), blob);
 }
 
+TEST(Archive, PayloadEncoderBytesArePinned)
+{
+    // A neofog-snapshot-v2 chain section holds payload records, named
+    // by the file's table of paths relative to the chain.  Both byte
+    // strings are a compatibility contract like the path records above.
+    AllTypes all;
+    OutArchive out(snapshot::Layout::Payloads);
+    out.pushScope("chain0");
+    out.io("node1", all);
+    out.popScope();
+    const std::string blob = out.take();
+    EXPECT_EQ(blob.size(), 216u);
+    EXPECT_EQ(snapshot::fnv1a(blob), 0xb8fb2340b7ab9b2bULL);
+    // The first record, spelled out: type tag, payload.
+    EXPECT_EQ(blob.substr(0, 2), std::string("\x01\x01", 2));
+
+    OutArchive relative;
+    relative.io("node1", all);
+    const snapshot::FieldTable table =
+        snapshot::FieldTable::of(relative.data());
+    ASSERT_EQ(table.size(), 18u);
+    EXPECT_EQ(table.bytes().size(), 253u);
+    EXPECT_EQ(snapshot::fnv1a(table.bytes()), 0x623e7f08ad3814e3ULL);
+    // The entry count, then the first entry: u16 path length, path,
+    // type tag.
+    EXPECT_EQ(table.bytes().substr(0, 17),
+              std::string("\x12\x00\x00\x00"
+                          "\x0a\x00"
+                          "node1.flag\x01",
+                          17));
+    EXPECT_TRUE(snapshot::FieldTable::decode(table.bytes()) == table);
+
+    // The walker names each payload record from the table: the same
+    // (path, type, payload) records as the path stream of the chain.
+    OutArchive paths;
+    paths.pushScope("chain0");
+    paths.io("node1", all);
+    const std::string path_blob = paths.take();
+    RecordReader tabled(blob, table, "chain0.");
+    RecordReader pathed(path_blob);
+    Record a;
+    Record b;
+    std::size_t records = 0;
+    while (pathed.next(b)) {
+        ASSERT_TRUE(tabled.next(a)) << b.path;
+        EXPECT_EQ(a.path, b.path);
+        EXPECT_EQ(a.type, b.type) << b.path;
+        EXPECT_EQ(a.payload, b.payload) << b.path;
+        ++records;
+    }
+    EXPECT_FALSE(tabled.next(a));
+    EXPECT_EQ(records, table.size());
+
+    AllTypes back;
+    back.flag = false;
+    back.label.clear();
+    back.bits.clear();
+    back.points.clear();
+    InArchive in(blob, snapshot::Layout::Payloads);
+    in.pushScope("chain0");
+    in.io("node1", back);
+    in.popScope();
+    EXPECT_TRUE(in.atEnd());
+    OutArchive again(snapshot::Layout::Payloads);
+    again.pushScope("chain0");
+    again.io("node1", back);
+    EXPECT_EQ(again.take(), blob);
+}
+
+/** The FatalError @p fn raises ("" if none). */
+template <class Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/** The table bytes of @p entries, in order. */
+std::string
+tableBytes(const std::vector<std::pair<std::string, snapshot::FieldType>>
+               &entries)
+{
+    std::string bytes;
+    snapshot::appendLe32(bytes, static_cast<std::uint32_t>(entries.size()));
+    for (const auto &[path, type] : entries) {
+        snapshot::appendLe16(bytes, static_cast<std::uint16_t>(path.size()));
+        bytes += path;
+        bytes.push_back(static_cast<char>(type));
+    }
+    return bytes;
+}
+
+// A table decodes completely or raises a FatalError naming the entry
+// it could not read.
+TEST(FieldTable, HostileBytesAreRefusedByEntry)
+{
+    using snapshot::FieldTable;
+    using snapshot::FieldType;
+    const std::string good = tableBytes({{"node1.flag", FieldType::Bool},
+                                         {"node1.i32", FieldType::I32},
+                                         {"node1.f64s", FieldType::VecF64}});
+    const FieldTable table = FieldTable::decode(good);
+    ASSERT_EQ(table.size(), 3u);
+    EXPECT_EQ(table.path(1), "node1.i32");
+    EXPECT_EQ(table.type(2), FieldType::VecF64);
+    const auto decodeError = [](const std::string &bytes) {
+        return errorOf([&] { FieldTable::decode(bytes); });
+    };
+
+    // Truncated anywhere: every strict prefix is refused.
+    for (std::size_t n = 0; n < good.size(); ++n)
+        EXPECT_NE(decodeError(good.substr(0, n)), "") << n << " bytes";
+    EXPECT_EQ(decodeError(good.substr(0, 3)),
+              "snapshot table is truncated (3 bytes, need at least 4 "
+              "for its entry count)");
+    EXPECT_EQ(decodeError(good.substr(0, 18)),
+              "snapshot table is truncated in entry 1 of 3");
+    EXPECT_EQ(decodeError(good.substr(0, 25)),
+              "snapshot table entry 1 has a path length of 9 past the "
+              "end of the table");
+
+    // A bad type tag names the entry's path.
+    const std::size_t tag1 = 4 + 13 + 2 + 9; // entry 1's type tag
+    for (const int tag : {0, 14}) {
+        std::string bad = good;
+        bad[tag1] = static_cast<char>(tag);
+        EXPECT_EQ(decodeError(bad), "snapshot table entry 1 'node1.i32' "
+                                    "has invalid type tag " +
+                                        std::to_string(tag));
+    }
+
+    // A path length or an entry count past the end.
+    std::string bad = good;
+    bad[4] = bad[5] = '\xff';
+    EXPECT_EQ(decodeError(bad), "snapshot table entry 0 has a path "
+                                "length of 65535 past the end of the "
+                                "table");
+    bad = good;
+    bad[0] = bad[1] = bad[2] = bad[3] = '\xff';
+    EXPECT_EQ(decodeError(bad), "snapshot table claims 4294967295 "
+                                "entries past the end of its 42 bytes");
+    bad = good;
+    bad[0] = 4;
+    EXPECT_EQ(decodeError(bad),
+              "snapshot table is truncated in entry 3 of 4");
+    bad[0] = 2;
+    EXPECT_EQ(decodeError(bad),
+              "snapshot table has 13 bytes past its last entry");
+
+    // A walker stops at the table's end: a record past it is refused.
+    const std::string two_flags("\x01\x01\x01\x00", 4);
+    const FieldTable one =
+        FieldTable::decode(tableBytes({{"flag", FieldType::Bool}}));
+    RecordReader walker(two_flags, one, "chain0.");
+    Record rec;
+    ASSERT_TRUE(walker.next(rec));
+    EXPECT_EQ(rec.path, "chain0.flag");
+    EXPECT_EQ(errorOf([&] { walker.next(rec); }),
+              "snapshot section 'chain0' has a record past its table's "
+              "last field 'chain0.flag'");
+    const FieldTable none;
+    RecordReader bare(two_flags, none, "chain0.");
+    EXPECT_EQ(errorOf([&] { bare.next(rec); }),
+              "snapshot section 'chain0' has records, but its table "
+              "lists no field");
+}
+
+// The loader checks a file's table once against the fields it walks,
+// and names the first entry that differs.
+TEST(FieldTable, CheckNamesTheFirstEntryThatDiffers)
+{
+    using snapshot::FieldTable;
+    using snapshot::FieldType;
+    const std::vector<std::pair<std::string, FieldType>> fields = {
+        {"rng.s0", FieldType::U64},
+        {"alive_last_slot", FieldType::VecBool},
+        {"node0.cap.stored", FieldType::F64}};
+    const FieldTable loader = FieldTable::decode(tableBytes(fields));
+    const auto checkError = [&](std::vector<std::pair<std::string,
+                                                      FieldType>> file) {
+        return errorOf([&] {
+            snapshot::checkTable(FieldTable::decode(tableBytes(file)),
+                                 loader, "snapshot F table");
+        });
+    };
+    EXPECT_EQ(checkError(fields), "");
+
+    auto renamed = fields;
+    renamed[1].first = "alive_this_slot";
+    EXPECT_EQ(checkError(renamed),
+              "snapshot F table lists 'alive_this_slot' (vec<bool>) as "
+              "field 1 where the loader expects 'alive_last_slot' "
+              "(vec<bool>) (format/version skew?)");
+    auto retyped = fields;
+    retyped[2].second = FieldType::U64;
+    EXPECT_EQ(checkError(retyped),
+              "snapshot F table lists 'node0.cap.stored' (u64) as field "
+              "2 where the loader expects 'node0.cap.stored' (f64) "
+              "(format/version skew?)");
+    auto shorter = fields;
+    shorter.pop_back();
+    EXPECT_EQ(checkError(shorter),
+              "snapshot F table ends after 2 fields where the loader "
+              "expects 'node0.cap.stored' (f64)");
+    auto longer = fields;
+    longer.emplace_back("node0.cap.leaked_total", FieldType::F64);
+    EXPECT_EQ(checkError(longer),
+              "snapshot F table lists 'node0.cap.leaked_total' (f64) "
+              "past the 3 fields the loader expects");
+    EXPECT_EQ(checkError({}),
+              "snapshot F table ends after 0 fields where the loader "
+              "expects 'rng.s0' (u64)");
+}
+
 TEST(Archive, RngStreamPositionRoundTrips)
 {
     Rng rng(1234);
@@ -715,7 +936,7 @@ chainSectionSchema(ScenarioConfig cfg, const std::string &tag)
     std::vector<std::pair<std::string, std::string>> out;
     if (sec == nullptr)
         return out;
-    RecordReader reader(sec->data);
+    RecordReader reader = snap.records(*sec);
     Record rec;
     while (reader.next(rec))
         out.emplace_back(std::string(rec.path),
@@ -923,6 +1144,10 @@ TEST(NodeStateLoad, RejectsQueueDepthMismatch)
 // Container format
 // ---------------------------------------------------------------------
 
+/**
+ * A container-level snapshot: its sections' bytes are opaque to the
+ * container, which decodes only the table.
+ */
 Snapshot
 sampleSnapshot()
 {
@@ -933,7 +1158,145 @@ sampleSnapshot()
     snap.sections.push_back({"config", "fingerprint-bytes"});
     snap.sections.push_back({"chain0", "alpha"});
     snap.sections.push_back({"chain1", "beta"});
+    OutArchive fields;
+    std::int64_t ticks = 5;
+    fields.io("ticks", ticks);
+    snap.table = snapshot::FieldTable::of(fields.data());
     return snap;
+}
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/**
+ * Write @p sections under schema @p schema in the container layout
+ * both versions share (see snapshot.hh), checksums included, without
+ * validating them: what an older build wrote, or a hostile file.
+ */
+void
+writeContainer(const std::string &path, const std::string &schema,
+               const Snapshot &snap,
+               const std::vector<snapshot::Section> &sections)
+{
+    std::ostringstream header;
+    {
+        report_io::JsonWriter w(header);
+        w.beginObject();
+        w.key("schema").value(schema);
+        w.key("slot").value(static_cast<std::uint64_t>(snap.slot));
+        const snapshot::Section *cfg = snap.find("config");
+        w.key("config_hash")
+            .value(hex64(cfg ? snapshot::fnv1a(cfg->data)
+                             : snap.configHash));
+        w.key("seed").value(snap.seed);
+        w.key("chains").value(snap.chains);
+        w.key("sections").beginArray();
+        std::uint64_t offset = 0;
+        for (const snapshot::Section &sec : sections) {
+            w.beginObject();
+            w.key("name").value(sec.name);
+            w.key("offset").value(offset);
+            w.key("size").value(
+                static_cast<std::uint64_t>(sec.data.size()));
+            w.key("hash").value(hex64(snapshot::fnv1a(sec.data)));
+            w.endObject();
+            offset += sec.data.size();
+        }
+        w.endArray();
+        w.endObject();
+    }
+    std::string bytes(snapshot::kMagic, 8);
+    snapshot::appendLe32(bytes, snapshot::kEndianMarker);
+    snapshot::appendLe32(bytes,
+                         static_cast<std::uint32_t>(header.str().size()));
+    bytes += header.str();
+    for (const snapshot::Section &sec : sections)
+        bytes += sec.data;
+    spit(path, bytes);
+}
+
+/**
+ * Write @p v1 (path-record chain sections, see asV1) as the
+ * neofog-snapshot-v1 file an older build wrote; this build writes v2
+ * only.
+ */
+void
+writeV1(const std::string &path, const Snapshot &v1)
+{
+    writeContainer(path, snapshot::kSchemaV1, v1, v1.sections);
+}
+
+/** @p rec as a path record under @p path. */
+void
+appendPathRecord(std::string &out, std::string_view path,
+                 const Record &rec)
+{
+    snapshot::appendLe16(out, static_cast<std::uint16_t>(path.size()));
+    out.append(path);
+    out.push_back(static_cast<char>(rec.type));
+    out.append(rec.payload);
+}
+
+/** @p snap with every chain section re-encoded as path records. */
+Snapshot
+asV1(const Snapshot &snap)
+{
+    Snapshot v1 = snap;
+    v1.version = 1;
+    v1.table = {};
+    for (std::size_t i = 0; i < snap.sections.size(); ++i) {
+        if (!snap.tabled(snap.sections[i]))
+            continue;
+        std::string records;
+        RecordReader reader = snap.records(snap.sections[i]);
+        Record rec;
+        while (reader.next(rec))
+            appendPathRecord(records, rec.path, rec);
+        v1.sections[i].data = std::move(records);
+    }
+    return v1;
+}
+
+/**
+ * @p v1 re-encoded as a v2 snapshot: each chain section's records as
+ * payload records, named by one table of paths relative to the
+ * chain, which every chain section must share.
+ */
+Snapshot
+asV2(const Snapshot &v1)
+{
+    Snapshot v2 = v1;
+    v2.version = 2;
+    bool first = true;
+    for (snapshot::Section &sec : v2.sections) {
+        if (!v2.tabled(sec))
+            continue;
+        const std::string scope = sec.name + ".";
+        std::string relative;
+        std::string payloads;
+        RecordReader reader(sec.data);
+        Record rec;
+        while (reader.next(rec)) {
+            EXPECT_TRUE(rec.path.starts_with(scope)) << rec.path;
+            appendPathRecord(relative, rec.path.substr(scope.size()), rec);
+            payloads.push_back(static_cast<char>(rec.type));
+            payloads.append(rec.payload);
+        }
+        const snapshot::FieldTable table =
+            snapshot::FieldTable::of(relative);
+        if (first)
+            v2.table = table;
+        EXPECT_TRUE(table == v2.table) << sec.name << " walks other fields";
+        first = false;
+        sec.data = std::move(payloads);
+    }
+    return v2;
 }
 
 TEST(SnapshotFile, WriteReadRoundTrip)
@@ -943,17 +1306,28 @@ TEST(SnapshotFile, WriteReadRoundTrip)
         dir.file(snapshot::snapshotFileName(42));
     EXPECT_EQ(path.substr(path.size() - 22), "snap-0000000042.nfsnap");
 
-    snapshot::writeSnapshot(path, sampleSnapshot());
-    // The container bytes (header JSON, section table, payloads) are
-    // pinned like the record bytes in Archive.EncoderBytesArePinned.
+    const Snapshot snap = sampleSnapshot();
+    snapshot::writeSnapshot(path, snap);
+    // The container bytes (header JSON, section table, payloads, the
+    // chain table last) are pinned like the record bytes in
+    // Archive.EncoderBytesArePinned.
     const std::string file = slurp(path);
-    EXPECT_EQ(file.size(), 344u);
-    EXPECT_EQ(snapshot::fnv1a(file), 0x8f52f88ce26fceaaULL);
+    EXPECT_EQ(file.size(), 421u);
+    EXPECT_EQ(snapshot::fnv1a(file), 0x799997f8f5e10653ULL);
+    EXPECT_NE(file.find("\"schema\":\"neofog-snapshot-v2\""),
+              std::string::npos);
+    EXPECT_EQ(file.substr(file.size() - snap.table.bytes().size()),
+              snap.table.bytes());
     const Snapshot back = snapshot::readSnapshot(path);
 
     EXPECT_EQ(back.slot, 42);
     EXPECT_EQ(back.seed, 7u);
     EXPECT_EQ(back.chains, 2u);
+    EXPECT_EQ(back.version, 2);
+    EXPECT_TRUE(back.table == snap.table);
+    ASSERT_EQ(back.table.size(), 1u);
+    EXPECT_EQ(back.table.path(0), "ticks");
+    // The table is no section of the snapshot.
     ASSERT_EQ(back.sections.size(), 3u);
     EXPECT_EQ(back.sections[1].name, "chain0");
     EXPECT_EQ(back.sections[1].data, "alpha");
@@ -1296,16 +1670,18 @@ TEST(Replay, ReportsFirstDivergingField)
 
 TEST(Replay, HeaderAndSectionDivergence)
 {
-    // Sections must hold real record streams for a full-snapshot diff.
+    // Sections must hold real record streams for a full-snapshot diff:
+    // a v1 snapshot, whose chain section holds path records.
     const auto makeSnapshot = [](std::uint32_t count) {
         Outer payload;
         payload.count = count;
         OutArchive out;
-        out.io("outer", payload);
+        out.io("chain0", payload);
         Snapshot snap;
         snap.slot = 42;
         snap.seed = 7;
         snap.chains = 1;
+        snap.version = 1;
         snap.sections.push_back({"chain0", out.take()});
         return snap;
     };
@@ -1323,7 +1699,20 @@ TEST(Replay, HeaderAndSectionDivergence)
     DiffResult body = snapshot::diffSnapshots(a, b);
     EXPECT_TRUE(body.diverged);
     EXPECT_EQ(body.where, "chain0");
-    EXPECT_EQ(body.path, "outer.count");
+    EXPECT_EQ(body.path, "chain0.count");
+
+    // The walker names a v2 section's records from the table, so v1
+    // and v2 snapshots of one state diff as identical, and either
+    // against the other names the same field.
+    EXPECT_FALSE(snapshot::diffSnapshots(a, asV2(a)).diverged);
+    EXPECT_FALSE(snapshot::diffSnapshots(asV2(a), asV2(a)).diverged);
+    for (const auto &[x, y] : {std::pair{a, asV2(b)}, {asV2(a), b},
+                               {asV2(a), asV2(b)}}) {
+        body = snapshot::diffSnapshots(x, y);
+        EXPECT_TRUE(body.diverged);
+        EXPECT_EQ(body.where, "chain0");
+        EXPECT_EQ(body.path, "chain0.count");
+    }
 
     b = makeSnapshot(3);
     b.sections.pop_back();
@@ -1466,27 +1855,65 @@ replaceRecord(std::string &blob, std::string_view path,
 }
 
 /**
- * Write @p pristine with @p edit applied to section @p name into
- * @p dir, resume from it, and return the FatalError's message ("" if
- * the resume succeeds).
+ * Resume from @p path and return the FatalError's message, with the
+ * path spelled "<file>" ("" if the resume succeeds).
+ */
+std::string
+resumeError(const std::string &path)
+{
+    try {
+        FogSystem::resume(path);
+    } catch (const FatalError &err) {
+        std::string what = err.what();
+        for (std::size_t at; (at = what.find(path)) != std::string::npos;)
+            what.replace(at, path.size(), "<file>");
+        return what;
+    }
+    return "";
+}
+
+/**
+ * Apply @p edit to section @p name of @p pristine with its chain
+ * sections as path records (asV1), write the result both as the v2
+ * file this build writes and as the v1 file an older build wrote, and
+ * resume from each.  Returns the v2 resume's resumeError(); the v1
+ * resume must fail (or succeed) with the same message.
  */
 template <class Edit>
 std::string
 resumeErrorAfterEdit(const Snapshot &pristine, const std::string &name,
                      const ScratchDir &dir, Edit edit)
 {
-    Snapshot edited = pristine;
+    Snapshot edited = asV1(pristine);
     for (snapshot::Section &section : edited.sections)
         if (section.name == name)
             edit(section.data);
-    const std::string path = dir.file("edited.nfsnap");
-    snapshot::writeSnapshot(path, edited);
-    try {
-        FogSystem::resume(path);
-    } catch (const FatalError &err) {
-        return err.what();
+    const std::string v2 = dir.file("edited.nfsnap");
+    snapshot::writeSnapshot(v2, asV2(edited));
+    const std::string v1 = dir.file("edited-v1.nfsnap");
+    writeV1(v1, edited);
+    const std::string err = resumeError(v2);
+    EXPECT_EQ(resumeError(v1), err) << "v1 and v2 files load apart";
+    return err;
+}
+
+/** The payload of record @p path in section @p name of @p snap. */
+std::string_view
+recordPayload(const Snapshot &snap, const std::string &name,
+              std::string_view path)
+{
+    const snapshot::Section *sec = snap.find(name);
+    if (sec == nullptr) {
+        ADD_FAILURE() << "no section " << name;
+        return {};
     }
-    return "";
+    RecordReader reader = snap.records(*sec);
+    Record rec;
+    while (reader.next(rec))
+        if (rec.path == path)
+            return rec.payload;
+    ADD_FAILURE() << "no record " << path;
+    return {};
 }
 
 // The node template's clock builds every processor of the run.  A
@@ -1539,6 +1966,25 @@ flagSetASnapshot(const ScratchDir &dir)
     return slot40Snapshot(flagSetA(), dir);
 }
 
+/**
+ * Write @p older (chain sections as path records) as a v1 file and as
+ * a v2 file, and resume each at slot 40 onto @p uninterrupted.
+ */
+void
+expectResumesOnto(const Snapshot &older, const ScratchDir &dir,
+                  const SystemReport &uninterrupted)
+{
+    const std::string v1 = dir.file("older-v1.nfsnap");
+    writeV1(v1, older);
+    const std::string v2 = dir.file("older.nfsnap");
+    snapshot::writeSnapshot(v2, asV2(older));
+    for (const std::string &path : {v1, v2}) {
+        const auto resumed = FogSystem::resume(path);
+        EXPECT_EQ(resumed->resumeSlot(), 40) << path;
+        EXPECT_EQ(resumed->run(), uninterrupted) << path;
+    }
+}
+
 /** Replace each record of @p blob that @p records holds a new one of. */
 void
 replaceRecords(std::string &blob, const std::string &records)
@@ -1572,20 +2018,16 @@ TEST(Resume, FilesWithNodeHistoryAndStreamsResume)
     ar.io("rng", forked);
     const std::string records = ar.take();
 
-    Snapshot older = pristine;
+    Snapshot older = asV1(pristine);
     for (snapshot::Section &section : older.sections) {
         if (section.name != "chain0")
             continue;
         replaceRecords(section.data, records);
         EXPECT_EQ(section.data.size(),
-                  pristine.find("chain0")->data.size() +
+                  asV1(pristine).find("chain0")->data.size() +
                       14 * sizeof(TimeSeries::Point));
     }
-    const std::string path = dir.file("older.nfsnap");
-    snapshot::writeSnapshot(path, older);
-    const auto resumed = FogSystem::resume(path);
-    EXPECT_EQ(resumed->resumeSlot(), 40);
-    EXPECT_EQ(resumed->run(), uninterrupted);
+    expectResumesOnto(older, dir, uninterrupted);
 }
 
 // Older builds archived probe rings in the chain sections and the
@@ -1613,18 +2055,14 @@ TEST(Resume, ProbeRecordsAreDiscarded)
     ar.io("pushed", pushed);
     const std::string records = ar.take();
 
-    Snapshot older = pristine;
+    Snapshot older = asV1(pristine);
     for (snapshot::Section &section : older.sections) {
         if (section.name == "config")
             section.data[payloadOffset(section.data, "probes.enabled")] = 1;
         if (section.name == "chain0")
             replaceRecords(section.data, records);
     }
-    const std::string path = dir.file("older.nfsnap");
-    snapshot::writeSnapshot(path, older);
-    const auto resumed = FogSystem::resume(path);
-    EXPECT_EQ(resumed->resumeSlot(), 40);
-    EXPECT_EQ(resumed->run(), uninterrupted);
+    expectResumesOnto(older, dir, uninterrupted);
 }
 
 /** Whether @p a and @p b hold the same points, bit for bit. */
@@ -1787,7 +2225,7 @@ TEST(SnapshotSchema, NodeRecordsDoNotGrowWithTheHorizon)
         ASSERT_NE(sec, nullptr);
         bytes[slot == 280] = sec->data.size();
         std::size_t checked = 0;
-        RecordReader reader(sec->data);
+        RecordReader reader = snap.records(*sec);
         while (reader.next(rec)) {
             const std::string path(rec.path);
             if (path.rfind("chain0.node", 0) != 0)
@@ -1957,6 +2395,176 @@ TEST(Resume, RefusesBufferPackagesPastInt)
     }
 }
 
+/**
+ * Where record @p path of section @p name of @p snap starts and ends,
+ * its header (type tag, or path record header) included.
+ */
+std::pair<std::size_t, std::size_t>
+recordSpan(const Snapshot &snap, const std::string &name,
+           std::string_view path)
+{
+    RecordReader reader = snap.records(*snap.find(name));
+    Record rec;
+    std::size_t start = 0;
+    while (reader.next(rec)) {
+        if (rec.path == path)
+            return {start, reader.position()};
+        start = reader.position();
+    }
+    ADD_FAILURE() << "no record " << path;
+    return {0, 0};
+}
+
+// A v2 file's table and chain sections are untrusted bytes: every way
+// they can disagree with the loader is a FatalError that names the
+// field, from a resume and from the record walker (neofog_replay's).
+TEST(Resume, RefusesHostileV2Files)
+{
+    const ScratchDir dir("resume_hostile_v2");
+    const Snapshot pristine = flagSetASnapshot(dir);
+    ASSERT_EQ(pristine.version, 2);
+    const std::string path = dir.file("hostile.nfsnap");
+
+    // The table, written as the file's last section.
+    const auto table_error = [&](const std::string &table) {
+        std::vector<snapshot::Section> sections = pristine.sections;
+        sections.push_back({snapshot::kTableSection, table});
+        writeContainer(path, snapshot::kSchema, pristine, sections);
+        return resumeError(path);
+    };
+    const std::string good = pristine.table.bytes();
+    ASSERT_EQ(pristine.table.path(0), "rng.s0");
+    EXPECT_EQ(table_error(good), "");
+    EXPECT_EQ(table_error(good.substr(0, 2)),
+              "snapshot file <file>: snapshot table is truncated (2 "
+              "bytes, need at least 4 for its entry count)");
+    EXPECT_EQ(table_error(good.substr(0, good.size() - 1)),
+              "snapshot file <file>: snapshot table entry 1891 has a "
+              "path length of 23 past the end of the table");
+    std::string bad = good;
+    bad[4 + 2 + 6] = 0; // rng.s0's type tag
+    EXPECT_EQ(table_error(bad), "snapshot file <file>: snapshot table "
+                                "entry 0 'rng.s0' has invalid type tag 0");
+    bad = good;
+    bad[4] = bad[5] = '\xff';
+    EXPECT_NE(table_error(bad).find("entry 0 has a path length of 65535"),
+              std::string::npos);
+    bad = good;
+    bad[0] = bad[1] = bad[2] = bad[3] = '\xff';
+    EXPECT_NE(table_error(bad).find("claims 4294967295 entries past the "
+                                    "end"),
+              std::string::npos);
+    bad = good;
+    bad[4 + 2 + 5] = '9';
+    EXPECT_EQ(table_error(bad),
+              "snapshot <file> table lists 'rng.s9' (u64) as field 0 "
+              "where the loader expects 'rng.s0' (u64) "
+              "(format/version skew?)");
+    EXPECT_EQ(table_error(tableBytes({})),
+              "snapshot <file> table ends after 0 fields where the "
+              "loader expects 'rng.s0' (u64)");
+    writeContainer(path, snapshot::kSchema, pristine, pristine.sections);
+    EXPECT_EQ(resumeError(path), "snapshot file <file> (neofog-snapshot-"
+                                 "v2) has no 'table' section");
+
+    // The chain sections: a resume and the walker name the same field.
+    const auto section_errors = [&](auto edit) {
+        Snapshot hostile = pristine;
+        for (snapshot::Section &section : hostile.sections)
+            if (section.name == "chain0")
+                edit(section.data);
+        snapshot::writeSnapshot(path, hostile);
+        const std::string walked = errorOf([&] {
+            snapshot::diffSnapshots(snapshot::readSnapshot(path),
+                                    pristine);
+        });
+        return std::pair{resumeError(path), walked};
+    };
+    const std::string last = "chain0.node29.stats.spent_wake";
+    const auto [last_start, last_end] = recordSpan(pristine, "chain0", last);
+    ASSERT_EQ(last_end, pristine.find("chain0")->data.size());
+
+    auto [resumed, walked] = section_errors(
+        [&](std::string &data) { data.resize(last_start); });
+    EXPECT_EQ(resumed,
+              "snapshot stream ended while expecting field '" + last + "'");
+    EXPECT_EQ(walked, resumed);
+
+    std::tie(resumed, walked) = section_errors([&](std::string &data) {
+        data += data.substr(last_start);
+    });
+    EXPECT_EQ(resumed, "snapshot <file> section 'chain0' has records past "
+                       "its table's last field '" + last + "'");
+    EXPECT_EQ(walked, "snapshot section 'chain0' has a record past its "
+                      "table's last field '" + last + "'");
+
+    std::tie(resumed, walked) = section_errors([&](std::string &data) {
+        data.resize(data.size() - 3);
+    });
+    EXPECT_NE(resumed.find("snapshot record '" + last + "' is truncated"),
+              std::string::npos)
+        << resumed;
+    EXPECT_EQ(walked, resumed);
+
+    // A type tag that disagrees with the table, or names no type.
+    for (const auto &[tag, message] :
+         {std::pair{snapshot::FieldType::F64,
+                    std::string("snapshot field 'chain0.rng.s0' has type "
+                                "f64, expected u64")},
+          {snapshot::FieldType{0},
+           std::string("snapshot record 'chain0.rng.s0' has invalid "
+                       "type tag 0")}}) {
+        std::tie(resumed, walked) = section_errors(
+            [&](std::string &data) { data[0] = static_cast<char>(tag); });
+        EXPECT_EQ(resumed, message);
+        EXPECT_EQ(walked, message);
+    }
+
+    // A vector count past the end of the section.
+    const auto [alive, alive_end] =
+        recordSpan(pristine, "chain0", "chain0.alive_last_slot");
+    ASSERT_LT(alive, alive_end);
+    std::tie(resumed, walked) = section_errors([&](std::string &data) {
+        std::string count;
+        snapshot::appendLe64(count, 1ULL << 40);
+        data.replace(alive + 1, count.size(), count);
+    });
+    EXPECT_EQ(resumed, "snapshot record 'chain0.alive_last_slot' claims "
+                       "1099511627776 elements past end of stream");
+    EXPECT_EQ(walked, resumed);
+}
+
+// The committed neofog-snapshot-v1 files of the golden corpus (its
+// `migrate` entries) hold the same records as the v2 files the lane
+// writes for the same runs: each converts into the other byte for byte.
+TEST(Migration, GoldenV1AndV2FilesHoldTheSameRecords)
+{
+    const ScratchDir dir("migration");
+    const std::string golden = NEOFOG_GOLDEN_DIR;
+    std::ifstream manifest(golden + "/manifest");
+    std::string kind;
+    std::string name;
+    std::size_t pairs = 0;
+    for (std::string line; std::getline(manifest, line);) {
+        std::istringstream is(line);
+        if (!(is >> kind >> name) || kind != "migrate")
+            continue;
+        SCOPED_TRACE(name);
+        const std::string base = golden + "/snapshot-" + name;
+        const Snapshot v1 = snapshot::readSnapshot(base + ".v1.nfsnap");
+        const Snapshot v2 = snapshot::readSnapshot(base + ".nfsnap");
+        EXPECT_EQ(v1.version, 1);
+        EXPECT_EQ(v2.version, 2);
+        EXPECT_FALSE(snapshot::diffSnapshots(v1, v2).diverged);
+        writeV1(dir.file("v1.nfsnap"), asV1(v2));
+        EXPECT_EQ(slurp(dir.file("v1.nfsnap")), slurp(base + ".v1.nfsnap"));
+        snapshot::writeSnapshot(dir.file("v2.nfsnap"), asV2(v1));
+        EXPECT_EQ(slurp(dir.file("v2.nfsnap")), slurp(base + ".nfsnap"));
+        ++pairs;
+    }
+    EXPECT_EQ(pairs, 5u);
+}
+
 // A mux-3 fleet rotating its clones every 5 slots, checkpointed after
 // four rotations, resumes onto the uninterrupted report; each chain
 // writes its rotation count once per logical node.
@@ -1980,14 +2588,17 @@ TEST(Resume, RotatedClonesStayBitIdentical)
     const Snapshot snap = snapshot::readSnapshot(path);
     for (std::size_t c = 0; c < cfg.chains; ++c) {
         const std::string chain = "chain" + std::to_string(c);
-        const snapshot::Section *sec = snap.find(chain);
-        ASSERT_NE(sec, nullptr) << chain;
         for (std::size_t l = 0; l < cfg.nodesPerChain; ++l) {
             const std::string record =
                 chain + ".group" + std::to_string(l) + ".rotation";
-            const auto *payload = reinterpret_cast<const unsigned char *>(
-                sec->data.data() + payloadOffset(sec->data, record));
-            EXPECT_EQ(snapshot::readLe32(payload), 4u) << record;
+            const std::string_view payload =
+                recordPayload(snap, chain, record);
+            ASSERT_EQ(payload.size(), 4u) << record;
+            EXPECT_EQ(snapshot::readLe32(
+                          reinterpret_cast<const unsigned char *>(
+                              payload.data())),
+                      4u)
+                << record;
         }
     }
     for (const unsigned threads : {1u, 4u}) {

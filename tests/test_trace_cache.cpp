@@ -279,7 +279,10 @@ constexpr std::size_t kEnvelopedTraces = 6;
  * the forest, bridge (two profiles) and mountain (shaded and sunny)
  * factories and the rain unit stream (the kEnvelopedTraces), then a
  * diurnal envelope whose day ends inside the span, a ScaledTrace over
- * an enveloped trace, and an at()-only trace.
+ * an enveloped trace, a bare PiecewiseTrace and an at()-only trace.
+ * The bare trace is zero until its first segment at 30 s, has off-grid
+ * starts and two segments starting at one tick (at() takes the later),
+ * and holds its last level from 2 min before the span ends.
  */
 std::vector<std::shared_ptr<const PowerTrace>>
 sampledTraceSet()
@@ -313,19 +316,35 @@ sampledTraceSet()
     dusk.attenuation = 0.7;
     set.push_back(std::make_shared<DiurnalSolarTrace>(dusk));
     set.push_back(std::make_shared<ScaledTrace>(0.37, rain));
+    set.push_back(std::make_shared<PiecewiseTrace>(
+        std::vector<PiecewiseTrace::Segment>{
+            {30 * kSec, 1.5_mW},
+            {95 * kSec + 250, 0.25_mW},
+            {95 * kSec + 250, 4.0_mW},
+            {7 * kMin, 0.0_mW},
+            {41 * kMin + 3, 2.75_mW},
+            {kSampledSpan - 2 * kMin, 0.5_mW},
+        }));
     set.push_back(std::make_shared<AtOnlyTrace>());
     return set;
 }
 
 /**
- * Up to @p count segment starts of @p trace's fast multiplier: the
- * first ticks at which its level jumps, found by bisection between
- * whole seconds whose samples differ by more than the smooth envelope
- * moves in a second.
+ * Up to @p count segment starts of @p trace's fast multiplier: a bare
+ * PiecewiseTrace's own starts, or else the first ticks at which its
+ * level jumps, found by bisection between whole seconds whose samples
+ * differ by more than the smooth envelope moves in a second.
  */
 std::vector<Tick>
 segmentStarts(const PowerTrace &trace, std::size_t count)
 {
+    if (const auto *bare = dynamic_cast<const PiecewiseTrace *>(&trace)) {
+        std::vector<Tick> starts;
+        for (const PiecewiseTrace::Segment &s : bare->segments())
+            if (starts.size() < count)
+                starts.push_back(s.start);
+        return starts;
+    }
     const auto jumped = [&](Tick a, Tick b) {
         const double pa = trace.at(a).watts();
         const double pb = trace.at(b).watts();

@@ -18,6 +18,11 @@
  * against each other transparently, so "does the --workers 4 run
  * checkpoint the same states as --threads 4?" is one invocation.
  *
+ * Files of either container version compare, and against each other:
+ * a neofog-snapshot-v2 chain section's records are named from its
+ * file's table, a v1 file's carry their paths, so a v1 file and the
+ * v2 file a resume of it would write diff as identical.
+ *
  * Output names the first diverging slot and field ("chain0.node3.
  * cap.stored: 1.25 vs 1.5"); later differences are suppressed because
  * they are almost always cascade effects of the first.  This turns
@@ -139,6 +144,8 @@ Snapshot loadMergedSlot(const std::vector<std::string> &paths)
             merged.configHash = part.configHash;
             merged.seed = part.seed;
             merged.chains = part.chains;
+            merged.version = part.version;
+            merged.table = part.table;
             for (const auto &section : part.sections)
                 if (chainIndexOf(section.name) < 0)
                     merged.sections.push_back(section);
@@ -149,6 +156,12 @@ Snapshot loadMergedSlot(const std::vector<std::string> &paths)
             neofog::fatal("worker ", w, " snapshot ", paths[w],
                           " disagrees with worker 0 on scenario/slot",
                           " — mixed runs in one partitioned directory?");
+        } else if (part.version != merged.version
+                   || part.table != merged.table) {
+            // The merged chain sections are walked through one table.
+            neofog::fatal("worker ", w, " snapshot ", paths[w],
+                          " names its chain records unlike worker 0's",
+                          " — mixed builds in one partitioned directory?");
         }
         for (const auto &section : part.sections) {
             const long long idx = chainIndexOf(section.name);
